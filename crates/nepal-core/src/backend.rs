@@ -21,8 +21,8 @@ use nepal_schema::{ClassId, Schema, Value};
 use crate::error::{NepalError, Result};
 
 /// A query-evaluation target. `Send + Sync` so the engine can evaluate
-/// independent range variables against the same backend from scoped
-/// worker threads (see [`Backend::eval_shared`]).
+/// independent range variables against the same backend from several
+/// worker-pool threads at once (see [`Backend::eval_shared`]).
 pub trait Backend: Send + Sync {
     /// Human-readable backend kind.
     fn kind(&self) -> &'static str;

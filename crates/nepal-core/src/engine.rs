@@ -632,10 +632,11 @@ impl Engine {
         // When the query ranges over several independent variables (no
         // anchor-import links between path ends), there is no profiling
         // trace to thread through, and every involved backend can evaluate
-        // through a shared reference, fan the per-variable evaluations out
-        // over scoped threads. Results are identical to the sequential
-        // path — each variable's evaluation is already deterministic — only
-        // wall-clock time changes.
+        // through a shared reference, deal the per-variable evaluations to
+        // the evaluator's worker pool (this thread takes the first; each
+        // evaluation may start nested runs of its own). Results are
+        // identical to the sequential path — each variable's evaluation is
+        // already deterministic — only wall-clock time changes.
         let pending: Vec<usize> = order.iter().copied().filter(|&i| !evals[i].prefilled).collect();
         let fan_out = threads > 1
             && !profiled
@@ -646,36 +647,25 @@ impl Engine {
                 .all(|&i| self.registry.get(evals[i].backend.as_deref()).is_ok_and(|b| b.supports_shared_eval()));
         if fan_out {
             exec_span.attr("parallel_vars", pending.len());
-            let opts = &qopts;
-            let mut outs: Vec<(usize, Result<Vec<Pathway>>)> = Vec::with_capacity(pending.len());
-            std::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(pending.len());
-                for &i in &pending {
-                    let e = &evals[i];
+            let (outs, _, _) = nepal_rpe::par::run_jobs(
+                pending.len(),
+                threads,
+                false,
+                |_| (),
+                |_, k| {
+                    let e = &evals[pending[k]];
                     let backend = self.registry.get(e.backend.as_deref()).expect("eligibility checked above");
                     let var_span = exec_span.child(&format!("eval:{}", e.var));
                     var_span.attr("backend", backend.kind());
                     let plan = e.plan.as_ref().expect("non-view variables have plans");
-                    let filter = e.filter;
-                    handles.push((
-                        i,
-                        s.spawn(move || {
-                            let r = backend.eval_shared(plan, filter, Seeds::Anchor, opts, &var_span);
-                            if let Ok(p) = &r {
-                                var_span.attr("pathways", p.len());
-                            }
-                            r
-                        }),
-                    ));
-                }
-                for (i, h) in handles {
-                    match h.join() {
-                        Ok(r) => outs.push((i, r)),
-                        Err(p) => std::panic::resume_unwind(p),
+                    let r = backend.eval_shared(plan, e.filter, Seeds::Anchor, &qopts, &var_span);
+                    if let Ok(p) = &r {
+                        var_span.attr("pathways", p.len());
                     }
-                }
-            });
-            for (i, r) in outs {
+                    r
+                },
+            );
+            for (&i, r) in pending.iter().zip(outs) {
                 evals[i].pathways = r?;
                 evaluated.insert(evals[i].var.clone());
             }
@@ -864,14 +854,12 @@ impl Engine {
                     PathFn::Source => p.source().0,
                     PathFn::Target => p.target().0,
                 };
-                // Build keys (in parallel for large pathway sets), then the
-                // table: key → ascending pathway indices.
+                // Build keys (on the worker pool for large pathway sets),
+                // then the table: key → ascending pathway indices.
                 let build = &evals[i].pathways;
                 let extract = |p: &Pathway| -> Vec<u64> { key_specs.iter().map(|&(my, _, _)| end_of(p, my)).collect() };
                 let keys: Vec<Vec<u64>> = if threads > 1 && build.len() >= 4096 {
-                    let (keys, _, _) =
-                        nepal_rpe::par::run_jobs(build.len(), threads, false, |_| (), |_, j| extract(&build[j]));
-                    keys
+                    nepal_rpe::par::map_indexed(build.len(), threads, |j| extract(&build[j]))
                 } else {
                     build.iter().map(extract).collect()
                 };

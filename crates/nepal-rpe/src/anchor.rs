@@ -82,12 +82,12 @@ impl AnchorSet {
 
 /// Probe the per-atom cardinalities once up front. An atom occurrence can
 /// appear in many candidate sets (and did get re-estimated per set before
-/// this table existed); with `threads > 1` the probes fan out across the
-/// worker pool — useful when the estimator goes to a remote backend.
+/// this table existed); with `threads > 1` the probes are dealt to the
+/// worker pool in chunks — useful when the estimator goes to a remote
+/// backend.
 fn atom_costs(atoms: &[BoundAtom], schema: &Schema, est: &dyn CardinalityEstimator, threads: usize) -> Vec<f64> {
     if threads > 1 && atoms.len() >= 4 {
-        let (costs, _, _) = par::run_jobs(atoms.len(), threads, false, |_| (), |_, i| est.estimate(schema, &atoms[i]));
-        costs
+        par::map_indexed(atoms.len(), threads, |i| est.estimate(schema, &atoms[i]))
     } else {
         atoms.iter().map(|a| est.estimate(schema, a)).collect()
     }

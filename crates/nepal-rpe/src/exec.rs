@@ -47,11 +47,14 @@ pub struct EvalOptions {
     pub limit: Option<usize>,
     /// Additional element-count cap on top of the RPE's own length limit.
     pub max_elements: Option<usize>,
-    /// Worker threads for the parallel evaluator. `0` (the default)
-    /// resolves via [`resolved_threads`]: the `NEPAL_THREADS` environment
-    /// variable if set, otherwise the host's available parallelism.
-    /// `1` forces the sequential path. When a `limit` is set evaluation
-    /// also stays sequential, because the limit's early exit is
+    /// Cap on the threads that take part in one evaluation: the calling
+    /// thread, which always works, plus helpers from the process-wide
+    /// pool ([`crate::par`]) that wake in time to share its jobs. `0`
+    /// (the default) resolves via [`resolved_threads`]: the
+    /// `NEPAL_THREADS` environment variable if set, otherwise the host's
+    /// available parallelism. `1` is the sequential evaluator and never
+    /// touches the pool. When a `limit` is set evaluation also stays
+    /// sequential, because the limit's early exit is
     /// traversal-order-dependent.
     pub threads: usize,
     /// Cooperative cancellation: polled at bounded intervals (anchor
@@ -1165,8 +1168,8 @@ fn note_pool<W>(
 
 /// The parallel evaluator. Produces bit-identical output to
 /// [`evaluate_sequential`]: the anchor seed set is partitioned into
-/// independent extension subtrees run on a work-stealing pool (each worker
-/// with a private [`ElemMatcher`] memo), and the `Union` merges per-chunk
+/// independent extension subtrees dealt to the worker pool in chunks (each
+/// participant with a private [`ElemMatcher`] memo), and the `Union` merges per-chunk
 /// results in seed order through the same commutative [`add_result`]
 /// merge, followed by the same final sort. Only called with no `limit`
 /// set — the limit's early exit is traversal-order-dependent.
@@ -1345,31 +1348,46 @@ fn evaluate_parallel(
                     }
                 }
 
-                // Pass 3: run every frontier subtree on the pool, each
-                // worker carrying its own memo across the jobs it executes.
+                // Pass 3: run the frontier subtrees on the pool, dealt as
+                // contiguous chunks of roots, each participant carrying its
+                // own memo across the chunks it executes. A chunk returns
+                // one half-list per run of roots belonging to one unit.
                 let mut jobs: Vec<(usize, Vec<Uid>, StateSet, bool)> = Vec::new();
                 for (ui, u) in units.iter_mut().enumerate() {
                     for (path, states) in std::mem::take(&mut u.roots) {
                         jobs.push((ui, path, states, u.fwd));
                     }
                 }
+                let bounds = par::chunks(jobs.len(), threads);
                 let (outs, reports, stats) = par::run_jobs_cancel(
-                    jobs.len(),
+                    bounds.len(),
                     threads,
                     timed,
                     opts.cancel.as_ref(),
                     |_| ElemMatcher::with_cancel(view, &schema, &plan.atoms, opts.cancel.clone()),
-                    |mw: &mut ElemMatcher, j: usize| {
-                        let (_, path, states, fwd) = &jobs[j];
-                        let mut out = Vec::new();
-                        let mut p = path.clone();
-                        let t0 = enabled.then(Instant::now);
-                        if *fwd {
-                            fwd_search(&ctx, mw, &mut p, states, &mut out);
-                        } else {
-                            bwd_search(&ctx, mw, &mut p, states, true, &mut out);
+                    |mw: &mut ElemMatcher, c: usize| {
+                        let mut out: Vec<(usize, Vec<Half>)> = Vec::new();
+                        let (mut f_ns, mut b_ns) = (0u64, 0u64);
+                        for (ui, path, states, fwd) in &jobs[bounds[c].clone()] {
+                            if mw.cancel_cause.is_some() {
+                                break;
+                            }
+                            if out.last().map(|(u, _)| u) != Some(ui) {
+                                out.push((*ui, Vec::new()));
+                            }
+                            let halves = &mut out.last_mut().expect("pushed above").1;
+                            let mut p = path.clone();
+                            let t0 = enabled.then(Instant::now);
+                            if *fwd {
+                                fwd_search(&ctx, mw, &mut p, states, halves);
+                            } else {
+                                bwd_search(&ctx, mw, &mut p, states, true, halves);
+                            }
+                            if let Some(t) = t0 {
+                                *(if *fwd { &mut f_ns } else { &mut b_ns }) += t.elapsed().as_nanos() as u64;
+                            }
                         }
-                        (out, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
+                        (out, f_ns, b_ns)
                     },
                 );
                 for r in &reports {
@@ -1394,15 +1412,12 @@ fn evaluate_parallel(
                     &mut total_chunks,
                     &mut total_steals,
                 );
-                for (j, slot) in outs.into_iter().enumerate() {
-                    let Some((halves, ns)) = slot else { continue };
-                    let (ui, _, _, fwd) = &jobs[j];
-                    if *fwd {
-                        fwd_ns += ns;
-                    } else {
-                        bwd_ns += ns;
+                for (out, f_ns, b_ns) in outs.into_iter().flatten() {
+                    fwd_ns += f_ns;
+                    bwd_ns += b_ns;
+                    for (ui, halves) in out {
+                        units[ui].halves.extend(halves);
                     }
-                    units[*ui].halves.extend(halves);
                 }
                 for u in &units {
                     if u.fwd {
@@ -1413,64 +1428,64 @@ fn evaluate_parallel(
                 }
 
                 // Pass 4: Union. Cross-combines are independent per
-                // (backward half, forward half) pair; big pairs are split
-                // over backward-half ranges. Results merge in job order —
-                // and add_result's merge is commutative anyway.
-                let mut ujobs: Vec<(usize, usize, usize)> = Vec::new(); // (pair, b_lo, b_hi)
+                // (backward half, forward half) pair; a big pair is split
+                // into ranges of its row-major (backward, forward) index
+                // space, so a single backward half against thousands of
+                // forward ones — every node-anchored Table-1 query — still
+                // splits. Results merge in job order, which is row-major
+                // order — and add_result's merge is commutative anyway.
+                let mut ujobs: Vec<(usize, usize, usize)> = Vec::new(); // (pair, lo, hi) over b * f
                 for (pi, &(bu, fu)) in pairs.iter().enumerate() {
-                    let (b, f) = (units[bu].halves.len(), units[fu].halves.len());
-                    union_in += (b * f) as u64;
-                    if b == 0 || f == 0 {
-                        continue;
-                    }
-                    let splits = if b * f > 2048 { threads.min(b) } else { 1 };
-                    for c in 0..splits {
-                        let (lo, hi) = (c * b / splits, (c + 1) * b / splits);
-                        if lo < hi {
-                            ujobs.push((pi, lo, hi));
-                        }
-                    }
+                    let n = units[bu].halves.len() * units[fu].halves.len();
+                    union_in += n as u64;
+                    let splits = if n > 2048 { threads } else { 1 };
+                    ujobs.extend((0..splits).map(|c| (pi, c * n / splits, (c + 1) * n / splits)).filter(|j| j.1 < j.2));
                 }
+                let ubounds = par::chunks(ujobs.len(), threads);
                 let (uouts, ureports, ustats) = par::run_jobs_cancel(
-                    ujobs.len(),
+                    ubounds.len(),
                     threads,
                     timed,
                     opts.cancel.as_ref(),
                     |_| None::<CancelCause>,
-                    |tripped: &mut Option<CancelCause>, j: usize| {
-                        let (pi, lo, hi) = ujobs[j];
-                        let (bu, fu) = pairs[pi];
-                        let bwd = &units[bu].halves[lo..hi];
-                        let fwd = &units[fu].halves;
+                    |tripped: &mut Option<CancelCause>, c: usize| {
                         let mut out: Vec<(Vec<Uid>, Times)> = Vec::new();
                         let mut prunes = 0u64;
                         let t0 = enabled.then(Instant::now);
-                        'rows: for (bi, b) in bwd.iter().enumerate() {
-                            if bi as u32 & CANCEL_CHECK_MASK == 0 {
-                                if let Some(cause) = opts.cancel.as_ref().and_then(|t| t.poll()) {
-                                    *tripped = Some(cause);
-                                    break 'rows;
-                                }
-                            }
-                            'combine: for fh in fwd {
-                                // Cycle check across the two halves.
-                                for u in &b.elems {
-                                    if fh.elems.contains(u) {
-                                        continue 'combine;
+                        'jobs: for &(pi, lo, hi) in &ujobs[ubounds[c].clone()] {
+                            let (bu, fu) = pairs[pi];
+                            let (bwd, fwd) = (&units[bu].halves, &units[fu].halves);
+                            let f = fwd.len();
+                            let (first, last) = (lo / f, (hi - 1) / f);
+                            for (bi, b) in bwd.iter().enumerate().take(last + 1).skip(first) {
+                                if (bi - first) as u32 & CANCEL_CHECK_MASK == 0 {
+                                    if let Some(cause) = opts.cancel.as_ref().and_then(|t| t.poll()) {
+                                        *tripped = Some(cause);
+                                        break 'jobs;
                                     }
                                 }
-                                let (t, ok) = times_intersect(&b.times, &fh.times);
-                                if !ok {
-                                    prunes += 1;
-                                    continue;
+                                // This job's part of row `bi`.
+                                let row = lo.max(bi * f) - bi * f..hi.min((bi + 1) * f) - bi * f;
+                                'combine: for fh in &fwd[row] {
+                                    // Cycle check across the two halves.
+                                    for u in &b.elems {
+                                        if fh.elems.contains(u) {
+                                            continue 'combine;
+                                        }
+                                    }
+                                    let (t, ok) = times_intersect(&b.times, &fh.times);
+                                    if !ok {
+                                        prunes += 1;
+                                        continue;
+                                    }
+                                    let mut elems = b.elems.clone();
+                                    elems.reverse();
+                                    elems.extend_from_slice(&fh.elems);
+                                    if elems.len() > cap {
+                                        continue;
+                                    }
+                                    out.push((elems, t));
                                 }
-                                let mut elems = b.elems.clone();
-                                elems.reverse();
-                                elems.extend_from_slice(&fh.elems);
-                                if elems.len() > cap {
-                                    continue;
-                                }
-                                out.push((elems, t));
                             }
                         }
                         (out, prunes, t0.map_or(0, |t| t.elapsed().as_nanos() as u64))
@@ -1539,20 +1554,17 @@ fn evaluate_parallel(
         }
         Seeds::Sources(srcs) => {
             let t0 = enabled.then(Instant::now);
-            let n_chunks = (threads * 4).min(srcs.len());
-            let bounds: Vec<(usize, usize)> =
-                (0..n_chunks).map(|c| (c * srcs.len() / n_chunks, (c + 1) * srcs.len() / n_chunks)).collect();
+            let bounds = par::chunks(srcs.len(), threads);
             let (outs, reports, stats) = par::run_jobs_cancel(
-                n_chunks,
+                bounds.len(),
                 threads,
                 timed,
                 opts.cancel.as_ref(),
                 |_| ElemMatcher::with_cancel(view, &schema, &plan.atoms, opts.cancel.clone()),
                 |mw: &mut ElemMatcher, ci: usize| {
-                    let (lo, hi) = bounds[ci];
                     let mut res: Vec<(Vec<Uid>, Times)> = Vec::new();
                     let (mut seeded, mut halves) = (0u64, 0u64);
-                    for &src in &srcs[lo..hi] {
+                    for &src in &srcs[bounds[ci].clone()] {
                         if mw.cancel_cause.is_some() {
                             break;
                         }
@@ -1631,20 +1643,17 @@ fn evaluate_parallel(
                 .filter(|&s| plan.nfa.accepts[s as usize])
                 .map(|s| (s, if view.filter.is_range() { Some(universal()) } else { None }))
                 .collect();
-            let n_chunks = (threads * 4).min(tgts.len());
-            let bounds: Vec<(usize, usize)> =
-                (0..n_chunks).map(|c| (c * tgts.len() / n_chunks, (c + 1) * tgts.len() / n_chunks)).collect();
+            let bounds = par::chunks(tgts.len(), threads);
             let (outs, reports, stats) = par::run_jobs_cancel(
-                n_chunks,
+                bounds.len(),
                 threads,
                 timed,
                 opts.cancel.as_ref(),
                 |_| ElemMatcher::with_cancel(view, &schema, &plan.atoms, opts.cancel.clone()),
                 |mw: &mut ElemMatcher, ci: usize| {
-                    let (lo, hi) = bounds[ci];
                     let mut res: Vec<(Vec<Uid>, Times)> = Vec::new();
                     let (mut seeded, mut halves) = (0u64, 0u64);
-                    for &tgt in &tgts[lo..hi] {
+                    for &tgt in &tgts[bounds[ci].clone()] {
                         if mw.cancel_cause.is_some() {
                             break;
                         }
