@@ -11,11 +11,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
-use nepal_gremlin::{evaluate_gremlin_spanned, GremlinClient, GremlinTime};
-use nepal_obs::{ExecTrace, MetricsRegistry, OpStats, SpanHandle};
-use nepal_relational::{db_from_graph, evaluate_relational_spanned, RelDb};
+use nepal_gremlin::{evaluate_gremlin, GremlinClient, GremlinTime};
+use nepal_obs::{OpStats, SpanHandle};
+use nepal_relational::{db_from_graph, evaluate_relational, RelDb};
 use nepal_rpe::anchor::apply_selectivity;
-use nepal_rpe::{BoundAtom, CardinalityEstimator, EvalOptions, Pathway, RpePlan, Seeds};
+use nepal_rpe::{BoundAtom, CardinalityEstimator, EvalOptions, ExecCtx, Pathway, RpePlan, Seeds};
 use nepal_schema::{ClassId, Schema, Value};
 
 use crate::error::{NepalError, Result};
@@ -30,67 +30,39 @@ pub trait Backend: Send + Sync {
     /// The schema this backend serves.
     fn schema(&self) -> &Arc<Schema>;
 
-    /// Evaluate a planned RPE under a time filter.
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>>;
+    /// Evaluate a planned RPE under a time filter, observing nothing.
+    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
+        self.eval_in(plan, filter, seeds, opts, &mut ExecCtx::default())
+    }
 
-    /// Evaluate with a profiling trace attached. Backends that can report
-    /// per-operator statistics override this; the default just delegates
-    /// to [`Backend::eval`] and records nothing.
-    fn eval_traced(
+    /// Evaluate a planned RPE under a time filter, reporting into whatever
+    /// sinks `ctx` carries: per-operator statistics on its trace, operator
+    /// child spans under its span. A tripped `opts.cancel` surfaces as
+    /// [`NepalError::DeadlineExceeded`] / [`NepalError::Cancelled`].
+    fn eval_in(
         &mut self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
         opts: &EvalOptions,
-        _trace: &mut ExecTrace,
-    ) -> Result<Vec<Pathway>> {
-        self.eval(plan, filter, seeds, opts)
-    }
+        ctx: &mut ExecCtx,
+    ) -> Result<Vec<Pathway>>;
 
-    /// Evaluate with full observability: an optional profiling trace plus a
-    /// span to hang operator child spans off. The default routes to
-    /// [`Backend::eval_traced`]/[`Backend::eval`] and ignores the span;
-    /// backends with spanned evaluators override this.
-    fn eval_obs(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: Option<&mut ExecTrace>,
-        _span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        match trace {
-            Some(t) => self.eval_traced(plan, filter, seeds, opts, t),
-            None => self.eval(plan, filter, seeds, opts),
-        }
-    }
-
-    /// Whether this backend can evaluate through a shared reference
-    /// ([`Backend::eval_shared`]), allowing the engine to run several
-    /// range variables against it concurrently.
-    fn supports_shared_eval(&self) -> bool {
-        false
-    }
-
-    /// Evaluate through `&self` (no translator state to mutate). Backends
-    /// that buffer generated code or wire statistics per call cannot offer
-    /// this; the native store can.
+    /// [`Backend::eval_in`] through `&self`, so the engine can run several
+    /// range variables against this backend concurrently. `None` (the
+    /// default) means this backend keeps per-call translator state — it
+    /// buffers generated code or wire statistics — and must be evaluated
+    /// through `&mut self`; the native store has none.
     fn eval_shared(
         &self,
         _plan: &RpePlan,
         _filter: TimeFilter,
         _seeds: Seeds,
         _opts: &EvalOptions,
-        _span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        Err(NepalError::Unsupported("backend does not support shared-reference evaluation".into()))
+        _ctx: &mut ExecCtx,
+    ) -> Option<Result<Vec<Pathway>>> {
+        None
     }
-
-    /// Attach the engine's metrics registry so evaluation-level counters
-    /// (parallel chunks, steals, worker busy time) land in engine metrics.
-    /// Default: ignore.
-    fn attach_metrics(&mut self, _metrics: &Arc<MetricsRegistry>) {}
 
     /// Field values (and runtime class) of an element, for Select
     /// post-processing.
@@ -113,12 +85,11 @@ pub trait Backend: Send + Sync {
 /// Backend over the in-process temporal graph store.
 pub struct NativeBackend {
     pub graph: Arc<TemporalGraph>,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl NativeBackend {
     pub fn new(graph: Arc<TemporalGraph>) -> Self {
-        NativeBackend { graph, metrics: None }
+        NativeBackend { graph }
     }
 }
 
@@ -131,39 +102,15 @@ impl Backend for NativeBackend {
         self.graph.schema()
     }
 
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
-        let view = GraphView::new(&self.graph, filter);
-        Ok(nepal_rpe::evaluate(&view, plan, seeds, opts))
-    }
-
-    fn eval_traced(
+    fn eval_in(
         &mut self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
         opts: &EvalOptions,
-        trace: &mut ExecTrace,
+        ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>> {
-        let view = GraphView::new(&self.graph, filter);
-        Ok(nepal_rpe::evaluate_traced(&view, plan, seeds, opts, Some(trace)))
-    }
-
-    fn eval_obs(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: Option<&mut ExecTrace>,
-        span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        let view = GraphView::new(&self.graph, filter);
-        nepal_rpe::evaluate_metered(&view, plan, seeds, opts, trace, span, self.metrics.as_deref())
-            .map_err(NepalError::from)
-    }
-
-    fn supports_shared_eval(&self) -> bool {
-        true
+        self.eval_shared(plan, filter, seeds, opts, ctx).expect("the native store evaluates through &self")
     }
 
     fn eval_shared(
@@ -172,15 +119,10 @@ impl Backend for NativeBackend {
         filter: TimeFilter,
         seeds: Seeds,
         opts: &EvalOptions,
-        span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
+        ctx: &mut ExecCtx,
+    ) -> Option<Result<Vec<Pathway>>> {
         let view = GraphView::new(&self.graph, filter);
-        nepal_rpe::evaluate_metered(&view, plan, seeds, opts, None, span, self.metrics.as_deref())
-            .map_err(NepalError::from)
-    }
-
-    fn attach_metrics(&mut self, metrics: &Arc<MetricsRegistry>) {
-        self.metrics = Some(metrics.clone());
+        Some(nepal_rpe::try_evaluate(&view, plan, seeds, opts, ctx).map_err(NepalError::from))
     }
 
     fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
@@ -223,40 +165,24 @@ impl Backend for RelationalBackend {
         &self.schema
     }
 
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, None, &SpanHandle::none())
-    }
-
-    fn eval_traced(
+    fn eval_in(
         &mut self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
         opts: &EvalOptions,
-        trace: &mut ExecTrace,
+        ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, Some(trace), &SpanHandle::none())
-    }
-
-    fn eval_obs(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: Option<&mut ExecTrace>,
-        span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
-        let t0 = trace.is_some().then(Instant::now);
+        let no_span = SpanHandle::none();
+        let span = ctx.span.unwrap_or(&no_span);
+        let t0 = ctx.trace.is_some().then(Instant::now);
         let res =
-            evaluate_relational_spanned(&mut self.db, &self.schema, plan, filter, seeds, opts, span).map_err(|e| {
-                match e {
-                    nepal_relational::RelError::DeadlineExceeded => NepalError::DeadlineExceeded,
-                    nepal_relational::RelError::Cancelled => NepalError::Cancelled,
-                    other => NepalError::Backend(other.to_string()),
-                }
+            evaluate_relational(&mut self.db, &self.schema, plan, filter, seeds, opts, span).map_err(|e| match e {
+                nepal_relational::RelError::DeadlineExceeded => NepalError::DeadlineExceeded,
+                nepal_relational::RelError::Cancelled => NepalError::Cancelled,
+                other => NepalError::Backend(other.to_string()),
             })?;
-        if let Some(trace) = trace {
+        if let Some(trace) = ctx.trace.as_deref_mut() {
             trace.bump("rel_rows_scanned", res.rows_scanned);
             trace.bump("rel_rows_joined", res.rows_joined);
             let mut op = OpStats::new("Select+Extend", "SQL pipeline over class tables");
@@ -358,30 +284,21 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
         &self.schema
     }
 
-    fn eval(&mut self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds, opts: &EvalOptions) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, None, &SpanHandle::none())
-    }
-
-    fn eval_traced(
+    fn eval_in(
         &mut self,
         plan: &RpePlan,
         filter: TimeFilter,
         seeds: Seeds,
         opts: &EvalOptions,
-        trace: &mut ExecTrace,
+        ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>> {
-        self.eval_obs(plan, filter, seeds, opts, Some(trace), &SpanHandle::none())
-    }
-
-    fn eval_obs(
-        &mut self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        trace: Option<&mut ExecTrace>,
-        span: &SpanHandle,
-    ) -> Result<Vec<Pathway>> {
+        // The wire evaluator has no client-side checkpoints; an already
+        // tripped token at least never starts a round trip.
+        if let Some(cause) = opts.cancel.as_ref().and_then(|t| t.poll()) {
+            return Err(nepal_rpe::RpeError::from(cause).into());
+        }
+        let no_span = SpanHandle::none();
+        let span = ctx.span.unwrap_or(&no_span);
         let time = match filter {
             TimeFilter::Current => GremlinTime::Current,
             TimeFilter::AsOf(t) => GremlinTime::AsOf(t),
@@ -391,22 +308,14 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
                 ))
             }
         };
-        let before = trace.is_some().then(|| self.client.wire_stats());
-        let t0 = trace.is_some().then(Instant::now);
-        let res = evaluate_gremlin_spanned(
-            &mut self.client,
-            &self.schema,
-            plan,
-            time,
-            seeds,
-            opts,
-            self.use_extend_block,
-            span,
-        )
-        .map_err(|e| NepalError::Backend(e.to_string()))?;
+        let before = ctx.trace.is_some().then(|| self.client.wire_stats());
+        let t0 = ctx.trace.is_some().then(Instant::now);
+        let res =
+            evaluate_gremlin(&mut self.client, &self.schema, plan, time, seeds, opts, self.use_extend_block, span)
+                .map_err(|e| NepalError::Backend(e.to_string()))?;
         self.last_trips = res.round_trips;
         span.attr("round_trips", res.round_trips);
-        if let (Some(trace), Some(before), Some(t0)) = (trace, before, t0) {
+        if let (Some(trace), Some(before), Some(t0)) = (ctx.trace.as_deref_mut(), before, t0) {
             let after = self.client.wire_stats();
             trace.bump("gremlin_requests", after.requests - before.requests);
             trace.bump("gremlin_frames_sent", after.frames_sent - before.frames_sent);
@@ -459,7 +368,6 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
 pub struct BackendRegistry {
     backends: HashMap<String, Box<dyn Backend>>,
     default: String,
-    metrics: Option<Arc<MetricsRegistry>>,
 }
 
 impl BackendRegistry {
@@ -467,23 +375,11 @@ impl BackendRegistry {
         let default = default_name.into();
         let mut backends = HashMap::new();
         backends.insert(default.clone(), backend);
-        BackendRegistry { backends, default, metrics: None }
+        BackendRegistry { backends, default }
     }
 
     pub fn add(&mut self, name: impl Into<String>, backend: Box<dyn Backend>) {
-        let mut backend = backend;
-        if let Some(m) = &self.metrics {
-            backend.attach_metrics(m);
-        }
         self.backends.insert(name.into(), backend);
-    }
-
-    /// Attach a metrics registry to every current and future backend.
-    pub fn attach_metrics(&mut self, metrics: &Arc<MetricsRegistry>) {
-        for b in self.backends.values_mut() {
-            b.attach_metrics(metrics);
-        }
-        self.metrics = Some(metrics.clone());
     }
 
     pub fn default_name(&self) -> &str {

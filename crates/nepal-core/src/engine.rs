@@ -31,7 +31,7 @@ use nepal_obs::{
     VarProfile,
 };
 use nepal_rpe::{
-    plan_rpe_threads, resolved_threads, BoundAtom, CancelCause, CancelToken, CardinalityEstimator, EvalOptions,
+    plan_rpe_with, resolved_threads, BoundAtom, CancelCause, CancelToken, CardinalityEstimator, EvalOptions, ExecCtx,
     Pathway, RpePlan, Seeds,
 };
 use nepal_schema::{Schema, Ts, Value};
@@ -197,9 +197,8 @@ fn cancel_to_err(cause: CancelCause) -> NepalError {
 const ENGINE_CANCEL_MASK: u64 = 0x3FF; // every 1024 rows
 
 impl Engine {
-    pub fn new(mut registry: BackendRegistry) -> Engine {
+    pub fn new(registry: BackendRegistry) -> Engine {
         let metrics = Arc::new(MetricsRegistry::new());
-        registry.attach_metrics(&metrics);
         let feedback = Arc::new(EstimateFeedback::with_metrics(&metrics));
         Engine {
             registry,
@@ -305,64 +304,59 @@ impl Engine {
         // every query takes the profiled path — the log needs
         // per-operator actuals and the stats table needs the resource
         // meter. When both are off (the default) this branch is two
-        // `Option` checks and the hot path below is exactly the
+        // `Option` checks and the hot path is exactly the
         // pre-instrumentation code.
         if self.qlog.is_some() || self.stmt.is_some() {
             return self.query_profiled(text).map(|(r, _)| r);
         }
+        self.run_query(text, None).0
+    }
+
+    /// What [`Engine::query`] and [`Engine::query_profiled`] share: the
+    /// flight `QueryStart` event, the root trace span, parse, execute, and
+    /// the latency / error / cancellation metrics. Returns the result, the
+    /// wall time from before parsing, and the root span — still open, so
+    /// it covers whatever bookkeeping the caller adds. `profile`, when
+    /// given, also receives the parse time.
+    fn run_query(
+        &mut self,
+        text: &str,
+        mut profile: Option<&mut QueryProfile>,
+    ) -> (Result<QueryResult>, u64, SpanHandle) {
         if nepal_obs::flight::recorder().is_enabled() {
             nepal_obs::flight::emit(nepal_obs::FlightKind::QueryStart, fingerprint(text), 0, 0, "");
         }
         let root = self.tracer.start_trace(text);
-        let trace_id = root.trace_id();
         let t0 = Instant::now();
         let parse_span = root.child("parse");
         let parsed = parse_query(text);
         drop(parse_span);
-        let result = parsed.and_then(|q| self.execute_inner(&q, None, &root));
+        if let Some(p) = profile.as_deref_mut() {
+            p.parse_ns = t0.elapsed().as_nanos() as u64;
+        }
+        let result = parsed.and_then(|q| self.execute_inner(&q, profile, &root));
         let total_ns = t0.elapsed().as_nanos() as u64;
         if let Ok(r) = &result {
             root.attr("rows", r.rows.len());
         }
-        self.record_query_metrics(text, total_ns, result.as_ref().ok().map(|r| r.rows.len() as u64), trace_id);
+        self.record_query_metrics(text, total_ns, result.as_ref().ok().map(|r| r.rows.len() as u64), root.trace_id());
         if let Err(e) = &result {
             self.note_cancellation_metrics(e);
         }
-        result
+        (result, total_ns, root)
     }
 
     /// Parse and execute a query with full profiling (the `EXPLAIN ANALYZE`
     /// path): phase timings, anchor candidates, per-operator statistics.
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, QueryProfile)> {
-        if nepal_obs::flight::recorder().is_enabled() {
-            nepal_obs::flight::emit(nepal_obs::FlightKind::QueryStart, fingerprint(text), 0, 0, "");
-        }
-        let root = self.tracer.start_trace(text);
+        let mut profile = QueryProfile::default();
+        let (result, total_ns, root) = self.run_query(text, Some(&mut profile));
         let trace_id = root.trace_id();
-        let t0 = Instant::now();
-        let parse_span = root.child("parse");
-        let parsed = parse_query(text);
-        drop(parse_span);
-        let parse_ns = t0.elapsed().as_nanos() as u64;
-        let outcome = parsed.and_then(|q| {
-            let mut profile = QueryProfile::default();
-            let te = Instant::now();
-            let result = self.execute_inner(&q, Some(&mut profile), &root)?;
-            profile.total_ns = te.elapsed().as_nanos() as u64;
-            profile.result_rows = result.rows.len() as u64;
-            Ok((result, profile))
-        });
-        let total_ns = t0.elapsed().as_nanos() as u64;
-        if let Ok((r, _)) = &outcome {
-            root.attr("rows", r.rows.len());
-        }
-        self.record_query_metrics(text, total_ns, outcome.as_ref().ok().map(|(r, _)| r.rows.len() as u64), trace_id);
         let threads = resolved_threads(self.eval_options.threads) as u64;
         let meter_snap = self.cur_meter.take().map(|m| m.snapshot());
-        let (result, mut profile) = match outcome {
-            Ok(v) => v,
+        let result = match result {
+            Ok(r) => r,
             Err(e) => {
-                self.note_cancellation_metrics(&e);
                 if let Some(stmt) = &self.stmt {
                     let outcome = match &e {
                         NepalError::DeadlineExceeded => StmtOutcome::Deadline,
@@ -374,7 +368,7 @@ impl Engine {
                 if let Some(qlog) = &self.qlog {
                     let mut rec = QlogRecord::for_error(text, total_ns, &e.to_string(), trace_id, threads);
                     rec.ts_ms = unix_ms();
-                    rec.parse_ns = parse_ns;
+                    rec.parse_ns = profile.parse_ns;
                     self.feedback.observe(&rec);
                     qlog.append(&rec);
                 }
@@ -382,8 +376,8 @@ impl Engine {
             }
         };
         profile.query = text.to_string();
-        profile.parse_ns = parse_ns;
         profile.total_ns = total_ns;
+        profile.result_rows = result.rows.len() as u64;
         profile.meter = meter_snap;
         if let Some(stmt) = &self.stmt {
             stmt.record(
@@ -401,7 +395,7 @@ impl Engine {
             fingerprint: fingerprint(text),
             trace_id,
             threads,
-            parse_ns,
+            parse_ns: profile.parse_ns,
             plan_ns: profile.plan_ns,
             exec_ns: profile.exec_ns,
             total_ns,
@@ -569,7 +563,7 @@ impl Engine {
             let backend = self.registry.get(s.backend.as_deref())?;
             let tplan = profiled.then(Instant::now);
             let var_span = plan_span.child(&format!("plan:{}", s.var));
-            let plan = plan_rpe_threads(backend.schema(), rpe, &BackendEstimator(backend), &var_span, threads)?;
+            let plan = plan_rpe_with(backend.schema(), rpe, &BackendEstimator(backend), &var_span, threads)?;
             var_span.attr("anchor_cost", format!("{:.1}", plan.anchor.cost));
             if nepal_obs::flight::recorder().is_enabled() {
                 self.last_anchor = plan.anchor_desc(&plan.anchor);
@@ -630,23 +624,16 @@ impl Engine {
 
         let mut evaluated: HashSet<String> = HashSet::new();
         // When the query ranges over several independent variables (no
-        // anchor-import links between path ends), there is no profiling
-        // trace to thread through, and every involved backend can evaluate
-        // through a shared reference, deal the per-variable evaluations to
+        // anchor-import links between path ends) and there is no profiling
+        // trace to thread through, deal the per-variable evaluations to
         // the evaluator's worker pool (this thread takes the first; each
-        // evaluation may start nested runs of its own). Results are
-        // identical to the sequential path — each variable's evaluation is
-        // already deterministic — only wall-clock time changes.
+        // evaluation may start nested runs of its own). A backend that
+        // cannot evaluate through a shared reference declines, and its
+        // variable is left to the loop below. Results are identical to
+        // evaluating one by one — each variable's evaluation is already
+        // deterministic — only wall-clock time changes.
         let pending: Vec<usize> = order.iter().copied().filter(|&i| !evals[i].prefilled).collect();
-        let fan_out = threads > 1
-            && !profiled
-            && end_links.is_empty()
-            && pending.len() >= 2
-            && pending
-                .iter()
-                .all(|&i| self.registry.get(evals[i].backend.as_deref()).is_ok_and(|b| b.supports_shared_eval()));
-        if fan_out {
-            exec_span.attr("parallel_vars", pending.len());
+        if threads > 1 && !profiled && end_links.is_empty() && pending.len() >= 2 {
             let (outs, _, _) = nepal_rpe::par::run_jobs(
                 pending.len(),
                 threads,
@@ -654,21 +641,24 @@ impl Engine {
                 |_| (),
                 |_, k| {
                     let e = &evals[pending[k]];
-                    let backend = self.registry.get(e.backend.as_deref()).expect("eligibility checked above");
+                    let backend = self.registry.get(e.backend.as_deref()).ok()?;
                     let var_span = exec_span.child(&format!("eval:{}", e.var));
                     var_span.attr("backend", backend.kind());
                     let plan = e.plan.as_ref().expect("non-view variables have plans");
-                    let r = backend.eval_shared(plan, e.filter, Seeds::Anchor, &qopts, &var_span);
+                    let mut ctx = ExecCtx { trace: None, span: Some(&var_span), metrics: Some(&self.metrics) };
+                    let r = backend.eval_shared(plan, e.filter, Seeds::Anchor, &qopts, &mut ctx)?;
                     if let Ok(p) = &r {
                         var_span.attr("pathways", p.len());
                     }
-                    r
+                    Some(r)
                 },
             );
             for (&i, r) in pending.iter().zip(outs) {
+                let Some(r) = r else { continue };
                 evals[i].pathways = r?;
                 evaluated.insert(evals[i].var.clone());
             }
+            exec_span.attr("parallel_vars", evaluated.len());
         }
         for &i in &order {
             if evaluated.contains(&evals[i].var) {
@@ -727,10 +717,12 @@ impl Engine {
             let teval = profiled.then(Instant::now);
             let var_span = exec_span.child(&format!("eval:{var}"));
             var_span.attr("backend", backend.kind());
-            let pathways = match profile.as_deref_mut() {
-                Some(p) => backend.eval_obs(plan, filter, seeds, &qopts, Some(&mut p.vars[i].trace), &var_span)?,
-                None => backend.eval_obs(plan, filter, seeds, &qopts, None, &var_span)?,
+            let mut ctx = ExecCtx {
+                trace: profile.as_deref_mut().map(|p| &mut p.vars[i].trace),
+                span: Some(&var_span),
+                metrics: Some(&self.metrics),
             };
+            let pathways = backend.eval_in(plan, filter, seeds, &qopts, &mut ctx)?;
             var_span.attr("pathways", pathways.len());
             drop(var_span);
             if let Some(p) = profile.as_deref_mut() {

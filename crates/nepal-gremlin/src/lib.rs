@@ -26,7 +26,7 @@ pub mod server;
 pub mod traversal;
 
 pub use client::{Channel, GremlinClient, RetryPolicy, RetryingClient, WireStats};
-pub use exec::{evaluate_gremlin, evaluate_gremlin_spanned, GremlinExecResult, GremlinTime};
+pub use exec::{evaluate_gremlin, GremlinExecResult, GremlinTime};
 pub use graph::{label_matches_prefix, GEdge, GVertex, PropertyGraph};
 pub use json::{parse_json, Json};
 pub use lang::{parse_traversal, LangError};

@@ -10,6 +10,7 @@ use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal_gremlin::{
     evaluate_gremlin, property_graph_from, serve_in_process, GremlinClient, GremlinServer, GremlinTime,
 };
+use nepal_obs::SpanHandle;
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
@@ -89,8 +90,17 @@ fn check(g: &TemporalGraph, q: &str, native_filter: TimeFilter, gtime: GremlinTi
     let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
     let pg = Arc::new(RwLock::new(property_graph_from(g)));
     let mut client = GremlinClient::new(serve_in_process(pg));
-    let res =
-        evaluate_gremlin(&mut client, g.schema(), &plan, gtime, Seeds::Anchor, &EvalOptions::default(), block).unwrap();
+    let res = evaluate_gremlin(
+        &mut client,
+        g.schema(),
+        &plan,
+        gtime,
+        Seeds::Anchor,
+        &EvalOptions::default(),
+        block,
+        &SpanHandle::none(),
+    )
+    .unwrap();
     assert_eq!(
         key(&native),
         key(&res.pathways),
@@ -151,6 +161,7 @@ fn extend_block_reduces_round_trips() {
         Seeds::Anchor,
         &EvalOptions::default(),
         true,
+        &SpanHandle::none(),
     )
     .unwrap();
     let mut c2 = GremlinClient::new(serve_in_process(pg));
@@ -162,6 +173,7 @@ fn extend_block_reduces_round_trips() {
         Seeds::Anchor,
         &EvalOptions::default(),
         false,
+        &SpanHandle::none(),
     )
     .unwrap();
     assert_eq!(key(&with_block.pathways), key(&without.pathways));
@@ -194,6 +206,7 @@ fn seeded_evaluation_over_tcp() {
         Seeds::Sources(&seeds),
         &EvalOptions::default(),
         false,
+        &SpanHandle::none(),
     )
     .unwrap();
     assert_eq!(key(&native), key(&res.pathways));
@@ -207,6 +220,7 @@ fn seeded_evaluation_over_tcp() {
         Seeds::Targets(&seeds),
         &EvalOptions::default(),
         false,
+        &SpanHandle::none(),
     )
     .unwrap();
     assert_eq!(key(&native_t), key(&res_t.pathways));

@@ -123,13 +123,13 @@ pub fn select_anchor(
     schema: &Schema,
     est: &dyn CardinalityEstimator,
 ) -> Result<(AnchorSet, Vec<AnchorSet>)> {
-    select_anchor_threads(norm, atoms, schema, est, 1)
+    select_anchor_with(norm, atoms, schema, est, 1)
 }
 
 /// [`select_anchor`] with the per-atom cost probes run on up to `threads`
-/// pool workers. Selection itself is deterministic either way — the cost
+/// pool seats. Selection itself is deterministic either way — the cost
 /// table is fully materialized before enumeration starts.
-pub fn select_anchor_threads(
+pub fn select_anchor_with(
     norm: &Norm,
     atoms: &[BoundAtom],
     schema: &Schema,

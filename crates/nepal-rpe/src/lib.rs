@@ -58,16 +58,13 @@ pub mod parser;
 pub mod path;
 pub mod plan;
 
-pub use anchor::{select_anchor, select_anchor_threads, AnchorSet, CardinalityEstimator, HintEstimator};
+pub use anchor::{select_anchor, select_anchor_with, AnchorSet, CardinalityEstimator, HintEstimator};
 pub use ast::{Atom, CmpOp, Pred, Rpe};
 pub use bind::{bind, BoundAtom, BoundPred, BoundRpe, Norm};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{Result, RpeError};
-pub use exec::{
-    anchor_scan, evaluate, evaluate_metered, evaluate_obs, evaluate_traced, resolved_threads, EvalOptions,
-    GraphEstimator, Seeds,
-};
+pub use exec::{anchor_scan, evaluate, resolved_threads, try_evaluate, EvalOptions, ExecCtx, GraphEstimator, Seeds};
 pub use nfa::{compile, Label, Nfa, Transition};
 pub use parser::parse_rpe;
 pub use path::Pathway;
-pub use plan::{plan_rpe, plan_rpe_spanned, plan_rpe_threads, RpePlan};
+pub use plan::{plan_rpe, plan_rpe_with, RpePlan};

@@ -124,8 +124,9 @@ impl Drop for StopOnUnwind<'_> {
 /// pool helpers — and return the results indexed by job id, plus per-seat
 /// and pool totals.
 ///
-/// `make_worker` builds one private state per seat (its memo); `run`
-/// executes a single job against that state. A panicking job body stops
+/// `make_worker` builds one private state per seat (its memo) — called on
+/// the calling thread, in seat order, before any job runs; `run` executes a
+/// single job against that state. A panicking job body stops
 /// the run and is re-raised on the calling thread once every participant
 /// has left. With `timed == false` no clock is ever read.
 pub fn run_jobs<T, W, FW, F>(
@@ -138,7 +139,7 @@ pub fn run_jobs<T, W, FW, F>(
 where
     T: Send,
     W: Send,
-    FW: Fn(usize) -> W + Sync,
+    FW: FnMut(usize) -> W,
     F: Fn(&mut W, usize) -> T + Sync,
 {
     let (slots, reports, stats) = run_jobs_cancel(n_jobs, threads, timed, None, make_worker, run);
@@ -157,13 +158,13 @@ pub fn run_jobs_cancel<T, W, FW, F>(
     threads: usize,
     timed: bool,
     cancel: Option<&CancelToken>,
-    make_worker: FW,
+    mut make_worker: FW,
     run: F,
 ) -> (Vec<Option<T>>, Vec<WorkerReport<W>>, PoolStats)
 where
     T: Send,
     W: Send,
-    FW: Fn(usize) -> W + Sync,
+    FW: FnMut(usize) -> W,
     F: Fn(&mut W, usize) -> T + Sync,
 {
     if n_jobs == 0 {

@@ -9,8 +9,9 @@
 use std::sync::Arc;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
-use nepal_obs::SpanHandle;
-use nepal_rpe::{evaluate_obs, parse_rpe, plan_rpe, CancelToken, EvalOptions, GraphEstimator, RpeError, Seeds};
+use nepal_rpe::{
+    parse_rpe, plan_rpe, try_evaluate, CancelToken, EvalOptions, ExecCtx, GraphEstimator, RpeError, Seeds,
+};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
 use proptest::prelude::*;
@@ -107,13 +108,12 @@ proptest! {
         for text in RPES {
             let rpe = parse_rpe(text).unwrap();
             let plan = plan_rpe(g.schema(), &rpe, &GraphEstimator { graph: &g }).unwrap();
-            let baseline = evaluate_obs(
+            let baseline = try_evaluate(
                 &view,
                 &plan,
                 Seeds::Anchor,
                 &EvalOptions { threads, ..Default::default() },
-                None,
-                &SpanHandle::none(),
+                &mut ExecCtx::default(),
             )
             .expect("token-free evaluation cannot be cancelled");
 
@@ -122,7 +122,7 @@ proptest! {
                 cancel: Some(CancelToken::cancel_after_polls(budget)),
                 ..Default::default()
             };
-            match evaluate_obs(&view, &plan, Seeds::Anchor, &opts, None, &SpanHandle::none()) {
+            match try_evaluate(&view, &plan, Seeds::Anchor, &opts, &mut ExecCtx::default()) {
                 // Finished under budget: the answer must be the full one,
                 // bit-identical — cancellation must never truncate.
                 Ok(paths) => prop_assert_eq!(
@@ -154,14 +154,14 @@ fn causes_map_to_distinct_errors() {
     tok.cancel();
     let opts = EvalOptions { cancel: Some(tok), ..Default::default() };
     assert_eq!(
-        evaluate_obs(&view, &plan, Seeds::Anchor, &opts, None, &SpanHandle::none()).unwrap_err(),
+        try_evaluate(&view, &plan, Seeds::Anchor, &opts, &mut ExecCtx::default()).unwrap_err(),
         RpeError::Cancelled
     );
 
     let opts =
         EvalOptions { cancel: Some(CancelToken::with_deadline(std::time::Duration::ZERO)), ..Default::default() };
     assert_eq!(
-        evaluate_obs(&view, &plan, Seeds::Anchor, &opts, None, &SpanHandle::none()).unwrap_err(),
+        try_evaluate(&view, &plan, Seeds::Anchor, &opts, &mut ExecCtx::default()).unwrap_err(),
         RpeError::DeadlineExceeded
     );
 }
@@ -188,7 +188,7 @@ fn external_cancel_mid_flight_terminates() {
     // a fast machine, so loop — the token is sticky once cancelled).
     let opts = EvalOptions { threads: 4, cancel: Some(tok.clone()), ..Default::default() };
     let err = loop {
-        match evaluate_obs(&view, &plan, Seeds::Anchor, &opts, None, &SpanHandle::none()) {
+        match try_evaluate(&view, &plan, Seeds::Anchor, &opts, &mut ExecCtx::default()) {
             Ok(_) if !tok.is_cancelled() => continue,
             Ok(_) => continue, // raced the flag between last poll and return
             Err(e) => break e,
@@ -198,7 +198,7 @@ fn external_cancel_mid_flight_terminates() {
     canceller.join().unwrap();
     // Sticky: the next evaluation with the same token fails immediately.
     assert_eq!(
-        evaluate_obs(&view, &plan, Seeds::Anchor, &opts, None, &SpanHandle::none()).unwrap_err(),
+        try_evaluate(&view, &plan, Seeds::Anchor, &opts, &mut ExecCtx::default()).unwrap_err(),
         RpeError::Cancelled
     );
 }

@@ -49,14 +49,24 @@ fn max_elements_option_caps_expansion() {
 #[test]
 fn limit_option_truncates_deterministically() {
     let (g, _) = chain(10);
-    let plan =
-        plan_rpe(g.schema(), &parse_rpe("N(nid=0)->[L()]{1,8}->N()").unwrap(), &GraphEstimator { graph: &g }).unwrap();
     let view = GraphView::new(&g, TimeFilter::Current);
-    let l3 = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions { limit: Some(3), ..Default::default() });
-    assert_eq!(l3.len(), 3);
-    // Results are sorted, so the limited set is a prefix of the full set.
-    let all = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
-    assert_eq!(&all[..3], &l3[..]);
+    // A unique anchor, then nine edge candidates with several NFA seed
+    // transitions each, both at one seat and at four.
+    for (rpe, limit) in [("N(nid=0)->[L()]{1,8}->N()", 3), ("N()->[L()]{1,3}->N()", 5)] {
+        let plan = plan_rpe(g.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+        for threads in [0, 1, 4] {
+            let limited = evaluate(
+                &view,
+                &plan,
+                Seeds::Anchor,
+                &EvalOptions { limit: Some(limit), threads, ..Default::default() },
+            );
+            assert_eq!(limited.len(), limit);
+            // Results are sorted, so the limited set is a prefix of the full set.
+            let all = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions { threads, ..Default::default() });
+            assert_eq!(&all[..limit], &limited[..], "`{rpe}` limit {limit} at threads {threads}");
+        }
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal_obs::ExecTrace;
-use nepal_rpe::{evaluate, evaluate_traced, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
+use nepal_rpe::{evaluate, parse_rpe, plan_rpe, try_evaluate, EvalOptions, ExecCtx, GraphEstimator, Pathway, Seeds};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
 use proptest::prelude::*;
@@ -150,20 +150,22 @@ fn merged_counters_equal_sequential() {
         let plan = plan_rpe(g.schema(), &rpe, &GraphEstimator { graph: &g }).unwrap();
         let mut seq_trace = ExecTrace::default();
         let mut par_trace = ExecTrace::default();
-        let seq = evaluate_traced(
+        let seq = try_evaluate(
             &view,
             &plan,
             Seeds::Anchor,
             &EvalOptions { threads: 1, ..Default::default() },
-            Some(&mut seq_trace),
-        );
-        let par = evaluate_traced(
+            &mut ExecCtx { trace: Some(&mut seq_trace), ..Default::default() },
+        )
+        .unwrap();
+        let par = try_evaluate(
             &view,
             &plan,
             Seeds::Anchor,
             &EvalOptions { threads: 4, ..Default::default() },
-            Some(&mut par_trace),
-        );
+            &mut ExecCtx { trace: Some(&mut par_trace), ..Default::default() },
+        )
+        .unwrap();
         assert_eq!(seq, par, "pathways differ for {text}");
         // Operator rows: same operators, same cardinalities, in order.
         let shape = |t: &ExecTrace| t.ops.iter().map(|o| (o.op.clone(), o.rows_in, o.rows_out)).collect::<Vec<_>>();

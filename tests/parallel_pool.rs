@@ -11,7 +11,7 @@ use std::sync::Arc;
 use nepal::core::{digest_result, engine_over};
 use nepal::graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal::obs::{ExecTrace, MeterSnapshot, ResourceMeter};
-use nepal::rpe::{evaluate_traced, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
+use nepal::rpe::{parse_rpe, plan_rpe, try_evaluate, EvalOptions, ExecCtx, GraphEstimator, Pathway, Seeds};
 use nepal::schema::{format_ts, Ts, Value};
 use nepal::workload::{generate_tier_churned, SizeTier};
 
@@ -96,7 +96,8 @@ fn observe(g: &TemporalGraph, rpe: &str, filter: TimeFilter, threads: usize) -> 
     let meter = Arc::new(ResourceMeter::default());
     let opts = EvalOptions { threads, meter: Some(meter.clone()), ..Default::default() };
     let mut trace = ExecTrace::default();
-    let pathways = evaluate_traced(&GraphView::new(g, filter), &plan, Seeds::Anchor, &opts, Some(&mut trace));
+    let mut ctx = ExecCtx { trace: Some(&mut trace), ..Default::default() };
+    let pathways = try_evaluate(&GraphView::new(g, filter), &plan, Seeds::Anchor, &opts, &mut ctx).unwrap();
     Observed {
         pathways,
         ops: trace.ops.iter().map(|o| (o.op.clone(), o.detail.clone(), o.rows_in, o.rows_out)).collect(),

@@ -181,12 +181,13 @@ const RPES: &[&str] = &[
     "B(color='red')->Y()->B(color='red')",
 ];
 
-fn check_rpe_on_graph(g: &TemporalGraph, rpe_text: &str) {
+fn check_rpe_on_graph(g: &TemporalGraph, rpe_text: &str, threads: usize) {
     let rpe: Rpe = parse_rpe(rpe_text).unwrap();
     let plan = plan_rpe(g.schema(), &rpe, &GraphEstimator { graph: g }).unwrap();
     let view = GraphView::new(g, TimeFilter::Current);
+    let opts = EvalOptions { threads, ..Default::default() };
     let engine_paths: std::collections::HashSet<Vec<Uid>> =
-        evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default()).into_iter().map(|p| p.elems).collect();
+        evaluate(&view, &plan, Seeds::Anchor, &opts).into_iter().map(|p| p.elems).collect();
     // Reference: brute-force over every simple pathway up to the plan's
     // length limit.
     let mut ref_paths = std::collections::HashSet::new();
@@ -202,7 +203,7 @@ fn check_rpe_on_graph(g: &TemporalGraph, rpe_text: &str) {
     assert_eq!(
         ref_paths,
         engine_limited,
-        "semantics mismatch for `{rpe_text}`:\n  reference-only: {:?}\n  engine-only: {:?}",
+        "semantics mismatch for `{rpe_text}` at threads {threads}:\n  reference-only: {:?}\n  engine-only: {:?}",
         ref_paths.difference(&engine_limited).collect::<Vec<_>>(),
         engine_limited.difference(&ref_paths).collect::<Vec<_>>(),
     );
@@ -215,7 +216,9 @@ proptest! {
     fn nfa_engine_agrees_with_reference_semantics(seed in 0u64..5000) {
         let g = build_graph(seed, 7, 10);
         for rpe in RPES {
-            check_rpe_on_graph(&g, rpe);
+            for threads in [1, 4] {
+                check_rpe_on_graph(&g, rpe, threads);
+            }
         }
     }
 
@@ -237,6 +240,8 @@ fn dense_graph_regression() {
     // combination of alternation anchors and boundary skips.
     let g = build_graph(424242, 9, 20);
     for rpe in RPES {
-        check_rpe_on_graph(&g, rpe);
+        for threads in [1, 4] {
+            check_rpe_on_graph(&g, rpe, threads);
+        }
     }
 }
