@@ -60,11 +60,11 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Pathway variables referenced by the expression.
-    pub fn vars(&self) -> Vec<&str> {
+    /// The pathway variable the expression refers to, if any.
+    pub fn var(&self) -> Option<&str> {
         match self {
-            Expr::PathEnd(_, v) | Expr::PathEndField(_, v, _) | Expr::Length(v) | Expr::PathVar(v) => vec![v],
-            Expr::Literal(_) => vec![],
+            Expr::PathEnd(_, v) | Expr::PathEndField(_, v, _) | Expr::Length(v) | Expr::PathVar(v) => Some(v),
+            Expr::Literal(_) => None,
         }
     }
 }

@@ -292,11 +292,6 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
         opts: &EvalOptions,
         ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>> {
-        // The wire evaluator has no client-side checkpoints; an already
-        // tripped token at least never starts a round trip.
-        if let Some(cause) = opts.cancel.as_ref().and_then(|t| t.poll()) {
-            return Err(nepal_rpe::RpeError::from(cause).into());
-        }
         let no_span = SpanHandle::none();
         let span = ctx.span.unwrap_or(&no_span);
         let time = match filter {
@@ -312,7 +307,12 @@ impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
         let t0 = ctx.trace.is_some().then(Instant::now);
         let res =
             evaluate_gremlin(&mut self.client, &self.schema, plan, time, seeds, opts, self.use_extend_block, span)
-                .map_err(|e| NepalError::Backend(e.to_string()))?;
+                .map_err(|e| match e {
+                    // `opts.cancel` is polled before every round trip.
+                    nepal_gremlin::ProtoError::DeadlineExceeded => NepalError::DeadlineExceeded,
+                    nepal_gremlin::ProtoError::Cancelled => NepalError::Cancelled,
+                    other => NepalError::Backend(other.to_string()),
+                })?;
         self.last_trips = res.round_trips;
         span.attr("round_trips", res.round_trips);
         if let (Some(trace), Some(before), Some(t0)) = (ctx.trace.as_deref_mut(), before, t0) {

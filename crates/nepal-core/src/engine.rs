@@ -476,9 +476,18 @@ impl Engine {
     fn execute_inner(
         &mut self,
         q: &Query,
-        mut profile: Option<&mut QueryProfile>,
+        profile: Option<&mut QueryProfile>,
         span: &SpanHandle,
     ) -> Result<QueryResult> {
+        let joined = self.joined_rows(q, profile, span)?;
+        let _head_span = span.child("head");
+        self.finish_head(q, joined)
+    }
+
+    /// Everything before the head: plan and evaluate each range variable,
+    /// apply the single-variable filters, join, require joint coexistence
+    /// under a query-level range, and filter by the `EXISTS` subqueries.
+    fn joined_rows(&mut self, q: &Query, mut profile: Option<&mut QueryProfile>, span: &SpanHandle) -> Result<Joined> {
         // Per-query cancellation: a fresh child of the session/server
         // parent token (if any) carrying the engine's default deadline.
         // A child per query avoids the one-shot-expired-token bug — the
@@ -739,60 +748,45 @@ impl Engine {
         drop(exec_span);
 
         // --- unary filters (conditions touching a single variable) ---
-        let singles: Vec<&Cond> = q
-            .conds
-            .iter()
-            .filter(|c| match c {
-                Cond::Cmp(a, _, b) => {
-                    let mut vars: Vec<&str> = a.vars();
-                    vars.extend(b.vars());
-                    vars.sort();
-                    vars.dedup();
-                    vars.len() == 1
+        for cond in &q.conds {
+            let Cond::Cmp(a, op, b) = cond else { continue };
+            let var = match (a.var(), b.var()) {
+                (Some(v), None) | (None, Some(v)) => v,
+                (Some(v), Some(w)) if v == w => v,
+                _ => continue,
+            };
+            let idx = evals.iter().position(|e| e.var == var).expect("conditions mention declared variables only");
+            let (filter, backend) = (evals[idx].filter, evals[idx].backend.clone());
+            let mut kept = Vec::new();
+            for p in std::mem::take(&mut evals[idx].pathways) {
+                if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
+                    return Err(cancel_to_err(cause));
                 }
-                _ => false,
-            })
-            .collect();
-        for cond in &singles {
-            if let Cond::Cmp(a, op, b) = cond {
-                let var = a.vars().first().copied().unwrap_or_else(|| b.vars()[0]).to_string();
-                let idx = evals.iter().position(|e| e.var == var).unwrap();
-                let filter = evals[idx].filter;
-                let backend_name = evals[idx].backend.clone();
-                let pathways = std::mem::take(&mut evals[idx].pathways);
-                let mut kept = Vec::new();
-                for p in pathways {
-                    if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
-                        return Err(cancel_to_err(cause));
-                    }
-                    let binding = vec![(var.clone(), &p)];
-                    let lhs = self.eval_expr(a, &binding, filter, backend_name.as_deref())?;
-                    let rhs = self.eval_expr(b, &binding, filter, backend_name.as_deref())?;
-                    let eq = lhs == rhs;
-                    if (*op == QCmp::Eq && eq) || (*op == QCmp::Ne && !eq) {
-                        kept.push(p);
-                    }
+                let lookup = |v: &str| (v == var).then_some(&p);
+                let lhs = self.eval_expr(a, &lookup, filter, backend.as_deref())?;
+                let rhs = self.eval_expr(b, &lookup, filter, backend.as_deref())?;
+                if (lhs == rhs) == (*op == QCmp::Eq) {
+                    kept.push(p);
                 }
-                evals[idx].pathways = kept;
             }
+            evals[idx].pathways = kept;
         }
 
         // --- join across variables ---
-        // Rows are index vectors aligned with `evals`.
-        let mut rows: Vec<Vec<usize>> = vec![vec![usize::MAX; evals.len()]];
-        let mut joined: HashSet<usize> = HashSet::new();
-        let binary_conds: Vec<&Cond> = q
+        // Rows are index vectors aligned with `evals`, stored flat.
+        let width = evals.len().max(1);
+        let mut rows: Vec<usize> = vec![usize::MAX; width];
+        let mut joined: Vec<usize> = Vec::new();
+        // Conditions between two different variables, with those variables.
+        let binary_conds: Vec<(&Expr, &str, QCmp, &Expr, &str)> = q
             .conds
             .iter()
-            .filter(|c| match c {
-                Cond::Cmp(a, _, b) => {
-                    let mut vars: Vec<&str> = a.vars();
-                    vars.extend(b.vars());
-                    vars.sort();
-                    vars.dedup();
-                    vars.len() == 2
-                }
-                _ => false,
+            .filter_map(|c| match c {
+                Cond::Cmp(a, op, b) => match (a.var(), b.var()) {
+                    (Some(va), Some(vb)) if va != vb => Some((a, va, *op, b, vb)),
+                    _ => None,
+                },
+                _ => None,
             })
             .collect();
 
@@ -800,21 +794,17 @@ impl Engine {
         for &i in &order {
             let tjoin = profiled.then(Instant::now);
             let join_span = join_phase_span.child(&format!("join:{}", evals[i].var));
-            let probe_rows = rows.len() as u64;
-            let mut next_rows = Vec::new();
-            // Conditions applicable once var i joins.
-            let applicable: Vec<&&Cond> = binary_conds
+            let probe_rows = (rows.len() / width) as u64;
+            let mut next_rows: Vec<usize> = Vec::new();
+            // Conditions applicable once var i joins: they mention it, and
+            // their other variable has joined already.
+            let is_joined = |v: &str| joined.iter().any(|&j| evals[j].var == v);
+            let applicable: Vec<(&Expr, QCmp, &Expr)> = binary_conds
                 .iter()
-                .filter(|c| {
-                    if let Cond::Cmp(a, _, b) = c {
-                        let mut vars: Vec<&str> = a.vars();
-                        vars.extend(b.vars());
-                        vars.iter().any(|v| *v == evals[i].var)
-                            && vars.iter().all(|v| *v == evals[i].var || joined.iter().any(|&j| evals[j].var == **v))
-                    } else {
-                        false
-                    }
+                .filter(|&&(_, va, _, _, vb)| {
+                    (va == evals[i].var && is_joined(vb)) || (vb == evals[i].var && is_joined(va))
                 })
+                .map(|&(a, _, op, b, _)| (a, op, b))
                 .collect();
             // Hash-join fast path: when every applicable condition is a
             // `source/target(X) = source/target(Y)` equality, build a hash
@@ -825,16 +815,10 @@ impl Engine {
             let mut key_specs: Vec<(PathFn, PathFn, usize)> = Vec::new(); // (my end, other end, other idx)
             let hashable = !applicable.is_empty()
                 && applicable.iter().all(|c| {
-                    if let Cond::Cmp(Expr::PathEnd(fa, va), QCmp::Eq, Expr::PathEnd(fb, vb)) = **c {
-                        let spec = if *va == evals[i].var {
-                            evals.iter().position(|e| e.var == *vb).map(|j| (*fa, *fb, j))
-                        } else if *vb == evals[i].var {
-                            evals.iter().position(|e| e.var == *va).map(|j| (*fb, *fa, j))
-                        } else {
-                            None
-                        };
-                        if let Some(s) = spec {
-                            key_specs.push(s);
+                    if let (Expr::PathEnd(fa, va), QCmp::Eq, Expr::PathEnd(fb, vb)) = c {
+                        let (mine, theirs, other) = if *va == evals[i].var { (fa, fb, vb) } else { (fb, fa, va) };
+                        if let Some(j) = evals.iter().position(|e| e.var == *other) {
+                            key_specs.push((*mine, *theirs, j));
                             return true;
                         }
                     }
@@ -846,73 +830,77 @@ impl Engine {
                     PathFn::Source => p.source().0,
                     PathFn::Target => p.target().0,
                 };
-                // Build keys (on the worker pool for large pathway sets),
-                // then the table: key → ascending pathway indices.
+                // Build side: one fixed-width key per pathway in a flat
+                // arena, and per distinct key a chain through `next` in
+                // ascending pathway index (filled back to front).
                 let build = &evals[i].pathways;
-                let extract = |p: &Pathway| -> Vec<u64> { key_specs.iter().map(|&(my, _, _)| end_of(p, my)).collect() };
-                let keys: Vec<Vec<u64>> = if threads > 1 && build.len() >= 4096 {
-                    nepal_rpe::par::map_indexed(build.len(), threads, |j| extract(&build[j]))
-                } else {
-                    build.iter().map(extract).collect()
-                };
-                let mut table: FxHashMap<Vec<u64>, Vec<usize>> = FxHashMap::default();
-                for (pi, k) in keys.into_iter().enumerate() {
-                    table.entry(k).or_default().push(pi);
+                let k = key_specs.len();
+                let mut keys: Vec<u64> = Vec::with_capacity(build.len() * k);
+                for p in build {
+                    keys.extend(key_specs.iter().map(|&(my, _, _)| end_of(p, my)));
                 }
-                for row in &rows {
+                let mut heads: FxHashMap<&[u64], usize> = FxHashMap::default();
+                let mut next = vec![usize::MAX; build.len()];
+                for pi in (0..build.len()).rev() {
+                    if let Some(after) = heads.insert(&keys[pi * k..(pi + 1) * k], pi) {
+                        next[pi] = after;
+                    }
+                }
+                let mut probe: Vec<u64> = Vec::with_capacity(k);
+                for row in rows.chunks_exact(width) {
                     if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
                         return Err(cancel_to_err(cause));
                     }
-                    let probe: Vec<u64> =
-                        key_specs.iter().map(|&(_, other, j)| end_of(&evals[j].pathways[row[j]], other)).collect();
-                    if let Some(cands) = table.get(&probe) {
-                        for &pi in cands {
-                            let mut trial = row.clone();
-                            trial[i] = pi;
-                            next_rows.push(trial);
-                        }
+                    probe.clear();
+                    probe.extend(key_specs.iter().map(|&(_, other, j)| end_of(&evals[j].pathways[row[j]], other)));
+                    let mut pi = heads.get(probe.as_slice()).copied().unwrap_or(usize::MAX);
+                    while pi != usize::MAX {
+                        next_rows.extend_from_slice(row);
+                        let at = next_rows.len() - width + i;
+                        next_rows[at] = pi;
+                        pi = next[pi];
                     }
                 }
             } else {
                 join_span.attr("strategy", "nested");
-                for row in &rows {
+                let scoped: Vec<_> =
+                    applicable.iter().map(|&(a, op, b)| (a, scope_of(&evals, a), op, b, scope_of(&evals, b))).collect();
+                let mut trial = vec![usize::MAX; width];
+                for row in rows.chunks_exact(width) {
                     if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
                         return Err(cancel_to_err(cause));
                     }
-                    'cand: for (pi, _p) in evals[i].pathways.iter().enumerate() {
-                        let mut trial = row.clone();
+                    trial.copy_from_slice(row);
+                    'cand: for pi in 0..evals[i].pathways.len() {
                         trial[i] = pi;
-                        for cond in &applicable {
-                            if let Cond::Cmp(a, op, b) = **cond {
-                                let binding = self.binding_of(&evals, &trial);
-                                let lhs = self.eval_expr_b(a, &binding, &evals, &trial)?;
-                                let rhs = self.eval_expr_b(b, &binding, &evals, &trial)?;
-                                let eq = lhs == rhs;
-                                let ok = (*op == QCmp::Eq && eq) || (*op == QCmp::Ne && !eq);
-                                if !ok {
-                                    continue 'cand;
-                                }
+                        let lookup = row_lookup(&evals, &trial);
+                        for &(a, (fa, ba), op, b, (fb, bb)) in &scoped {
+                            let lhs = self.eval_expr(a, &lookup, fa, ba)?;
+                            let rhs = self.eval_expr(b, &lookup, fb, bb)?;
+                            if (lhs == rhs) != (op == QCmp::Eq) {
+                                continue 'cand;
                             }
                         }
-                        next_rows.push(trial);
+                        next_rows.extend_from_slice(&trial);
                     }
                 }
             }
             rows = next_rows;
-            joined.insert(i);
+            joined.push(i);
             if let Some(mm) = &qopts.meter {
                 mm.add_join_build_rows(evals[i].pathways.len() as u64);
             }
+            let emitted = rows.len() / width;
             join_span.attr("probe_rows", probe_rows);
             join_span.attr("build_rows", evals[i].pathways.len());
-            join_span.attr("emitted", rows.len());
+            join_span.attr("emitted", emitted);
             drop(join_span);
             if let Some(p) = profile.as_deref_mut() {
                 p.joins.push(JoinStep {
                     var: evals[i].var.clone(),
                     probe_rows,
                     build_rows: evals[i].pathways.len() as u64,
-                    emitted: rows.len() as u64,
+                    emitted: emitted as u64,
                     elapsed_ns: tjoin.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
                 });
             }
@@ -920,75 +908,60 @@ impl Engine {
         drop(join_phase_span);
 
         // --- joint temporal coexistence (query-level AT range) ---
+        // Only a query-level range makes variables joint; without one
+        // every row survives and carries no times.
         let coex_span = span.child("coexistence");
-        let probe = match query_time {
-            Some(TimeSpec::Range(a, b)) => Some(Interval::new(a, b.saturating_add(1))),
-            _ => None,
-        };
-        let mut out_rows: Vec<ResultRow> = Vec::new();
+        let mut times: Vec<Option<IntervalSet>> = Vec::new();
         let mut coexistence_pruned = 0u64;
-        'row: for row in &rows {
-            if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
-                return Err(cancel_to_err(cause));
-            }
-            let mut joint: Option<IntervalSet> = None;
-            for (i, &pi) in row.iter().enumerate() {
-                if pi == usize::MAX {
-                    continue;
+        if let (Some(TimeSpec::Range(a, b)), true) = (query_time, evals.iter().any(|e| e.joint)) {
+            let probe = Interval::new(a, b.saturating_add(1));
+            let mut kept = 0;
+            'row: for r in 0..rows.len() / width {
+                if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
+                    return Err(cancel_to_err(cause));
                 }
-                let e = &evals[i];
-                if !e.joint {
-                    continue;
-                }
-                if let Some(times) = &e.pathways[pi].times {
-                    joint = Some(match joint {
+                let mut joint: Option<IntervalSet> = None;
+                for (e, &pi) in evals.iter().zip(&rows[r * width..]) {
+                    let Some(times) = e.pathways[pi].times.as_ref().filter(|_| e.joint) else { continue };
+                    let j = match joint {
                         None => times.clone(),
                         Some(j) => j.intersect(times),
-                    });
-                    if joint.as_ref().unwrap().is_empty() {
+                    };
+                    if j.is_empty() {
                         coexistence_pruned += 1;
                         continue 'row;
                     }
+                    joint = Some(j);
                 }
+                let joint = match joint {
+                    Some(j) => {
+                        let comps = j.components_overlapping(&probe);
+                        if comps.is_empty() {
+                            coexistence_pruned += 1;
+                            continue 'row;
+                        }
+                        Some(IntervalSet::from_intervals(comps))
+                    }
+                    None => None,
+                };
+                rows.copy_within(r * width..(r + 1) * width, kept * width);
+                times.push(joint);
+                kept += 1;
             }
-            let times = match (&joint, &probe) {
-                (Some(j), Some(p)) => {
-                    let comps = j.components_overlapping(p);
-                    if comps.is_empty() {
-                        coexistence_pruned += 1;
-                        continue 'row;
-                    }
-                    Some(IntervalSet::from_intervals(comps))
-                }
-                _ => None,
-            };
-            let pathways: Vec<(String, Pathway)> = row
-                .iter()
-                .enumerate()
-                .filter(|(_, &pi)| pi != usize::MAX)
-                .map(|(i, &pi)| {
-                    let mut p = evals[i].pathways[pi].clone();
-                    // Per-variable range scopes keep their own times.
-                    if evals[i].joint {
-                        p.times = times.clone();
-                    }
-                    (evals[i].var.clone(), p)
-                })
-                .collect();
-            out_rows.push(ResultRow { pathways, values: Vec::new(), times });
+            rows.truncate(kept * width);
         }
-
         coex_span.attr("pruned", coexistence_pruned);
         drop(coex_span);
+        let mut result = Joined { evals, width, rows, times };
 
         // --- EXISTS subqueries (decorrelated) ---
         let exists_span = span.child("exists");
         let mut exists_pruned = 0u64;
         for cond in &q.conds {
             if let Cond::Exists { negated, query } = cond {
-                let before = out_rows.len();
-                out_rows = self.apply_exists(q, query, *negated, out_rows)?;
-                exists_pruned += (before - out_rows.len()) as u64;
+                let before = result.len();
+                self.apply_exists(q, query, *negated, &mut result)?;
+                exists_pruned += (before - result.len()) as u64;
             }
         }
         exists_span.attr("pruned", exists_pruned);
@@ -1001,77 +974,30 @@ impl Engine {
                 p.exec_ns = t.elapsed().as_nanos() as u64;
             }
         }
-
-        // --- head processing ---
-        let head_span = span.child("head");
-        let result = self.finish_head(q, evals, out_rows);
-        drop(head_span);
-        result
+        Ok(result)
     }
 
-    fn binding_of<'a>(&self, evals: &'a [VarEval], row: &[usize]) -> Vec<(String, &'a Pathway)> {
-        row.iter()
-            .enumerate()
-            .filter(|(_, &pi)| pi != usize::MAX)
-            .map(|(i, &pi)| (evals[i].var.clone(), &evals[i].pathways[pi]))
-            .collect()
-    }
-
-    fn eval_expr_b(
+    fn eval_expr<'p>(
         &mut self,
         expr: &Expr,
-        binding: &[(String, &Pathway)],
-        evals: &[VarEval],
-        _row: &[usize],
-    ) -> Result<Value> {
-        // Find the variable's filter/backend for field lookups.
-        let (filter, backend) = match expr.vars().first() {
-            Some(v) => {
-                let e = evals.iter().find(|e| e.var == *v);
-                match e {
-                    Some(e) => (e.filter, e.backend.clone()),
-                    None => (TimeFilter::Current, None),
-                }
-            }
-            None => (TimeFilter::Current, None),
-        };
-        self.eval_expr(expr, binding, filter, backend.as_deref())
-    }
-
-    fn eval_expr(
-        &mut self,
-        expr: &Expr,
-        binding: &[(String, &Pathway)],
+        lookup: &dyn Fn(&str) -> Option<&'p Pathway>,
         filter: TimeFilter,
         backend: Option<&str>,
     ) -> Result<Value> {
-        let lookup = |var: &str| -> Result<&Pathway> {
-            binding
-                .iter()
-                .find(|(v, _)| v == var)
-                .map(|(_, p)| *p)
-                .ok_or_else(|| NepalError::UnknownVariable(var.to_string()))
+        let bound = |var: &str| lookup(var).ok_or_else(|| NepalError::UnknownVariable(var.to_string()));
+        let end = |f: &PathFn, p: &Pathway| match f {
+            PathFn::Source => p.source(),
+            PathFn::Target => p.target(),
         };
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::PathVar(v) => {
                 Err(NepalError::Unsupported(format!("bare pathway variable `{v}` is only valid inside count(…)")))
             }
-            Expr::Length(v) => Ok(Value::Int(lookup(v)?.len_edges() as i64)),
-            Expr::PathEnd(f, v) => {
-                let p = lookup(v)?;
-                let uid = match f {
-                    PathFn::Source => p.source(),
-                    PathFn::Target => p.target(),
-                };
-                Ok(Value::Int(uid.0 as i64))
-            }
+            Expr::Length(v) => Ok(Value::Int(bound(v)?.len_edges() as i64)),
+            Expr::PathEnd(f, v) => Ok(Value::Int(end(f, bound(v)?).0 as i64)),
             Expr::PathEndField(f, v, field) => {
-                let p = lookup(v)?;
-                let uid = match f {
-                    PathFn::Source => p.source(),
-                    PathFn::Target => p.target(),
-                };
+                let uid = end(f, bound(v)?);
                 let b = self.registry.get_mut(backend)?;
                 let schema = b.schema().clone();
                 match b.fields(uid, filter) {
@@ -1088,15 +1014,10 @@ impl Engine {
         }
     }
 
-    /// Decorrelated EXISTS: run the inner query without correlated
-    /// conditions, collect the inner key tuples, and semi-/anti-join.
-    fn apply_exists(
-        &mut self,
-        outer_q: &Query,
-        inner_q: &Query,
-        negated: bool,
-        rows: Vec<ResultRow>,
-    ) -> Result<Vec<ResultRow>> {
+    /// Decorrelated EXISTS: join the inner query's rows without its
+    /// correlated conditions, collect the inner key tuples, and semi-/
+    /// anti-join the outer rows against them in place.
+    fn apply_exists(&mut self, outer_q: &Query, inner_q: &Query, negated: bool, outer: &mut Joined) -> Result<()> {
         let inner_vars: Vec<&str> = inner_q.var_names();
         let outer_vars: Vec<&str> = outer_q.var_names();
         let mut local_conds = Vec::new();
@@ -1104,9 +1025,9 @@ impl Engine {
         for c in &inner_q.conds {
             match c {
                 Cond::Cmp(a, op, b) if *op == QCmp::Eq => {
-                    let a_outer = a.vars().iter().any(|v| !inner_vars.contains(v) && outer_vars.contains(v));
-                    let b_outer = b.vars().iter().any(|v| !inner_vars.contains(v) && outer_vars.contains(v));
-                    match (a_outer, b_outer) {
+                    let is_outer =
+                        |e: &Expr| e.var().is_some_and(|v| !inner_vars.contains(&v) && outer_vars.contains(&v));
+                    match (is_outer(a), is_outer(b)) {
                         (true, false) => correlated.push((a.clone(), b.clone())),
                         (false, true) => correlated.push((b.clone(), a.clone())),
                         (false, false) => local_conds.push(c.clone()),
@@ -1126,43 +1047,47 @@ impl Engine {
             sources: inner_q.sources.clone(),
             conds: local_conds,
         };
-        let inner_result = self.execute(&decorrelated)?;
-        // Key set from the inner side of each correlated equality.
+        let inner = self.joined_rows(&decorrelated, None, &SpanHandle::none())?;
+        // Key set from the inner side of each correlated equality; a row
+        // whose key cannot be evaluated matches nothing.
         let mut keys: HashSet<Vec<Value>> = HashSet::new();
-        for row in &inner_result.rows {
-            let binding: Vec<(String, &Pathway)> = row.pathways.iter().map(|(v, p)| (v.clone(), p)).collect();
-            let mut key = Vec::with_capacity(correlated.len());
-            let mut ok = true;
+        let mut key: Vec<Value> = Vec::with_capacity(correlated.len());
+        'inner: for row in inner.rows() {
+            key.clear();
             for (_, inner_expr) in &correlated {
-                match self.eval_expr(inner_expr, &binding, TimeFilter::Current, None) {
+                match self.eval_expr(inner_expr, &row_lookup(&inner.evals, row), TimeFilter::Current, None) {
                     Ok(v) => key.push(v),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
+                    Err(_) => continue 'inner,
                 }
             }
-            if ok {
-                keys.insert(key);
+            if !keys.contains(key.as_slice()) {
+                keys.insert(key.clone());
             }
         }
-        let mut out = Vec::new();
-        for row in rows {
-            let binding: Vec<(String, &Pathway)> = row.pathways.iter().map(|(v, p)| (v.clone(), p)).collect();
-            let mut key = Vec::with_capacity(correlated.len());
+        let mut kept = 0;
+        for r in 0..outer.len() {
+            key.clear();
             for (outer_expr, _) in &correlated {
-                key.push(self.eval_expr(outer_expr, &binding, TimeFilter::Current, None)?);
+                let lookup = row_lookup(&outer.evals, outer.row(r));
+                key.push(self.eval_expr(outer_expr, &lookup, TimeFilter::Current, None)?);
             }
-            let exists = if correlated.is_empty() { !inner_result.rows.is_empty() } else { keys.contains(&key) };
+            let exists = if correlated.is_empty() { inner.len() > 0 } else { keys.contains(key.as_slice()) };
             if exists != negated {
-                out.push(row);
+                outer.rows.copy_within(r * outer.width..(r + 1) * outer.width, kept * outer.width);
+                if !outer.times.is_empty() {
+                    outer.times.swap(r, kept);
+                }
+                kept += 1;
             }
         }
-        Ok(out)
+        outer.rows.truncate(kept * outer.width);
+        outer.times.truncate(kept);
+        Ok(())
     }
 
-    /// Fold every result row through the aggregate Select items.
-    fn eval_aggregates(&mut self, items: &[SelectItem], evals: &[VarEval], rows: &[ResultRow]) -> Result<Vec<Value>> {
+    /// Fold every joined row through the aggregate Select items, over
+    /// borrowed pathways: nothing is gathered per row.
+    fn eval_aggregates(&mut self, items: &[SelectItem], joined: &Joined) -> Result<Vec<Value>> {
         let mut out = Vec::with_capacity(items.len());
         for item in items {
             let Some(agg) = item.agg else {
@@ -1172,80 +1097,63 @@ impl Engine {
                 });
                 continue;
             };
-            // Gather the per-row values of the argument expression.
-            let mut vals: Vec<Value> = Vec::with_capacity(rows.len());
-            for row in rows {
-                let binding: Vec<(String, &Pathway)> = row.pathways.iter().map(|(v, p)| (v.clone(), p)).collect();
-                match &item.expr {
-                    Expr::PathVar(v) => {
-                        // count(P): one unit per row; distinct counts
-                        // distinct pathways.
-                        let p = binding
-                            .iter()
-                            .find(|(name, _)| name == v)
-                            .map(|(_, p)| *p)
-                            .ok_or_else(|| NepalError::UnknownVariable(v.clone()))?;
-                        vals.push(Value::List(p.elems.iter().map(|u| Value::Int(u.0 as i64)).collect()));
+            if let (AggFn::Count, Expr::PathVar(v)) = (agg, &item.expr) {
+                // count(P): one unit per row; distinct counts distinct
+                // pathways, told apart by their element uids.
+                let n = match joined.evals.iter().position(|e| e.var == *v) {
+                    None if joined.len() == 0 => 0,
+                    None => return Err(NepalError::UnknownVariable(v.clone())),
+                    Some(i) if item.distinct => {
+                        let paths = &joined.evals[i].pathways;
+                        joined.rows().map(|row| paths[row[i]].elems.as_slice()).collect::<HashSet<&[Uid]>>().len()
                     }
-                    e => {
-                        let (filter, backend) = match e.vars().first() {
-                            Some(v) => evals
-                                .iter()
-                                .find(|x| x.var == *v)
-                                .map(|x| (x.filter, x.backend.clone()))
-                                .unwrap_or((TimeFilter::Current, None)),
-                            None => (TimeFilter::Current, None),
-                        };
-                        vals.push(self.eval_expr(e, &binding, filter, backend.as_deref())?);
-                    }
-                }
+                    Some(_) => joined.len(),
+                };
+                out.push(Value::Int(n as i64));
+                continue;
             }
-            if item.distinct {
-                let mut seen = HashSet::new();
-                vals.retain(|v| seen.insert(v.clone()));
+            let (filter, backend) = scope_of(&joined.evals, &item.expr);
+            let mut seen: HashSet<Value> = HashSet::new();
+            // Values folded so far, the running min/max, and the running
+            // sum with whether every value was numeric.
+            let (mut n, mut best, mut total, mut numeric) = (0usize, None::<Value>, 0f64, true);
+            for row in joined.rows() {
+                let v = self.eval_expr(&item.expr, &row_lookup(&joined.evals, row), filter, backend)?;
+                if item.distinct && !seen.insert(v.clone()) {
+                    continue;
+                }
+                n += 1;
+                match (agg, v) {
+                    (AggFn::Count, _) => {}
+                    // Among equal values `min` keeps the first, `max` the last.
+                    (AggFn::Min, v) => best = Some(best.filter(|b| *b <= v).unwrap_or(v)),
+                    (AggFn::Max, v) => best = Some(best.filter(|b| *b > v).unwrap_or(v)),
+                    (_, Value::Int(i)) => total += i as f64,
+                    (_, Value::Float(f)) => total += f,
+                    _ => numeric = false,
+                }
             }
             out.push(match agg {
-                AggFn::Count => Value::Int(vals.len() as i64),
-                AggFn::Min => vals.iter().min().cloned().unwrap_or(Value::Null),
-                AggFn::Max => vals.iter().max().cloned().unwrap_or(Value::Null),
-                AggFn::Sum | AggFn::Avg => {
-                    let nums: Vec<f64> = vals
-                        .iter()
-                        .filter_map(|v| match v {
-                            Value::Int(i) => Some(*i as f64),
-                            Value::Float(f) => Some(*f),
-                            _ => None,
-                        })
-                        .collect();
-                    if nums.len() != vals.len() {
-                        return Err(NepalError::Unsupported("sum/avg over non-numeric values".into()));
-                    }
-                    let total: f64 = nums.iter().sum();
-                    match agg {
-                        AggFn::Sum => {
-                            if total.fract() == 0.0 {
-                                Value::Int(total as i64)
-                            } else {
-                                Value::Float(total)
-                            }
-                        }
-                        _ => {
-                            if nums.is_empty() {
-                                Value::Null
-                            } else {
-                                Value::Float(total / nums.len() as f64)
-                            }
-                        }
-                    }
+                AggFn::Count => Value::Int(n as i64),
+                AggFn::Min | AggFn::Max => best.unwrap_or(Value::Null),
+                AggFn::Sum | AggFn::Avg if !numeric => {
+                    return Err(NepalError::Unsupported("sum/avg over non-numeric values".into()))
                 }
+                AggFn::Sum if total.fract() == 0.0 => Value::Int(total as i64),
+                AggFn::Sum => Value::Float(total),
+                AggFn::Avg if n == 0 => Value::Null,
+                AggFn::Avg => Value::Float(total / n as f64),
             });
         }
         Ok(out)
     }
 
-    fn finish_head(&mut self, q: &Query, evals: Vec<VarEval>, rows: Vec<ResultRow>) -> Result<QueryResult> {
+    fn finish_head(&mut self, q: &Query, joined: Joined) -> Result<QueryResult> {
         match &q.head {
-            Head::Retrieve(vars) => Ok(QueryResult { columns: vars.clone(), rows }),
+            Head::Retrieve(vars) => {
+                let every_row = (0..joined.len()).map(|r| (r, Vec::new())).collect();
+                Ok(QueryResult { columns: vars.clone(), rows: joined.materialise(every_row) })
+            }
             Head::Select(items) => {
                 let columns: Vec<String> = items.iter().map(item_name).collect();
                 let aggregated = items.iter().any(|i| i.agg.is_some());
@@ -1256,83 +1164,133 @@ impl Engine {
                             item_name(bad)
                         )));
                     }
-                    let values = self.eval_aggregates(items, &evals, &rows)?;
+                    let values = self.eval_aggregates(items, &joined)?;
                     return Ok(QueryResult {
                         columns,
                         rows: vec![ResultRow { pathways: Vec::new(), values, times: None }],
                     });
                 }
-                let mut out = Vec::new();
-                for mut row in rows {
-                    let binding: Vec<(String, &Pathway)> = row.pathways.iter().map(|(v, p)| (v.clone(), p)).collect();
-                    let mut values = Vec::with_capacity(items.len());
-                    for item in items {
-                        let e = &item.expr;
-                        let (filter, backend) = match e.vars().first() {
-                            Some(v) => evals
-                                .iter()
-                                .find(|x| x.var == *v)
-                                .map(|x| (x.filter, x.backend.clone()))
-                                .unwrap_or((TimeFilter::Current, None)),
-                            None => (TimeFilter::Current, None),
-                        };
-                        values.push(self.eval_expr(e, &binding, filter, backend.as_deref())?);
-                    }
-                    row.values = values;
-                    out.push(row);
-                }
                 // Select deduplicates identical value rows (bag → set, as
-                // the paper's examples imply for "the names and ids").
+                // the paper's examples imply for "the names and ids"); only
+                // the first row of each value tuple is materialised.
+                let scopes: Vec<_> = items.iter().map(|item| scope_of(&joined.evals, &item.expr)).collect();
                 let mut seen = HashSet::new();
-                out.retain(|r| seen.insert((r.values.clone(), r.times.clone())));
-                Ok(QueryResult { columns, rows: out })
+                let mut picked = Vec::new();
+                for r in 0..joined.len() {
+                    let lookup = row_lookup(&joined.evals, joined.row(r));
+                    let mut values = Vec::with_capacity(items.len());
+                    for (item, &(filter, backend)) in items.iter().zip(&scopes) {
+                        values.push(self.eval_expr(&item.expr, &lookup, filter, backend)?);
+                    }
+                    let key = (values, joined.times.get(r).cloned().flatten());
+                    if !seen.contains(&key) {
+                        picked.push((r, key.0.clone()));
+                        seen.insert(key);
+                    }
+                }
+                Ok(QueryResult { columns, rows: joined.materialise(picked) })
             }
             Head::WhenExists | Head::FirstTimeWhenExists | Head::LastTimeWhenExists => {
                 // Union the joint assertion ranges over all rows.
-                let mut union = IntervalSet::empty();
-                for row in &rows {
-                    if let Some(t) = &row.times {
-                        union = union.union(t);
-                    }
-                }
-                let (columns, out_rows) = match q.head {
-                    Head::WhenExists => (
-                        vec!["when_exists".to_string()],
-                        if union.is_empty() {
-                            vec![]
-                        } else {
-                            vec![ResultRow { pathways: Vec::new(), values: Vec::new(), times: Some(union) }]
-                        },
+                let union = joined.times.iter().flatten().fold(IntervalSet::empty(), |u, t| u.union(t));
+                let (column, value) = match q.head {
+                    Head::WhenExists => ("when_exists", (!union.is_empty()).then(Vec::new)),
+                    Head::FirstTimeWhenExists => ("first_time", union.first().map(|t| vec![Value::Ts(t)])),
+                    // `Null`: still exists now.
+                    _ => (
+                        "last_time",
+                        union.last().map(|iv| vec![if iv.is_current() { Value::Null } else { Value::Ts(iv.to) }]),
                     ),
-                    Head::FirstTimeWhenExists => {
-                        let rows = match union.first() {
-                            Some(t) => {
-                                vec![ResultRow { pathways: Vec::new(), values: vec![Value::Ts(t)], times: Some(union) }]
-                            }
-                            None => vec![],
-                        };
-                        (vec!["first_time".to_string()], rows)
-                    }
-                    Head::LastTimeWhenExists => {
-                        let rows = match union.last() {
-                            Some(iv) => {
-                                let v = if iv.is_current() {
-                                    Value::Null // still exists now
-                                } else {
-                                    Value::Ts(iv.to)
-                                };
-                                vec![ResultRow { pathways: Vec::new(), values: vec![v], times: Some(union) }]
-                            }
-                            None => vec![],
-                        };
-                        (vec!["last_time".to_string()], rows)
-                    }
-                    _ => unreachable!(),
                 };
-                Ok(QueryResult { columns, rows: out_rows })
+                let rows = value
+                    .map(|values| ResultRow { pathways: Vec::new(), values, times: Some(union) })
+                    .into_iter()
+                    .collect();
+                Ok(QueryResult { columns: vec![column.to_string()], rows })
             }
         }
     }
+}
+
+/// The rows a query's variables join to, after coexistence and `EXISTS`
+/// filtering, as indices into the per-variable pathway sets: row `r` binds
+/// variable `i` to `evals[i].pathways[rows[r * width + i]]`. Conditions,
+/// aggregates and value projections read pathways through the indices;
+/// owned result rows are built once, by [`Joined::materialise`].
+struct Joined {
+    evals: Vec<VarEval>,
+    /// `evals.len()`, or 1 for a query without variables.
+    width: usize,
+    rows: Vec<usize>,
+    /// Joint maximal assertion ranges per row; empty when no variable takes
+    /// part in a query-level range (every row's times are `None`).
+    times: Vec<Option<IntervalSet>>,
+}
+
+impl Joined {
+    fn len(&self) -> usize {
+        self.rows.len() / self.width
+    }
+
+    fn row(&self, r: usize) -> &[usize] {
+        &self.rows[r * self.width..(r + 1) * self.width]
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[usize]> {
+        self.rows.chunks_exact(self.width)
+    }
+
+    /// The owned result rows for `picked` (row index, select values), in
+    /// that order; each row at most once. A pathway moves out of its
+    /// variable's set into the last picked row that references it and is
+    /// cloned only for the earlier ones.
+    fn materialise(mut self, picked: Vec<(usize, Vec<Value>)>) -> Vec<ResultRow> {
+        let mut uses: Vec<Vec<u32>> = self.evals.iter().map(|e| vec![0; e.pathways.len()]).collect();
+        for &(r, _) in &picked {
+            for (i, &pi) in self.row(r).iter().enumerate() {
+                if pi != usize::MAX {
+                    uses[i][pi] += 1;
+                }
+            }
+        }
+        let mut out = Vec::with_capacity(picked.len());
+        for (r, values) in picked {
+            let times = self.times.get_mut(r).and_then(Option::take);
+            let mut pathways = Vec::with_capacity(self.evals.len());
+            for (i, e) in self.evals.iter_mut().enumerate() {
+                let pi = self.rows[r * self.width + i];
+                if pi == usize::MAX {
+                    continue;
+                }
+                uses[i][pi] -= 1;
+                let mut p = if uses[i][pi] == 0 {
+                    std::mem::replace(&mut e.pathways[pi], Pathway { elems: Vec::new(), times: None })
+                } else {
+                    e.pathways[pi].clone()
+                };
+                // Per-variable range scopes keep their own times.
+                if e.joint {
+                    p.times = times.clone();
+                }
+                pathways.push((e.var.clone(), p));
+            }
+            out.push(ResultRow { pathways, values, times });
+        }
+        out
+    }
+}
+
+/// The binding of pathway variables in one index row.
+fn row_lookup<'a>(evals: &'a [VarEval], row: &'a [usize]) -> impl Fn(&str) -> Option<&'a Pathway> {
+    move |var| evals.iter().zip(row).find(|(e, &pi)| pi != usize::MAX && e.var == var).map(|(e, &pi)| &e.pathways[pi])
+}
+
+/// The time filter and backend that field lookups of `expr` go through:
+/// those of the variable it mentions.
+fn scope_of<'a>(evals: &'a [VarEval], expr: &Expr) -> (TimeFilter, Option<&'a str>) {
+    expr.var()
+        .and_then(|v| evals.iter().find(|e| e.var == v))
+        .map_or((TimeFilter::Current, None), |e| (e.filter, e.backend.as_deref()))
 }
 
 fn unix_ms() -> u64 {

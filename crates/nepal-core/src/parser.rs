@@ -423,12 +423,10 @@ fn validate(q: &Query) -> Result<()> {
         }
     }
     let check_expr = |e: &Expr| -> Result<()> {
-        for v in e.vars() {
-            if !known(v) {
-                return Err(NepalError::UnknownVariable(v.to_string()));
-            }
+        match e.var() {
+            Some(v) if !known(v) => Err(NepalError::UnknownVariable(v.to_string())),
+            _ => Ok(()),
         }
-        Ok(())
     };
     if let Head::Retrieve(vs) = &q.head {
         for v in vs {

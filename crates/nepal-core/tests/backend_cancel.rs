@@ -86,3 +86,42 @@ fn tripped_token_is_a_typed_error_on_every_backend() {
         }
     }
 }
+
+/// The Gremlin walk has no checkpoint of its own: the token is polled
+/// before every round trip, so one that trips after the first round trip
+/// must stop the traversal there instead of letting it run to completion.
+#[test]
+fn gremlin_polls_the_token_between_round_trips() {
+    let g = graph();
+    // `{0,3}` over a non-node-anchored tail: the generic batched walk, one
+    // adjacency fetch per depth level.
+    let plan = plan_rpe(
+        g.schema(),
+        &parse_rpe("VM()->HostedOn()->Host()->[ConnectsTo()]{0,3}").unwrap(),
+        &GraphEstimator { graph: &g },
+    )
+    .unwrap();
+    let client = GremlinClient::new(serve_in_process(Arc::new(RwLock::new(property_graph_from(&g)))));
+    let mut backend = GremlinBackend::new(client, g.schema().clone());
+    let full = backend.eval(&plan, TimeFilter::Current, Seeds::Anchor, &EvalOptions::default()).unwrap();
+    let full_trips = backend.last_round_trips();
+    assert!(!full.is_empty() && full_trips >= 3, "the walk must take several round trips, took {full_trips}");
+
+    // Budget 1: the poll before the first round trip passes, the next trips.
+    let before = backend.client.round_trips;
+    let opts = EvalOptions { cancel: Some(CancelToken::cancel_after_polls(1)), ..Default::default() };
+    let got = backend.eval(&plan, TimeFilter::Current, Seeds::Anchor, &opts);
+    assert!(
+        matches!(got, Err(NepalError::Cancelled)),
+        "expected Cancelled after one round trip, got {:?}",
+        got.map(|paths| paths.len())
+    );
+    assert_eq!(backend.client.round_trips - before, 1, "exactly one round trip before the trip");
+
+    // A deadline that is already over reports as such, before any round trip.
+    let before = backend.client.round_trips;
+    let opts = EvalOptions::with_deadline(std::time::Duration::ZERO);
+    let got = backend.eval(&plan, TimeFilter::Current, Seeds::Anchor, &opts);
+    assert!(matches!(got, Err(NepalError::DeadlineExceeded)), "{:?}", got.map(|paths| paths.len()));
+    assert_eq!(backend.client.round_trips, before);
+}

@@ -474,6 +474,55 @@ impl ClassHeat {
     }
 }
 
+/// Version reads tallied away from the shared [`ClassHeat`] cache lines: the
+/// evaluator keeps one per pool seat (and the anchor scan one per scan),
+/// counts every element it matches with plain adds, and flushes the tally
+/// once per stage — at the latest when it is dropped. The heatmap's totals
+/// are the same as if each read had been counted where it happened.
+pub struct HeatTally<'g> {
+    graph: &'g TemporalGraph,
+    /// `[materializations, keyframe_hits, bytes_read]` per exact class,
+    /// grown to the highest class seen.
+    cells: Vec<[u64; 3]>,
+}
+
+impl<'g> HeatTally<'g> {
+    pub fn new(graph: &'g TemporalGraph) -> Self {
+        HeatTally { graph, cells: Vec::new() }
+    }
+
+    /// One version read on an entity of `class`; `width` is the record's
+    /// field count, `0` for a read that consulted the version's span only.
+    #[inline]
+    pub(crate) fn version_read(&mut self, class: ClassId, is_delta: bool, width: usize) {
+        let c = class.0 as usize;
+        if c >= self.cells.len() {
+            self.cells.resize(c + 1, [0; 3]);
+        }
+        let cell = &mut self.cells[c];
+        cell[if is_delta { 0 } else { 1 }] += 1;
+        cell[2] += width as u64 * VALUE_SLOT_BYTES;
+    }
+
+    /// Add the tallied reads to the store's per-class heatmap and zero them.
+    pub fn flush(&mut self) {
+        for (h, cell) in self.graph.heat.iter().zip(self.cells.iter_mut()) {
+            let [materializations, keyframe_hits, bytes_read] = std::mem::take(cell);
+            if materializations + keyframe_hits > 0 {
+                h.materializations.fetch_add(materializations, Ordering::Relaxed);
+                h.keyframe_hits.fetch_add(keyframe_hits, Ordering::Relaxed);
+                h.bytes_read.fetch_add(bytes_read, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl Drop for HeatTally<'_> {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 /// Plain-value copy of one class's [`ClassHeat`] counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassHeatSnapshot {

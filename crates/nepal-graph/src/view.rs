@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use nepal_schema::{ClassId, Ts, Value};
 
 use crate::interval::{Interval, IntervalSet};
-use crate::store::{materialize_version, AdjEntry, TemporalGraph, Uid, Version};
+use crate::store::{materialize_version, AdjEntry, HeatTally, TemporalGraph, Uid, Version};
 
 /// The temporal scope a query (or one range variable) executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,25 +155,29 @@ impl<'g> GraphView<'g> {
         cost
     }
 
-    /// Test `uid` against a field predicate under this view.
+    /// Test `uid` against a field predicate under this view, tallying the
+    /// version reads it makes on `heat`.
     ///
     /// Returns `None` if the element does not satisfy the predicate within
-    /// the filter; otherwise how/when it matches.
-    pub fn matching<F>(&self, uid: Uid, pred: F) -> Option<MatchTime>
+    /// the filter; otherwise how/when it matches. An atom without field
+    /// predicates has nothing to test: use [`GraphView::asserted`], which
+    /// answers from the version spans alone.
+    pub fn matching<F>(&self, uid: Uid, pred: F, heat: &mut HeatTally<'g>) -> Option<MatchTime>
     where
         F: Fn(&[Value]) -> bool,
     {
+        let class = self.graph.class_of(uid)?;
         match self.filter {
             TimeFilter::Current => {
                 // Hot path: the chain head is always stored full.
                 let v = self.graph.current_version(uid)?;
-                self.graph.note_version_read(uid, false, v.fields().len());
+                heat.version_read(class, false, v.fields().len());
                 pred(v.fields()).then_some(MatchTime::Point)
             }
             TimeFilter::AsOf(t) => {
                 let i = self.graph.version_index_at(uid, t)?;
                 let vs = self.graph.versions(uid);
-                self.graph.note_version_read(uid, vs[i].is_delta(), record_width(vs));
+                heat.version_read(class, vs[i].is_delta(), record_width(vs));
                 pred(&materialize_version(vs, i)).then_some(MatchTime::Point)
             }
             TimeFilter::Range(a, b) => {
@@ -182,7 +186,7 @@ impl<'g> GraphView<'g> {
                 let width = record_width(vs);
                 let mut set = IntervalSet::empty();
                 for i in self.graph.overlap_range(uid, &probe) {
-                    self.graph.note_version_read(uid, vs[i].is_delta(), width);
+                    heat.version_read(class, vs[i].is_delta(), width);
                     if pred(&materialize_version(vs, i)) {
                         set.push(vs[i].span);
                     }
@@ -195,6 +199,43 @@ impl<'g> GraphView<'g> {
                     // with the same satisfying predicate extend the run.
                     Some(MatchTime::Intervals(self.extend_maximal(uid, set, &pred)))
                 }
+            }
+        }
+    }
+
+    /// When `uid` is asserted under this view, whatever its field values:
+    /// what [`GraphView::matching`] returns for a predicate that is always
+    /// true, answered from the version spans alone. No version is
+    /// materialized (`matching` clones the keyframe and replays deltas
+    /// before calling a predicate that ignores them, and under a range
+    /// re-materializes the whole chain to extend the runs), so each span
+    /// consulted tallies as a replay-free read of zero bytes.
+    pub fn asserted(&self, uid: Uid, heat: &mut HeatTally<'g>) -> Option<MatchTime> {
+        let class = self.graph.class_of(uid)?;
+        match self.filter {
+            TimeFilter::Current => {
+                self.graph.current_version(uid)?;
+                heat.version_read(class, false, 0);
+                Some(MatchTime::Point)
+            }
+            TimeFilter::AsOf(t) => {
+                self.graph.version_index_at(uid, t)?;
+                heat.version_read(class, false, 0);
+                Some(MatchTime::Point)
+            }
+            TimeFilter::Range(a, b) => {
+                let probe = Interval::new(a, b.saturating_add(1));
+                let in_window = self.graph.overlap_range(uid, &probe);
+                if in_window.is_empty() {
+                    return None;
+                }
+                in_window.for_each(|_| heat.version_read(class, false, 0));
+                // Every version satisfies the (absent) predicate, so the
+                // maximal runs are the components of the whole assertion
+                // set, and a component holds an in-window version exactly
+                // when it overlaps the window.
+                let comps = self.graph.alive_set(uid).components_overlapping(&probe);
+                Some(MatchTime::Intervals(IntervalSet::from_intervals(comps)))
             }
         }
     }
@@ -283,10 +324,10 @@ mod tests {
     fn point_filters_pick_the_right_version() {
         let (g, u) = setup();
         let green = |f: &[Value]| f[1] == Value::Str("Green".into());
-        assert!(GraphView::new(&g, TimeFilter::AsOf(150)).matching(u, green).is_some());
-        assert!(GraphView::new(&g, TimeFilter::AsOf(250)).matching(u, green).is_none());
-        assert!(GraphView::new(&g, TimeFilter::Current).matching(u, green).is_some());
-        assert!(GraphView::new(&g, TimeFilter::AsOf(50)).matching(u, green).is_none());
+        assert!(GraphView::new(&g, TimeFilter::AsOf(150)).matching(u, green, &mut HeatTally::new(&g)).is_some());
+        assert!(GraphView::new(&g, TimeFilter::AsOf(250)).matching(u, green, &mut HeatTally::new(&g)).is_none());
+        assert!(GraphView::new(&g, TimeFilter::Current).matching(u, green, &mut HeatTally::new(&g)).is_some());
+        assert!(GraphView::new(&g, TimeFilter::AsOf(50)).matching(u, green, &mut HeatTally::new(&g)).is_none());
         // before birth
     }
 
@@ -295,7 +336,7 @@ mod tests {
         let (g, u) = setup();
         let green = |f: &[Value]| f[1] == Value::Str("Green".into());
         let v = GraphView::new(&g, TimeFilter::Range(150, 180));
-        match v.matching(u, green).unwrap() {
+        match v.matching(u, green, &mut HeatTally::new(&g)).unwrap() {
             MatchTime::Intervals(set) => {
                 // The maximal Green run is [100, 200), not clamped to window.
                 assert_eq!(set.intervals(), &[Interval::new(100, 200)]);
@@ -304,17 +345,18 @@ mod tests {
         }
         // A window spanning both green runs reports both maximal components.
         let v = GraphView::new(&g, TimeFilter::Range(150, 350));
-        match v.matching(u, green).unwrap() {
+        match v.matching(u, green, &mut HeatTally::new(&g)).unwrap() {
             MatchTime::Intervals(set) => assert_eq!(set.intervals().len(), 2),
             other => panic!("unexpected {other:?}"),
-        }
+        };
     }
 
     #[test]
     fn range_filter_outside_assertion_is_none() {
         let (g, u) = setup();
         let v = GraphView::new(&g, TimeFilter::Range(0, 50));
-        assert!(v.matching(u, |_| true).is_none());
+        assert!(v.matching(u, |_| true, &mut HeatTally::new(&g)).is_none());
+        assert!(v.asserted(u, &mut HeatTally::new(&g)).is_none());
     }
 
     #[test]
@@ -344,7 +386,11 @@ mod tests {
         let class = g.class_of(u).unwrap();
         let before = g.class_heat(class);
         let v = GraphView::new(&g, TimeFilter::Current);
-        let _ = v.matching(u, |_| true);
+        let mut tally = HeatTally::new(&g);
+        let _ = v.matching(u, |_| true, &mut tally);
+        // Tallied reads reach the heatmap when the tally is flushed.
+        assert_eq!(g.class_heat(class), before);
+        tally.flush();
         let after = g.class_heat(class);
         assert_eq!(after.keyframe_hits, before.keyframe_hits + 1);
         assert!(after.bytes_read > before.bytes_read);
@@ -353,5 +399,55 @@ mod tests {
         assert!(scanned.scans > after.scans);
         assert!(scanned.scan_rows > after.scan_rows);
         assert!(scanned.is_hot());
+    }
+
+    #[test]
+    fn predicate_less_atoms_never_materialize() {
+        use crate::store::KEYFRAME_INTERVAL;
+        // A chain deeper than the keyframe interval, so history versions
+        // are delta-encoded.
+        let (mut g, u) = setup();
+        let depth = 2 * KEYFRAME_INTERVAL as i64 + 5;
+        for k in 0..depth {
+            g.update(u, &[(1, Value::Str(format!("s{k}")))], 400 + 10 * k).unwrap();
+        }
+        let class = g.class_of(u).unwrap();
+        let last = 400 + 10 * (depth - 1);
+        for filter in [TimeFilter::AsOf(455), TimeFilter::Range(420, 600), TimeFilter::Range(0, last + 50)] {
+            let v = GraphView::new(&g, filter);
+            let cost = v.access_cost(u);
+            assert!(cost.materializations > 0, "{filter:?} reads delta-encoded versions");
+            let before = g.class_heat(class);
+            let mut tally = HeatTally::new(&g);
+            let by_predicate = v.matching(u, |_| true, &mut tally);
+            tally.flush();
+            let mid = g.class_heat(class);
+            let by_span = v.asserted(u, &mut tally);
+            tally.flush();
+            let after = g.class_heat(class);
+            // Same answer, same logical cost, no physical materialization.
+            assert_eq!(by_span, by_predicate, "{filter:?}");
+            assert!(by_span.is_some());
+            assert_eq!(v.access_cost(u), cost);
+            assert_eq!(mid.materializations - before.materializations, cost.materializations);
+            assert_eq!(after.materializations, mid.materializations);
+            assert_eq!(
+                after.keyframe_hits - mid.keyframe_hits,
+                cost.materializations + cost.keyframe_hits,
+                "every span consulted is a replay-free read"
+            );
+            assert_eq!(after.bytes_read, mid.bytes_read);
+        }
+        // Deleted, then probed after its end and across it.
+        g.delete(u, last + 100).unwrap();
+        for filter in [TimeFilter::Current, TimeFilter::AsOf(last + 200), TimeFilter::Range(last + 100, last + 300)] {
+            let v = GraphView::new(&g, filter);
+            let mut tally = HeatTally::new(&g);
+            assert_eq!(v.asserted(u, &mut tally), None, "{filter:?}");
+            assert_eq!(v.matching(u, |_| true, &mut tally), None, "{filter:?}");
+        }
+        let v = GraphView::new(&g, TimeFilter::Range(last, last + 300));
+        let mut tally = HeatTally::new(&g);
+        assert_eq!(v.asserted(u, &mut tally), v.matching(u, |_| true, &mut tally));
     }
 }

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use nepal_graph::Uid;
 use nepal_obs::SpanHandle;
-use nepal_rpe::{BoundAtom, BoundPred, EvalOptions, Label, Norm, Pathway, RpePlan, Seeds};
+use nepal_rpe::{BoundAtom, BoundPred, CancelCause, CancelToken, EvalOptions, Label, Norm, Pathway, RpePlan, Seeds};
 use nepal_schema::{ClassKind, Schema, Ts, Value};
 
 use crate::client::GremlinClient;
@@ -111,6 +111,8 @@ struct GremlinEval<'a, T: Transport> {
     in_cache: HashMap<u64, Vec<(u64, u64)>>,
     /// Parent span for all round trips this evaluation performs.
     span: &'a SpanHandle,
+    /// Polled before every round trip ([`GremlinEval::submit`]).
+    cancel: Option<&'a CancelToken>,
 }
 
 impl<'a, T: Transport> GremlinEval<'a, T> {
@@ -121,6 +123,18 @@ impl<'a, T: Transport> GremlinEval<'a, T> {
                 GStep::Has("sys_from".into(), GCmp::Lte, Json::Num(t as f64)),
                 GStep::Has("sys_to".into(), GCmp::Gt, Json::Num(t as f64)),
             ],
+        }
+    }
+
+    /// One round trip, unless the evaluation's cancel token has tripped:
+    /// the walk has no other checkpoint, and a traversal already on the
+    /// wire runs to completion on the server, so between round trips is
+    /// where a deadline can stop it.
+    fn submit(&mut self, steps: &[GStep], span: &SpanHandle) -> Result<Vec<Json>, ProtoError> {
+        match self.cancel.and_then(|t| t.poll()) {
+            Some(CancelCause::Deadline) => Err(ProtoError::DeadlineExceeded),
+            Some(CancelCause::Explicit) => Err(ProtoError::Cancelled),
+            None => self.client.submit_spanned(steps, span),
         }
     }
 
@@ -140,7 +154,7 @@ impl<'a, T: Transport> GremlinEval<'a, T> {
         steps.extend(self.alive_steps());
         let sel_span = self.span.child("Select");
         sel_span.attr("atom", &atom.display);
-        let results = self.client.submit_spanned(&steps, &sel_span)?;
+        let results = self.submit(&steps, &sel_span)?;
         let mut ids = Vec::new();
         for r in &results {
             if let Some((id, info)) = ElemInfo::from_json(r) {
@@ -178,7 +192,7 @@ impl<'a, T: Transport> GremlinEval<'a, T> {
         let steps = vec![GStep::V(missing.clone()), hop, next, GStep::Path];
         let adj_span = self.span.child(if outgoing { "Extend(fwd)" } else { "Extend(bwd)" });
         adj_span.attr("frontier", missing.len());
-        let results = self.client.submit_spanned(&steps, &adj_span)?;
+        let results = self.submit(&steps, &adj_span)?;
         for r in &results {
             let Some(path) = r.get("path").and_then(|p| p.as_arr()) else { continue };
             if path.len() != 3 {
@@ -371,6 +385,7 @@ pub fn evaluate_gremlin<T: Transport>(
         out_cache: HashMap::new(),
         in_cache: HashMap::new(),
         span,
+        cancel: opts.cancel.as_ref(),
     };
     let cap = opts.max_elements.map(|m| m.min(plan.max_elements)).unwrap_or(plan.max_elements);
     let mut results: HashSet<Vec<u64>> = HashSet::new();
@@ -395,7 +410,7 @@ pub fn evaluate_gremlin<T: Transport>(
                     let eb_span = ev.span.child("ExtendBlock");
                     eb_span.attr("min", min);
                     eb_span.attr("max", max);
-                    let raw = ev.client.submit_spanned(&steps, &eb_span)?;
+                    let raw = ev.submit(&steps, &eb_span)?;
                     eb_span.attr("paths", raw.len());
                     drop(eb_span);
                     let other = &plan.atoms[other_atom as usize];
@@ -490,7 +505,7 @@ pub fn evaluate_gremlin<T: Transport>(
             let ids: Vec<u64> = srcs.iter().map(|u| u.0).collect();
             // Prime the element cache.
             let steps = vec![GStep::V(ids.clone())];
-            for r in ev.client.submit_spanned(&steps, ev.span)? {
+            for r in ev.submit(&steps, ev.span)? {
                 if let Some((id, info)) = ElemInfo::from_json(&r) {
                     ev.elems.insert(id, info);
                 }
@@ -508,7 +523,7 @@ pub fn evaluate_gremlin<T: Transport>(
         Seeds::Targets(tgts) => {
             let ids: Vec<u64> = tgts.iter().map(|u| u.0).collect();
             let steps = vec![GStep::V(ids.clone())];
-            for r in ev.client.submit_spanned(&steps, ev.span)? {
+            for r in ev.submit(&steps, ev.span)? {
                 if let Some((id, info)) = ElemInfo::from_json(&r) {
                     ev.elems.insert(id, info);
                 }

@@ -52,6 +52,11 @@ pub enum ProtoError {
     },
     /// Status-598: the server abandoned evaluation (deadline or drain).
     Timeout(String),
+    /// The caller's own cancel token tripped between round trips: its
+    /// deadline passed …
+    DeadlineExceeded,
+    /// … or it was cancelled explicitly.
+    Cancelled,
 }
 
 impl ProtoError {
@@ -73,6 +78,8 @@ impl std::fmt::Display for ProtoError {
                 write!(f, "server overloaded (retry after {retry_after_ms} ms): {message}")
             }
             ProtoError::Timeout(m) => write!(f, "server timeout: {m}"),
+            ProtoError::DeadlineExceeded => write!(f, "deadline exceeded between round trips"),
+            ProtoError::Cancelled => write!(f, "cancelled between round trips"),
         }
     }
 }

@@ -21,7 +21,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use nepal_graph::FOREVER;
-use nepal_graph::{FxHashMap, GraphView, Interval, IntervalSet, MatchTime, TemporalGraph, TimeFilter, Uid};
+use nepal_graph::{FxHashMap, GraphView, HeatTally, Interval, IntervalSet, MatchTime, TemporalGraph, TimeFilter, Uid};
 use nepal_obs::{thread_cpu_ns, ExecTrace, MetricsRegistry, OpStats, ResourceMeter, SpanHandle};
 use nepal_schema::{ClassId, Schema};
 
@@ -162,13 +162,37 @@ fn push_state(set: &mut StateSet, s: u32, t: Times) {
     set.push((s, t));
 }
 
-/// Per-element memo of label match results.
+/// The buffers one seat's depth-first searches reuse: the path walked so
+/// far, the state set after the edge of the hop being tried, and one state
+/// set per depth for the node after it (a level's set must outlive the
+/// recursion below it, the edge set need not). They grow to the deepest
+/// search and are cleared, never freed, between steps — so a step costs no
+/// allocation once the buffers are warm.
+#[derive(Default)]
+struct Scratch {
+    path: Vec<Uid>,
+    edge: StateSet,
+    levels: Vec<StateSet>,
+}
+
+/// Label matching for one pool seat, with the seat's memo, counters and
+/// reusable search buffers.
 struct ElemMatcher<'a> {
     view: &'a GraphView<'a>,
     schema: &'a Schema,
     atoms: &'a [BoundAtom],
     range_mode: bool,
+    /// `(element, label) → match` for the labels whose match costs more
+    /// than a lookup: any label in range mode (interval sets are built from
+    /// the version chain) and atoms with field predicates (the predicate
+    /// runs over a possibly delta-encoded version). A predicate-less label
+    /// in point mode is two array reads and an aliveness check, cheaper
+    /// than hashing its key, and is never cached.
     memo: FxHashMap<(Uid, Label), Option<Times>>,
+    /// Version reads made by this seat, flushed to the store's per-class
+    /// heatmap once per stage ([`run_stage`]) rather than per element.
+    heat: HeatTally<'a>,
+    scratch: Scratch,
     /// Partial matches dropped because their interval intersection became
     /// empty (§5 temporal pruning). A plain increment — counted even
     /// untraced, and only reported when a trace is attached.
@@ -185,6 +209,21 @@ struct ElemMatcher<'a> {
 /// cancellation latency.
 const CANCEL_CHECK_MASK: u32 = 0x3F; // every 64 checkpoints
 
+/// How `uid` satisfies an atom's field predicates under the view; `None`
+/// for `atom` is a wildcard label. Without predicates only the version
+/// spans are consulted — nothing is materialized.
+fn match_fields<'g>(
+    view: &GraphView<'g>,
+    atom: Option<&BoundAtom>,
+    uid: Uid,
+    heat: &mut HeatTally<'g>,
+) -> Option<MatchTime> {
+    match atom {
+        Some(a) if !a.preds.is_empty() => view.matching(uid, |f| a.matches_fields(f), heat),
+        _ => view.asserted(uid, heat),
+    }
+}
+
 impl<'a> ElemMatcher<'a> {
     fn new(env: &Env<'a>) -> Self {
         ElemMatcher {
@@ -193,6 +232,8 @@ impl<'a> ElemMatcher<'a> {
             atoms: &env.plan.atoms,
             range_mode: env.view.filter.is_range(),
             memo: FxHashMap::default(),
+            heat: HeatTally::new(env.view.graph),
+            scratch: Scratch::default(),
             temporal_prunes: 0,
             cancel: env.opts.cancel.clone(),
             cancel_ctr: 0,
@@ -225,91 +266,72 @@ impl<'a> ElemMatcher<'a> {
     /// `None` → element does not satisfy the label; `Some(times)` → it
     /// does, with assertion times in range mode.
     fn matches(&mut self, uid: Uid, is_node: bool, label: Label) -> Option<Times> {
-        // Fast path: kind and class mismatches are decided from two array
-        // reads, without touching versions or the memo. This is what makes
+        // Kind and class mismatches are decided from two array reads,
+        // without touching versions or the memo. This is what makes
         // class-partitioned storage pay off (§6: "the automatic elimination
         // of many useless edges from the navigation joins").
-        if let Label::Atom(a) = label {
-            let atom = &self.atoms[a as usize];
-            if atom.is_node != is_node {
-                return None;
+        let atom = match label {
+            Label::Atom(a) => {
+                let atom = &self.atoms[a as usize];
+                if atom.is_node != is_node || !self.schema.is_subclass(self.view.graph.class_of(uid)?, atom.class) {
+                    return None;
+                }
+                Some(atom)
             }
-            let class = self.view.graph.class_of(uid)?;
-            if !self.schema.is_subclass(class, atom.class) {
-                return None;
+            Label::AnyNode | Label::AnyEdge => {
+                if matches!(label, Label::AnyNode) != is_node {
+                    return None;
+                }
+                None
             }
-        } else if matches!(label, Label::AnyNode) != is_node {
-            return None;
+        };
+        if !self.range_mode && atom.is_none_or(|a| a.preds.is_empty()) {
+            return self.view.asserted(uid, &mut self.heat).map(|_| None);
         }
         if let Some(hit) = self.memo.get(&(uid, label)) {
             return hit.clone();
         }
-        let result = self.compute(uid, is_node, label);
+        let result = match_fields(self.view, atom, uid, &mut self.heat).map(|mt| match mt {
+            MatchTime::Point => self.range_mode.then(universal),
+            MatchTime::Intervals(set) => Some(set),
+        });
         self.memo.insert((uid, label), result.clone());
         result
     }
-
-    fn compute(&self, uid: Uid, is_node: bool, label: Label) -> Option<Times> {
-        let to_times = |mt: MatchTime| -> Times {
-            match mt {
-                MatchTime::Point => None,
-                MatchTime::Intervals(set) => Some(set),
-            }
-        };
-        match label {
-            Label::AnyNode => {
-                if !is_node {
-                    return None;
-                }
-                self.view.matching(uid, |_| true).map(to_times)
-            }
-            Label::AnyEdge => {
-                if is_node {
-                    return None;
-                }
-                self.view.matching(uid, |_| true).map(to_times)
-            }
-            Label::Atom(a) => {
-                let atom = &self.atoms[a as usize];
-                if atom.is_node != is_node {
-                    return None;
-                }
-                let class = self.view.graph.class_of(uid)?;
-                if !self.schema.is_subclass(class, atom.class) {
-                    return None;
-                }
-                self.view.matching(uid, |f| atom.matches_fields(f)).map(to_times)
-            }
-        }
-        .map(|t| if self.range_mode && t.is_none() { Some(universal()) } else { t })
-    }
 }
 
-/// Step a state set over one element: forwards (`fwd`) along the NFA's
-/// transitions, or backwards along its reverse adjacency, where the states
-/// are *before*-states.
-fn step(plan: &RpePlan, m: &mut ElemMatcher, states: &StateSet, uid: Uid, is_node: bool, fwd: bool) -> StateSet {
+/// Step a state set over one element into `next` (cleared first): forwards
+/// (`fwd`) along the NFA's transitions, or backwards along its reverse
+/// adjacency, where the states are *before*-states.
+fn step(
+    plan: &RpePlan,
+    m: &mut ElemMatcher,
+    states: &[(u32, Times)],
+    uid: Uid,
+    is_node: bool,
+    fwd: bool,
+    next: &mut StateSet,
+) {
     let table = if fwd { &plan.nfa.trans } else { &plan.nfa.rev };
-    let mut next: StateSet = Vec::new();
+    next.clear();
     for (s, t) in states {
         for &(label, to) in &table[*s as usize] {
             if let Some(lt) = m.matches(uid, is_node, label) {
                 let (nt, ok) = times_intersect(t, &lt);
                 if ok {
-                    push_state(&mut next, to, nt);
+                    push_state(next, to, nt);
                 } else {
                     m.temporal_prunes += 1;
                 }
             }
         }
     }
-    next
 }
 
 /// The times under which `states` complete a half-match — an accepting
 /// state going forwards, the start state going backwards — or `None` when
 /// no state does.
-fn complete_times(plan: &RpePlan, states: &StateSet, fwd: bool) -> Option<Times> {
+fn complete_times(plan: &RpePlan, states: &[(u32, Times)], fwd: bool) -> Option<Times> {
     let mut acc: Option<Times> = None;
     for (s, t) in states {
         let complete = if fwd { plan.nfa.accepts[*s as usize] } else { *s == plan.nfa.start };
@@ -323,12 +345,72 @@ fn complete_times(plan: &RpePlan, states: &StateSet, fwd: bool) -> Option<Times>
     acc
 }
 
-/// A completed half-match: the elements on one side of the seed (seed
-/// included on the forward side only) plus the times of the half.
-#[derive(Debug, Clone)]
-struct Half {
+/// Completed half-matches, flat: half `i` is the elements on one side of
+/// the seed (seed included on the forward side only)
+/// `elems[ends[i-1].0..ends[i].0]` plus its times `ends[i].1`. One arena per
+/// search unit, so a half costs no allocation of its own.
+#[derive(Default)]
+struct Halves {
     elems: Vec<Uid>,
-    times: Times,
+    ends: Vec<(usize, Times)>,
+}
+
+impl Halves {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn push(&mut self, elems: &[Uid], times: Times) {
+        self.elems.extend_from_slice(elems);
+        self.ends.push((self.elems.len(), times));
+    }
+
+    fn get(&self, i: usize) -> (&[Uid], &Times) {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1].0 };
+        let (hi, times) = &self.ends[i];
+        (&self.elems[lo..*hi], times)
+    }
+
+    /// Append `other`'s halves after this arena's; an empty arena just
+    /// takes `other`'s buffers.
+    fn append(&mut self, mut other: Halves) {
+        if self.ends.is_empty() {
+            *self = other;
+        } else {
+            let base = self.elems.len();
+            self.elems.append(&mut other.elems);
+            self.ends.extend(other.ends.into_iter().map(|(end, t)| (base + end, t)));
+        }
+    }
+}
+
+/// Search roots of one anchor atom, flat and grouped by unit in unit
+/// order: root `i` starts unit `meta[i].0`'s extension tree at path
+/// `elems[meta[i-1].1..meta[i].1]` in states `states[meta[i-1].2..meta[i].2]`.
+#[derive(Default)]
+struct Roots {
+    meta: Vec<(usize, usize, usize)>,
+    elems: Vec<Uid>,
+    states: StateSet,
+}
+
+impl Roots {
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    /// Add a root, draining `states` (the caller's step buffer).
+    fn push(&mut self, unit: usize, elems: &[Uid], states: &mut StateSet) {
+        self.elems.extend_from_slice(elems);
+        self.states.append(states);
+        self.meta.push((unit, self.elems.len(), self.states.len()));
+    }
+
+    fn get(&self, i: usize) -> (usize, &[Uid], &[(u32, Times)]) {
+        let (e0, s0) = if i == 0 { (0, 0) } else { (self.meta[i - 1].1, self.meta[i - 1].2) };
+        let (unit, e1, s1) = self.meta[i];
+        (unit, &self.elems[e0..e1], &self.states[s0..s1])
+    }
 }
 
 /// What every pass of one evaluation shares, read-only: the inputs, the
@@ -351,14 +433,14 @@ struct Env<'a> {
 /// Can an edge of exact `class` satisfy *any* edge-label transition out of
 /// (`fwd`) or into (`!fwd`) the live states? When not, the whole adjacency
 /// bucket is skipped without touching per-neighbor state. The test mirrors
-/// [`ElemMatcher::matches`]'s fast-path rejections exactly (kind + class
-/// only), so skipping a bucket never changes match results or prune counts
-/// — every skipped neighbor would have produced `None` without counting.
+/// [`ElemMatcher::matches`]'s kind and class rejections exactly, so
+/// skipping a bucket never changes match results or prune counts — every
+/// skipped neighbor would have produced `None` without counting.
 fn class_viable(
     plan: &RpePlan,
     atoms: &[BoundAtom],
     schema: &Schema,
-    states: &StateSet,
+    states: &[(u32, Times)],
     class: ClassId,
     fwd: bool,
 ) -> bool {
@@ -380,46 +462,68 @@ fn class_viable(
     false
 }
 
-/// Depth-first extension in one direction. Forwards, `path` holds the
-/// elements consumed so far and `states` the NFA states after them.
-/// Backwards, `path` holds the elements to the LEFT of the seed in
-/// right-to-left order (so `path.last()` is the leftmost element) and
-/// `states` are before-states. Either way `path` ends with a node.
-fn search(env: &Env, m: &mut ElemMatcher, path: &mut Vec<Uid>, states: &StateSet, fwd: bool, out: &mut Vec<Half>) {
+/// Depth-first extension in one direction from `sc.path` in `states`.
+/// Forwards, the path holds the elements consumed so far and `states` the
+/// NFA states after them. Backwards, it holds the elements to the LEFT of
+/// the seed in right-to-left order (so its last element is the leftmost)
+/// and `states` are before-states. Either way the path ends with a node.
+/// `depth` counts hops below the root and picks the level buffer.
+fn search(
+    env: &Env,
+    m: &mut ElemMatcher,
+    sc: &mut Scratch,
+    states: &[(u32, Times)],
+    depth: usize,
+    fwd: bool,
+    out: &mut Halves,
+) {
     if m.checkpoint() {
         return; // cancelled: unwind quickly, the caller surfaces the cause
     }
     if let Some(times) = complete_times(env.plan, states, fwd) {
-        out.push(Half { elems: path.clone(), times });
+        out.push(&sc.path, times);
     }
-    if path.len() + 2 > env.cap {
+    if sc.path.len() + 2 > env.cap {
         return;
     }
-    let last = *path.last().expect("search roots are non-empty");
+    if sc.levels.len() == depth {
+        sc.levels.push(StateSet::new());
+    }
+    let last = *sc.path.last().expect("search roots are non-empty");
     let adj = if fwd { env.view.graph.out_adj_list(last) } else { env.view.graph.in_adj_list(last) };
     for (class, entries) in adj.buckets() {
         if !class_viable(env.plan, m.atoms, m.schema, states, class, fwd) {
             continue;
         }
         for a in entries {
-            if path.contains(&a.edge) || path.contains(&a.other) {
+            if sc.path.contains(&a.edge) || sc.path.contains(&a.other) {
                 continue;
             }
-            let s1 = step(env.plan, m, states, a.edge, false, fwd);
-            if s1.is_empty() {
+            step(env.plan, m, states, a.edge, false, fwd, &mut sc.edge);
+            if sc.edge.is_empty() {
                 continue;
             }
-            let s2 = step(env.plan, m, &s1, a.other, true, fwd);
-            if s2.is_empty() {
-                continue;
+            // The level's buffer is lent to the recursion as its `states`.
+            let mut next = std::mem::take(&mut sc.levels[depth]);
+            step(env.plan, m, &sc.edge, a.other, true, fwd, &mut next);
+            if !next.is_empty() {
+                sc.path.push(a.edge);
+                sc.path.push(a.other);
+                search(env, m, sc, &next, depth + 1, fwd, out);
+                sc.path.truncate(sc.path.len() - 2);
             }
-            path.push(a.edge);
-            path.push(a.other);
-            search(env, m, path, &s2, fwd, out);
-            path.pop();
-            path.pop();
+            sc.levels[depth] = next;
         }
     }
+}
+
+/// [`search`] from one root, on the seat's own buffers.
+fn search_root(env: &Env, m: &mut ElemMatcher, root: &[Uid], states: &[(u32, Times)], fwd: bool, out: &mut Halves) {
+    let mut sc = std::mem::take(&mut m.scratch);
+    sc.path.clear();
+    sc.path.extend_from_slice(root);
+    search(env, m, &mut sc, states, 0, fwd, out);
+    m.scratch = sc;
 }
 
 /// Scan the store for elements satisfying an anchor atom (`Select`).
@@ -446,16 +550,11 @@ fn anchor_scan_cancel(
     let range_mode = view.filter.is_range();
     let to_times = |mt: MatchTime| -> Times {
         match mt {
-            MatchTime::Point => {
-                if range_mode {
-                    Some(universal())
-                } else {
-                    None
-                }
-            }
+            MatchTime::Point => range_mode.then(universal),
             MatchTime::Intervals(set) => Some(set),
         }
     };
+    let mut heat = HeatTally::new(view.graph);
     // Unique-index fast path — only valid against the current snapshot,
     // since the index tracks currently asserted holders.
     if view.filter == TimeFilter::Current {
@@ -464,26 +563,22 @@ fn anchor_scan_cancel(
                 mm.add_seeks(1);
                 mm.add_classes(1);
             }
-            if let Some(uid) = view.graph.find_unique(atom.class, idx, value) {
-                if let Some(mm) = meter {
-                    mm.add_rows(1);
-                    let cost = view.access_cost(uid);
-                    mm.add_bytes(cost.bytes);
-                    mm.add_materializations(cost.materializations);
-                    mm.add_keyframe_hits(cost.keyframe_hits);
-                }
-                if let Some(mt) = view.matching(uid, |f| atom.matches_fields(f)) {
-                    return Ok((vec![(uid, to_times(mt))], 1));
-                }
-                return Ok((Vec::new(), 1));
+            let Some(uid) = view.graph.find_unique(atom.class, idx, value) else { return Ok((Vec::new(), 0)) };
+            if let Some(mm) = meter {
+                mm.add_rows(1);
+                let cost = view.access_cost(uid);
+                mm.add_bytes(cost.bytes);
+                mm.add_materializations(cost.materializations);
+                mm.add_keyframe_hits(cost.keyframe_hits);
             }
-            return Ok((Vec::new(), 0));
+            let hit = match_fields(view, Some(atom), uid, &mut heat);
+            return Ok((hit.map(|mt| (uid, to_times(mt))).into_iter().collect(), 1));
         }
     }
     let mut out = Vec::new();
     let mut scanned = 0u64;
-    // Local tallies so the metered scan issues one atomic add per counter,
-    // not one per row.
+    // Local tallies so the scan issues one atomic add per meter counter and
+    // per class heat counter, not one per row.
     let (mut m_bytes, mut m_mat, mut m_kf, mut m_classes) = (0u64, 0u64, 0u64, 0u64);
     for c in schema.descendants(atom.class) {
         let ext = view.graph.extent_exact(c);
@@ -503,7 +598,7 @@ fn anchor_scan_cancel(
                 m_mat += cost.materializations;
                 m_kf += cost.keyframe_hits;
             }
-            if let Some(mt) = view.matching(uid, |f| atom.matches_fields(f)) {
+            if let Some(mt) = match_fields(view, Some(atom), uid, &mut heat) {
                 out.push((uid, to_times(mt)));
             }
         }
@@ -534,15 +629,22 @@ fn finalize(view: &GraphView, times: Times) -> Option<Times> {
     }
 }
 
-/// Accumulated results: elems → merged times. Every pass inserts through
-/// [`add_result`], whose merge (`IntervalSet::union`, re-normalized) is
-/// commutative and associative — final contents are independent of
-/// insertion order, which is what makes the merge of pool job outputs
-/// deterministic.
-type ResultMap = FxHashMap<Vec<Uid>, Times>;
-
-fn add_result(elems: Vec<Uid>, times: Times, results: &mut ResultMap) {
-    results.entry(elems).and_modify(|t| *t = times_union(std::mem::take(t), &times)).or_insert(times);
+/// Sort accumulated `(elems, times)` results by `elems` and merge adjacent
+/// duplicates with [`times_union`]. An interval set is kept in canonical
+/// form (sorted, disjoint, non-adjacent) and its union is commutative and
+/// associative, so the merged times are the same set whichever order equal
+/// pathways arrived or sorted in — which is what makes the merge of pool
+/// job outputs deterministic, and the outcome the one a map keyed on
+/// `elems` followed by a sort would give.
+fn merge_sorted(results: &mut Vec<(Vec<Uid>, Times)>) {
+    results.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    results.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 = times_union(std::mem::take(&mut kept.1), &later.1);
+        }
+        same
+    });
 }
 
 /// Evaluate a planned RPE under a time-filtered view.
@@ -588,32 +690,47 @@ pub fn try_evaluate(
     result
 }
 
-/// One search unit: every frontier root of one `(candidate, NFA seed
-/// transition)` extension tree, plus the halves already completed while
-/// seeding (root accepts collected while carving out the frontier). After
-/// the search stage, `halves` holds the unit's full half-match list.
+/// One search unit: the extension tree of one `(candidate, NFA seed
+/// transition)` in one direction. `halves` starts with what was completed
+/// while seeding (and carving out the frontier) and, after the search
+/// stage, holds the unit's full half-match list. Its roots live in the
+/// atom's [`Roots`] arena.
 struct Unit {
     fwd: bool,
-    roots: Vec<(Vec<Uid>, StateSet)>,
-    halves: Vec<Half>,
+    halves: Halves,
 }
 
-/// Consume search-tree levels breadth-first on the calling thread until
-/// the frontier holds at least `want` independent subtrees (or the tree is
-/// exhausted). Accepts found at consumed roots go to `prefix`; the
-/// returned frontier items become pool jobs. The step calls made here are
+fn new_unit(units: &mut Vec<Unit>, fwd: bool) -> usize {
+    units.push(Unit { fwd, halves: Halves::default() });
+    units.len() - 1
+}
+
+/// Consume search-tree levels of `unit` breadth-first on the calling
+/// thread, starting from its roots `run` (non-empty) of `roots`, until the
+/// frontier holds at least `want` independent subtrees (or the tree is
+/// exhausted). Accepts
+/// found at consumed roots go to the unit's halves; the frontier is pushed
+/// onto `carved` and becomes pool jobs. The step calls made here are
 /// exactly the ones the depth-first search would have made for the same
 /// prefix paths, so match results and prune counts are unchanged — the
 /// work is split, not redone.
 fn expand_frontier(
     env: &Env,
     m: &mut ElemMatcher,
-    roots: Vec<(Vec<Uid>, StateSet)>,
-    fwd: bool,
+    roots: &Roots,
+    run: std::ops::Range<usize>,
     want: usize,
-    prefix: &mut Vec<Half>,
-) -> Vec<(Vec<Uid>, StateSet)> {
-    let mut queue: VecDeque<(Vec<Uid>, StateSet)> = roots.into();
+    unit: &mut Unit,
+    carved: &mut Roots,
+) {
+    let (ui, fwd) = (roots.meta[run.start].0, unit.fwd);
+    let mut queue: VecDeque<(Vec<Uid>, StateSet)> = run
+        .map(|i| {
+            let (_, path, states) = roots.get(i);
+            (path.to_vec(), states.to_vec())
+        })
+        .collect();
+    let (mut s1, mut s2) = (StateSet::new(), StateSet::new());
     let mut popped = 0usize;
     while queue.len() < want && popped < want.saturating_mul(4) {
         if m.checkpoint() {
@@ -622,7 +739,7 @@ fn expand_frontier(
         let Some((path, states)) = queue.pop_front() else { break };
         popped += 1;
         if let Some(times) = complete_times(env.plan, &states, fwd) {
-            prefix.push(Half { elems: path.clone(), times });
+            unit.halves.push(&path, times);
         }
         if path.len() + 2 > env.cap {
             continue;
@@ -637,22 +754,24 @@ fn expand_frontier(
                 if path.contains(&a.edge) || path.contains(&a.other) {
                     continue;
                 }
-                let s1 = step(env.plan, m, &states, a.edge, false, fwd);
+                step(env.plan, m, &states, a.edge, false, fwd, &mut s1);
                 if s1.is_empty() {
                     continue;
                 }
-                let s2 = step(env.plan, m, &s1, a.other, true, fwd);
+                step(env.plan, m, &s1, a.other, true, fwd, &mut s2);
                 if s2.is_empty() {
                     continue;
                 }
                 let mut p = path.clone();
                 p.push(a.edge);
                 p.push(a.other);
-                queue.push_back((p, s2));
+                queue.push_back((p, std::mem::take(&mut s2)));
             }
         }
     }
-    queue.into_iter().collect()
+    for (path, mut states) in queue {
+        carved.push(ui, &path, &mut states);
+    }
 }
 
 /// Pool usage summed over one evaluation's stages.
@@ -668,11 +787,13 @@ struct PoolTotals {
 
 /// Run one stage's jobs on the pool and fold what the seats report into
 /// the caller's state. Seat 0 — always the calling thread — works with the
-/// caller's own matcher `m`, memo included, so a run that stays on one
-/// seat matches every element at most once per evaluation; the other seats
-/// start from an empty memo. Prune counts and a tripped cancel cause from
-/// every seat end up in `m`; `None` slots are jobs nobody ran because the
-/// token had tripped.
+/// caller's own matcher `m`, memo and search buffers included, so a run
+/// that stays on one seat matches every memoised element at most once per
+/// evaluation; the other seats start from an empty memo. Prune counts and
+/// a tripped cancel cause from every seat end up in `m`; the caller's heat
+/// tally (seeding steps included) is flushed to the store's heatmap here,
+/// a helper seat's when its matcher drops with the reports; `None` slots
+/// are jobs nobody ran because the token had tripped.
 fn run_stage<'a, T: Send>(
     env: &Env<'a>,
     m: &mut ElemMatcher<'a>,
@@ -694,6 +815,7 @@ fn run_stage<'a, T: Send>(
     if let Some(seat0) = reports.first_mut() {
         std::mem::swap(m, &mut seat0.state);
     }
+    m.heat.flush();
     for r in &reports {
         m.temporal_prunes += r.state.temporal_prunes;
         totals.helper_memo += r.state.memo.len() as u64;
@@ -762,8 +884,9 @@ fn op_done(ctx: &mut ExecCtx, op: &str, detail: &str, rows: (u64, u64), elapsed_
 /// The evaluator's passes. Per anchor atom: `Select` the candidates; seed
 /// one search unit per (candidate, distinct NFA seed state) on the calling
 /// thread; run the units' subtrees as pool jobs; cross-combine the halves
-/// (`Union`) as pool jobs; then finalize and sort. Imported seeds skip the
-/// `Select` and the `Union` — every half is already a whole pathway.
+/// (`Union`) as pool jobs; merge the new pathways into the sorted result.
+/// Then finalize. Imported seeds skip the `Select` and the `Union` — every
+/// half is already a whole pathway.
 ///
 /// Units, jobs and union pairs are enumerated in candidate order and job
 /// outputs come back in job order, so nothing observable depends on which
@@ -793,12 +916,17 @@ fn run_passes(
         metrics: ctx.metrics,
     };
     let mut m = ElemMatcher::new(&env);
-    let mut results: ResultMap = ResultMap::default();
+    // Whole pathways found so far, sorted and distinct between atoms.
+    let mut results: Vec<(Vec<Uid>, Times)> = Vec::new();
     let mut pool = PoolTotals::default();
     let ns_since = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
     match seeds {
         Seeds::Anchor => {
+            // Seeding buffers, reused across candidates and atoms.
+            let mut fwd_units: Vec<(u32, Option<usize>)> = Vec::new();
+            let mut seen_pairs: Vec<(u32, u32)> = Vec::new();
+            let (mut seed, mut s1, mut s2) = (StateSet::new(), StateSet::new(), StateSet::new());
             for &occ in &plan.anchor.atoms {
                 let atom = &plan.atoms[occ as usize];
                 let t_sel = enabled.then(Instant::now);
@@ -815,8 +943,9 @@ fn run_passes(
                 let union_before = results.len() as u64;
 
                 // Seed: step over each candidate's own element(s) and
-                // collect search units instead of recursing.
+                // collect search units and their roots instead of recursing.
                 let mut units: Vec<Unit> = Vec::new();
+                let mut roots = Roots::default();
                 let mut pairs: Vec<(usize, usize)> = Vec::new(); // (bwd unit, fwd unit)
                 for (elem, times0) in &candidates {
                     if m.cancel_cause.is_some() {
@@ -836,8 +965,8 @@ fn run_passes(
                     // distinct state (`None` marks a state the edge seed
                     // cannot even step into) and duplicate (from, to) pairs
                     // are skipped outright.
-                    let mut fwd_units: Vec<(u32, Option<usize>)> = Vec::new();
-                    let mut seen_pairs: Vec<(u32, u32)> = Vec::new();
+                    fwd_units.clear();
+                    seen_pairs.clear();
                     for tr in &seed_trans {
                         if seen_pairs.contains(&(tr.from, tr.to)) {
                             continue;
@@ -846,60 +975,67 @@ fn run_passes(
                         let fu = match fwd_units.iter().find(|(s, _)| *s == tr.to) {
                             Some(&(_, u)) => u,
                             None => {
-                                let states: StateSet = vec![(tr.to, times0.clone())];
-                                let root = match edge_ends {
+                                seed.clear();
+                                seed.push((tr.to, times0.clone()));
+                                let u = match edge_ends {
                                     // Edge seed: forward must consume the
                                     // edge's target node first.
                                     Some((_, dst)) => {
-                                        let s2 = step(plan, &mut m, &states, dst, true, true);
-                                        (!s2.is_empty()).then(|| (vec![*elem, dst], s2))
+                                        step(plan, &mut m, &seed, dst, true, true, &mut s2);
+                                        (!s2.is_empty()).then(|| {
+                                            let u = new_unit(&mut units, true);
+                                            roots.push(u, &[*elem, dst], &mut s2);
+                                            u
+                                        })
                                     }
-                                    None => Some((vec![*elem], states)),
+                                    None => {
+                                        let u = new_unit(&mut units, true);
+                                        roots.push(u, &[*elem], &mut seed);
+                                        Some(u)
+                                    }
                                 };
-                                let u = root.map(|root| {
-                                    units.push(Unit { fwd: true, roots: vec![root], halves: Vec::new() });
-                                    units.len() - 1
-                                });
                                 fwd_units.push((tr.to, u));
                                 u
                             }
                         };
                         let Some(fu) = fu else { continue };
-                        let bstates: StateSet = vec![(tr.from, times0.clone())];
-                        if let Some((src, _)) = edge_ends {
-                            let b1 = step(plan, &mut m, &bstates, src, true, false);
-                            if b1.is_empty() {
+                        seed.clear();
+                        seed.push((tr.from, times0.clone()));
+                        let bu = if let Some((src, _)) = edge_ends {
+                            step(plan, &mut m, &seed, src, true, false, &mut s2);
+                            if s2.is_empty() {
                                 continue;
                             }
-                            units.push(Unit { fwd: false, roots: vec![(vec![src], b1)], halves: Vec::new() });
+                            let bu = new_unit(&mut units, false);
+                            roots.push(bu, &[src], &mut s2);
+                            bu
                         } else {
                             // Node seed: the seed itself is the (current)
                             // leftmost element; acceptance before extending
                             // is legal, and the first hop left of the seed
                             // happens here, so every root below is a
                             // standard backward search root.
-                            let mut halves = Vec::new();
-                            if let Some(t) = complete_times(plan, &bstates, false) {
-                                halves.push(Half { elems: Vec::new(), times: t });
+                            let bu = new_unit(&mut units, false);
+                            if let Some(t) = complete_times(plan, &seed, false) {
+                                units[bu].halves.push(&[], t);
                             }
-                            let mut roots = Vec::new();
                             for adj in view.graph.in_adj(*elem) {
                                 if adj.edge == *elem || adj.other == *elem {
                                     continue;
                                 }
-                                let s1 = step(plan, &mut m, &bstates, adj.edge, false, false);
+                                step(plan, &mut m, &seed, adj.edge, false, false, &mut s1);
                                 if s1.is_empty() {
                                     continue;
                                 }
-                                let s2 = step(plan, &mut m, &s1, adj.other, true, false);
+                                step(plan, &mut m, &s1, adj.other, true, false, &mut s2);
                                 if s2.is_empty() {
                                     continue;
                                 }
-                                roots.push((vec![adj.edge, adj.other], s2));
+                                roots.push(bu, &[adj.edge, adj.other], &mut s2);
                             }
-                            units.push(Unit { fwd: false, roots, halves });
-                        }
-                        pairs.push((units.len() - 1, fu));
+                            bu
+                        };
+                        pairs.push((bu, fu));
                     }
                 }
 
@@ -908,43 +1044,51 @@ fn run_passes(
                 // seats busy; carve deeper frontiers out of each unit's
                 // tree. One seat has nobody to share with and searches the
                 // roots as they are.
-                let total_roots: usize = units.iter().map(|u| u.roots.len()).sum();
                 let target = threads * 3;
-                if threads > 1 && total_roots < target && !units.is_empty() {
+                if threads > 1 && roots.len() < target && !units.is_empty() {
                     let want = (target.div_ceil(units.len())).max(2);
-                    for u in units.iter_mut().filter(|u| u.roots.len() < want) {
-                        let t0 = enabled.then(Instant::now);
-                        let roots = std::mem::take(&mut u.roots);
-                        u.roots = expand_frontier(&env, &mut m, roots, u.fwd, want, &mut u.halves);
-                        *(if u.fwd { &mut fwd_ns } else { &mut bwd_ns }) += ns_since(t0);
+                    let mut carved = Roots::default();
+                    let mut i = 0;
+                    while i < roots.len() {
+                        let ui = roots.meta[i].0;
+                        let end = (i..roots.len()).find(|&j| roots.meta[j].0 != ui).unwrap_or(roots.len());
+                        let fwd = units[ui].fwd;
+                        if end - i < want {
+                            let t0 = enabled.then(Instant::now);
+                            expand_frontier(&env, &mut m, &roots, i..end, want, &mut units[ui], &mut carved);
+                            *(if fwd { &mut fwd_ns } else { &mut bwd_ns }) += ns_since(t0);
+                        } else {
+                            for j in i..end {
+                                let (_, path, states) = roots.get(j);
+                                carved.push(ui, path, &mut states.to_vec());
+                            }
+                        }
+                        i = end;
                     }
+                    roots = carved;
                 }
 
                 // Search: run the roots' subtrees on the pool, dealt as
-                // contiguous chunks, each seat carrying its memo across the
-                // chunks it executes. A chunk returns one half-list per run
-                // of roots belonging to one unit.
-                let mut jobs: Vec<(usize, Vec<Uid>, StateSet, bool)> = Vec::new();
-                for (ui, u) in units.iter_mut().enumerate() {
-                    for (path, states) in std::mem::take(&mut u.roots) {
-                        jobs.push((ui, path, states, u.fwd));
-                    }
-                }
-                let bounds = par::chunks(jobs.len(), threads);
+                // contiguous chunks, each seat carrying its memo and
+                // buffers across the chunks it executes. A chunk returns
+                // one half-arena per run of roots belonging to one unit.
+                let bounds = par::chunks(roots.len(), threads);
                 let outs = run_stage(&env, &mut m, &mut pool, "search", bounds.len(), |mw, c| {
-                    let mut out: Vec<(usize, Vec<Half>)> = Vec::new();
+                    let mut out: Vec<(usize, Halves)> = Vec::new();
                     let (mut f_ns, mut b_ns) = (0u64, 0u64);
-                    for (ui, path, states, fwd) in &jobs[bounds[c].clone()] {
+                    for i in bounds[c].clone() {
                         if mw.cancel_cause.is_some() {
                             break;
                         }
-                        if out.last().map(|(u, _)| u) != Some(ui) {
-                            out.push((*ui, Vec::new()));
+                        let (ui, path, states) = roots.get(i);
+                        let fwd = units[ui].fwd;
+                        if out.last().map(|(u, _)| *u) != Some(ui) {
+                            out.push((ui, Halves::default()));
                         }
                         let halves = &mut out.last_mut().expect("pushed above").1;
                         let t0 = enabled.then(Instant::now);
-                        search(&env, mw, &mut path.clone(), states, *fwd, halves);
-                        *(if *fwd { &mut f_ns } else { &mut b_ns }) += ns_since(t0);
+                        search_root(&env, mw, path, states, fwd, halves);
+                        *(if fwd { &mut f_ns } else { &mut b_ns }) += ns_since(t0);
                     }
                     (out, f_ns, b_ns)
                 });
@@ -952,7 +1096,7 @@ fn run_passes(
                     fwd_ns += f_ns;
                     bwd_ns += b_ns;
                     for (ui, halves) in out {
-                        units[ui].halves.extend(halves);
+                        units[ui].halves.append(halves);
                     }
                 }
                 let halves_of =
@@ -980,31 +1124,33 @@ fn run_passes(
                         let (bu, fu) = pairs[pi];
                         let (bwd, fwd) = (&units[bu].halves, &units[fu].halves);
                         let f = fwd.len();
-                        let (first, last) = (lo / f, (hi - 1) / f);
-                        for (bi, b) in bwd.iter().enumerate().take(last + 1).skip(first) {
+                        for bi in lo / f..=(hi - 1) / f {
                             if mw.checkpoint() {
                                 break 'jobs;
                             }
+                            let (b, b_times) = bwd.get(bi);
                             // This job's part of row `bi`.
-                            let row = lo.max(bi * f) - bi * f..hi.min((bi + 1) * f) - bi * f;
-                            'combine: for fh in &fwd[row] {
+                            'combine: for fi in lo.max(bi * f) - bi * f..hi.min((bi + 1) * f) - bi * f {
+                                let (fh, f_times) = fwd.get(fi);
                                 // Cycle check across the two halves.
-                                for u in &b.elems {
-                                    if fh.elems.contains(u) {
+                                for u in b {
+                                    if fh.contains(u) {
                                         continue 'combine;
                                     }
                                 }
-                                let (t, ok) = times_intersect(&b.times, &fh.times);
+                                let (t, ok) = times_intersect(b_times, f_times);
                                 if !ok {
                                     mw.temporal_prunes += 1;
                                     continue;
                                 }
-                                let mut elems = b.elems.clone();
-                                elems.reverse();
-                                elems.extend_from_slice(&fh.elems);
-                                if elems.len() > env.cap {
+                                if b.len() + fh.len() > env.cap {
                                     continue;
                                 }
+                                // The pathway is written once, here, and
+                                // moves from this buffer into the result.
+                                let mut elems = Vec::with_capacity(b.len() + fh.len());
+                                elems.extend(b.iter().rev());
+                                elems.extend_from_slice(fh);
                                 out.push((elems, t));
                             }
                         }
@@ -1013,10 +1159,9 @@ fn run_passes(
                 });
                 for (out, ns) in uouts.into_iter().flatten() {
                     union_ns += ns;
-                    for (e, t) in out {
-                        add_result(e, t, &mut results);
-                    }
+                    results.extend(out);
                 }
+                merge_sorted(&mut results);
 
                 let n_cand = candidates.len() as u64;
                 let atom_attr = ("atom", atom.display.clone());
@@ -1044,8 +1189,9 @@ fn run_passes(
             };
             let bounds = par::chunks(nodes.len(), threads);
             let outs = run_stage(&env, &mut m, &mut pool, "search", bounds.len(), |mw, c| {
-                let mut found: Vec<Half> = Vec::new();
+                let mut found = Halves::default();
                 let mut seeded = 0u64;
+                let mut s1 = StateSet::new();
                 for &node in &nodes[bounds[c].clone()] {
                     if mw.cancel_cause.is_some() {
                         break;
@@ -1053,12 +1199,12 @@ fn run_passes(
                     if !view.graph.is_node(node) {
                         continue;
                     }
-                    let s1 = step(plan, mw, &init, node, true, fwd);
+                    step(plan, mw, &init, node, true, fwd, &mut s1);
                     if s1.is_empty() {
                         continue;
                     }
                     seeded += 1;
-                    search(&env, mw, &mut vec![node], &s1, fwd, &mut found);
+                    search_root(&env, mw, &[node], &s1, fwd, &mut found);
                 }
                 (found, seeded)
             });
@@ -1066,13 +1212,17 @@ fn run_passes(
             for (found, s) in outs.into_iter().flatten() {
                 seeded += s;
                 halves += found.len() as u64;
-                for mut h in found {
+                let mut lo = 0;
+                for (hi, times) in found.ends {
+                    let mut elems = found.elems[lo..hi].to_vec();
                     if !fwd {
-                        h.elems.reverse();
+                        elems.reverse();
                     }
-                    add_result(h.elems, h.times, &mut results);
+                    results.push((elems, times));
+                    lo = hi;
                 }
             }
+            merge_sorted(&mut results);
             let (op, select, extend) = if fwd {
                 ("Extend(fwd)", "imported source seeds", "from imported sources")
             } else {
@@ -1108,13 +1258,13 @@ fn run_passes(
         return Err(cause.into());
     }
 
-    let mut out: Vec<Pathway> = Vec::new();
+    // `results` is sorted by elements; finalizing keeps the order.
+    let mut out: Vec<Pathway> = Vec::with_capacity(results.len());
     for (elems, times) in results {
         if let Some(t) = finalize(view, times) {
             out.push(Pathway { elems, times: t });
         }
     }
-    out.sort_by(|a, b| a.elems.cmp(&b.elems));
     if let Some(limit) = opts.limit {
         out.truncate(limit);
     }

@@ -3,8 +3,8 @@
 //! out the same at 1, 2 and 4 participants under every kind of time
 //! filter — same pathways, same operator rows, same logical meter counts,
 //! and the same result digest through `Engine::query` (which adds the
-//! planner's cost probes, the per-variable fan-out and the hash-join key
-//! extraction, all dealt to the same pool).
+//! planner's cost probes and the per-variable fan-out, both dealt to the
+//! same pool).
 
 use std::sync::Arc;
 
