@@ -213,8 +213,9 @@ impl Backend for RelationalBackend {
                 for tname in tables {
                     let Ok(t) = self.db.table_mut(&tname) else { continue };
                     let ncols = t.cols.len();
-                    for rid in t.probe(0, &Value::Int(uid.0 as i64)) {
-                        let row = &t.rows[rid as usize];
+                    let (rids, rows) = t.probe(0, &Value::Int(uid.0 as i64));
+                    for &rid in rids {
+                        let row = &rows[rid as usize];
                         let from = match &row[ncols - 2] {
                             Value::Ts(t) => *t,
                             _ => continue,

@@ -98,7 +98,7 @@ impl<T: Transport> GremlinClient<T> {
         let mut frames = 0u64;
         let mut bytes = 0u64;
         loop {
-            let (frame, received) = read_frame_counted(&mut self.conn)?;
+            let (mut frame, received) = read_frame_counted(&mut self.conn)?;
             self.wire.frames_received += 1;
             self.wire.bytes_received += received;
             frames += 1;
@@ -127,8 +127,9 @@ impl<T: Transport> GremlinClient<T> {
                     if code == status::PARTIAL_CONTENT {
                         self.wire.partial_batches += 1;
                     }
-                    if let Some(data) = frame.get("result").and_then(|r| r.get("data")).and_then(|d| d.as_arr()) {
-                        out.extend(data.iter().cloned());
+                    // The frame is ours: move the batch out instead of copying it.
+                    if let Some(Json::Arr(data)) = frame.get_mut("result").and_then(|r| r.get_mut("data")) {
+                        out.append(data);
                     }
                     if code == status::SUCCESS {
                         absorb_server_timing(&frame, &rt_span, &id);

@@ -12,12 +12,14 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use nepal_graph::Uid;
 use nepal_obs::SpanHandle;
-use nepal_rpe::{BoundAtom, BoundPred, CancelCause, CancelToken, EvalOptions, Label, Norm, Pathway, RpePlan, Seeds};
-use nepal_schema::{ClassKind, Schema, Ts, Value};
+use nepal_rpe::{
+    BoundAtom, BoundPred, CancelCause, CancelToken, CmpOp, EvalOptions, Label, Norm, Pathway, RpePlan, Seeds,
+};
+use nepal_schema::{Schema, Ts, Value};
 
 use crate::client::GremlinClient;
 use crate::graph::label_matches_prefix;
-use crate::json::{json_to_value, Json};
+use crate::json::{json_to_value, value_to_json, Json};
 use crate::load::OPEN_TS;
 use crate::protocol::ProtoError;
 use crate::server::Transport;
@@ -144,13 +146,7 @@ impl<'a, T: Transport> GremlinEval<'a, T> {
         let atom = &self.plan.atoms[atom_idx as usize];
         let mut steps: Vec<GStep> = if atom.is_node { vec![GStep::V(vec![])] } else { vec![GStep::E(vec![])] };
         steps.push(GStep::HasLabelPrefix(self.prefixes[atom_idx as usize].clone()));
-        for p in &atom.preds {
-            if p.op == nepal_rpe::CmpOp::Eq {
-                if let Some(j) = scalar_json(&p.value) {
-                    steps.push(GStep::Has(p.field_name.clone(), GCmp::Eq, j));
-                }
-            }
-        }
+        steps.extend(atom.preds.iter().filter_map(has_step));
         steps.extend(self.alive_steps());
         let sel_span = self.span.child("Select");
         sel_span.attr("atom", &atom.display);
@@ -303,18 +299,32 @@ impl<'a, T: Transport> GremlinEval<'a, T> {
     }
 }
 
-fn scalar_json(v: &Value) -> Option<Json> {
-    match v {
-        Value::Int(i) => Some(Json::Num(*i as f64)),
-        Value::Str(s) => Some(Json::Str(s.clone())),
-        Value::Bool(b) => Some(Json::Bool(*b)),
-        _ => None,
-    }
+/// The `has` step a predicate is pushed down as, if it can be: `Eq` on a
+/// scalar top-level field, the literal encoded the way the loader stores
+/// the property (so an int beyond ±2^53 travels as its `@i` tag).
+fn has_step(p: &BoundPred) -> Option<GStep> {
+    let scalar = matches!(p.value, Value::Int(_) | Value::Str(_) | Value::Bool(_));
+    (p.op == CmpOp::Eq && p.sub_path.is_empty() && scalar)
+        .then(|| GStep::Has(p.field_name.clone(), GCmp::Eq, value_to_json(&p.value)))
+}
+
+/// An `ExtendBlock`-shaped plan: `anchor -> [edge]{min,max} -> end`, with
+/// `forwards` false when the anchor is the RPE's last atom.
+struct ExtendBlock {
+    anchor: u32,
+    edge: u32,
+    end: u32,
+    min: u32,
+    max: u32,
+    forwards: bool,
 }
 
 /// Detect the `node-atom -> [edge-atom]{min,max} -> node-atom` shape that
-/// the ExtendBlock operator ships as a single `repeat` traversal.
-fn extend_block_shape(plan: &RpePlan) -> Option<(u32, u32, u32, u32, u32)> {
+/// the ExtendBlock operator ships as a single `repeat` traversal: anchored
+/// on one end node, predicate-free edges, and every predicate of the other
+/// end pushable as a `has` step (the server filters the end, the client
+/// takes its answer as is).
+fn extend_block_shape(plan: &RpePlan) -> Option<ExtendBlock> {
     // norm is Alt of chains (expanded repetition) inside a Seq.
     let Norm::Seq(parts) = &plan.norm else { return None };
     if parts.len() != 3 {
@@ -357,7 +367,15 @@ fn extend_block_shape(plan: &RpePlan) -> Option<(u32, u32, u32, u32, u32)> {
         min = min.min(atoms.len() as u32);
         max = max.max(atoms.len() as u32);
     }
-    Some((first, edge_atom?, min, max, last))
+    let (anchor, end, forwards) = match plan.anchor.atoms[..] {
+        [a] if a == first => (first, last, true),
+        [a] if a == last => (last, first, false),
+        _ => return None,
+    };
+    if !plan.atoms[end as usize].preds.iter().all(|p| has_step(p).is_some()) {
+        return None;
+    }
+    Some(ExtendBlock { anchor, edge: edge_atom?, end, min, max, forwards })
 }
 
 /// Evaluate a planned RPE against a Gremlin server. Under a live `span`
@@ -392,53 +410,41 @@ pub fn evaluate_gremlin<T: Transport>(
 
     // --- ExtendBlock fast path ---
     if use_extend_block && matches!(seeds, Seeds::Anchor) {
-        if let Some((first, edge_atom, min, max, last)) = extend_block_shape(plan) {
-            if plan.anchor.atoms == [first] || plan.anchor.atoms == [last] {
-                let anchored_first = plan.anchor.atoms == [first];
-                let anchor_atom = if anchored_first { first } else { last };
-                let other_atom = if anchored_first { last } else { first };
-                let ids = ev.select(anchor_atom)?;
-                if !ids.is_empty() {
-                    let prefix = ev.prefixes[edge_atom as usize].clone();
-                    let mut body =
-                        vec![if anchored_first { GStep::OutE(Some(prefix)) } else { GStep::InE(Some(prefix)) }];
-                    body.extend(ev.alive_steps());
-                    body.push(if anchored_first { GStep::InV } else { GStep::OutV });
-                    body.extend(ev.alive_steps());
-                    body.push(GStep::SimplePath);
-                    let steps = vec![GStep::V(ids), GStep::Repeat(body, min, max), GStep::Path];
-                    let eb_span = ev.span.child("ExtendBlock");
-                    eb_span.attr("min", min);
-                    eb_span.attr("max", max);
-                    let raw = ev.submit(&steps, &eb_span)?;
-                    eb_span.attr("paths", raw.len());
-                    drop(eb_span);
-                    let other = &plan.atoms[other_atom as usize];
-                    let other_prefix = ev.prefixes[other_atom as usize].clone();
-                    for r in &raw {
-                        let Some(path) = r.get("path").and_then(|p| p.as_arr()) else { continue };
-                        let mut uids = Vec::with_capacity(path.len());
-                        let mut infos = Vec::with_capacity(path.len());
-                        for el in path {
-                            let Some((id, info)) = ElemInfo::from_json(el) else { continue };
-                            uids.push(id);
-                            infos.push(info);
-                        }
-                        let Some(end) = infos.last() else { continue };
-                        if !label_matches_prefix(&end.label, &other_prefix)
-                            || !other.preds.iter().all(|p| pred_by_name(&end.props, p))
-                            || !end.alive(time)
-                        {
-                            continue;
-                        }
-                        if !anchored_first {
-                            uids.reverse();
-                        }
-                        results.insert(uids);
+        if let Some(eb) = extend_block_shape(plan) {
+            let ids = ev.select(eb.anchor)?;
+            if !ids.is_empty() {
+                let prefix = ev.prefixes[eb.edge as usize].clone();
+                let mut body = vec![if eb.forwards { GStep::OutE(Some(prefix)) } else { GStep::InE(Some(prefix)) }];
+                body.extend(ev.alive_steps());
+                body.push(if eb.forwards { GStep::InV } else { GStep::OutV });
+                body.extend(ev.alive_steps());
+                body.push(GStep::SimplePath);
+                // The end filter runs on the server; the body's alive steps
+                // already hold for the end vertex, so only label and
+                // predicates follow the loop, and only ids come back.
+                let mut steps = vec![
+                    GStep::V(ids),
+                    GStep::Repeat(body, eb.min, eb.max),
+                    GStep::HasLabelPrefix(ev.prefixes[eb.end as usize].clone()),
+                ];
+                steps.extend(plan.atoms[eb.end as usize].preds.iter().filter_map(has_step));
+                steps.push(GStep::PathIds);
+                let eb_span = ev.span.child("ExtendBlock");
+                eb_span.attr("min", eb.min);
+                eb_span.attr("max", eb.max);
+                let raw = ev.submit(&steps, &eb_span)?;
+                eb_span.attr("paths", raw.len());
+                drop(eb_span);
+                for r in &raw {
+                    let Some(path) = r.as_arr() else { continue };
+                    let mut uids: Vec<u64> = path.iter().filter_map(Json::as_u64).collect();
+                    if !eb.forwards {
+                        uids.reverse();
                     }
+                    results.insert(uids);
                 }
-                return Ok(finish(results, opts, ev.client.round_trips - start_trips));
             }
+            return Ok(finish(results, opts, ev.client.round_trips - start_trips));
         }
     }
 
@@ -555,9 +561,4 @@ fn finish(results: HashSet<Vec<u64>>, opts: &EvalOptions, round_trips: u64) -> G
         pathways.truncate(limit);
     }
     GremlinExecResult { pathways, round_trips }
-}
-
-#[allow(unused)]
-fn _kind_used(k: ClassKind) -> bool {
-    k == ClassKind::Node
 }

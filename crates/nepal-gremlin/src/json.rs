@@ -34,6 +34,13 @@ impl Json {
         }
     }
 
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Obj(m) => m.get_mut(key),
+            _ => None,
+        }
+    }
+
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -276,12 +283,16 @@ impl<'a> P<'a> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.b[self.i..])
-                        .map_err(|_| JsonError { pos: self.i, msg: "invalid utf8".into() })?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.i += c.len_utf8();
+                    // Copy the run up to the next `"` or `\` in one go: both
+                    // are ASCII, so the run ends on a char boundary and is
+                    // validated once.
+                    let start = self.i;
+                    while self.i < self.b.len() && !matches!(self.b[self.i], b'"' | b'\\') {
+                        self.i += 1;
+                    }
+                    let run = std::str::from_utf8(&self.b[start..self.i])
+                        .map_err(|_| JsonError { pos: start, msg: "invalid utf8".into() })?;
+                    s.push_str(run);
                 }
                 None => return self.err("unterminated string"),
             }
@@ -452,6 +463,18 @@ mod tests {
             let j2 = parse_json(&text).unwrap();
             assert_eq!(json_to_value(&j2), v, "codec failed for {v:?}");
         }
+    }
+
+    #[test]
+    fn megabyte_string_heavy_document_round_trips() {
+        // Escapes and multibyte characters in every string; a decoder that
+        // rescans the rest of the buffer per character needs about a minute.
+        let label = |i: usize| Json::Str(format!("vm-{i} \"q\" \\ \t é ☃ {}", "x".repeat(48)));
+        let doc =
+            Json::Arr((0..16_000).map(|i| Json::obj(vec![("id", Json::Num(i as f64)), ("label", label(i))])).collect());
+        let text = doc.to_string();
+        assert!(text.len() >= 1 << 20, "document is only {} bytes", text.len());
+        assert_eq!(parse_json(&text).unwrap(), doc);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! selection, label-prefix filtering (class inheritance), property
 //! filters, edge/vertex hops in both directions, bounded `repeat` (the
 //! `ExtendBlock` loop-unrolling operator), `simplePath` cycle pruning,
-//! `path` extraction with full element detail, plus the usual `dedup`,
-//! `limit`, `count`, `values`, and `id` terminators.
+//! `path` extraction with full element detail or as ids only
+//! (`path().by(id)`), plus the usual `dedup`, `limit`, `count`, `values`,
+//! and `id` terminators. `V()` / `E()` directly followed by a label-prefix
+//! filter start from the label index rather than the whole graph.
 
 use std::collections::BTreeMap;
 
@@ -154,6 +156,8 @@ pub enum GStep {
     SimplePath,
     /// Emit the traverser's full path (elements with labels and props).
     Path,
+    /// `path().by(id)`: emit the traverser's path as an array of ids.
+    PathIds,
     /// Deduplicate by current element.
     Dedup,
     /// Keep the first n traversers.
@@ -212,6 +216,12 @@ fn elem_json(g: &PropertyGraph, e: ElemRef, detail: bool) -> Json {
     }
 }
 
+fn elem_id_json(e: ElemRef) -> Json {
+    match e {
+        ElemRef::V(id) | ElemRef::E(id) => Json::Num(id as f64),
+    }
+}
+
 fn get_prop<'a>(g: &'a PropertyGraph, e: ElemRef, key: &str) -> Option<&'a Json> {
     match e {
         ElemRef::V(id) => g.vertex(id)?.props.get(key),
@@ -224,6 +234,28 @@ fn get_label(g: &PropertyGraph, e: ElemRef) -> Option<&str> {
         ElemRef::V(id) => g.vertex(id).map(|v| v.label.as_str()),
         ElemRef::E(id) => g.edge(id).map(|v| v.label.as_str()),
     }
+}
+
+/// Start ids of `V(ids)` / `E(ids)`: the given ids, else every element in
+/// id order. When the next step is `hasLabelPrefix(p)` the candidates come
+/// from the label index instead of the whole graph; that step still runs,
+/// so the result is the same.
+fn start_ids(
+    ids: &[u64],
+    next: Option<&GStep>,
+    with_prefix: impl FnOnce(&str) -> Vec<u64>,
+    all: impl FnOnce() -> Vec<u64>,
+) -> Vec<u64> {
+    if !ids.is_empty() {
+        return ids.to_vec();
+    }
+    let mut out = match next {
+        Some(GStep::HasLabelPrefix(p)) => with_prefix(p),
+        _ => all(),
+    };
+    out.sort_unstable();
+    out.dedup();
+    out
 }
 
 /// Evaluate a bytecode program against a graph. Returns one JSON result
@@ -244,22 +276,22 @@ pub fn evaluate_cancel(
 ) -> Result<Vec<Json>, EvalError> {
     let mut ts: Vec<Traverser> = Vec::new();
     let mut started = false;
-    let mut want_path = false;
+    // `Path` or `PathIds`, whichever came last.
+    let mut want_path: Option<&GStep> = None;
     let mut terminator: Option<&GStep> = None;
     let mut ticker = Ticker { tok: cancel, n: 0 };
 
-    for step in steps {
+    for (i, step) in steps.iter().enumerate() {
         ticker.check()?;
         match step {
             GStep::V(ids) => {
                 started = true;
-                let ids: Vec<u64> = if ids.is_empty() {
-                    let mut all: Vec<u64> = g.vertices.keys().copied().collect();
-                    all.sort_unstable();
-                    all
-                } else {
-                    ids.clone()
-                };
+                let ids = start_ids(
+                    ids,
+                    steps.get(i + 1),
+                    |p| g.vertices_with_label_prefix(p),
+                    || g.vertices.keys().copied().collect(),
+                );
                 ts = ids
                     .into_iter()
                     .filter(|id| g.vertex(*id).is_some())
@@ -268,13 +300,12 @@ pub fn evaluate_cancel(
             }
             GStep::E(ids) => {
                 started = true;
-                let ids: Vec<u64> = if ids.is_empty() {
-                    let mut all: Vec<u64> = g.edges.keys().copied().collect();
-                    all.sort_unstable();
-                    all
-                } else {
-                    ids.clone()
-                };
+                let ids = start_ids(
+                    ids,
+                    steps.get(i + 1),
+                    |p| g.edges_with_label_prefix(p),
+                    || g.edges.keys().copied().collect(),
+                );
                 ts = ids
                     .into_iter()
                     .filter(|id| g.edge(*id).is_some())
@@ -330,7 +361,7 @@ pub fn evaluate_cancel(
                     return Err(EvalError::Other("bad repeat bounds".into()));
                 }
                 let mut emitted: Vec<Traverser> = Vec::new();
-                let mut frontier = ts.clone();
+                let mut frontier = std::mem::take(&mut ts);
                 if *min == 0 {
                     emitted.extend(frontier.iter().cloned());
                 }
@@ -357,8 +388,8 @@ pub fn evaluate_cancel(
                     t.path.iter().all(|e| seen.insert(*e))
                 });
             }
-            GStep::Path => {
-                want_path = true;
+            GStep::Path | GStep::PathIds => {
+                want_path = Some(step);
             }
             GStep::Dedup => {
                 let mut seen = std::collections::HashSet::new();
@@ -376,17 +407,17 @@ pub fn evaluate_cancel(
     Ok(match terminator {
         Some(GStep::Count) => vec![Json::Num(ts.len() as f64)],
         Some(GStep::Values(key)) => ts.iter().filter_map(|t| get_prop(g, t.elem, key).cloned()).collect(),
-        Some(GStep::Id) => ts
-            .iter()
-            .map(|t| match t.elem {
-                ElemRef::V(id) | ElemRef::E(id) => Json::Num(id as f64),
-            })
-            .collect(),
-        _ if want_path => ts
-            .iter()
-            .map(|t| Json::obj(vec![("path", Json::Arr(t.path.iter().map(|e| elem_json(g, *e, true)).collect()))]))
-            .collect(),
-        _ => ts.iter().map(|t| elem_json(g, t.elem, true)).collect(),
+        Some(GStep::Id) => ts.iter().map(|t| elem_id_json(t.elem)).collect(),
+        _ => match want_path {
+            Some(GStep::PathIds) => {
+                ts.iter().map(|t| Json::Arr(t.path.iter().map(|e| elem_id_json(*e)).collect())).collect()
+            }
+            Some(_) => ts
+                .iter()
+                .map(|t| Json::obj(vec![("path", Json::Arr(t.path.iter().map(|e| elem_json(g, *e, true)).collect()))]))
+                .collect(),
+            None => ts.iter().map(|t| elem_json(g, t.elem, true)).collect(),
+        },
     })
 }
 
@@ -485,6 +516,7 @@ fn step_to_json(s: &GStep) -> Json {
         ]),
         GStep::SimplePath => Json::Arr(vec![Json::Str("simplePath".into())]),
         GStep::Path => Json::Arr(vec![Json::Str("path".into())]),
+        GStep::PathIds => Json::Arr(vec![Json::Str("pathIds".into())]),
         GStep::Dedup => Json::Arr(vec![Json::Str("dedup".into())]),
         GStep::Limit(n) => Json::Arr(vec![Json::Str("limit".into()), Json::Num(*n as f64)]),
         GStep::Count => Json::Arr(vec![Json::Str("count".into())]),
@@ -527,6 +559,7 @@ fn step_from_json(j: &Json) -> Result<GStep, String> {
         ),
         "simplePath" => GStep::SimplePath,
         "path" => GStep::Path,
+        "pathIds" => GStep::PathIds,
         "dedup" => GStep::Dedup,
         "limit" => GStep::Limit(arg(1)?.as_u64().ok_or("bad limit")?),
         "count" => GStep::Count,
@@ -646,12 +679,52 @@ mod tests {
             GStep::Repeat(vec![GStep::OutE(None), GStep::InV], 1, 6),
             GStep::SimplePath,
             GStep::Path,
+            GStep::PathIds,
         ];
         let j = bytecode_to_json(&steps);
         let text = j.to_string();
         let parsed = crate::json::parse_json(&text).unwrap();
         let back = bytecode_from_json(&parsed).unwrap();
         assert_eq!(steps, back);
+    }
+
+    #[test]
+    fn label_indexed_start_matches_full_scan() {
+        let mut g = graph();
+        g.add_vertex(0, "Node:VNF", props(&[]));
+        // Re-adding a vertex under another label leaves a stale index entry.
+        g.add_vertex(2, "Node:VNF:Firewall", props(&[]));
+        // A step between V() and the filter forces the full scan.
+        for prefix in ["Node:VNF", "Node", "Node:VFC", "Node:Nope"] {
+            let indexed = evaluate(&g, &[GStep::V(vec![]), GStep::HasLabelPrefix(prefix.into()), GStep::Id]).unwrap();
+            let scanned =
+                evaluate(&g, &[GStep::V(vec![]), GStep::Dedup, GStep::HasLabelPrefix(prefix.into()), GStep::Id])
+                    .unwrap();
+            assert_eq!(indexed, scanned, "prefix {prefix}");
+        }
+        let r = evaluate(&g, &[GStep::V(vec![]), GStep::HasLabelPrefix("Node:VNF".into()), GStep::Id]).unwrap();
+        assert_eq!(r, vec![Json::Num(0.0), Json::Num(1.0), Json::Num(2.0)]);
+        let r = evaluate(&g, &[GStep::E(vec![]), GStep::HasLabelPrefix("Edge:Vertical:HostedOn".into()), GStep::Id])
+            .unwrap();
+        assert_eq!(r, vec![Json::Num(11.0), Json::Num(12.0)]);
+    }
+
+    #[test]
+    fn path_ids_ships_only_ids() {
+        let g = graph();
+        let r = evaluate(
+            &g,
+            &[
+                GStep::V(vec![1]),
+                GStep::Repeat(vec![GStep::OutE(Some("Edge:Vertical".into())), GStep::InV], 2, 2),
+                GStep::PathIds,
+            ],
+        )
+        .unwrap();
+        assert_eq!(
+            r,
+            vec![Json::Arr(vec![Json::Num(1.0), Json::Num(10.0), Json::Num(2.0), Json::Num(11.0), Json::Num(3.0)])]
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! churn), and the ExtendBlock fast path must match the generic path while
 //! using fewer round trips.
 
-use std::sync::Arc;
+use std::io::{Read, Write};
+use std::sync::{Arc, Mutex};
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
+use nepal_gremlin::server::PipeEnd;
 use nepal_gremlin::{
     evaluate_gremlin, property_graph_from, serve_in_process, GremlinClient, GremlinServer, GremlinTime,
 };
@@ -84,12 +86,15 @@ const QUERIES: &[&str] = &[
     "(VNF(vnf_id=1)|VFC(vfc_id=1))",
 ];
 
-fn check(g: &TemporalGraph, q: &str, native_filter: TimeFilter, gtime: GremlinTime, block: bool) {
+/// Evaluate `q` natively and over the wire and assert the same pathways;
+/// returns the response bytes of each Gremlin round trip.
+fn check(g: &TemporalGraph, q: &str, native_filter: TimeFilter, gtime: GremlinTime, block: bool) -> Vec<String> {
     let plan = plan_rpe(g.schema(), &parse_rpe(q).unwrap(), &GraphEstimator { graph: g }).unwrap();
     let view = GraphView::new(g, native_filter);
     let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
     let pg = Arc::new(RwLock::new(property_graph_from(g)));
-    let mut client = GremlinClient::new(serve_in_process(pg));
+    let responses = Arc::new(Mutex::new(Vec::new()));
+    let mut client = GremlinClient::new(Recorder { inner: serve_in_process(pg), responses: responses.clone() });
     let res = evaluate_gremlin(
         &mut client,
         g.schema(),
@@ -108,6 +113,41 @@ fn check(g: &TemporalGraph, q: &str, native_filter: TimeFilter, gtime: GremlinTi
         native.len(),
         res.pathways.len()
     );
+    drop(client);
+    let responses = std::mem::take(&mut *responses.lock().unwrap());
+    responses.into_iter().map(|r| String::from_utf8_lossy(&r).into_owned()).collect()
+}
+
+/// A transport that keeps the bytes of every response: a write after a
+/// read starts the next round trip's buffer.
+struct Recorder {
+    inner: PipeEnd,
+    responses: Arc<Mutex<Vec<Vec<u8>>>>,
+}
+
+impl Read for Recorder {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        if let Some(last) = self.responses.lock().unwrap().last_mut() {
+            last.extend_from_slice(&buf[..n]);
+        }
+        Ok(n)
+    }
+}
+
+impl Write for Recorder {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut responses = self.responses.lock().unwrap();
+        if responses.last().is_none_or(|r| !r.is_empty()) {
+            responses.push(Vec::new());
+        }
+        drop(responses);
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
 }
 
 #[test]
@@ -134,15 +174,61 @@ fn as_of_liveness_equivalence() {
 
 #[test]
 fn extend_block_matches_generic_path() {
+    let times = [
+        (TimeFilter::Current, GremlinTime::Current),
+        (TimeFilter::AsOf(50), GremlinTime::AsOf(50)),
+        (TimeFilter::AsOf(120), GremlinTime::AsOf(120)),
+        (TimeFilter::AsOf(200), GremlinTime::AsOf(200)),
+    ];
     for seed in 0..3u64 {
         let g = random_graph(seed, 10);
-        for q in [
-            "VNF(vnf_id=2)->[Vertical()]{1,6}->Host()",
-            "VNF()->[Vertical()]{1,6}->Host(host_id=3)",
-            "Host(host_id=0)->[Connects()]{1,3}->Host()",
-        ] {
-            check(&g, q, TimeFilter::Current, GremlinTime::Current, true);
+        for (native_filter, gtime) in times {
+            // The ExtendBlock round trip (the second) ships ids only, its
+            // end atom filtered on the server.
+            for q in [
+                "VNF(vnf_id=2)->[Vertical()]{1,6}->Host()",
+                "VNF()->[Vertical()]{1,6}->Host(host_id=3)",
+                "Host(host_id=0)->[Connects()]{1,3}->Host()",
+                "VFC(vfc_id=1)->[Vertical()]{1,3}->VM(status='Green')",
+            ] {
+                let responses = check(&g, q, native_filter, gtime, true);
+                assert_eq!(responses.len(), 2, "`{q}`: select + one repeat traversal");
+                assert!(!responses[1].contains("\"properties\""), "`{q}`: ExtendBlock shipped element detail");
+            }
+            // A non-`Eq` end predicate cannot be pushed down: the generic
+            // walk answers, with more round trips.
+            let q = "VFC(vfc_id=1)->[Vertical()]{1,3}->Host(host_id>=2)";
+            assert!(check(&g, q, native_filter, gtime, true).len() > 2, "`{q}` took the fast path");
         }
+    }
+}
+
+#[test]
+fn large_int_predicates_match_over_gremlin() {
+    // Ints beyond ±2^53 are stored as `@i` tags; a `has` literal must be
+    // encoded the same way for anchor selection and the end filter.
+    let big = (1i64 << 53) + 1;
+    let s: Arc<Schema> = Arc::new(parse_schema(SCHEMA).unwrap());
+    let mut g = TemporalGraph::new(s.clone());
+    let c = |x: &str| s.class_by_name(x).unwrap();
+    let vnf = g.insert_node(c("VNF"), vec![Value::Int(big)], 0).unwrap();
+    let vfc = g.insert_node(c("VFC"), vec![Value::Int(big)], 0).unwrap();
+    let host = g.insert_node(c("Host"), vec![Value::Int(big)], 0).unwrap();
+    g.insert_node(c("VNF"), vec![Value::Int(big - 1)], 0).unwrap();
+    g.insert_edge(c("ComposedOf"), vnf, vfc, vec![], 0).unwrap();
+    g.insert_edge(c("HostedOn"), vfc, host, vec![], 0).unwrap();
+    for q in [
+        format!("VNF(vnf_id={big})->[Vertical()]{{1,2}}->Host()"),
+        format!("VNF()->[Vertical()]{{1,2}}->Host(host_id={big})"),
+        format!("VNF(vnf_id={big})->[Vertical()]{{1,2}}->Host(host_id={big})"),
+        format!("VFC(vfc_id={big})"),
+    ] {
+        for block in [false, true] {
+            check(&g, &q, TimeFilter::Current, GremlinTime::Current, block);
+        }
+        let plan = plan_rpe(g.schema(), &parse_rpe(&q).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+        let view = GraphView::new(&g, TimeFilter::Current);
+        assert_eq!(evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default()).len(), 1, "`{q}`");
     }
 }
 

@@ -15,12 +15,13 @@ use std::collections::{HashMap, HashSet};
 
 use nepal_graph::{Interval, IntervalSet, TimeFilter, Uid, FOREVER};
 use nepal_obs::SpanHandle;
-use nepal_rpe::{CancelCause, CancelToken, EvalOptions, Label, Pathway, RpePlan, Seeds};
+use nepal_rpe::{BoundPred, CancelCause, CancelToken, CmpOp, EvalOptions, Label, Pathway, RpePlan, Seeds};
 use nepal_schema::{format_ts, Schema, Ts, Value};
 
 use crate::db::RelDb;
 use crate::error::Result;
 use crate::load::{field_offset, history_name, table_name};
+use crate::table::{ColDef, ColType};
 
 /// Result of a relational evaluation: the pathways plus the SQL script the
 /// translator generated for the target DBMS.
@@ -28,7 +29,9 @@ use crate::load::{field_offset, history_name, table_name};
 pub struct RelResult {
     pub pathways: Vec<Pathway>,
     pub sql: Vec<String>,
-    /// Version rows examined by `Select` scans over class tables.
+    /// Version rows examined by `Select` over class tables: every row of a
+    /// scanned table, or only the rows a hash-index probe returned when an
+    /// anchor predicate is an `Eq` on a scalar column.
     pub rows_scanned: u64,
     /// Candidate rows probed by `Extend` equi-joins (before predicates).
     pub rows_joined: u64,
@@ -40,7 +43,8 @@ struct Row {
     seed_uid: i64,
     seed_tr: u32,
     uid_list: Vec<i64>,
-    concepts: Vec<String>,
+    /// `concept_list`: per element, an index into `Evaluator::concepts`.
+    concepts: Vec<u32>,
     curr: i64,
     /// The forced next element (edge endpoint) when the last consumed
     /// element was an edge; `None` when it was a node.
@@ -64,6 +68,8 @@ struct Evaluator<'a> {
     plan: &'a RpePlan,
     filter: TimeFilter,
     sql: Vec<String>,
+    /// Concept names the rows' `concepts` index into.
+    concepts: Vec<String>,
     temp_counter: u32,
     rows_scanned: u64,
     rows_joined: u64,
@@ -125,6 +131,19 @@ impl<'a> Evaluator<'a> {
         out
     }
 
+    /// Index into `concepts` of a class table's concept (its name without
+    /// the history suffix).
+    fn concept_id(&mut self, tname: &str) -> u32 {
+        let name = tname.trim_end_matches("__history");
+        match self.concepts.iter().position(|c| c == name) {
+            Some(i) => i as u32,
+            None => {
+                self.concepts.push(name.to_string());
+                (self.concepts.len() - 1) as u32
+            }
+        }
+    }
+
     fn label_is_node(&self, label: Label) -> bool {
         match label {
             Label::AnyNode => true,
@@ -146,9 +165,11 @@ impl<'a> Evaluator<'a> {
     /// `Select`: scan class tables for elements satisfying an atom, one row
     /// per matching version. For edge atoms the returned pair carries the
     /// source endpoint so the backward pass can seed with `pending=source`
-    /// while the forward pass uses `pending=target`.
+    /// while the forward pass uses `pending=target`. An `Eq` predicate on a
+    /// scalar column probes that column's hash index instead of scanning.
     fn select_atom(&mut self, atom_idx: u32, seed_tr: u32) -> Vec<SeedPair> {
-        let atom = self.plan.atoms[atom_idx as usize].clone();
+        let plan = self.plan;
+        let atom = &plan.atoms[atom_idx as usize];
         let label = Label::Atom(atom_idx);
         let is_node = atom.is_node;
         let scan_span = self.span.child("Scan");
@@ -160,14 +181,23 @@ impl<'a> Evaluator<'a> {
             if !self.db.has_table(tname) {
                 continue;
             }
-            let t = self.db.table(tname).unwrap();
+            let concept = self.concept_id(tname);
+            let t = self.db.table_mut(tname).unwrap();
             let n = t.cols.len();
-            let concept = tname.trim_end_matches("__history").to_string();
-            self.rows_scanned += t.rows.len() as u64;
-            for r in &t.rows {
+            let (hits, all) = match atom.preds.iter().find_map(|p| index_key(p, &t.cols, is_node)) {
+                Some((col, key)) => {
+                    let (rids, all) = t.probe(col, key);
+                    (Some(rids), all)
+                }
+                None => (None, t.rows.as_slice()),
+            };
+            let count = hits.map_or(all.len(), <[u32]>::len);
+            self.rows_scanned += count as u64;
+            for k in 0..count {
                 if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
                     break;
                 }
+                let r = &all[hits.map_or(k, |h| h[k] as usize)];
                 let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
                 if !version_ok(self.filter, from, to) || !preds_ok(self.plan, label, r, is_node) {
                     continue;
@@ -180,7 +210,7 @@ impl<'a> Evaluator<'a> {
                         seed_uid: uid,
                         seed_tr,
                         uid_list: vec![uid],
-                        concepts: vec![concept.clone()],
+                        concepts: vec![concept],
                         curr: uid,
                         pending,
                         t_from,
@@ -197,7 +227,7 @@ impl<'a> Evaluator<'a> {
             self.temp_counter,
             atom.class_name,
             table_name(self.schema, atom.class),
-            preds_sql(&atom),
+            preds_sql(atom),
             self.temporal_sql(),
         ));
         scan_span.attr("rows_scanned", self.rows_scanned - scanned_before);
@@ -217,7 +247,7 @@ impl<'a> Evaluator<'a> {
             if !self.db.has_table(tname) {
                 continue;
             }
-            let concept = tname.trim_end_matches("__history").to_string();
+            let concept = self.concept_id(tname);
             // Probe column: source for forward extension, target backward.
             let t = self.db.table_mut(tname).unwrap();
             let n = t.cols.len();
@@ -230,10 +260,10 @@ impl<'a> Evaluator<'a> {
                 if row.pending.is_some() {
                     continue; // must consume the pending node first
                 }
-                let rids = t.probe(probe_col, &Value::Int(row.curr));
+                let (rids, trows) = t.probe(probe_col, &Value::Int(row.curr));
                 self.rows_joined += rids.len() as u64;
-                for rid in rids {
-                    let r = &t.rows[rid as usize];
+                for &rid in rids {
+                    let r = &trows[rid as usize];
                     let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
                     if !version_ok(self.filter, from, to) {
                         continue;
@@ -258,7 +288,7 @@ impl<'a> Evaluator<'a> {
                     };
                     let mut new = row.clone();
                     new.uid_list.push(eid);
-                    new.concepts.push(concept.clone());
+                    new.concepts.push(concept);
                     new.curr = eid;
                     new.pending = Some(other);
                     new.t_from = times.0;
@@ -281,7 +311,7 @@ impl<'a> Evaluator<'a> {
             if !self.db.has_table(tname) {
                 continue;
             }
-            let concept = tname.trim_end_matches("__history").to_string();
+            let concept = self.concept_id(tname);
             let t = self.db.table_mut(tname).unwrap();
             let n = t.cols.len();
             for row in rows {
@@ -292,10 +322,10 @@ impl<'a> Evaluator<'a> {
                     Some(p) => p,
                     None => continue,
                 };
-                let rids = t.probe(0, &Value::Int(p));
+                let (rids, trows) = t.probe(0, &Value::Int(p));
                 self.rows_joined += rids.len() as u64;
-                for rid in rids {
-                    let r = &t.rows[rid as usize];
+                for &rid in rids {
+                    let r = &trows[rid as usize];
                     let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
                     if !version_ok(self.filter, from, to) || !preds_ok(self.plan, label, r, true) {
                         continue;
@@ -310,7 +340,7 @@ impl<'a> Evaluator<'a> {
                     };
                     let mut new = row.clone();
                     new.uid_list.push(p);
-                    new.concepts.push(concept.clone());
+                    new.concepts.push(concept);
                     new.curr = p;
                     new.pending = None;
                     new.t_from = times.0;
@@ -360,19 +390,13 @@ impl<'a> Evaluator<'a> {
             if self.tripped.is_some() {
                 break; // cancelled: stop joining, the caller surfaces it
             }
-            let rows = match tables.get(&state) {
-                Some(r) if !r.is_empty() => r.clone(),
+            // The NFA is a DAG walked in topological order: nothing adds to
+            // this state's frontier once it is reached, so take it.
+            let rows = match tables.remove(&state) {
+                Some(r) if !r.is_empty() => r,
                 _ => continue,
             };
             table_no += 1;
-            // Collect acceptance at this state.
-            if forwards {
-                if self.plan.nfa.accepts[state as usize] {
-                    accepted.extend(rows.iter().filter(|r| r.pending.is_none()).cloned());
-                }
-            } else if state == self.plan.nfa.start {
-                accepted.extend(rows.iter().filter(|r| r.pending.is_none()).cloned());
-            }
             // Extend along transitions out of (fwd) / into (bwd) the state.
             let transitions: Vec<(Label, u32)> = if forwards {
                 self.plan.nfa.trans[state as usize].clone()
@@ -401,11 +425,29 @@ impl<'a> Evaluator<'a> {
                     }
                 }
             }
+            // Collect acceptance at this state.
+            let accepting = if forwards { self.plan.nfa.accepts[state as usize] } else { state == self.plan.nfa.start };
+            if accepting {
+                accepted.extend(rows.into_iter().filter(|r| r.pending.is_none()));
+            }
         }
         join_span.attr("rows_joined", self.rows_joined - joined_before);
         join_span.attr("accepted", accepted.len());
         accepted
     }
+}
+
+/// The column and literal with which an anchor predicate can probe a
+/// table's hash index: `Eq` on a top-level field whose column holds the
+/// literal's type, so hash equality agrees with the predicate's (which
+/// compares an int literal with a float cell numerically).
+fn index_key<'p>(p: &'p BoundPred, cols: &[ColDef], is_node: bool) -> Option<(usize, &'p Value)> {
+    let col = field_offset(is_node) + p.field_idx;
+    let typed = matches!(
+        (&cols.get(col)?.ty, &p.value),
+        (ColType::BigInt, Value::Int(_)) | (ColType::Text, Value::Str(_)) | (ColType::Bool, Value::Bool(_))
+    );
+    (p.op == CmpOp::Eq && p.sub_path.is_empty() && typed).then_some((col, &p.value))
 }
 
 /// Temporal predicate on a version row.
@@ -541,6 +583,7 @@ pub fn evaluate_relational(
         plan,
         filter,
         sql: Vec::new(),
+        concepts: Vec::new(),
         temp_counter: 0,
         rows_scanned: 0,
         rows_joined: 0,

@@ -96,16 +96,19 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// Build (or reuse) a hash index on a column and return matching rows.
-    pub fn probe(&mut self, col: usize, key: &Value) -> Vec<u32> {
-        if !self.indexes.contains_key(&col) {
+    /// Build (or reuse) a hash index on a column and look `key` up in it:
+    /// the ids of the matching rows, beside the rows they index (both
+    /// borrowed, so a probe copies nothing).
+    pub fn probe(&mut self, col: usize, key: &Value) -> (&[u32], &[Vec<Value>]) {
+        let rows = &self.rows;
+        let idx = self.indexes.entry(col).or_insert_with(|| {
             let mut idx: HashMap<Value, Vec<u32>> = HashMap::new();
-            for (rid, row) in self.rows.iter().enumerate() {
+            for (rid, row) in rows.iter().enumerate() {
                 idx.entry(row[col].clone()).or_default().push(rid as u32);
             }
-            self.indexes.insert(col, idx);
-        }
-        self.indexes[&col].get(key).cloned().unwrap_or_default()
+            idx
+        });
+        (idx.get(key).map_or(&[], Vec::as_slice), rows)
     }
 
     /// Sequential scan with a row predicate.
@@ -138,9 +141,11 @@ mod tests {
     #[test]
     fn probe_uses_hash_index() {
         let mut t = t();
-        assert_eq!(t.probe(1, &Value::Str("Green".into())).len(), 2);
-        assert_eq!(t.probe(0, &Value::Int(2)), vec![1]);
-        assert!(t.probe(0, &Value::Int(99)).is_empty());
+        assert_eq!(t.probe(1, &Value::Str("Green".into())).0, [0, 2]);
+        let (rids, rows) = t.probe(0, &Value::Int(2));
+        assert_eq!(rids, [1]);
+        assert_eq!(rows[1][1], Value::Str("Red".into()));
+        assert!(t.probe(0, &Value::Int(99)).0.is_empty());
     }
 
     #[test]
@@ -148,7 +153,7 @@ mod tests {
         let mut t = t();
         let _ = t.probe(1, &Value::Str("Green".into()));
         t.insert(vec![Value::Int(4), Value::Str("Green".into())]).unwrap();
-        assert_eq!(t.probe(1, &Value::Str("Green".into())).len(), 3);
+        assert_eq!(t.probe(1, &Value::Str("Green".into())).0, [0, 2, 3]);
     }
 
     #[test]

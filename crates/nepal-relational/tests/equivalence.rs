@@ -196,6 +196,25 @@ fn seeded_evaluation_equivalence() {
 }
 
 #[test]
+fn eq_anchor_probes_the_index_instead_of_scanning() {
+    let g = random_graph(3, 8);
+    let mut db = db_from_graph(&g).unwrap();
+    let mut scanned = |rpe: &str, filter: TimeFilter| {
+        let plan = plan_rpe(g.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+        let opts = EvalOptions::default();
+        evaluate_relational(&mut db, g.schema(), &plan, filter, Seeds::Anchor, &opts, &SpanHandle::none())
+            .unwrap()
+            .rows_scanned
+    };
+    // Each anchor `Select` reads all 8 current VM rows without an `Eq`
+    // predicate, and only the one row the probe returns with it:
+    // `rows_scanned` counts probed rows.
+    let probed = scanned("VM(vm_id=0)", TimeFilter::Current);
+    assert!(probed > 0);
+    assert_eq!(scanned("VM(vm_id>=0)", TimeFilter::Current), 8 * probed);
+}
+
+#[test]
 fn emitted_sql_has_paper_shape() {
     let g = random_graph(1, 6);
     let plan = plan_rpe(

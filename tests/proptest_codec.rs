@@ -16,7 +16,10 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         // Finite floats only for the JSON codec (NaN is tested separately
         // in the unit tests; JSON numbers cannot carry NaN).
         (-1e15..1e15f64).prop_map(Value::Float),
-        "[ -~]{0,12}".prop_map(Value::Str),
+        // Printable ASCII (`"` and `\` included), control characters, and
+        // two-, three- and four-byte literals, long enough to span many
+        // escape-free runs in the JSON decoder.
+        "[\u{0}-\u{1f} -~\u{7f}é€☃\u{10348}]{0,300}".prop_map(Value::Str),
         (0i64..2_000_000_000_000_000).prop_map(Value::Ts),
         prop_oneof![
             Just(Value::Ip("10.1.2.3".parse().unwrap())),
