@@ -29,15 +29,13 @@
 //!           # overhead over the Table-1 workload, healthy/overload alert
 //!           # outcomes; always writes BENCH_memory.json
 //! reproduce serve-load [--workers N] [--queue-depth N] [--requests N]
-//!           [--overload-x N] [--deadline-ms MS] [--overhead-gate PCT]
-//!           [--attribution-gate PCT]
+//!           [--overload-x N] [--deadline-ms MS]
 //!           # overload benchmark: concurrent clients at and beyond the
 //!           # bounded server's capacity — throughput, p50/p95/p99, shed
 //!           # rate, plus the flight-recorder on/off overhead comparison
 //!           # and the statement-attribution meters-off/on comparison;
-//!           # always writes BENCH_serve.json; --overhead-gate /
-//!           # --attribution-gate exit 1 if the recorder / the meters
-//!           # cost more than PCT percent throughput
+//!           # always writes BENCH_serve.json; exits 1 on any evaluation
+//!           # panic
 //! reproduce introspect [--tier toy|small|medium|large]
 //!           # workload-introspection drill (default tier: medium): run
 //!           # the sweep families through an instrumented engine and
@@ -58,7 +56,7 @@ use nepal_bench::{
     format_storage, format_tier_scaling, introspect_json, metrics_snapshot_json, obs_report_json, query_rows_json,
     replay_json, replay_qlog, run_attribution_overhead, run_crash_forensics, run_flight_overhead, run_introspect,
     run_obs_report, run_scaling_tiers, run_serve_load, run_storage, run_table1, run_table2, run_table3,
-    scaling_thread_counts, serve_load_json_full, tier_scaling_json, ServeLoadConfig,
+    scaling_thread_counts, serve_load_json, tier_scaling_json, ServeLoadConfig,
 };
 use nepal_workload::{LegacyParams, SizeTier};
 
@@ -141,25 +139,10 @@ fn main() {
         print!("{}", format_flight_overhead(&overhead));
         let attribution = run_attribution_overhead(&cfg, 42);
         print!("{}", format_attribution_overhead(&attribution));
-        write_json("BENCH_serve.json", &serve_load_json_full(&rows, &cfg, panics, Some(&overhead), Some(&attribution)));
+        write_json("BENCH_serve.json", &serve_load_json(&rows, &cfg, panics, Some(&overhead), Some(&attribution)));
         if panics != 0 {
             eprintln!("serve-load observed {panics} evaluation panic(s)");
             std::process::exit(1);
-        }
-        if let Some(gate) = flag("--overhead-gate").and_then(|v| v.parse::<f64>().ok()) {
-            if overhead.overhead_pct > gate {
-                eprintln!("flight-recorder overhead {:.2}% exceeds the {:.2}% gate", overhead.overhead_pct, gate);
-                std::process::exit(1);
-            }
-        }
-        if let Some(gate) = flag("--attribution-gate").and_then(|v| v.parse::<f64>().ok()) {
-            if attribution.overhead_pct > gate {
-                eprintln!(
-                    "statement-attribution overhead {:.2}% exceeds the {:.2}% gate",
-                    attribution.overhead_pct, gate
-                );
-                std::process::exit(1);
-            }
         }
         return;
     }

@@ -22,8 +22,8 @@ pub use obs_report::{format_obs_report, obs_report_json, run_obs_report, ChurnPo
 pub use replay::{capture_workload, format_replay, replay_json, replay_qlog, ReplayReport, ReplayRow};
 pub use serve_load::{
     format_attribution_overhead, format_flight_overhead, format_serve_load, run_attribution_overhead,
-    run_flight_overhead, run_serve_load, serve_load_json, serve_load_json_full, serve_load_json_with_overhead,
-    AttributionOverhead, FlightOverhead, ServeLoadConfig, ServeLoadRow,
+    run_flight_overhead, run_serve_load, serve_load_json, AttributionOverhead, FlightOverhead, ServeLoadConfig,
+    ServeLoadRow,
 };
 pub use tiers::{
     check_gates, format_tier_scaling, run_scaling_tiers, tier_aggregates, tier_scaling_json, GateOutcome, TierReport,
@@ -50,14 +50,9 @@ pub struct QueryRow {
     pub avg_ms_hist: f64,
 }
 
-/// Run one query template over a list of instance RPEs.
-fn run_instances(g: &TemporalGraph, rpes: &[String]) -> (usize, f64, f64) {
-    run_instances_opts(g, rpes, &EvalOptions::default())
-}
-
-/// [`run_instances`] with explicit evaluation options (the thread-scaling
-/// sweep varies `EvalOptions::threads`).
-fn run_instances_opts(g: &TemporalGraph, rpes: &[String], opts: &EvalOptions) -> (usize, f64, f64) {
+/// Run one query template over a list of instance RPEs, each evaluated
+/// from `seeds`.
+fn run_instances(g: &TemporalGraph, rpes: &[String], seeds: Seeds) -> (usize, f64, f64) {
     let view = GraphView::new(g, TimeFilter::Current);
     let mut total_paths = 0usize;
     let mut total_ms = 0f64;
@@ -66,7 +61,7 @@ fn run_instances_opts(g: &TemporalGraph, rpes: &[String], opts: &EvalOptions) ->
         let rpe = parse_rpe(rpe_text).expect("bench RPE parses");
         let plan = plan_rpe(g.schema(), &rpe, &GraphEstimator { graph: g }).expect("bench RPE plans");
         let t0 = Instant::now();
-        let paths = evaluate(&view, &plan, Seeds::Anchor, opts);
+        let paths = evaluate(&view, &plan, seeds, &EvalOptions::default());
         let ms = t0.elapsed().as_secs_f64() * 1e3;
         if paths.is_empty() {
             continue; // §6: zero-result instances are skipped
@@ -161,8 +156,8 @@ pub fn run_table1(instances: usize, seed: u64) -> Vec<QueryRow> {
     queries
         .into_iter()
         .map(|(name, rpes)| {
-            let (n, paths, ms_snap) = run_instances(&snap.graph, &rpes);
-            let (_, _, ms_hist) = run_instances(&hist, &rpes);
+            let (n, paths, ms_snap) = run_instances(&snap.graph, &rpes, Seeds::Anchor);
+            let (_, _, ms_hist) = run_instances(&hist, &rpes, Seeds::Anchor);
             QueryRow { name, instances: n, avg_paths: paths, avg_ms_snap: ms_snap, avg_ms_hist: ms_hist }
         })
         .collect()
@@ -242,42 +237,52 @@ pub fn run_table2(params: LegacyParams, instances: usize) -> Vec<QueryRow> {
     queries
         .into_iter()
         .map(|(name, rpes)| {
-            let (n, paths, ms_snap) = run_instances(&snap.graph, &rpes);
-            let (_, _, ms_hist) = run_instances(&hist, &rpes);
+            let (n, paths, ms_snap) = run_instances(&snap.graph, &rpes, Seeds::Anchor);
+            let (_, _, ms_hist) = run_instances(&hist, &rpes, Seeds::Anchor);
             QueryRow { name, instances: n, avg_paths: paths, avg_ms_snap: ms_snap, avg_ms_hist: ms_hist }
         })
         .collect()
 }
 
-/// One row of the Table-3 (partitioning ablation) report.
+/// One row of the Table-3 ablation report: a query family timed before
+/// and after one change to the load or the evaluation.
 #[derive(Debug, Clone)]
 pub struct AblationRow {
     pub name: String,
-    pub single_class_ms: f64,
-    pub subclassed_ms: f64,
+    pub change: &'static str,
+    pub before_ms: f64,
+    pub after_ms: f64,
     pub speedup: f64,
 }
 
+impl AblationRow {
+    fn new(name: &str, change: &'static str, before_ms: f64, after_ms: f64) -> AblationRow {
+        let speedup = if after_ms > 0.0 { before_ms / after_ms } else { f64::INFINITY };
+        AblationRow { name: name.to_string(), change, before_ms, after_ms, speedup }
+    }
+}
+
 /// Run the §6 in-text experiment: reload the legacy graph with 66 edge
-/// subclasses and re-evaluate the two slowest queries.
+/// subclasses and re-evaluate the two slowest queries. One more row is the
+/// anchor ablation on the single-class load: the Top-down plan evaluated
+/// with every level-0 node as a source vs from its anchor.
 pub fn run_table3(base: LegacyParams, instances: usize) -> Vec<AblationRow> {
     let single = generate_legacy(LegacyParams { edge_subclasses: 1, ..base.clone() });
     let parted = generate_legacy(LegacyParams { edge_subclasses: 66, ..base });
     let q_single = table2_queries(&single, instances, false, 1.0);
     let q_parted = table2_queries(&parted, instances, true, 1.0);
+    let family =
+        |queries: &[(String, Vec<String>)], name: &str| queries.iter().find(|(n, _)| n == name).unwrap().1.clone();
     let mut out = Vec::new();
     for name in ["Reverse path", "Bottom-up"] {
-        let rpes_a = &q_single.iter().find(|(n, _)| n == name).unwrap().1;
-        let rpes_b = &q_parted.iter().find(|(n, _)| n == name).unwrap().1;
-        let (_, _, ms_a) = run_instances(&single.graph, rpes_a);
-        let (_, _, ms_b) = run_instances(&parted.graph, rpes_b);
-        out.push(AblationRow {
-            name: name.to_string(),
-            single_class_ms: ms_a,
-            subclassed_ms: ms_b,
-            speedup: if ms_b > 0.0 { ms_a / ms_b } else { f64::INFINITY },
-        });
+        let (_, _, ms_a) = run_instances(&single.graph, &family(&q_single, name), Seeds::Anchor);
+        let (_, _, ms_b) = run_instances(&parted.graph, &family(&q_parted, name), Seeds::Anchor);
+        out.push(AblationRow::new(name, "1 class -> 66 subclasses", ms_a, ms_b));
     }
+    let top_down = family(&q_single, "Top-down");
+    let (_, _, ms_scan) = run_instances(&single.graph, &top_down, Seeds::Sources(&single.levels[0]));
+    let (_, _, ms_anchor) = run_instances(&single.graph, &top_down, Seeds::Anchor);
+    out.push(AblationRow::new("Top-down", "source scan -> anchor", ms_scan, ms_anchor));
     out
 }
 
@@ -324,19 +329,7 @@ pub fn run_storage(legacy_params: LegacyParams) -> Vec<StorageRow> {
     out
 }
 
-/// One measurement of the thread-scaling sweep: a query family evaluated
-/// with a fixed worker-thread count.
-#[derive(Debug, Clone)]
-pub struct ScalingRow {
-    pub table: String,
-    pub name: String,
-    pub threads: usize,
-    pub avg_ms: f64,
-    /// Time at 1 thread / time at this thread count (>1 = faster).
-    pub speedup: f64,
-}
-
-/// Thread counts swept by [`run_scaling`]: {1, 2, 4, all cores},
+/// Thread counts swept by `reproduce scaling`: {1, 2, 4, all cores},
 /// deduplicated and sorted (a single-core host sweeps {1, 2, 4} — the
 /// overhead of the pool is still measured, the speedup is just flat).
 pub fn scaling_thread_counts() -> Vec<usize> {
@@ -345,110 +338,6 @@ pub fn scaling_thread_counts() -> Vec<usize> {
     counts.sort_unstable();
     counts.dedup();
     counts
-}
-
-fn sweep_families(
-    table: &str,
-    g: &TemporalGraph,
-    families: &[(String, Vec<String>)],
-    counts: &[usize],
-    out: &mut Vec<ScalingRow>,
-) {
-    for (name, rpes) in families {
-        let mut base_ms = 0.0f64;
-        for &t in counts {
-            let opts = EvalOptions { threads: t, ..Default::default() };
-            let (_, _, ms) = run_instances_opts(g, rpes, &opts);
-            if t == 1 {
-                base_ms = ms;
-            }
-            out.push(ScalingRow {
-                table: table.to_string(),
-                name: name.clone(),
-                threads: t,
-                avg_ms: ms,
-                speedup: if ms > 0.0 { base_ms / ms } else { 1.0 },
-            });
-        }
-    }
-}
-
-/// The thread-scaling sweep: every Table-1 family over the virtualized
-/// snapshot plus the Table-2 families over a CI-sized legacy snapshot,
-/// each evaluated at every [`scaling_thread_counts`] setting.
-pub fn run_scaling(instances: usize, seed: u64) -> Vec<ScalingRow> {
-    let counts = scaling_thread_counts();
-    let mut out = Vec::new();
-    let (snap, _) = build_virtualized(seed);
-    let t1 = table1_queries(&snap, instances);
-    sweep_families("table1", &snap.graph, &t1, &counts, &mut out);
-    let legacy = generate_legacy(LegacyParams { nodes: 8000, edges: 36_000, ..Default::default() });
-    let t2 = table2_queries(&legacy, instances.min(8), false, 0.32);
-    sweep_families("table2", &legacy.graph, &t2, &counts, &mut out);
-    out
-}
-
-/// Per-table aggregates of a scaling sweep: `(table, threads, total_ms,
-/// speedup-vs-1-thread)`, in sweep order.
-pub fn scaling_aggregates(rows: &[ScalingRow]) -> Vec<(String, usize, f64, f64)> {
-    let mut out: Vec<(String, usize, f64, f64)> = Vec::new();
-    for r in rows {
-        match out.iter_mut().find(|(t, n, _, _)| *t == r.table && *n == r.threads) {
-            Some(slot) => slot.2 += r.avg_ms,
-            None => out.push((r.table.clone(), r.threads, r.avg_ms, 1.0)),
-        }
-    }
-    for i in 0..out.len() {
-        let base =
-            out.iter().find(|(t, n, _, _)| *t == out[i].0 && *n == 1).map(|(_, _, ms, _)| *ms).unwrap_or(out[i].2);
-        out[i].3 = if out[i].2 > 0.0 { base / out[i].2 } else { 1.0 };
-    }
-    out
-}
-
-/// Render the scaling sweep (and aggregates) for the terminal.
-pub fn format_scaling(rows: &[ScalingRow]) -> String {
-    let mut s = String::new();
-    s.push_str("Thread scaling: anchored evaluation at 1/2/4/all worker threads\n");
-    s.push_str(&format!("{:<8} {:<16} {:>7} {:>12} {:>9}\n", "Table", "Type", "threads", "avg time", "speedup"));
-    for r in rows {
-        s.push_str(&format!(
-            "{:<8} {:<16} {:>7} {:>9.3} ms {:>8.2}x\n",
-            r.table, r.name, r.threads, r.avg_ms, r.speedup
-        ));
-    }
-    s.push_str("\nAggregates (sum of family averages):\n");
-    for (table, threads, ms, speedup) in scaling_aggregates(rows) {
-        s.push_str(&format!("{table:<8} threads={threads:<3} {ms:>9.3} ms {speedup:>8.2}x\n"));
-    }
-    s
-}
-
-/// Render the scaling sweep as the `BENCH_scaling.json` document.
-pub fn scaling_json(rows: &[ScalingRow]) -> String {
-    let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let row_items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"table\":{:?},\"name\":{:?},\"threads\":{},\"avg_ms\":{:.3},\"speedup\":{:.3}}}",
-                r.table, r.name, r.threads, r.avg_ms, r.speedup
-            )
-        })
-        .collect();
-    let agg_items: Vec<String> = scaling_aggregates(rows)
-        .iter()
-        .map(|(table, threads, ms, speedup)| {
-            format!("{{\"table\":{table:?},\"threads\":{threads},\"total_ms\":{ms:.3},\"speedup\":{speedup:.3}}}")
-        })
-        .collect();
-    let counts: Vec<String> = scaling_thread_counts().iter().map(|c| c.to_string()).collect();
-    format!(
-        "{{\n\"host_parallelism\":{host},\n\"thread_counts\":[{}],\n\"rows\":[\n  {}\n],\n\"aggregates\":[\n  {}\n]\n}}\n",
-        counts.join(","),
-        row_items.join(",\n  "),
-        agg_items.join(",\n  ")
-    )
 }
 
 /// Run one instance of each Table-1 query family through a full [`Engine`]
@@ -505,12 +394,12 @@ pub fn query_rows_json(rows: &[QueryRow]) -> String {
 /// Render the ablation report.
 pub fn format_ablation(rows: &[AblationRow]) -> String {
     let mut s = String::new();
-    s.push_str("Table 3 (in-text §6): 1 edge class vs 66 edge subclasses\n");
-    s.push_str(&format!("{:<16} {:>16} {:>16} {:>9}\n", "Type", "1 class", "66 subclasses", "speedup"));
+    s.push_str("Table 3 (in-text §6): edge-class partitioning, plus the anchor ablation\n");
+    s.push_str(&format!("{:<14} {:<26} {:>13} {:>13} {:>9}\n", "Type", "Change", "before", "after", "speedup"));
     for r in rows {
         s.push_str(&format!(
-            "{:<16} {:>13.3} ms {:>13.3} ms {:>8.1}x\n",
-            r.name, r.single_class_ms, r.subclassed_ms, r.speedup
+            "{:<14} {:<26} {:>10.3} ms {:>10.3} ms {:>8.1}x\n",
+            r.name, r.change, r.before_ms, r.after_ms, r.speedup
         ));
     }
     s
@@ -575,6 +464,9 @@ mod tests {
         let rp = ablation.iter().find(|r| r.name == "Reverse path").unwrap();
         assert!(bu.speedup > 2.0, "bottom-up speedup {}", bu.speedup);
         assert!(bu.speedup > rp.speedup, "bottom-up {} vs reverse {}", bu.speedup, rp.speedup);
+        // Anchoring beats scanning every level-0 node as a source.
+        let td = ablation.iter().find(|r| r.name == "Top-down").unwrap();
+        assert!(td.speedup > 1.0, "anchor speedup {}", td.speedup);
     }
 
     #[test]

@@ -336,25 +336,10 @@ pub fn format_serve_load(rows: &[ServeLoadRow], stats_panics: u64) -> String {
     s
 }
 
-/// The `BENCH_serve.json` document.
-pub fn serve_load_json(rows: &[ServeLoadRow], cfg: &ServeLoadConfig, panics: u64) -> String {
-    serve_load_json_with_overhead(rows, cfg, panics, None)
-}
-
-/// [`serve_load_json`] optionally embedding a flight-recorder overhead
-/// comparison (the `"flight_overhead"` key).
-pub fn serve_load_json_with_overhead(
-    rows: &[ServeLoadRow],
-    cfg: &ServeLoadConfig,
-    panics: u64,
-    overhead: Option<&FlightOverhead>,
-) -> String {
-    serve_load_json_full(rows, cfg, panics, overhead, None)
-}
-
-/// [`serve_load_json_with_overhead`] also embedding a cost-attribution
-/// overhead comparison (the `"attribution_overhead"` key).
-pub fn serve_load_json_full(
+/// The `BENCH_serve.json` document, optionally embedding the
+/// flight-recorder overhead comparison (the `"flight_overhead"` key) and the
+/// cost-attribution overhead comparison (the `"attribution_overhead"` key).
+pub fn serve_load_json(
     rows: &[ServeLoadRow],
     cfg: &ServeLoadConfig,
     panics: u64,
@@ -436,7 +421,7 @@ mod tests {
         let r = &rows[1];
         assert_eq!(r.ok + r.shed + r.timeouts + r.errors, (r.clients * cfg.requests_per_client) as u64);
         assert!(r.ok > 0, "admitted requests must still complete under overload");
-        let json = serve_load_json(&rows, &cfg, panics);
+        let json = serve_load_json(&rows, &cfg, panics, None, None);
         assert!(json.contains("\"phase\": \"overload\""));
         assert!(json.contains("\"evaluation_panics\": 0"));
     }
@@ -449,7 +434,7 @@ mod tests {
         // phase must have captured every admitted request.
         assert_eq!(o.calls_recorded, o.on.ok);
         assert!(o.fingerprints_tracked >= 1, "the shared count() shape tracks one fingerprint");
-        let json = serve_load_json_full(&[o.off.clone(), o.on.clone()], &cfg, 0, None, Some(&o));
+        let json = serve_load_json(&[o.off.clone(), o.on.clone()], &cfg, 0, None, Some(&o));
         assert!(json.contains("\"attribution_overhead\""), "{json}");
         assert!(json.contains("\"calls_recorded\""), "{json}");
         assert!(format_attribution_overhead(&o).contains("meters on"));

@@ -11,7 +11,6 @@ use nepal_gremlin::{property_graph_from, serve_in_process, GremlinClient};
 use nepal_rpe::{parse_rpe, plan_rpe, CancelToken, EvalOptions, GraphEstimator, Seeds};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::Value;
-use parking_lot::RwLock;
 
 /// 40 VMs spread over 8 hosts, each host linked to the next.
 fn graph() -> Arc<TemporalGraph> {
@@ -48,7 +47,7 @@ fn tripped_token_is_a_typed_error_on_every_backend() {
         &GraphEstimator { graph: &g },
     )
     .unwrap();
-    let client = GremlinClient::new(serve_in_process(Arc::new(RwLock::new(property_graph_from(&g)))));
+    let client = GremlinClient::new(serve_in_process(Arc::new(property_graph_from(&g))));
     let mut backends: Vec<Box<dyn Backend>> = vec![
         Box::new(NativeBackend::new(g.clone())),
         Box::new(RelationalBackend::from_graph(&g).unwrap()),
@@ -101,7 +100,7 @@ fn gremlin_polls_the_token_between_round_trips() {
         &GraphEstimator { graph: &g },
     )
     .unwrap();
-    let client = GremlinClient::new(serve_in_process(Arc::new(RwLock::new(property_graph_from(&g)))));
+    let client = GremlinClient::new(serve_in_process(Arc::new(property_graph_from(&g))));
     let mut backend = GremlinBackend::new(client, g.schema().clone());
     let full = backend.eval(&plan, TimeFilter::Current, Seeds::Anchor, &EvalOptions::default()).unwrap();
     let full_trips = backend.last_round_trips();

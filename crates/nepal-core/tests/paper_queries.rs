@@ -324,10 +324,9 @@ fn length_function_and_literals() {
 fn unsupported_range_on_gremlin_backend_is_clear_error() {
     use nepal_core::{BackendRegistry, GremlinBackend};
     use nepal_gremlin::{property_graph_from, serve_in_process, GremlinClient};
-    use parking_lot::RwLock;
 
     let fx = fixture();
-    let pg = Arc::new(RwLock::new(property_graph_from(&fx.g)));
+    let pg = Arc::new(property_graph_from(&fx.g));
     let client = GremlinClient::new(serve_in_process(pg));
     let backend = GremlinBackend::new(client, fx.g.schema().clone());
     let mut eng = Engine::new(BackendRegistry::new("gremlin", Box::new(backend)));
@@ -346,10 +345,9 @@ fn cross_backend_federation_join() {
     // server — joined in the shim layer.
     use nepal_core::{BackendRegistry, GremlinBackend, NativeBackend};
     use nepal_gremlin::{property_graph_from, serve_in_process, GremlinClient};
-    use parking_lot::RwLock;
 
     let fx = fixture();
-    let pg = Arc::new(RwLock::new(property_graph_from(&fx.g)));
+    let pg = Arc::new(property_graph_from(&fx.g));
     let client = GremlinClient::new(serve_in_process(pg));
     let gremlin = GremlinBackend::new(client, fx.g.schema().clone());
     let mut registry = BackendRegistry::new("native", Box::new(NativeBackend::new(fx.g.clone())));

@@ -326,16 +326,15 @@ mod tests {
     use super::*;
     use crate::graph::PropertyGraph;
     use crate::server::{serve_in_process, GremlinServer};
-    use parking_lot::RwLock;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    fn shared() -> Arc<RwLock<PropertyGraph>> {
+    fn shared() -> Arc<PropertyGraph> {
         let mut g = PropertyGraph::new();
         for i in 0..200 {
             g.add_vertex(i, "Node:VM", BTreeMap::new());
         }
-        Arc::new(RwLock::new(g))
+        Arc::new(g)
     }
 
     #[test]

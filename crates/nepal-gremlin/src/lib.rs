@@ -33,8 +33,7 @@ pub use lang::{parse_traversal, LangError};
 pub use load::{property_graph_from, OPEN_TS};
 pub use protocol::{overload_response, FrameReader, ProtoError, MIME};
 pub use server::{
-    attach_server_timing, pipe_pair, serve_connection_ctl, serve_connection_traced, serve_in_process,
-    serve_in_process_ctl, serve_in_process_stats, serve_in_process_traced, shared_graph, ConnCtl, DrainReport,
+    handle_request, serve_connection, serve_in_process, serve_in_process_ctl, shared_graph, ConnCtl, DrainReport,
     GremlinServer, ServeConfig, ServerStats, SharedGraph, CHAOS_PANIC_REQUEST_ID,
 };
 pub use traversal::{bytecode_from_json, bytecode_to_json, evaluate_cancel, EvalError, GCmp, GStep};

@@ -12,13 +12,12 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use nepal_obs::{FlightKind, Tracer, TRACK_SERVER};
 use nepal_rpe::{CancelCause, CancelToken};
-use parking_lot::RwLock;
 
 use crate::graph::PropertyGraph;
 use crate::json::Json;
@@ -110,10 +109,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Per-connection serving controls: the drain signal pair plus the
-/// per-request deadline. All fields default to "off", which reproduces the
-/// legacy serve-until-EOF behavior.
-#[derive(Debug, Clone, Default)]
+/// Per-connection serving controls: the drain signal pair, the per-request
+/// deadline and the optional recorders. All fields default to "off", which
+/// serves until EOF.
+#[derive(Clone, Default)]
 pub struct ConnCtl {
     /// Soft drain: when set and true, the connection stops reading new
     /// requests and closes once idle (the in-flight request still runs).
@@ -126,6 +125,9 @@ pub struct ConnCtl {
     /// Statement-stats table recording every served request (see
     /// [`ServeConfig::stmt`]).
     pub stmt: Option<Arc<nepal_obs::StmtStats>>,
+    /// Records a server-side trace of every request (see
+    /// [`serve_connection`]).
+    pub tracer: Option<Tracer>,
 }
 
 impl ConnCtl {
@@ -148,44 +150,85 @@ impl ConnCtl {
 pub trait Transport: Read + Write + Send {}
 impl<T: Read + Write + Send> Transport for T {}
 
-/// Shared handle to a served graph.
-pub type SharedGraph = Arc<RwLock<PropertyGraph>>;
+/// Shared handle to a served graph. Serving only ever reads the graph, so
+/// every connection thread borrows it without a lock.
+pub type SharedGraph = Arc<PropertyGraph>;
 
-/// Wrap a [`PropertyGraph`] for serving, without the caller having to
-/// name the lock type.
+/// Wrap a [`PropertyGraph`] for serving.
 pub fn shared_graph(pg: PropertyGraph) -> SharedGraph {
-    Arc::new(RwLock::new(pg))
+    Arc::new(pg)
 }
 
 /// Handle one request message, producing the full response frame sequence.
-pub fn handle_request(graph: &SharedGraph, req: &Json) -> Vec<Json> {
-    handle_request_timed(graph, req, None)
-}
-
-/// [`handle_request`] optionally recording per-phase timings as
-/// `(name, offset_ns, dur_ns)` triples relative to request receipt. Error
-/// paths skip timing — only successfully evaluated requests report phases.
-pub fn handle_request_timed(
-    graph: &SharedGraph,
+///
+/// Evaluation runs behind a panic barrier: a panicking evaluation is
+/// answered with a status-500 frame instead of killing the connection
+/// thread, so one poisoned request cannot take the server down. Under a
+/// `cancel` token, a request abandoned at a checkpoint is answered with a
+/// status-598 frame (never a partial result set posing as complete) and
+/// counted as a deadline timeout or a drain cancel. `timing`, when given,
+/// collects per-phase `(name, offset_ns, dur_ns)` triples relative to
+/// request receipt; error paths skip timing.
+pub fn handle_request(
+    graph: &PropertyGraph,
     req: &Json,
+    stats: &ServerStats,
+    cancel: Option<&CancelToken>,
     timing: Option<&mut Vec<(String, u64, u64)>>,
 ) -> Vec<Json> {
-    handle_request_cancel_timed(graph, req, None, timing).0
+    let request_id = req.get("requestId").and_then(|j| j.as_str()).unwrap_or("");
+    let t0 = Instant::now();
+    stats.inflight.fetch_add(1, Ordering::Relaxed);
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        evaluate_request(graph, req, request_id, cancel, timing)
+    }));
+    stats.inflight.fetch_sub(1, Ordering::Relaxed);
+    let frames = match result {
+        Ok((frames, cause)) => {
+            match cause {
+                Some(CancelCause::Deadline) => {
+                    stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(CancelCause::Explicit) => {
+                    stats.cancelled_inflight.fetch_add(1, Ordering::Relaxed);
+                }
+                None => {}
+            }
+            frames
+        }
+        Err(_) => {
+            stats.evaluation_panics.fetch_add(1, Ordering::Relaxed);
+            vec![response(request_id, status::SERVER_ERROR, "internal error: request evaluation panicked", Vec::new())]
+        }
+    };
+    if nepal_obs::flight::recorder().is_enabled() {
+        let code = frames
+            .last()
+            .and_then(|f| f.get("status"))
+            .and_then(|s| s.get("code"))
+            .and_then(|c| c.as_u64())
+            .unwrap_or(0);
+        nepal_obs::flight::emit(
+            FlightKind::RequestDone,
+            code,
+            t0.elapsed().as_micros() as u64,
+            frames.len() as u64,
+            request_id,
+        );
+    }
+    frames
 }
 
-/// [`handle_request_timed`] under an optional cancel token. Returns the
-/// response frames plus the cancellation cause if evaluation was abandoned
-/// at a checkpoint — the caller maps the cause to the right counter. A
-/// cancelled request is answered with a status-598 frame, never a partial
-/// result set posing as complete.
-pub fn handle_request_cancel_timed(
-    graph: &SharedGraph,
+/// Decode and evaluate one request. Returns the response frames plus the
+/// cancellation cause if evaluation was abandoned at a checkpoint.
+fn evaluate_request(
+    graph: &PropertyGraph,
     req: &Json,
+    request_id: &str,
     cancel: Option<&CancelToken>,
     mut timing: Option<&mut Vec<(String, u64, u64)>>,
 ) -> (Vec<Json>, Option<CancelCause>) {
     let t0 = timing.is_some().then(Instant::now);
-    let request_id = req.get("requestId").and_then(|j| j.as_str()).unwrap_or("").to_string();
     // Chaos hook for crash-forensics drills: a request carrying this magic
     // id panics inside the worker's panic barrier, exercising the flight
     // recorder's panic-triggered snapshot path end to end while the server
@@ -194,7 +237,7 @@ pub fn handle_request_cancel_timed(
         panic!("chaos: induced evaluation panic ({CHAOS_PANIC_REQUEST_ID})");
     }
     let op = req.get("op").and_then(|j| j.as_str()).unwrap_or("");
-    let err = |msg: &str| (vec![response(&request_id, status::SERVER_ERROR, msg, Vec::new())], None);
+    let err = |msg: &str| (vec![response(request_id, status::SERVER_ERROR, msg, Vec::new())], None);
     let gremlin = match req.get("args").and_then(|a| a.get("gremlin")) {
         Some(b) => b,
         None => return err("missing args.gremlin"),
@@ -208,7 +251,7 @@ pub fn handle_request_cancel_timed(
         },
         "eval" => {
             let text = match gremlin {
-                crate::json::Json::Str(t) => t,
+                Json::Str(t) => t,
                 _ => return err("eval expects a string traversal"),
             };
             match crate::lang::parse_traversal(text) {
@@ -222,19 +265,18 @@ pub fn handle_request_cancel_timed(
         tm.push(("decode".to_string(), 0, t.elapsed().as_nanos() as u64));
     }
     let eval_off = t0.map(|t| t.elapsed().as_nanos() as u64);
-    let g = graph.read();
-    let outcome = evaluate_cancel(&g, &steps, cancel);
+    let outcome = evaluate_cancel(graph, &steps, cancel);
     if let (Some(t), Some(off), Some(tm)) = (t0, eval_off, timing) {
         tm.push(("evaluate".to_string(), off, (t.elapsed().as_nanos() as u64).saturating_sub(off)));
     }
     match outcome {
-        Ok(results) => (batch_responses(&request_id, results), None),
+        Ok(results) => (batch_responses(request_id, results), None),
         Err(EvalError::Cancelled(cause)) => {
             let msg = match cause {
                 CancelCause::Deadline => "deadline exceeded during evaluation",
                 CancelCause::Explicit => "request cancelled (server drain)",
             };
-            (vec![response(&request_id, status::SERVER_TIMEOUT, msg, Vec::new())], Some(cause))
+            (vec![response(request_id, status::SERVER_TIMEOUT, msg, Vec::new())], Some(cause))
         }
         Err(EvalError::Other(e)) => err(&e),
     }
@@ -242,7 +284,7 @@ pub fn handle_request_cancel_timed(
 
 /// Attach a `serverTiming` object to the final frame's `result.meta` so the
 /// client can graft the server's view of the request into its own trace.
-pub fn attach_server_timing(frames: &mut [Json], total_ns: u64, spans: &[(String, u64, u64)]) {
+fn attach_server_timing(frames: &mut [Json], total_ns: u64, spans: &[(String, u64, u64)]) {
     let Some(Json::Obj(m)) = frames.last_mut() else { return };
     let Some(Json::Obj(result)) = m.get_mut("result") else { return };
     let Some(Json::Obj(meta)) = result.get_mut("meta") else { return };
@@ -262,111 +304,27 @@ pub fn attach_server_timing(frames: &mut [Json], total_ns: u64, spans: &[(String
     );
 }
 
-/// [`handle_request`] with a panic barrier: a panicking evaluation is
-/// answered with a status-500 frame instead of killing the connection
-/// thread, so one poisoned request cannot take the server down.
-pub fn handle_request_guarded(graph: &SharedGraph, req: &Json, stats: &ServerStats) -> Vec<Json> {
-    handle_request_guarded_timed(graph, req, stats, None)
-}
-
-/// [`handle_request_guarded`] optionally recording per-phase timings.
-pub fn handle_request_guarded_timed(
-    graph: &SharedGraph,
-    req: &Json,
-    stats: &ServerStats,
-    timing: Option<&mut Vec<(String, u64, u64)>>,
-) -> Vec<Json> {
-    handle_request_ctl(graph, req, stats, None, timing)
-}
-
-/// The full-fat request handler: panic barrier + cancel token + timings +
-/// cancellation counters. Everything else delegates here.
-pub fn handle_request_ctl(
-    graph: &SharedGraph,
-    req: &Json,
-    stats: &ServerStats,
-    cancel: Option<&CancelToken>,
-    timing: Option<&mut Vec<(String, u64, u64)>>,
-) -> Vec<Json> {
-    let request_id = req.get("requestId").and_then(|j| j.as_str()).unwrap_or("").to_string();
-    let t0 = Instant::now();
-    stats.inflight.fetch_add(1, Ordering::Relaxed);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_request_cancel_timed(graph, req, cancel, timing)
-    }));
-    stats.inflight.fetch_sub(1, Ordering::Relaxed);
-    let frames = match result {
-        Ok((frames, cause)) => {
-            match cause {
-                Some(CancelCause::Deadline) => {
-                    stats.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(CancelCause::Explicit) => {
-                    stats.cancelled_inflight.fetch_add(1, Ordering::Relaxed);
-                }
-                None => {}
-            }
-            frames
-        }
-        Err(_) => {
-            stats.evaluation_panics.fetch_add(1, Ordering::Relaxed);
-            vec![response(&request_id, status::SERVER_ERROR, "internal error: request evaluation panicked", Vec::new())]
-        }
-    };
-    if nepal_obs::flight::recorder().is_enabled() {
-        let code = frames
-            .last()
-            .and_then(|f| f.get("status"))
-            .and_then(|s| s.get("code"))
-            .and_then(|c| c.as_u64())
-            .unwrap_or(0);
-        nepal_obs::flight::emit(
-            FlightKind::RequestDone,
-            code,
-            t0.elapsed().as_micros() as u64,
-            frames.len() as u64,
-            &request_id,
-        );
-    }
-    frames
-}
-
-/// Serve one connection until EOF.
-pub fn serve_connection(graph: SharedGraph, conn: impl Transport) {
-    serve_connection_stats(graph, conn, &ServerStats::default())
-}
-
-/// [`serve_connection`] recording wire counters into shared stats. A frame
-/// that fails to decode is answered with a status-597 error frame before
-/// the connection closes (the byte stream is desynchronized past it); an
-/// evaluation panic is answered with status 500 and the connection lives on.
-pub fn serve_connection_stats(graph: SharedGraph, conn: impl Transport, stats: &ServerStats) {
-    serve_connection_traced(graph, conn, stats, None)
-}
-
-/// [`serve_connection_stats`] with request tracing. Two independent layers:
+/// Serve one connection until EOF, recording wire counters into `stats`.
+///
+/// Requests are pulled through an incremental [`FrameReader`]
+/// (stall-tolerant on transports with a read timeout), each runs under its
+/// own cancel token (a child of `ctl.cancel` carrying `ctl.deadline`), and
+/// drain is observed between requests. A frame that fails to decode is
+/// answered with a status-597 error frame before the connection closes (the
+/// byte stream is desynchronized past it); an evaluation panic is answered
+/// with status 500 and the connection lives on.
+///
+/// Request tracing has two independent layers:
 ///
 /// 1. A request whose `args.trace` flag is set gets its decode/evaluate
 ///    phases measured and echoed back as `result.meta.serverTiming` on the
 ///    final frame, regardless of whether this server has a tracer — so an
 ///    in-process pipe still yields cross-wire traces for the *client's*
 ///    tracer.
-/// 2. If `tracer` is given, every request also records its own server-side
-///    trace (`gremlin:request` on the server track) into that tracer's ring.
-pub fn serve_connection_traced(graph: SharedGraph, conn: impl Transport, stats: &ServerStats, tracer: Option<&Tracer>) {
-    serve_connection_ctl(graph, conn, stats, tracer, &ConnCtl::default())
-}
-
-/// [`serve_connection_traced`] under serving controls: an incremental
-/// [`FrameReader`] (stall-tolerant on transports with a read timeout),
-/// per-request deadline tokens, and drain observation between requests.
-pub fn serve_connection_ctl(
-    graph: SharedGraph,
-    mut conn: impl Transport,
-    stats: &ServerStats,
-    tracer: Option<&Tracer>,
-    ctl: &ConnCtl,
-) {
+/// 2. If `ctl.tracer` is set, every request also records its own
+///    server-side trace (`gremlin:request` on the server track) into that
+///    tracer's ring.
+pub fn serve_connection(graph: &PropertyGraph, mut conn: impl Transport, stats: &ServerStats, ctl: &ConnCtl) {
     let mut reader = FrameReader::new();
     loop {
         // Pull the next request; between read timeouts, observe drain so
@@ -394,7 +352,7 @@ pub fn serve_connection_ctl(
         };
         stats.requests.fetch_add(1, Ordering::Relaxed);
         let want_timing = matches!(req.get("args").and_then(|a| a.get("trace")), Some(Json::Bool(true)));
-        let srv_span = match tracer {
+        let srv_span = match &ctl.tracer {
             Some(t) => t.start_trace_on("gremlin:request", TRACK_SERVER),
             None => nepal_obs::SpanHandle::none(),
         };
@@ -407,7 +365,7 @@ pub fn serve_connection_ctl(
         let mut timing: Vec<(String, u64, u64)> = Vec::new();
         let timing_slot = if measure { Some(&mut timing) } else { None };
         let token = ctl.request_token();
-        let mut frames = handle_request_ctl(&graph, &req, stats, token.as_ref(), timing_slot);
+        let mut frames = handle_request(graph, &req, stats, token.as_ref(), timing_slot);
         if let (true, Some(stmt), Some(t)) = (metered, &ctl.stmt, t0) {
             let cpu_ns = c0.map(|c| nepal_obs::thread_cpu_ns().saturating_sub(c)).unwrap_or(0);
             record_stmt(stmt, &req, &frames, t.elapsed().as_nanos() as u64, cpu_ns);
@@ -551,16 +509,12 @@ impl GremlinServer {
     /// Bind to `127.0.0.1:0` (ephemeral port) and serve `graph` with the
     /// default admission limits.
     pub fn start(graph: SharedGraph) -> std::io::Result<GremlinServer> {
-        GremlinServer::start_addr(graph, "127.0.0.1:0", None)
+        GremlinServer::start_cfg(graph, "127.0.0.1:0", None, ServeConfig::default())
     }
 
-    /// [`GremlinServer::start`] on an explicit address, optionally recording
-    /// per-request server-side traces into `tracer`'s ring.
-    pub fn start_addr(graph: SharedGraph, bind: &str, tracer: Option<Tracer>) -> std::io::Result<GremlinServer> {
-        GremlinServer::start_cfg(graph, bind, tracer, ServeConfig::default())
-    }
-
-    /// [`GremlinServer::start_addr`] with explicit serving limits.
+    /// [`GremlinServer::start`] on an explicit address with explicit serving
+    /// limits, optionally recording per-request server-side traces into
+    /// `tracer`'s ring.
     pub fn start_cfg(
         graph: SharedGraph,
         bind: &str,
@@ -621,17 +575,17 @@ impl GremlinServer {
             cancel: Some(drain_cancel.clone()),
             deadline: cfg.deadline,
             stmt: cfg.stmt.clone(),
+            tracer,
         };
         let workers = (0..cfg.workers.max(1))
             .map(|_| {
                 let g = graph.clone();
                 let st = stats.clone();
                 let q = queue.clone();
-                let tr = tracer.clone();
                 let ctl = ctl.clone();
                 thread::spawn(move || {
                     while let Some(stream) = q.pop() {
-                        serve_connection_ctl(g.clone(), stream, &st, tr.as_ref(), &ctl);
+                        serve_connection(&g, stream, &st, &ctl);
                     }
                 })
             })
@@ -733,25 +687,30 @@ impl Drop for GremlinServer {
     }
 }
 
-/// In-process duplex transport built from crossbeam channels — the
-/// zero-socket path used by unit tests and the embedded backend.
+/// In-process duplex transport built from two channels — the zero-socket
+/// path used by unit tests and the embedded backend. Dropping one end reads
+/// as EOF on the other and makes its writes fail with `BrokenPipe`.
 pub struct PipeEnd {
-    tx: crossbeam::channel::Sender<Vec<u8>>,
-    rx: crossbeam::channel::Receiver<Vec<u8>>,
+    tx: mpsc::Sender<Vec<u8>>,
+    /// The `Mutex` only makes the end `Sync` (the engine's `Backend` trait
+    /// requires it); reads go through `&mut self`, so it is never locked.
+    rx: Mutex<mpsc::Receiver<Vec<u8>>>,
     buf: Vec<u8>,
 }
 
 /// Create a connected pair of in-process transports.
-pub fn pipe_pair() -> (PipeEnd, PipeEnd) {
-    let (atx, arx) = crossbeam::channel::unbounded();
-    let (btx, brx) = crossbeam::channel::unbounded();
-    (PipeEnd { tx: atx, rx: brx, buf: Vec::new() }, PipeEnd { tx: btx, rx: arx, buf: Vec::new() })
+fn pipe_pair() -> (PipeEnd, PipeEnd) {
+    let (atx, arx) = mpsc::channel();
+    let (btx, brx) = mpsc::channel();
+    let end = |tx, rx| PipeEnd { tx, rx: Mutex::new(rx), buf: Vec::new() };
+    (end(atx, brx), end(btx, arx))
 }
 
 impl Read for PipeEnd {
     fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        let rx = self.rx.get_mut().expect("the receiver is never locked, so never poisoned");
         while self.buf.is_empty() {
-            match self.rx.recv() {
+            match rx.recv() {
                 Ok(chunk) => self.buf = chunk,
                 Err(_) => return Ok(0), // EOF
             }
@@ -776,41 +735,18 @@ impl Write for PipeEnd {
 
 /// Spawn an in-process server thread over a pipe; returns the client end.
 pub fn serve_in_process(graph: SharedGraph) -> PipeEnd {
-    serve_in_process_stats(graph).0
+    serve_in_process_ctl(graph, ConnCtl::default()).0
 }
 
-/// [`serve_in_process`] also returning the server's shared wire counters.
-pub fn serve_in_process_stats(graph: SharedGraph) -> (PipeEnd, Arc<ServerStats>) {
-    let (client, server) = pipe_pair();
-    let stats = Arc::new(ServerStats::default());
-    let st = stats.clone();
-    thread::spawn(move || serve_connection_stats(graph, server, &st));
-    (client, stats)
-}
-
-/// [`serve_in_process_stats`] with the server recording its own traces
-/// into `tracer`'s ring.
-pub fn serve_in_process_traced(graph: SharedGraph, tracer: Tracer) -> (PipeEnd, Arc<ServerStats>) {
-    let (client, server) = pipe_pair();
-    let stats = Arc::new(ServerStats::default());
-    let st = stats.clone();
-    thread::spawn(move || serve_connection_traced(graph, server, &st, Some(&tracer)));
-    (client, stats)
-}
-
-/// [`serve_in_process_stats`] under explicit serving controls (deadline,
-/// drain signals) — the zero-socket path for overload/fault tests.
+/// [`serve_in_process`] under explicit serving controls (deadline, drain
+/// signals, recorders), also returning the server's wire counters — the
+/// zero-socket path for overload/fault tests.
 pub fn serve_in_process_ctl(graph: SharedGraph, ctl: ConnCtl) -> (PipeEnd, Arc<ServerStats>) {
     let (client, server) = pipe_pair();
     let stats = Arc::new(ServerStats::default());
     let st = stats.clone();
-    thread::spawn(move || serve_connection_ctl(graph, server, &st, None, &ctl));
+    thread::spawn(move || serve_connection(&graph, server, &st, &ctl));
     (client, stats)
-}
-
-#[allow(unused)]
-fn _proto_error_is_used(e: ProtoError) -> String {
-    e.to_string()
 }
 
 #[cfg(test)]
@@ -826,14 +762,18 @@ mod tests {
         g.add_vertex(1, "Node:VM", BTreeMap::new());
         g.add_vertex(2, "Node:Host", BTreeMap::new());
         g.add_edge(3, "Edge:HostedOn", 1, 2, BTreeMap::new());
-        Arc::new(RwLock::new(g))
+        shared_graph(g)
+    }
+
+    fn handle(g: &PropertyGraph, req: &Json) -> Vec<Json> {
+        handle_request(g, req, &ServerStats::default(), None, None)
     }
 
     #[test]
     fn handles_bytecode_request() {
         let g = shared();
         let req = request("q1", bytecode_to_json(&[GStep::V(vec![]), GStep::Count]));
-        let frames = handle_request(&g, &req);
+        let frames = handle(&g, &req);
         assert_eq!(frames.len(), 1);
         let data = frames[0].get("result").unwrap().get("data").unwrap().as_arr().unwrap();
         assert_eq!(data[0], Json::Num(2.0));
@@ -846,11 +786,44 @@ mod tests {
         if let Json::Obj(m) = &mut req {
             m.insert("op".into(), Json::Str("eval".into()));
         }
-        let frames = handle_request(&g, &req);
+        let frames = handle(&g, &req);
         assert_eq!(frames[0].get("status").unwrap().get("code").unwrap().as_u64(), Some(500));
         let req2 = request("q2", Json::Arr(vec![Json::Arr(vec![Json::Str("nope".into())])]));
-        let frames2 = handle_request(&g, &req2);
+        let frames2 = handle(&g, &req2);
         assert_eq!(frames2[0].get("status").unwrap().get("code").unwrap().as_u64(), Some(500));
+    }
+
+    #[test]
+    fn pipe_end_reports_eof_and_broken_pipe_once_the_peer_drops() {
+        let (mut a, b) = pipe_pair();
+        drop(b);
+        let mut buf = [0u8; 8];
+        assert_eq!(a.read(&mut buf).unwrap(), 0, "a dropped peer reads as EOF");
+        let err = a.write(b"x").unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+    }
+
+    #[test]
+    fn pipe_end_reassembles_a_frame_written_in_chunks() {
+        let (mut a, mut b) = pipe_pair();
+        let req = request("q1", bytecode_to_json(&[GStep::V(vec![]), GStep::Count]));
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &req).unwrap();
+        for chunk in bytes.chunks(3) {
+            a.write_all(chunk).unwrap();
+        }
+        assert_eq!(read_frame(&mut b).unwrap(), req);
+    }
+
+    #[test]
+    fn panicking_evaluation_is_answered_500_and_counted() {
+        let g = shared();
+        let stats = ServerStats::default();
+        let req = request(CHAOS_PANIC_REQUEST_ID, bytecode_to_json(&[GStep::V(vec![])]));
+        let frames = handle_request(&g, &req, &stats, None, None);
+        assert_eq!(frames[0].get("status").unwrap().get("code").unwrap().as_u64(), Some(500));
+        assert_eq!(stats.evaluation_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.inflight.load(Ordering::Relaxed), 0);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use nepal_obs::SpanHandle;
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
-use parking_lot::RwLock;
 
 const SCHEMA: &str = r#"
     node VNF { vnf_id: int unique }
@@ -92,7 +91,7 @@ fn check(g: &TemporalGraph, q: &str, native_filter: TimeFilter, gtime: GremlinTi
     let plan = plan_rpe(g.schema(), &parse_rpe(q).unwrap(), &GraphEstimator { graph: g }).unwrap();
     let view = GraphView::new(g, native_filter);
     let native = evaluate(&view, &plan, Seeds::Anchor, &EvalOptions::default());
-    let pg = Arc::new(RwLock::new(property_graph_from(g)));
+    let pg = Arc::new(property_graph_from(g));
     let responses = Arc::new(Mutex::new(Vec::new()));
     let mut client = GremlinClient::new(Recorder { inner: serve_in_process(pg), responses: responses.clone() });
     let res = evaluate_gremlin(
@@ -237,7 +236,7 @@ fn extend_block_reduces_round_trips() {
     let g = random_graph(5, 12);
     let q = "VNF(vnf_id=2)->[Vertical()]{1,6}->Host()";
     let plan = plan_rpe(g.schema(), &parse_rpe(q).unwrap(), &GraphEstimator { graph: &g }).unwrap();
-    let pg = Arc::new(RwLock::new(property_graph_from(&g)));
+    let pg = Arc::new(property_graph_from(&g));
     let mut c1 = GremlinClient::new(serve_in_process(pg.clone()));
     let with_block = evaluate_gremlin(
         &mut c1,
@@ -281,7 +280,7 @@ fn seeded_evaluation_over_tcp() {
     let view = GraphView::new(&g, TimeFilter::Current);
     let native = evaluate(&view, &plan, Seeds::Sources(&seeds), &EvalOptions::default());
 
-    let pg = Arc::new(RwLock::new(property_graph_from(&g)));
+    let pg = Arc::new(property_graph_from(&g));
     let server = GremlinServer::start(pg).unwrap();
     let mut client = GremlinClient::new(server.connect().unwrap());
     let res = evaluate_gremlin(
@@ -317,7 +316,7 @@ fn textual_eval_op_over_the_wire() {
     // The server accepts the console-style `eval` op with a textual
     // traversal and returns the same answer as the bytecode path.
     let g = random_graph(1, 6);
-    let pg = Arc::new(RwLock::new(property_graph_from(&g)));
+    let pg = Arc::new(property_graph_from(&g));
     let server = GremlinServer::start(pg).unwrap();
     let mut client = GremlinClient::new(server.connect().unwrap());
     let via_text = client.submit_text("g.V().hasLabel('Node:VM').id()").unwrap();

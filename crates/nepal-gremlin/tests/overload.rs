@@ -13,7 +13,6 @@ use nepal_gremlin::{
     bytecode_to_json, GStep, GremlinClient, GremlinServer, PropertyGraph, ProtoError, RetryPolicy, RetryingClient,
     ServeConfig,
 };
-use parking_lot::RwLock;
 
 fn shared(n: u64) -> nepal_gremlin::SharedGraph {
     let mut g = PropertyGraph::new();
@@ -23,7 +22,7 @@ fn shared(n: u64) -> nepal_gremlin::SharedGraph {
     for i in 1..n {
         g.add_edge(n + i, "Edge:HostedOn", i, i - 1, BTreeMap::new());
     }
-    Arc::new(RwLock::new(g))
+    Arc::new(g)
 }
 
 fn count_req() -> Vec<GStep> {

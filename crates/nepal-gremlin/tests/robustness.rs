@@ -7,12 +7,11 @@ use std::io::Write;
 use std::sync::Arc;
 
 use nepal_gremlin::{parse_json, parse_traversal, GStep, GremlinClient, GremlinServer, PropertyGraph};
-use parking_lot::RwLock;
 
 fn server() -> GremlinServer {
     let mut g = PropertyGraph::new();
     g.add_vertex(1, "Node:VM", BTreeMap::new());
-    GremlinServer::start(Arc::new(RwLock::new(g))).unwrap()
+    GremlinServer::start(Arc::new(g)).unwrap()
 }
 
 #[test]

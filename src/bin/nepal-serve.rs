@@ -68,8 +68,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::RwLock;
-
 use nepal::core::{BackendRegistry, Engine, GremlinBackend, NativeBackend, RelationalBackend, StandardSlos};
 use nepal::graph::{resource_summary, StoreGauges, TemporalGraph};
 use nepal::gremlin::{property_graph_from, GremlinClient, GremlinServer, ServeConfig};
@@ -181,7 +179,7 @@ fn main() {
 
     // Gremlin wire endpoint over a property-graph mirror, sharing the
     // engine's tracer so server-side request spans land in the same ring.
-    let pg = Arc::new(RwLock::new(property_graph_from(&graph)));
+    let pg = Arc::new(property_graph_from(&graph));
     let serve_cfg = ServeConfig {
         workers: max_inflight.max(1),
         queue_depth,

@@ -8,7 +8,6 @@ use nepal::core::{engine_over, Backend, BackendRegistry, Engine, GremlinBackend,
 use nepal::gremlin::{property_graph_from, GremlinClient, GremlinServer};
 use nepal::schema::Value;
 use nepal::workload::{generate_virtualized, VirtParams};
-use parking_lot::RwLock;
 
 fn small_topo() -> nepal::workload::VirtTopology {
     generate_virtualized(VirtParams {
@@ -59,7 +58,7 @@ fn all_three_backends_agree_through_the_engine() {
     let rel_results = collect(&mut rel_engine);
     assert_eq!(native_results, rel_results, "relational differs");
 
-    let pg = Arc::new(RwLock::new(property_graph_from(&graph)));
+    let pg = Arc::new(property_graph_from(&graph));
     let server = GremlinServer::start(pg).unwrap();
     let client = GremlinClient::new(server.connect().unwrap());
     let gremlin = GremlinBackend::new(client, graph.schema().clone());
@@ -104,7 +103,7 @@ fn translator_snapshots() {
 fn wire_protocol_survives_concurrent_clients() {
     let topo = small_topo();
     let graph = Arc::new(topo.graph);
-    let pg = Arc::new(RwLock::new(property_graph_from(&graph)));
+    let pg = Arc::new(property_graph_from(&graph));
     let server = GremlinServer::start(pg).unwrap();
     let addr = server.addr;
     let mut handles = Vec::new();

@@ -6,11 +6,9 @@
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use nepal::core::{engine_over, BackendRegistry, Engine, GremlinBackend, NativeBackend, StandardSlos};
 use nepal::graph::{resource_summary, StoreGauges, TemporalGraph};
-use nepal::gremlin::{parse_json, property_graph_from, GremlinClient, GremlinServer};
+use nepal::gremlin::{parse_json, property_graph_from, GremlinClient, GremlinServer, ServeConfig};
 use nepal::obs::{HistoryRing, SloRule, Telemetry, TelemetryServer, TRACK_SERVER};
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::Value;
@@ -100,8 +98,9 @@ fn gremlin_query_produces_single_cross_wire_trace() {
     engine.tracer.set_enabled(true);
     engine.tracer.set_sample_every(1);
 
-    let pg = Arc::new(RwLock::new(property_graph_from(&graph)));
-    let server = GremlinServer::start_addr(pg, "127.0.0.1:0", Some(engine.tracer.clone())).unwrap();
+    let pg = Arc::new(property_graph_from(&graph));
+    let server =
+        GremlinServer::start_cfg(pg, "127.0.0.1:0", Some(engine.tracer.clone()), ServeConfig::default()).unwrap();
     let client = GremlinClient::new(server.connect().unwrap());
     engine.registry.add("gremlin", Box::new(GremlinBackend::new(client, graph.schema().clone())));
 
