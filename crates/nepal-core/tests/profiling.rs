@@ -76,6 +76,30 @@ fn extend_rows_out_matches_pathway_count() {
 }
 
 #[test]
+fn at_anchor_on_a_unique_field_seeks_the_index() {
+    let (mut eng, _g) = fixture();
+    let now = "Retrieve P From PATHS P Where P MATCHES VM(vm_id=2)->[HostedOn()]->Host()";
+    let at = format!("AT '2017-02-02 00:00' {now}");
+    let mut logical = Vec::new();
+    for threads in [1, 4] {
+        eng.eval_options.threads = threads;
+        for q in [now, at.as_str()] {
+            let (result, profile) = eng.query_profiled(q).unwrap();
+            assert_eq!(result.rows.len(), 1, "{q}");
+            // One index candidate in, not the four-VM extent, under AT as
+            // at the current snapshot.
+            let select = profile.vars[0].trace.ops.iter().find(|o| o.op == "Select").expect("Select op recorded");
+            assert_eq!((select.rows_in, select.rows_out), (1, 1), "{q}");
+            let mut meter = profile.meter.expect("profiled queries are metered");
+            assert_eq!((meter.seeks, meter.rows_scanned), (1, 1), "{q}");
+            meter.cpu_ns = 0;
+            logical.push(meter);
+        }
+    }
+    assert_eq!(logical[..2], logical[2..], "logical counters differ between 1 and 4 threads");
+}
+
+#[test]
 fn profiled_and_plain_execution_agree() {
     let (mut eng, _g) = fixture();
     let plain = eng.query(Q).unwrap();

@@ -12,7 +12,7 @@
 //! irrelevant legacy entities (the paper's Table-3 partitioning win).
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,6 +20,7 @@ use nepal_schema::{ClassId, ClassKind, Schema, Ts, Value};
 
 use crate::error::{GraphError, Result};
 use crate::interval::{Interval, IntervalSet};
+use crate::view::TimeFilter;
 
 /// Unique identifier of a node or edge. Uids are dense indices assigned by
 /// the store; nodes and edges share one uid space (as in the paper's
@@ -541,6 +542,89 @@ impl ClassHeatSnapshot {
     }
 }
 
+/// The class that declares layout index `idx` for `class` (the ancestor
+/// whose own-field range contains `idx`). Unique indexes are keyed on the
+/// declaring class so all subclasses share the constraint.
+fn declaring_class(schema: &Schema, class: ClassId, idx: usize) -> ClassId {
+    let mut offset = 0usize;
+    for c in schema.ancestors(class).into_iter().rev() {
+        let own = schema.class(c).own_fields.len();
+        if idx < offset + own {
+            return c;
+        }
+        offset += own;
+    }
+    class
+}
+
+/// The value field `idx` takes in each version of `versions`, newest
+/// first, without materializing any: a `Full` version stores it, a `Delta`
+/// stores it where the field changed and otherwise carries the next-newer
+/// version's value. The chain's newest version must be stored full.
+fn field_history(versions: &[Version], idx: usize) -> impl Iterator<Item = &Value> {
+    versions.iter().rev().scan(None, move |carried: &mut Option<&Value>, v| {
+        *carried = match &v.data {
+            VersionData::Full(f) => Some(&f[idx]),
+            VersionData::Delta(d) => d.iter().find(|(i, _)| *i as usize == idx).map(|(_, x)| x).or(*carried),
+        };
+        *carried
+    })
+}
+
+/// Record `uid` as a former holder of the non-null `v` under `key`.
+fn add_former(former: &mut FormerIndex, key: (ClassId, usize), v: &Value, uid: Uid) {
+    if v.is_null() {
+        return;
+    }
+    let m = former.entry(key).or_default();
+    match m.get_mut(v) {
+        Some(holders) => {
+            if let Err(at) = holders.binary_search(&uid) {
+                holders.insert(at, uid);
+            }
+        }
+        None => {
+            m.insert(v.clone(), vec![uid]);
+        }
+    }
+}
+
+/// Drop `uid` from the former holders of `v` under `key` (its open head
+/// holds `v` again), pruning emptied entries so the live index stays equal
+/// to a rebuilt one.
+fn remove_former(former: &mut FormerIndex, key: (ClassId, usize), v: &Value, uid: Uid) {
+    let Some(m) = former.get_mut(&key) else { return };
+    let Some(holders) = m.get_mut(v) else { return };
+    if let Ok(at) = holders.binary_search(&uid) {
+        holders.remove(at);
+        if holders.is_empty() {
+            m.remove(v);
+            if m.is_empty() {
+                former.remove(&key);
+            }
+        }
+    }
+}
+
+/// Drop `v`'s current holder under `key`, pruning an emptied map.
+fn remove_holder(unique: &mut UniqueIndex, key: (ClassId, usize), v: &Value) {
+    if let Some(m) = unique.get_mut(&key) {
+        m.remove(v);
+        if m.is_empty() {
+            unique.remove(&key);
+        }
+    }
+}
+
+/// One entry of [`TemporalGraph::unique_index_rows`]: declaring class,
+/// field index, value, current holder, former holders.
+pub type UniqueIndexRow = (ClassId, usize, Value, Option<Uid>, Vec<Uid>);
+
+/// (declaring class, field index) → value → current holder.
+type UniqueIndex = HashMap<(ClassId, usize), HashMap<Value, Uid>>;
+/// (declaring class, field index) → value → former holders.
+type FormerIndex = HashMap<(ClassId, usize), HashMap<Value, Vec<Uid>>>;
+
 /// The temporal graph store.
 pub struct TemporalGraph {
     schema: Arc<Schema>,
@@ -554,8 +638,18 @@ pub struct TemporalGraph {
     /// Per exact class: number of currently asserted entities (statistics
     /// for the anchor-costing optimizer, §5.1).
     alive: Vec<u64>,
-    /// Unique index: (declaring class, field index) → value → holder uid.
-    unique: HashMap<(ClassId, usize), HashMap<Value, Uid>>,
+    /// Unique index: (declaring class, field index) → value → the uid
+    /// whose open head holds it.
+    unique: UniqueIndex,
+    /// Former-holder index beside `unique`: (declaring class, field index)
+    /// → value → every uid (sorted, distinct) that holds the value in some
+    /// stored version, except the uid whose open head holds it now. A pure
+    /// function of the version chains that only deletes and re-keys feed,
+    /// so a store whose unique values never move or die keeps it empty.
+    former: FormerIndex,
+    /// Per exact class: its unique fields as `(field index, declaring
+    /// class)`, resolved once so mutations never walk the hierarchy.
+    unique_keys: Vec<Box<[(usize, ClassId)]>>,
     /// Total number of versions ever stored (history accounting, §6.1).
     version_count: u64,
     /// Per exact class: incremental entity/version/byte accounting.
@@ -570,6 +664,12 @@ pub struct TemporalGraph {
 impl TemporalGraph {
     pub fn new(schema: Arc<Schema>) -> TemporalGraph {
         let n = schema.num_classes();
+        let unique_keys = (0..n as u32)
+            .map(|c| {
+                let class = ClassId(c);
+                schema.unique_fields(class).into_iter().map(|idx| (idx, declaring_class(&schema, class, idx))).collect()
+            })
+            .collect();
         TemporalGraph {
             schema,
             entries: Vec::new(),
@@ -579,6 +679,8 @@ impl TemporalGraph {
             extents: vec![Vec::new(); n],
             alive: vec![0; n],
             unique: HashMap::new(),
+            former: HashMap::new(),
+            unique_keys,
             version_count: 0,
             acct: vec![ClassAccounting::default(); n],
             adj_bytes: 0,
@@ -629,66 +731,32 @@ impl TemporalGraph {
         &self.acct
     }
 
-    /// The class that declares layout index `idx` for `class` (the ancestor
-    /// whose own-field range contains `idx`). Unique indexes are keyed on
-    /// the declaring class so all subclasses share the constraint.
-    fn declaring_class(&self, class: ClassId, idx: usize) -> ClassId {
-        let mut chain = self.schema.ancestors(class);
-        chain.reverse(); // root → leaf
-        let mut offset = 0usize;
-        for c in chain {
-            let own = self.schema.class(c).own_fields.len();
-            if idx < offset + own {
-                return c;
-            }
-            offset += own;
-        }
-        class
-    }
-
     // ------------------------------------------------------------------
     // Mutation API
     // ------------------------------------------------------------------
 
+    fn unique_violation(&self, class: ClassId, idx: usize) -> GraphError {
+        GraphError::UniqueViolation {
+            class: self.schema.class(class).name.clone(),
+            field: self.schema.all_fields(class)[idx].name.clone(),
+        }
+    }
+
     fn check_unique_free(&self, class: ClassId, fields: &[Value]) -> Result<()> {
-        for idx in self.schema.unique_fields(class) {
+        for &(idx, decl) in self.unique_keys[class.0 as usize].iter() {
             let v = &fields[idx];
-            if v.is_null() {
-                continue;
-            }
-            let key = (self.declaring_class(class, idx), idx);
-            if let Some(m) = self.unique.get(&key) {
-                if m.contains_key(v) {
-                    return Err(GraphError::UniqueViolation {
-                        class: self.schema.class(class).name.clone(),
-                        field: self.schema.all_fields(class)[idx].name.clone(),
-                    });
-                }
+            if !v.is_null() && self.unique.get(&(decl, idx)).is_some_and(|m| m.contains_key(v)) {
+                return Err(self.unique_violation(class, idx));
             }
         }
         Ok(())
     }
 
     fn index_unique(&mut self, class: ClassId, fields: &[Value], uid: Uid) {
-        for idx in self.schema.unique_fields(class) {
+        for &(idx, decl) in self.unique_keys[class.0 as usize].iter() {
             let v = &fields[idx];
-            if v.is_null() {
-                continue;
-            }
-            let key = (self.declaring_class(class, idx), idx);
-            self.unique.entry(key).or_default().insert(v.clone(), uid);
-        }
-    }
-
-    fn unindex_unique(&mut self, class: ClassId, fields: &[Value]) {
-        for idx in self.schema.unique_fields(class) {
-            let v = &fields[idx];
-            if v.is_null() {
-                continue;
-            }
-            let key = (self.declaring_class(class, idx), idx);
-            if let Some(m) = self.unique.get_mut(&key) {
-                m.remove(v);
+            if !v.is_null() {
+                self.unique.entry((decl, idx)).or_default().insert(v.clone(), uid);
             }
         }
     }
@@ -796,41 +864,47 @@ impl TemporalGraph {
             new_fields[*idx] = v.clone();
         }
         self.schema.validate_record(class, &new_fields)?;
-        // Re-key unique index for changed unique fields.
-        let old_fields = cur.fields().to_vec();
-        for idx in self.schema.unique_fields(class) {
-            if old_fields[idx] == new_fields[idx] {
+        // Re-key the unique indexes for changed unique fields, checking
+        // every one before touching any.
+        let same_instant = cur.span.from == ts;
+        let versions = entry.versions();
+        let old_fields = cur.fields();
+        let keys = &self.unique_keys[class.0 as usize];
+        for &(idx, decl) in keys.iter() {
+            let new = &new_fields[idx];
+            if old_fields[idx] != *new
+                && !new.is_null()
+                && self.unique.get(&(decl, idx)).and_then(|m| m.get(new)).is_some_and(|&h| h != uid)
+            {
+                return Err(self.unique_violation(class, idx));
+            }
+        }
+        for &(idx, decl) in keys.iter() {
+            let (old, new) = (&old_fields[idx], &new_fields[idx]);
+            if old == new {
                 continue;
             }
-            let key = (self.declaring_class(class, idx), idx);
-            if !new_fields[idx].is_null() {
-                if let Some(m) = self.unique.get(&key) {
-                    if let Some(&holder) = m.get(&new_fields[idx]) {
-                        if holder != uid {
-                            return Err(GraphError::UniqueViolation {
-                                class: self.schema.class(class).name.clone(),
-                                field: self.schema.all_fields(class)[idx].name.clone(),
-                            });
-                        }
-                    }
+            let key = (decl, idx);
+            if !old.is_null() {
+                remove_holder(&mut self.unique, key, old);
+                // A closed head keeps `old` in history; a same-instant
+                // rewrite leaves it there only if an older version holds it.
+                if !same_instant || field_history(versions, idx).skip(1).any(|x| x == old) {
+                    add_former(&mut self.former, key, old, uid);
                 }
             }
-            let m = self.unique.entry(key).or_default();
-            if !old_fields[idx].is_null() {
-                m.remove(&old_fields[idx]);
-            }
-            if !new_fields[idx].is_null() {
-                m.insert(new_fields[idx].clone(), uid);
+            if !new.is_null() {
+                remove_former(&mut self.former, key, new, uid);
+                self.unique.entry(key).or_default().insert(new.clone(), uid);
             }
         }
         let new_heap = fields_heap_bytes(&new_fields);
         let entry = &mut self.entries[uid.0 as usize];
         let versions = entry.versions_mut();
-        let same_instant = versions.last().unwrap().span.from == ts;
         let acct = &mut self.acct[class.0 as usize];
         if same_instant {
             // Same-instant update: replace in place (no zero-length version).
-            let old_heap = fields_heap_bytes(&old_fields);
+            let old_heap = fields_heap_bytes(versions.last().expect("the open head exists").fields());
             acct.bytes = acct.bytes + new_heap - old_heap;
             acct.full_bytes = acct.full_bytes + new_heap - old_heap;
             // The head's values change, so the backward delta of the
@@ -850,13 +924,18 @@ impl TemporalGraph {
             last.data = VersionData::Full(new_fields);
         } else {
             // Close the head and demote it to a backward delta against the
-            // incoming version (we hold both value vectors — no
-            // materialization needed), unless it sits on a keyframe slot.
+            // incoming version (its values move out of the head — no
+            // materialization or copy), unless it sits on a keyframe slot.
             let head_idx = versions.len() - 1;
             let last = versions.last_mut().unwrap();
             last.span = Interval::new(last.span.from, ts);
             if !head_idx.is_multiple_of(KEYFRAME_INTERVAL) {
                 let old_stored = stored_version_bytes(last);
+                let VersionData::Full(old_fields) =
+                    std::mem::replace(&mut last.data, VersionData::Delta(Box::default()))
+                else {
+                    unreachable!("the chain head is always stored full")
+                };
                 last.data = encode_history(old_fields, &new_fields);
                 acct.bytes = acct.bytes + stored_version_bytes(last) - old_stored;
             }
@@ -890,18 +969,15 @@ impl TemporalGraph {
     }
 
     fn close_entry(&mut self, uid: Uid, ts: Ts) -> Result<()> {
-        let entry = &self.entries[uid.0 as usize];
+        let entry = &mut self.entries[uid.0 as usize];
         let class = entry.class();
-        let cur = entry.versions().last().filter(|v| v.span.is_current()).ok_or(GraphError::Dead { uid, at: ts })?;
+        let versions = entry.versions_mut();
+        let cur = versions.last().filter(|v| v.span.is_current()).ok_or(GraphError::Dead { uid, at: ts })?;
         if ts < cur.span.from {
             return Err(GraphError::NonMonotonicTs { uid, last: cur.span.from, got: ts });
         }
-        let fields = cur.fields().to_vec();
-        self.unindex_unique(class, &fields);
-        let entry = &mut self.entries[uid.0 as usize];
-        let versions = entry.versions_mut();
         let last = versions.last_mut().unwrap();
-        if last.span.from == ts {
+        let dropped = if last.span.from == ts {
             // Inserted and deleted at the same instant: drop the version.
             let dropped = versions.pop().expect("current version exists");
             self.version_count -= 1;
@@ -923,8 +999,24 @@ impl TemporalGraph {
                     acct.bytes = acct.bytes + stored_version_bytes(new_last) - old_stored;
                 }
             }
+            Some(dropped)
         } else {
             last.span = Interval::new(last.span.from, ts);
+            None
+        };
+        // The entity is dead: its head values leave the unique index, and
+        // become former values wherever a stored version still holds them
+        // (always, unless the head was just popped).
+        let head = dropped.as_ref().or(versions.last()).expect("the closed or popped head exists").fields();
+        for &(idx, decl) in self.unique_keys[class.0 as usize].iter() {
+            let v = &head[idx];
+            if v.is_null() {
+                continue;
+            }
+            remove_holder(&mut self.unique, (decl, idx), v);
+            if dropped.is_none() || field_history(versions, idx).any(|x| x == v) {
+                add_former(&mut self.former, (decl, idx), v, uid);
+            }
         }
         self.alive[class.0 as usize] = self.alive[class.0 as usize].saturating_sub(1);
         nepal_obs::flight::emit(nepal_obs::FlightKind::JournalMutation, uid.0, class.0 as u64, 0, "delete");
@@ -1100,19 +1192,61 @@ impl TemporalGraph {
         self.heat.get(class.0 as usize).map(|h| h.snapshot()).unwrap_or_default()
     }
 
-    /// Unique-index point lookup: the currently asserted entity of `class`
-    /// (or a subclass) whose unique field `idx` equals `value`. Counts one
-    /// seek on the queried class's heatmap.
-    pub fn find_unique(&self, class: ClassId, idx: usize, value: &Value) -> Option<Uid> {
+    /// Unique-index seek: the entities of `class` (or a subclass) that may
+    /// hold `value` in unique field `idx` under `filter`. At `Current` that
+    /// is the current holder; under `AsOf` and `Range` the current holder
+    /// plus every former holder — a candidate superset the caller re-checks
+    /// at its filter. Candidates come in extent-walk order (the class order
+    /// of [`Schema::descendants`], then uid). Counts one seek on the queried
+    /// class's heatmap.
+    pub fn unique_holders(&self, class: ClassId, idx: usize, value: &Value, filter: TimeFilter) -> Vec<Uid> {
         if let Some(h) = self.heat.get(class.0 as usize) {
             h.seeks.fetch_add(1, Ordering::Relaxed);
         }
-        let key = (self.declaring_class(class, idx), idx);
-        let uid = *self.unique.get(&key)?.get(value)?;
-        // The index only holds alive entities, but the hit might be of a
-        // sibling subclass outside the queried concept; verify.
-        let c = self.class_of(uid)?;
-        self.schema.is_subclass(c, class).then_some(uid)
+        let Some(&(_, decl)) = self.unique_keys.get(class.0 as usize).and_then(|ks| ks.iter().find(|k| k.0 == idx))
+        else {
+            return Vec::new();
+        };
+        let key = (decl, idx);
+        let mut out: Vec<Uid> = self.unique.get(&key).and_then(|m| m.get(value)).copied().into_iter().collect();
+        if filter != TimeFilter::Current {
+            if let Some(former) = self.former.get(&key).and_then(|m| m.get(value)) {
+                out.extend_from_slice(former);
+            }
+        }
+        // The index is keyed on the declaring class, so a holder may be of
+        // a sibling subclass outside the queried concept.
+        out.retain(|&u| self.class_of(u).is_some_and(|c| self.schema.is_subclass(c, class)));
+        if out.len() > 1 {
+            let order = self.schema.descendants(class);
+            out.sort_unstable_by_key(|&u| (order.iter().position(|&c| Some(c) == self.class_of(u)), u));
+        }
+        out
+    }
+
+    /// The currently asserted entity of `class` (or a subclass) whose
+    /// unique field `idx` equals `value`: [`TemporalGraph::unique_holders`]
+    /// at `Current`.
+    pub fn find_unique(&self, class: ClassId, idx: usize, value: &Value) -> Option<Uid> {
+        self.unique_holders(class, idx, value, TimeFilter::Current).first().copied()
+    }
+
+    /// The unique indexes' contents as `(declaring class, field index,
+    /// value, current holder, former holders)` rows in key order — what a
+    /// live store and one rebuilt from its chains must agree on.
+    pub fn unique_index_rows(&self) -> Vec<UniqueIndexRow> {
+        let mut rows = BTreeMap::new();
+        for (&(c, i), m) in &self.unique {
+            for (v, &u) in m {
+                rows.entry((c, i, v)).or_insert((None, &[][..])).0 = Some(u);
+            }
+        }
+        for (&(c, i), m) in &self.former {
+            for (v, holders) in m {
+                rows.entry((c, i, v)).or_insert((None, &[][..])).1 = holders;
+            }
+        }
+        rows.into_iter().map(|((c, i, v), (u, f))| (c, i, v.clone(), u, f.to_vec())).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1121,7 +1255,8 @@ impl TemporalGraph {
 
     /// Restore one entity during journal load. Entities must arrive in
     /// dense uid order; versions must be chronologically sorted and
-    /// non-overlapping. Unique indexes are rebuilt afterwards via
+    /// non-overlapping. The unique and former-holder indexes are rebuilt
+    /// from the chains afterwards via
     /// [`TemporalGraph::rebuild_unique_index`].
     pub(crate) fn restore_entity(
         &mut self,
@@ -1228,19 +1363,53 @@ impl TemporalGraph {
         Ok(())
     }
 
-    /// Rebuild the unique index from the currently asserted versions
-    /// (journal loading), failing on constraint violations.
+    /// Rebuild the unique and former-holder indexes from the version
+    /// chains (journal and binary-snapshot loading), failing on constraint
+    /// violations.
     pub(crate) fn rebuild_unique_index(&mut self) -> Result<()> {
-        self.unique.clear();
-        for raw in 0..self.entries.len() as u64 {
-            let uid = Uid(raw);
-            let class = self.entries[raw as usize].class();
-            let Some(v) = self.current_version(uid) else { continue };
-            let fields = v.fields().to_vec();
-            self.check_unique_free(class, &fields)?;
-            self.index_unique(class, &fields, uid);
-        }
+        (self.unique, self.former) = self.build_unique_index()?;
         Ok(())
+    }
+
+    /// Both unique indexes as pure functions of the version chains, in one
+    /// pass without materializing a version: a value a chain ever held is
+    /// a `Full` version's field or a `Delta` entry on that field (backward
+    /// deltas record the older value exactly where it changed).
+    fn build_unique_index(&self) -> Result<(UniqueIndex, FormerIndex)> {
+        let (mut unique, mut former) = (UniqueIndex::new(), FormerIndex::new());
+        for (raw, entry) in self.entries.iter().enumerate() {
+            let class = entry.class();
+            let keys = &self.unique_keys[class.0 as usize];
+            if keys.is_empty() {
+                continue;
+            }
+            let uid = Uid(raw as u64);
+            let vs = entry.versions();
+            let head = vs.last().filter(|v| v.span.is_current()).map(|v| v.fields());
+            if let Some(fields) = head {
+                for &(idx, decl) in keys.iter() {
+                    let v = &fields[idx];
+                    if v.is_null() {
+                        continue;
+                    }
+                    if unique.entry((decl, idx)).or_default().insert(v.clone(), uid).is_some() {
+                        return Err(self.unique_violation(class, idx));
+                    }
+                }
+                if vs.len() == 1 {
+                    continue;
+                }
+            }
+            for &(idx, decl) in keys.iter() {
+                let now = head.map(|f| &f[idx]);
+                for v in field_history(vs, idx) {
+                    if Some(v) != now {
+                        add_former(&mut former, (decl, idx), v, uid);
+                    }
+                }
+            }
+        }
+        Ok((unique, former))
     }
 
     /// Approximate heap bytes used by versioned storage — used by the
@@ -1282,20 +1451,23 @@ impl TemporalGraph {
     // ------------------------------------------------------------------
 
     /// Estimated unique-index bytes: one map header per index plus each
-    /// key's slot, heap, and uid payload. Computed on demand (indexes are
-    /// small relative to version chains).
-    fn unique_index_bytes(&self) -> u64 {
-        MAP_HEADER_BYTES
-            + self
-                .unique
-                .values()
-                .map(|m| {
-                    MAP_HEADER_BYTES
-                        + m.keys()
-                            .map(|k| VALUE_SLOT_BYTES + value_heap_bytes(k) + std::mem::size_of::<Uid>() as u64)
-                            .sum::<u64>()
-                })
-                .sum::<u64>()
+    /// key's slot, heap, and uid payload; a former-holder key also carries
+    /// its `Vec` header and one uid per holder. Computed on demand (indexes
+    /// are small relative to version chains).
+    fn unique_index_bytes(unique: &UniqueIndex, former: &FormerIndex) -> u64 {
+        const UID_BYTES: u64 = std::mem::size_of::<Uid>() as u64;
+        const VEC_HEADER_BYTES: u64 = std::mem::size_of::<Vec<Uid>>() as u64;
+        let key_bytes = |k: &Value| VALUE_SLOT_BYTES + value_heap_bytes(k);
+        let current: u64 =
+            unique.values().map(|m| MAP_HEADER_BYTES + m.keys().map(|k| key_bytes(k) + UID_BYTES).sum::<u64>()).sum();
+        let former: u64 = former
+            .values()
+            .map(|m| {
+                MAP_HEADER_BYTES
+                    + m.iter().map(|(k, h)| key_bytes(k) + VEC_HEADER_BYTES + UID_BYTES * h.len() as u64).sum::<u64>()
+            })
+            .sum();
+        MAP_HEADER_BYTES + current + former
     }
 
     /// Version-chain length distribution in log₂ buckets, as
@@ -1316,10 +1488,14 @@ impl TemporalGraph {
             .collect()
     }
 
-    fn assemble_report(&self, classes: Vec<ClassMemory>, adjacency_bytes: u64) -> MemoryReport {
+    fn assemble_report(
+        &self,
+        classes: Vec<ClassMemory>,
+        adjacency_bytes: u64,
+        unique_index_bytes: u64,
+    ) -> MemoryReport {
         let entity_bytes = classes.iter().map(|c| c.bytes).sum();
         let entity_full_bytes = classes.iter().map(|c| c.full_bytes).sum();
-        let unique_index_bytes = self.unique_index_bytes();
         MemoryReport {
             total_bytes: entity_bytes + adjacency_bytes + unique_index_bytes,
             entity_bytes,
@@ -1366,7 +1542,8 @@ impl TemporalGraph {
     /// byte figures are O(classes); the chain histogram and journal size
     /// walk the store once.
     pub fn memory_report(&self) -> MemoryReport {
-        self.assemble_report(self.class_memory(), self.adj_bytes)
+        let unique_index_bytes = Self::unique_index_bytes(&self.unique, &self.former);
+        self.assemble_report(self.class_memory(), self.adj_bytes, unique_index_bytes)
     }
 
     /// Brute-force recount: rebuild the entire [`MemoryReport`] by walking
@@ -1411,7 +1588,12 @@ impl TemporalGraph {
             .chain(self.in_adj.iter())
             .map(|l| std::mem::size_of::<AdjList>() as u64 + l.heap_bytes())
             .sum();
-        self.assemble_report(classes, adjacency_bytes)
+        // The index bytes come from indexes rebuilt from the chains, which
+        // pins the incremental index maintenance to its definition.
+        let (unique, former) =
+            self.build_unique_index().expect("every mutation path rejects unique violations before storing");
+        let unique_index_bytes = Self::unique_index_bytes(&unique, &former);
+        self.assemble_report(classes, adjacency_bytes, unique_index_bytes)
     }
 }
 
@@ -1648,6 +1830,12 @@ mod tests {
         g.update(v, &[(1, Value::Str("Red".into()))], 20).unwrap();
         assert_report_matches_recount(&g);
 
+        // Re-keys, at a fresh instant and then in place: the closed
+        // version keeps vm_id 1, so the former-holder map gains it.
+        g.update(v, &[(0, Value::Int(3))], 30).unwrap();
+        g.update(v, &[(0, Value::Int(4))], 30).unwrap();
+        assert_report_matches_recount(&g);
+
         // Deletes close version chains (cascade closes the edge too).
         g.delete(h, 50).unwrap();
         assert!(g.current_version(e).is_none());
@@ -1666,6 +1854,37 @@ mod tests {
         assert_eq!(vm_row.kind, ClassKind::Node);
         assert_eq!(vm_row.entities, 2);
         assert_eq!(vm_row.alive, 1);
+    }
+
+    #[test]
+    fn unique_index_bytes_count_former_holders() {
+        let s = schema();
+        let mut g = TemporalGraph::new(s.clone());
+        let v = vm(&mut g, 1, 0);
+        let w = vm(&mut g, 2, 0);
+        let current_key = VALUE_SLOT_BYTES + std::mem::size_of::<Uid>() as u64;
+        let former_key = |holders: u64| {
+            VALUE_SLOT_BYTES + std::mem::size_of::<Vec<Uid>>() as u64 + holders * std::mem::size_of::<Uid>() as u64
+        };
+        let base = MAP_HEADER_BYTES + MAP_HEADER_BYTES + 2 * current_key;
+        assert_eq!(g.memory_report().unique_index_bytes, base);
+        // v moves from 1 to 3: one former key with one holder.
+        g.update(v, &[(0, Value::Int(3))], 10).unwrap();
+        assert_eq!(g.memory_report().unique_index_bytes, base + MAP_HEADER_BYTES + former_key(1));
+        assert_report_matches_recount(&g);
+        // w takes 1 over, then dies: 1 has two former holders, 2 has one,
+        // and only v's 3 is still current.
+        g.update(w, &[(0, Value::Int(1))], 20).unwrap();
+        g.delete(w, 30).unwrap();
+        let bytes =
+            MAP_HEADER_BYTES + MAP_HEADER_BYTES + current_key + MAP_HEADER_BYTES + former_key(2) + former_key(1);
+        assert_eq!(g.memory_report().unique_index_bytes, bytes);
+        assert_report_matches_recount(&g);
+        let mut buf = Vec::new();
+        crate::journal::save_graph(&g, &mut buf).unwrap();
+        let restored = crate::journal::load_graph(s, &mut buf.as_slice()).unwrap();
+        assert_eq!(restored.unique_index_rows(), g.unique_index_rows());
+        assert_eq!(restored.memory_report().unique_index_bytes, bytes);
     }
 
     #[test]

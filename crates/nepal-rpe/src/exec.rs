@@ -527,19 +527,20 @@ fn search_root(env: &Env, m: &mut ElemMatcher, root: &[Uid], states: &[(u32, Tim
 }
 
 /// Scan the store for elements satisfying an anchor atom (`Select`).
-/// Uses the unique index when the atom has a unique-equality predicate.
+/// Seeks the unique index when the atom has a unique-equality predicate,
+/// under every time filter.
 pub fn anchor_scan(view: &GraphView, schema: &Schema, atom: &BoundAtom) -> Vec<(Uid, Times)> {
     anchor_scan_cancel(view, schema, atom, None, None).expect("no cancel token supplied").0
 }
 
 /// [`anchor_scan`] plus the number of stored elements examined (the
-/// `Select` operator's input cardinality: 1 on the unique-index fast path,
-/// the extent size on the scan path), polling `cancel` every 1024 scanned
-/// elements; returns the trip cause instead of a truncated candidate set.
-/// This is the deterministic metering boundary: it always runs on the
-/// calling thread, and the per-uid access costs it charges are pure
-/// functions of store state, so a metered query reports the same logical
-/// rows / bytes / materializations at any thread count.
+/// `Select` operator's input cardinality: the index candidates on the seek
+/// path, the extent size on the scan path), polling `cancel` every 1024
+/// scanned elements; returns the trip cause instead of a truncated
+/// candidate set. This is the deterministic metering boundary: it always
+/// runs on the calling thread, and the per-uid access costs it charges are
+/// pure functions of store state, so a metered query reports the same
+/// logical rows / bytes / materializations at any thread count.
 fn anchor_scan_cancel(
     view: &GraphView,
     schema: &Schema,
@@ -555,25 +556,28 @@ fn anchor_scan_cancel(
         }
     };
     let mut heat = HeatTally::new(view.graph);
-    // Unique-index fast path — only valid against the current snapshot,
-    // since the index tracks currently asserted holders.
-    if view.filter == TimeFilter::Current {
-        if let Some((idx, value)) = atom.unique_eq_pred(schema) {
-            if let Some(mm) = meter {
-                mm.add_seeks(1);
-                mm.add_classes(1);
-            }
-            let Some(uid) = view.graph.find_unique(atom.class, idx, value) else { return Ok((Vec::new(), 0)) };
-            if let Some(mm) = meter {
-                mm.add_rows(1);
+    // Unique-index seek. Under `AsOf` / `Range` the index yields the
+    // current and every former holder of the value; each candidate is
+    // re-checked at the view's filter, so the answer never depends on the
+    // index being exact.
+    if let Some((idx, value)) = atom.unique_eq_pred(schema) {
+        let candidates = view.graph.unique_holders(atom.class, idx, value, view.filter);
+        if let Some(mm) = meter {
+            mm.add_seeks(1);
+            mm.add_classes(1);
+            mm.add_rows(candidates.len() as u64);
+            for &uid in &candidates {
                 let cost = view.access_cost(uid);
                 mm.add_bytes(cost.bytes);
                 mm.add_materializations(cost.materializations);
                 mm.add_keyframe_hits(cost.keyframe_hits);
             }
-            let hit = match_fields(view, Some(atom), uid, &mut heat);
-            return Ok((hit.map(|mt| (uid, to_times(mt))).into_iter().collect(), 1));
         }
+        let hits = candidates
+            .iter()
+            .filter_map(|&uid| match_fields(view, Some(atom), uid, &mut heat).map(|mt| (uid, to_times(mt))))
+            .collect();
+        return Ok((hits, candidates.len() as u64));
     }
     let mut out = Vec::new();
     let mut scanned = 0u64;
