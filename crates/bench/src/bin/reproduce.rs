@@ -58,6 +58,7 @@ use nepal_bench::{
     run_obs_report, run_scaling_tiers, run_serve_load, run_storage, run_table1, run_table2, run_table3,
     scaling_thread_counts, serve_load_json, tier_scaling_json, ServeLoadConfig,
 };
+use nepal_obs::Json;
 use nepal_workload::{LegacyParams, SizeTier};
 
 fn main() {
@@ -100,7 +101,7 @@ fn main() {
         };
         print!("{}", format_replay(&report));
         if json {
-            write_json("BENCH_replay.json", &replay_json(&report));
+            write_report("BENCH_replay.json", &replay_json(&report));
         }
         if !report.passed() {
             std::process::exit(1);
@@ -111,7 +112,7 @@ fn main() {
     if named.iter().any(|a| *a == "obs-report") {
         let report = run_obs_report(instances, 42);
         print!("{}", format_obs_report(&report));
-        write_json("BENCH_memory.json", &obs_report_json(&report));
+        write_report("BENCH_memory.json", &obs_report_json(&report));
         return;
     }
 
@@ -139,7 +140,7 @@ fn main() {
         print!("{}", format_flight_overhead(&overhead));
         let attribution = run_attribution_overhead(&cfg, 42);
         print!("{}", format_attribution_overhead(&attribution));
-        write_json("BENCH_serve.json", &serve_load_json(&rows, &cfg, panics, Some(&overhead), Some(&attribution)));
+        write_report("BENCH_serve.json", &serve_load_json(&rows, &cfg, panics, Some(&overhead), Some(&attribution)));
         if panics != 0 {
             eprintln!("serve-load observed {panics} evaluation panic(s)");
             std::process::exit(1);
@@ -161,7 +162,7 @@ fn main() {
             .unwrap_or(SizeTier::Medium);
         let report = run_introspect(tier, 42);
         print!("{}", format_introspect(&report));
-        write_json("BENCH_introspect.json", &introspect_json(&report));
+        write_report("BENCH_introspect.json", &introspect_json(&report));
         if !report.passed() {
             std::process::exit(1);
         }
@@ -209,8 +210,8 @@ fn main() {
             )
         );
         if json {
-            write_json("BENCH_table1.json", &query_rows_json(&rows));
-            write_json("BENCH_metrics.json", &metrics_snapshot_json(42));
+            write_report("BENCH_table1.json", &query_rows_json(&rows));
+            write_report("BENCH_metrics.json", &metrics_snapshot_json(42));
         }
     }
     if wants("table2") {
@@ -226,7 +227,7 @@ fn main() {
             )
         );
         if json {
-            write_json("BENCH_table2.json", &query_rows_json(&rows));
+            write_report("BENCH_table2.json", &query_rows_json(&rows));
         }
     }
     if wants("table3") {
@@ -259,7 +260,7 @@ fn main() {
         let reports = run_scaling_tiers(&tiers, 42, &counts);
         println!("{}", format_tier_scaling(&reports));
         if json {
-            write_json("BENCH_scaling.json", &tier_scaling_json(&reports, &counts));
+            write_report("BENCH_scaling.json", &tier_scaling_json(&reports, &counts));
         }
         let gate = |name: &str| flag(name).and_then(|v| v.parse::<f64>().ok());
         let outcome =
@@ -276,8 +277,9 @@ fn main() {
     }
 }
 
-fn write_json(path: &str, contents: &str) {
-    match std::fs::write(path, contents) {
+/// Write one `BENCH_*.json` report (compact, newline-terminated).
+fn write_report(path: &str, report: &Json) {
+    match std::fs::write(path, format!("{report}\n")) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }

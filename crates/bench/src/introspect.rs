@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use nepal_core::{BackendRegistry, Engine, NativeBackend};
 use nepal_graph::{StoreGauges, TemporalGraph};
-use nepal_obs::{HistoryRing, StmtSort, Telemetry};
+use nepal_obs::{HistoryRing, Json, StmtSort, Telemetry};
 use nepal_workload::{generate_tier_churned, SizeTier};
 
 /// What the drill observed on the three introspection surfaces.
@@ -201,30 +201,24 @@ pub fn format_introspect(r: &IntrospectReport) -> String {
 }
 
 /// Render the drill as the `BENCH_introspect.json` document.
-pub fn introspect_json(r: &IntrospectReport) -> String {
-    let cold: Vec<String> = r.cold_classes.iter().map(|c| format!("{c:?}")).collect();
-    format!(
-        "{{\n\"tier\":{:?},\n\"queries\":{},\n\"fingerprints\":{},\n\
-         \"attributed_cpu_ns\":{},\n\"attributed_rows\":{},\n\"attributed_bytes\":{},\n\
-         \"attributed_materializations\":{},\n\"classes_total\":{},\n\"classes_hot\":{},\n\
-         \"cold_classes\":[{}],\n\"history_len\":{},\n\
-         \"top_status\":{},\n\"history_status\":{},\n\"metrics_status\":{},\n\"passed\":{}\n}}\n",
-        r.tier.name(),
-        r.queries,
-        r.fingerprints,
-        r.attributed_cpu_ns,
-        r.attributed_rows,
-        r.attributed_bytes,
-        r.attributed_materializations,
-        r.classes_total,
-        r.classes_hot,
-        cold.join(","),
-        r.history_len,
-        r.top_status,
-        r.history_status,
-        r.metrics_status,
-        r.passed()
-    )
+pub fn introspect_json(r: &IntrospectReport) -> Json {
+    Json::obj([
+        ("tier", r.tier.name().into()),
+        ("queries", r.queries.into()),
+        ("fingerprints", r.fingerprints.into()),
+        ("attributed_cpu_ns", r.attributed_cpu_ns.into()),
+        ("attributed_rows", r.attributed_rows.into()),
+        ("attributed_bytes", r.attributed_bytes.into()),
+        ("attributed_materializations", r.attributed_materializations.into()),
+        ("classes_total", r.classes_total.into()),
+        ("classes_hot", r.classes_hot.into()),
+        ("cold_classes", r.cold_classes.clone().into()),
+        ("history_len", r.history_len.into()),
+        ("top_status", r.top_status.into()),
+        ("history_status", r.history_status.into()),
+        ("metrics_status", r.metrics_status.into()),
+        ("passed", r.passed().into()),
+    ])
 }
 
 #[cfg(test)]
@@ -239,7 +233,7 @@ mod tests {
         assert!(r.cold_classes.is_empty(), "cold classes: {:?}", r.cold_classes);
         assert!(r.history_len >= 2);
         assert!(r.passed(), "{}", format_introspect(&r));
-        let json = introspect_json(&r);
+        let json = introspect_json(&r).to_string();
         assert!(json.contains("\"passed\":true"), "{json}");
         assert!(json.contains("\"attributed_cpu_ns\""));
     }

@@ -33,6 +33,7 @@ pub use tiers::{
 use std::time::Instant;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
+use nepal_obs::Json;
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Seeds};
 use nepal_schema::Value;
 use nepal_workload::{
@@ -343,7 +344,7 @@ pub fn scaling_thread_counts() -> Vec<usize> {
 /// Run one instance of each Table-1 query family through a full [`Engine`]
 /// over the virtualized graph and return the engine's metrics (plus the
 /// store gauges) as JSON — the `reproduce --json` BENCH_metrics.json output.
-pub fn metrics_snapshot_json(seed: u64) -> String {
+pub fn metrics_snapshot_json(seed: u64) -> Json {
     use nepal_core::{BackendRegistry, Engine, NativeBackend};
     use std::sync::Arc;
 
@@ -377,18 +378,20 @@ pub fn format_query_table(title: &str, rows: &[QueryRow]) -> String {
 }
 
 /// Render Table-1/2 rows as a JSON array (the `reproduce --json` output).
-pub fn query_rows_json(rows: &[QueryRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\":{:?},\"instances\":{},\"avg_paths\":{:.2},\
-                 \"avg_ms_snapshot\":{:.3},\"avg_ms_history\":{:.3}}}",
-                r.name, r.instances, r.avg_paths, r.avg_ms_snap, r.avg_ms_hist
-            )
-        })
-        .collect();
-    format!("[\n  {}\n]\n", items.join(",\n  "))
+pub fn query_rows_json(rows: &[QueryRow]) -> Json {
+    Json::Arr(
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("name", r.name.as_str().into()),
+                    ("instances", r.instances.into()),
+                    ("avg_paths", r.avg_paths.into()),
+                    ("avg_ms_snapshot", r.avg_ms_snap.into()),
+                    ("avg_ms_history", r.avg_ms_hist.into()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Render the ablation report.

@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use nepal_core::{BackendRegistry, Engine, NativeBackend, StandardSlos};
 use nepal_graph::{StoreGauges, TemporalGraph};
-use nepal_obs::{quantile_from_counts, SloEngine, SloRule};
+use nepal_obs::{quantile_from_counts, Json, SloEngine, SloRule};
 use nepal_workload::{alive_edges, apply_churn, generate_virtualized, updatable_entities, ChurnParams, VirtParams};
 
 use crate::table1_queries;
@@ -248,43 +248,34 @@ pub fn format_obs_report(r: &ObsReport) -> String {
 }
 
 /// Render the report as the `BENCH_memory.json` document.
-pub fn obs_report_json(r: &ObsReport) -> String {
-    let points: Vec<String> = r
+pub fn obs_report_json(r: &ObsReport) -> Json {
+    let points = r
         .churn_curve
         .iter()
         .map(|p| {
-            format!(
-                "{{\"day\":{},\"versions\":{},\"entity_bytes\":{},\"adjacency_bytes\":{},\
-                 \"unique_index_bytes\":{},\"journal_bytes\":{},\"total_bytes\":{}}}",
-                p.day,
-                p.versions,
-                p.entity_bytes,
-                p.adjacency_bytes,
-                p.unique_index_bytes,
-                p.journal_bytes,
-                p.total_bytes
-            )
+            Json::obj([
+                ("day", p.day.into()),
+                ("versions", p.versions.into()),
+                ("entity_bytes", p.entity_bytes.into()),
+                ("adjacency_bytes", p.adjacency_bytes.into()),
+                ("unique_index_bytes", p.unique_index_bytes.into()),
+                ("journal_bytes", p.journal_bytes.into()),
+                ("total_bytes", p.total_bytes.into()),
+            ])
         })
         .collect();
-    format!(
-        "{{\n\"churn_curve\":[\n  {}\n],\n\
-         \"recount_rel_err_pct\":{:.6},\n\
-         \"queries\":{},\n\"baseline_ms\":{:.3},\n\"accounted_ms\":{:.3},\n\"overhead_pct\":{:.3},\n\
-         \"latency_ns\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\n\
-         \"healthy_firing\":{},\n\"overload_fired\":{},\n\"overload_resolved\":{}\n}}\n",
-        points.join(",\n  "),
-        r.recount_rel_err * 100.0,
-        r.queries,
-        r.baseline_ms,
-        r.accounted_ms,
-        r.overhead_pct,
-        r.p50_ns,
-        r.p95_ns,
-        r.p99_ns,
-        r.healthy_firing,
-        r.overload_fired,
-        r.overload_resolved
-    )
+    Json::obj([
+        ("churn_curve", Json::Arr(points)),
+        ("recount_rel_err_pct", (r.recount_rel_err * 100.0).into()),
+        ("queries", r.queries.into()),
+        ("baseline_ms", r.baseline_ms.into()),
+        ("accounted_ms", r.accounted_ms.into()),
+        ("overhead_pct", r.overhead_pct.into()),
+        ("latency_ns", Json::obj([("p50", r.p50_ns.into()), ("p95", r.p95_ns.into()), ("p99", r.p99_ns.into())])),
+        ("healthy_firing", r.healthy_firing.into()),
+        ("overload_fired", r.overload_fired.into()),
+        ("overload_resolved", r.overload_resolved.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -304,7 +295,7 @@ mod tests {
         assert_eq!(r.healthy_firing, 0);
         assert!(r.overload_fired);
         assert!(r.overload_resolved);
-        let json = obs_report_json(&r);
+        let json = obs_report_json(&r).to_string();
         assert!(json.contains("\"churn_curve\""));
         assert!(json.contains("\"overload_fired\":true"));
     }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use nepal_core::{digest_result, BackendRegistry, Engine, NativeBackend};
-use nepal_obs::{QlogRecord, QueryLog};
+use nepal_obs::{Json, QlogRecord, QueryLog};
 
 use crate::{build_virtualized, table1_queries};
 
@@ -166,39 +166,35 @@ pub fn format_replay(report: &ReplayReport) -> String {
 }
 
 /// Render the replay verdict as the `BENCH_replay.json` document.
-pub fn replay_json(report: &ReplayReport) -> String {
-    let rows: Vec<String> = report
+pub fn replay_json(report: &ReplayReport) -> Json {
+    let rows = report
         .rows
         .iter()
         .map(|r| {
-            format!(
-                "{{\"query\":{:?},\"fp\":\"{:016x}\",\"base_ns\":{},\"cur_ns\":{},\"base_rows\":{},\"cur_rows\":{},\
-                 \"base_digest\":\"{:016x}\",\"cur_digest\":\"{:016x}\",\"digest_match\":{},\"base_error\":{},\"cur_error\":{}}}",
-                r.query,
-                r.fingerprint,
-                r.base_ns,
-                r.cur_ns,
-                r.base_rows,
-                r.cur_rows,
-                r.base_digest,
-                r.cur_digest,
-                r.digest_match,
-                r.base_error,
-                r.cur_error
-            )
+            Json::obj([
+                ("query", r.query.as_str().into()),
+                ("fp", Json::hex(r.fingerprint)),
+                ("base_ns", r.base_ns.into()),
+                ("cur_ns", r.cur_ns.into()),
+                ("base_rows", r.base_rows.into()),
+                ("cur_rows", r.cur_rows.into()),
+                ("base_digest", Json::hex(r.base_digest)),
+                ("cur_digest", Json::hex(r.cur_digest)),
+                ("digest_match", r.digest_match.into()),
+                ("base_error", r.base_error.into()),
+                ("cur_error", r.cur_error.into()),
+            ])
         })
         .collect();
-    format!(
-        "{{\n\"total\":{},\n\"digest_mismatches\":{},\n\"error_changes\":{},\n\"latency_ratio\":{:.3},\n\
-         \"base_total_ns\":{},\n\"cur_total_ns\":{},\n\"rows\":[\n  {}\n]\n}}\n",
-        report.total,
-        report.digest_mismatches,
-        report.error_changes,
-        report.latency_ratio(),
-        report.base_total_ns,
-        report.cur_total_ns,
-        rows.join(",\n  ")
-    )
+    Json::obj([
+        ("total", report.total.into()),
+        ("digest_mismatches", report.digest_mismatches.into()),
+        ("error_changes", report.error_changes.into()),
+        ("latency_ratio", report.latency_ratio().into()),
+        ("base_total_ns", report.base_total_ns.into()),
+        ("cur_total_ns", report.cur_total_ns.into()),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 #[cfg(test)]
@@ -222,7 +218,7 @@ mod tests {
         assert_eq!(report.total, n);
         assert_eq!(report.digest_mismatches, 0, "{}", format_replay(&report));
         assert!(report.passed());
-        let json = replay_json(&report);
+        let json = replay_json(&report).to_string();
         assert!(json.contains("\"digest_mismatches\":0"), "{json}");
         // A different seed builds a different graph: digests must differ
         // for at least one query (the anchors exist under both seeds only

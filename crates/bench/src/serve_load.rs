@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nepal_gremlin::{property_graph_from, shared_graph, GStep, GremlinClient, GremlinServer, ProtoError, ServeConfig};
+use nepal_obs::Json;
 
 use crate::build_virtualized;
 
@@ -345,64 +346,61 @@ pub fn serve_load_json(
     panics: u64,
     overhead: Option<&FlightOverhead>,
     attribution: Option<&AttributionOverhead>,
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&format!(
-        "  \"config\": {{\"workers\": {}, \"queue_depth\": {}, \"requests_per_client\": {}, \"overload_x\": {}, \
-         \"deadline_ms\": {}}},\n",
-        cfg.workers,
-        cfg.queue_depth,
-        cfg.requests_per_client,
-        cfg.overload_x,
-        cfg.deadline.map(|d| d.as_millis() as u64).map_or("null".to_string(), |m| m.to_string())
-    ));
-    s.push_str(&format!("  \"evaluation_panics\": {panics},\n"));
-    s.push_str("  \"phases\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"phase\": \"{}\", \"clients\": {}, \"ok\": {}, \"shed\": {}, \"timeouts\": {}, \"errors\": {}, \
-             \"elapsed_ms\": {:.3}, \"throughput_rps\": {:.1}, \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"shed_rate\": {:.4}}}{}\n",
-            r.phase,
-            r.clients,
-            r.ok,
-            r.shed,
-            r.timeouts,
-            r.errors,
-            r.elapsed_ms,
-            r.throughput_rps,
-            r.p50_us,
-            r.p95_us,
-            r.p99_us,
-            r.shed_rate,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ],\n");
-    match overhead {
-        Some(o) => s.push_str(&format!(
-            "  \"flight_overhead\": {{\"off_rps\": {:.1}, \"on_rps\": {:.1}, \"off_p95_us\": {}, \
-             \"on_p95_us\": {}, \"events_recorded\": {}, \"overhead_pct\": {:.2}}},\n",
-            o.off.throughput_rps, o.on.throughput_rps, o.off.p95_us, o.on.p95_us, o.events_recorded, o.overhead_pct
-        )),
-        None => s.push_str("  \"flight_overhead\": null,\n"),
-    }
-    match attribution {
-        Some(a) => s.push_str(&format!(
-            "  \"attribution_overhead\": {{\"off_rps\": {:.1}, \"on_rps\": {:.1}, \"off_p95_us\": {}, \
-             \"on_p95_us\": {}, \"fingerprints_tracked\": {}, \"calls_recorded\": {}, \"overhead_pct\": {:.2}}}\n",
-            a.off.throughput_rps,
-            a.on.throughput_rps,
-            a.off.p95_us,
-            a.on.p95_us,
-            a.fingerprints_tracked,
-            a.calls_recorded,
-            a.overhead_pct
-        )),
-        None => s.push_str("  \"attribution_overhead\": null\n"),
-    }
-    s.push_str("}\n");
-    s
+) -> Json {
+    let config = Json::obj([
+        ("workers", cfg.workers.into()),
+        ("queue_depth", cfg.queue_depth.into()),
+        ("requests_per_client", cfg.requests_per_client.into()),
+        ("overload_x", cfg.overload_x.into()),
+        ("deadline_ms", cfg.deadline.map(|d| d.as_millis() as u64).into()),
+    ]);
+    let phases = rows
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("phase", r.phase.into()),
+                ("clients", r.clients.into()),
+                ("ok", r.ok.into()),
+                ("shed", r.shed.into()),
+                ("timeouts", r.timeouts.into()),
+                ("errors", r.errors.into()),
+                ("elapsed_ms", r.elapsed_ms.into()),
+                ("throughput_rps", r.throughput_rps.into()),
+                ("p50_us", r.p50_us.into()),
+                ("p95_us", r.p95_us.into()),
+                ("p99_us", r.p99_us.into()),
+                ("shed_rate", r.shed_rate.into()),
+            ])
+        })
+        .collect();
+    let compare = |off: &ServeLoadRow, on: &ServeLoadRow, pct: f64, extra: Vec<(&str, Json)>| {
+        let mut fields = vec![
+            ("off_rps", off.throughput_rps.into()),
+            ("on_rps", on.throughput_rps.into()),
+            ("off_p95_us", off.p95_us.into()),
+            ("on_p95_us", on.p95_us.into()),
+            ("overhead_pct", pct.into()),
+        ];
+        fields.extend(extra);
+        Json::obj(fields)
+    };
+    let flight =
+        overhead.map(|o| compare(&o.off, &o.on, o.overhead_pct, vec![("events_recorded", o.events_recorded.into())]));
+    let attribution = attribution.map(|a| {
+        compare(
+            &a.off,
+            &a.on,
+            a.overhead_pct,
+            vec![("fingerprints_tracked", a.fingerprints_tracked.into()), ("calls_recorded", a.calls_recorded.into())],
+        )
+    });
+    Json::obj([
+        ("config", config),
+        ("evaluation_panics", panics.into()),
+        ("phases", Json::Arr(phases)),
+        ("flight_overhead", flight.into()),
+        ("attribution_overhead", attribution.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -421,9 +419,9 @@ mod tests {
         let r = &rows[1];
         assert_eq!(r.ok + r.shed + r.timeouts + r.errors, (r.clients * cfg.requests_per_client) as u64);
         assert!(r.ok > 0, "admitted requests must still complete under overload");
-        let json = serve_load_json(&rows, &cfg, panics, None, None);
-        assert!(json.contains("\"phase\": \"overload\""));
-        assert!(json.contains("\"evaluation_panics\": 0"));
+        let json = serve_load_json(&rows, &cfg, panics, None, None).to_string();
+        assert!(json.contains("\"phase\":\"overload\""), "{json}");
+        assert!(json.contains("\"evaluation_panics\":0"), "{json}");
     }
 
     #[test]
@@ -434,7 +432,7 @@ mod tests {
         // phase must have captured every admitted request.
         assert_eq!(o.calls_recorded, o.on.ok);
         assert!(o.fingerprints_tracked >= 1, "the shared count() shape tracks one fingerprint");
-        let json = serve_load_json(&[o.off.clone(), o.on.clone()], &cfg, 0, None, Some(&o));
+        let json = serve_load_json(&[o.off.clone(), o.on.clone()], &cfg, 0, None, Some(&o)).to_string();
         assert!(json.contains("\"attribution_overhead\""), "{json}");
         assert!(json.contains("\"calls_recorded\""), "{json}");
         assert!(format_attribution_overhead(&o).contains("meters on"));

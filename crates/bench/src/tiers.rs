@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nepal_graph::{load_binary, load_journal, save_binary, save_journal, GraphView, TemporalGraph, TimeFilter, Uid};
+use nepal_obs::Json;
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Seeds};
 use nepal_workload::{generate_tier_churned, SizeTier, VirtTopology};
 
@@ -254,73 +255,65 @@ pub fn format_tier_scaling(reports: &[TierReport]) -> String {
 /// Render the sweep as the `BENCH_scaling.json` document. Every record —
 /// query rows, aggregates, and storage rows — carries `tier`,
 /// `host_parallelism`, and `bytes_per_entity`.
-pub fn tier_scaling_json(reports: &[TierReport], counts: &[usize]) -> String {
+pub fn tier_scaling_json(reports: &[TierReport], counts: &[usize]) -> Json {
     let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let bpe = |tier: SizeTier| -> f64 {
-        reports.iter().find(|r| r.tier == tier).map(|r| r.storage.bytes_per_entity).unwrap_or(0.0)
+    let record = |tier: SizeTier, fields: Vec<(&str, Json)>| {
+        let bpe = reports.iter().find(|r| r.tier == tier).map(|r| r.storage.bytes_per_entity).unwrap_or(0.0);
+        let mut all =
+            vec![("tier", tier.name().into()), ("host_parallelism", host.into()), ("bytes_per_entity", bpe.into())];
+        all.extend(fields);
+        Json::obj(all)
     };
-    let row_items: Vec<String> = reports
+    let rows = reports
         .iter()
         .flat_map(|rep| rep.rows.iter())
         .map(|r| {
-            format!(
-                "{{\"tier\":{:?},\"host_parallelism\":{host},\"bytes_per_entity\":{:.1},\
-                 \"name\":{:?},\"threads\":{},\"seeds\":{},\"paths\":{},\"ms\":{:.3},\"speedup\":{:.3}}}",
-                r.tier.name(),
-                bpe(r.tier),
-                r.name,
-                r.threads,
-                r.seeds,
-                r.paths,
-                r.ms,
-                r.speedup
+            record(
+                r.tier,
+                vec![
+                    ("name", r.name.as_str().into()),
+                    ("threads", r.threads.into()),
+                    ("seeds", r.seeds.into()),
+                    ("paths", r.paths.into()),
+                    ("ms", r.ms.into()),
+                    ("speedup", r.speedup.into()),
+                ],
             )
         })
         .collect();
-    let agg_items: Vec<String> = tier_aggregates(reports)
-        .iter()
+    let aggregates = tier_aggregates(reports)
+        .into_iter()
         .map(|(tier, threads, ms, speedup)| {
-            format!(
-                "{{\"tier\":{:?},\"host_parallelism\":{host},\"bytes_per_entity\":{:.1},\
-                 \"threads\":{threads},\"total_ms\":{ms:.3},\"speedup\":{speedup:.3}}}",
-                tier.name(),
-                bpe(*tier)
-            )
+            record(tier, vec![("threads", threads.into()), ("total_ms", ms.into()), ("speedup", speedup.into())])
         })
         .collect();
-    let storage_items: Vec<String> = reports
+    let storage = reports
         .iter()
         .map(|rep| {
             let st = &rep.storage;
-            format!(
-                "{{\"tier\":{:?},\"host_parallelism\":{host},\"bytes_per_entity\":{:.1},\
-                 \"entities\":{},\"versions\":{},\"history_delta_savings_pct\":{:.2},\
-                 \"journal_bytes\":{},\"binsnap_bytes\":{},\"journal_load_ms\":{:.3},\
-                 \"binsnap_load_ms_serial\":{:.3},\"binsnap_load_ms_parallel\":{:.3},\
-                 \"recovery_speedup\":{:.3}}}",
-                st.tier.name(),
-                st.bytes_per_entity,
-                st.entities,
-                st.versions,
-                st.history_delta_savings_pct,
-                st.journal_bytes,
-                st.binsnap_bytes,
-                st.journal_load_ms,
-                st.binsnap_load_ms_serial,
-                st.binsnap_load_ms_parallel,
-                st.recovery_speedup,
+            record(
+                st.tier,
+                vec![
+                    ("entities", st.entities.into()),
+                    ("versions", st.versions.into()),
+                    ("history_delta_savings_pct", st.history_delta_savings_pct.into()),
+                    ("journal_bytes", st.journal_bytes.into()),
+                    ("binsnap_bytes", st.binsnap_bytes.into()),
+                    ("journal_load_ms", st.journal_load_ms.into()),
+                    ("binsnap_load_ms_serial", st.binsnap_load_ms_serial.into()),
+                    ("binsnap_load_ms_parallel", st.binsnap_load_ms_parallel.into()),
+                    ("recovery_speedup", st.recovery_speedup.into()),
+                ],
             )
         })
         .collect();
-    let count_items: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
-    format!(
-        "{{\n\"host_parallelism\":{host},\n\"thread_counts\":[{}],\n\"rows\":[\n  {}\n],\n\
-         \"aggregates\":[\n  {}\n],\n\"storage\":[\n  {}\n]\n}}\n",
-        count_items.join(","),
-        row_items.join(",\n  "),
-        agg_items.join(",\n  "),
-        storage_items.join(",\n  ")
-    )
+    Json::obj([
+        ("host_parallelism", host.into()),
+        ("thread_counts", counts.to_vec().into()),
+        ("rows", Json::Arr(rows)),
+        ("aggregates", Json::Arr(aggregates)),
+        ("storage", Json::Arr(storage)),
+    ])
 }
 
 /// Gate outcomes for the CI smokes. `None` = gate not applicable on this
@@ -418,7 +411,7 @@ mod tests {
         assert!(st.history_delta_savings_pct > 0.0, "churned toy graph must delta-compress history");
         assert!(st.binsnap_bytes < st.journal_bytes, "binary snapshot must be smaller than the text journal");
         assert!(st.recovery_speedup > 1.0, "binary load must beat journal replay");
-        let json = tier_scaling_json(&reports, &[1, 2]);
+        let json = tier_scaling_json(&reports, &[1, 2]).to_string();
         assert!(json.contains("\"tier\":\"toy\""));
         assert!(json.contains("\"host_parallelism\""));
         assert!(json.contains("\"bytes_per_entity\""));

@@ -7,7 +7,8 @@
 //!   and prefix matching (§5.2's class encoding).
 //! - [`traversal`] — a Gremlin-style traversal machine with bytecode
 //!   (de)serialization, including `repeat` for the ExtendBlock operator.
-//! - [`json`] — hand-rolled JSON / GraphSON-lite codecs.
+//! - [`json`] — GraphSON-lite value tagging over the shared `nepal_obs`
+//!   JSON codec (re-exported here as [`Json`] / [`parse_json`]).
 //! - [`protocol`] — framed request/response wire protocol with streamed
 //!   206/200/204/500 result batches.
 //! - [`server`] / [`client`] — a mock Gremlin Server (TCP and in-process)

@@ -29,7 +29,7 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::trace::esc;
+use crate::json::Json;
 
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_EVENTS: usize = 4096;
@@ -170,22 +170,28 @@ impl WideEvent {
         }
     }
 
-    /// One event as a JSON object (no trailing newline).
-    pub fn to_json(&self, epoch_unix_ms: u64) -> String {
-        format!(
-            "{{\"seq\":{},\"unix_ms\":{},\"ts_us\":{},\"thread\":{},\"kind\":\"{}\",\"a\":{},\"b\":{},\"c\":{},\
-             \"label\":\"{}\",\"detail\":\"{}\"}}",
-            self.seq,
-            epoch_unix_ms + self.ts_us / 1000,
-            self.ts_us,
-            self.thread,
-            self.kind.name(),
-            self.a,
-            self.b,
-            self.c,
-            esc(&self.label),
-            esc(&self.describe())
-        )
+    /// One event as a JSON object. Kinds whose `a` is a query fingerprint
+    /// carry it as `"fp"` (16 hex digits, as in qlog and `/top.json`) in
+    /// place of `a`, so the 64-bit value never passes through an `f64`.
+    pub fn to_json(&self, epoch_unix_ms: u64) -> Json {
+        let a = match self.kind {
+            FlightKind::QueryStart | FlightKind::QueryEnd | FlightKind::QueryError | FlightKind::DeadlineTrip => {
+                ("fp", Json::hex(self.a))
+            }
+            _ => ("a", self.a.into()),
+        };
+        Json::obj([
+            ("seq", self.seq.into()),
+            ("unix_ms", (epoch_unix_ms + self.ts_us / 1000).into()),
+            ("ts_us", self.ts_us.into()),
+            ("thread", self.thread.into()),
+            ("kind", self.kind.name().into()),
+            a,
+            ("b", self.b.into()),
+            ("c", self.c.into()),
+            ("label", self.label.as_str().into()),
+            ("detail", self.describe().into()),
+        ])
     }
 }
 
@@ -464,48 +470,35 @@ impl FlightRecorder {
 
     /// The `/flight` document: recorder stats plus the stitched stream
     /// (trailing `window`, newest last), capped at `limit` events.
-    pub fn render_json(&self, window: Duration, limit: usize) -> String {
+    pub fn render_json(&self, window: Duration, limit: usize) -> Json {
         let stats = self.stats();
         let mut events = self.events_since(window);
         let skipped = events.len().saturating_sub(limit);
-        if skipped > 0 {
-            events.drain(..skipped);
-        }
-        let mut s = String::from("{");
-        s.push_str(&format!(
-            "\"enabled\":{},\"epoch_unix_ms\":{},\"window_secs\":{},\"total_written\":{},\"total_dropped\":{},\
-             \"omitted\":{},",
-            stats.enabled,
-            self.epoch_unix_ms(),
-            window.as_secs(),
-            stats.total_written,
-            stats.total_dropped,
-            skipped
-        ));
-        s.push_str("\"threads\":[");
-        for (i, r) in stats.rings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"thread\":{},\"name\":\"{}\",\"capacity\":{},\"written\":{},\"dropped\":{}}}",
-                r.thread,
-                esc(&r.name),
-                r.capacity,
-                r.written,
-                r.dropped
-            ));
-        }
-        s.push_str("],\"events\":[");
+        events.drain(..skipped);
+        let threads = stats
+            .rings
+            .iter()
+            .map(|r| {
+                Json::obj([
+                    ("thread", r.thread.into()),
+                    ("name", r.name.as_str().into()),
+                    ("capacity", r.capacity.into()),
+                    ("written", r.written.into()),
+                    ("dropped", r.dropped.into()),
+                ])
+            })
+            .collect();
         let epoch = self.epoch_unix_ms();
-        for (i, e) in events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&e.to_json(epoch));
-        }
-        s.push_str("]}\n");
-        s
+        Json::obj([
+            ("enabled", stats.enabled.into()),
+            ("epoch_unix_ms", epoch.into()),
+            ("window_secs", window.as_secs().into()),
+            ("total_written", stats.total_written.into()),
+            ("total_dropped", stats.total_dropped.into()),
+            ("omitted", skipped.into()),
+            ("threads", Json::Arr(threads)),
+            ("events", Json::Arr(events.iter().map(|e| e.to_json(epoch)).collect())),
+        ])
     }
 }
 
@@ -676,7 +669,7 @@ mod tests {
         let r = FlightRecorder::new(8);
         let h = r.handle("writer");
         h.emit(FlightKind::DrainEnd, 1, 0, 12, "");
-        let json = r.render_json(Duration::from_secs(30), 100);
+        let json = r.render_json(Duration::from_secs(30), 100).to_string();
         assert!(json.contains("\"kind\":\"drain_end\""), "{json}");
         assert!(json.contains("\"name\":\"writer\""), "{json}");
         assert!(json.contains("\"enabled\":true"), "{json}");

@@ -14,6 +14,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
+use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 
 /// One self-scrape: a timestamp plus every series' numeric value.
@@ -158,36 +159,23 @@ impl HistoryRing {
     /// JSON for `/history.json` and bundle inclusion: ring configuration
     /// plus the most recent `tail` snapshots (oldest first), each carrying
     /// its full series map.
-    pub fn render_json(&self, tail: Option<usize>) -> String {
-        let snaps = self.snapshots(tail);
-        let mut out = format!(
-            "{{\"resolution_ms\":{},\"capacity\":{},\"len\":{},\"downsampled\":{},\"snapshots\":[",
-            self.resolution_ms,
-            self.capacity,
-            self.len(),
-            self.downsampled()
-        );
-        for (i, s) in snaps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"unix_ms\":{},\"values\":{{", s.unix_ms));
-            for (j, (k, v)) in s.values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let v = if v.is_finite() { *v } else { 0.0 };
-                out.push_str(&format!("\"{}\":{}", jesc(k), v));
-            }
-            out.push_str("}}");
-        }
-        out.push_str("]}");
-        out
+    pub fn render_json(&self, tail: Option<usize>) -> Json {
+        let snapshots = self
+            .snapshots(tail)
+            .into_iter()
+            .map(|s| {
+                let values = s.values.into_iter().map(|(k, v)| (k, Json::Num(v))).collect();
+                Json::obj([("unix_ms", s.unix_ms.into()), ("values", Json::Obj(values))])
+            })
+            .collect();
+        Json::obj([
+            ("resolution_ms", self.resolution_ms.into()),
+            ("capacity", self.capacity.into()),
+            ("len", self.len().into()),
+            ("downsampled", self.downsampled().into()),
+            ("snapshots", Json::Arr(snapshots)),
+        ])
     }
-}
-
-fn jesc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Render values as a unicode block sparkline (`▁▂▃▄▅▆▇█`), scaled to the
@@ -276,7 +264,7 @@ mod tests {
         assert_eq!(series.len(), 5);
         assert_eq!(series[0], (2000, 10.0));
         assert_eq!(series[4], (2020, 50.0));
-        let json = ring.render_json(Some(2));
+        let json = ring.render_json(Some(2)).to_string();
         assert!(json.contains("\"len\":5"), "{json}");
         assert!(json.contains("\"unix_ms\":2020"), "{json}");
         assert!(!json.contains("\"unix_ms\":2000"), "tail should drop oldest: {json}");

@@ -42,7 +42,7 @@
 //! concurrent scrapes. Request handling is pure (`Telemetry::handle`) so
 //! the routing is testable without a socket.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -53,12 +53,13 @@ use std::time::{Duration, SystemTime};
 
 use crate::flight::{self, FlightKind, FlightRecorder};
 use crate::history::{sparkline, HistoryRing};
+use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 use crate::profile::{fmt_ns, SlowQueryLog};
 use crate::qlog::{EstimateFeedback, QueryLog};
 use crate::slo::{alerts_json, alerts_text, AlertStatus, SloEngine};
 use crate::stmt::{StmtSort, StmtStats};
-use crate::trace::{esc, summaries_json, Tracer};
+use crate::trace::{chrome_trace_json, summaries_json, Tracer};
 
 type HealthCheck = Box<dyn Fn() -> Result<String, String> + Send>;
 type Refresher = Box<dyn Fn() + Send>;
@@ -140,8 +141,8 @@ pub struct Telemetry {
     snapshots: Mutex<Option<SnapshotConfig>>,
     /// Static config/build facts embedded in every bundle.
     build_info: Mutex<Vec<(String, String)>>,
-    /// Final drain report (JSON object), set at shutdown; served on `/drain`.
-    drain: Mutex<Option<String>>,
+    /// Final drain report, set at shutdown; served on `/drain`.
+    drain: Mutex<Option<Json>>,
     /// Alert names currently firing — tracks *entry* into firing so the
     /// alert trigger snapshots once per episode, not per scrape.
     firing_seen: Mutex<HashSet<String>>,
@@ -213,9 +214,9 @@ impl Telemetry {
         *self.build_info.lock().unwrap_or_else(|e| e.into_inner()) = info;
     }
 
-    /// Record the final drain report (a JSON object string) so `/drain`
-    /// and the shutdown snapshot can serve it.
-    pub fn set_drain_json(&self, json: String) {
+    /// Record the final drain report so `/drain` and the shutdown
+    /// snapshot can serve it.
+    pub fn set_drain_json(&self, json: Json) {
         *self.drain.lock().unwrap_or_else(|e| e.into_inner()) = Some(json);
     }
 
@@ -390,7 +391,7 @@ impl Telemetry {
             }
         };
         self.refresh();
-        let body = self.render_bundle(trigger, &cfg);
+        let body = json_body(self.render_bundle(trigger, &cfg));
         std::fs::create_dir_all(&cfg.dir)?;
         let safe: String =
             trigger.chars().map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '-' }).collect();
@@ -409,61 +410,25 @@ impl Telemetry {
 
     /// Compose the bundle document: everything an on-call engineer needs
     /// to reconstruct the seconds before an anomaly, in one JSON file.
-    fn render_bundle(&self, trigger: &str, cfg: &SnapshotConfig) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("\"trigger\":\"{}\",\n\"written_unix_ms\":{},\n", esc(trigger), unix_ms()));
-        let build = self.build_info.lock().unwrap_or_else(|e| e.into_inner());
-        s.push_str("\"build\":{");
-        for (i, (k, v)) in build.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("\"{}\":\"{}\"", esc(k), esc(v)));
-        }
-        drop(build);
-        s.push_str("},\n");
+    fn render_bundle(&self, trigger: &str, cfg: &SnapshotConfig) -> Json {
+        let build = self.build_info.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        let build = Json::Obj(build.into_iter().map(|(k, v)| (k, v.into())).collect());
         let flight = self.flight.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        match flight {
-            Some(rec) => {
-                s.push_str("\"flight\":");
-                s.push_str(rec.render_json(cfg.window, 5000).trim_end());
-                s.push_str(",\n");
-            }
-            None => s.push_str("\"flight\":null,\n"),
-        }
-        s.push_str("\"metrics\":");
-        s.push_str(self.metrics.render_json().trim_end());
-        s.push_str(",\n\"alerts\":");
-        match self.evaluate_slo_raw() {
-            Some(statuses) => s.push_str(alerts_json(&statuses).trim_end()),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\n\"slow\":");
-        s.push_str(self.slow.render_json().trim_end());
-        s.push_str(",\n\"traces\":");
-        s.push_str(summaries_json(&self.tracer.summaries()).trim_end());
-        s.push_str(",\n\"resources\":");
-        match self.resource_summary() {
-            Some(r) => s.push_str(&resources_json(&r)),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\n\"stmt\":");
-        match self.stmt_handle() {
-            Some(stmt) => s.push_str(stmt.render_json(10, StmtSort::default()).trim_end()),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\n\"history\":");
-        match self.history_handle() {
-            Some(h) => s.push_str(h.render_json(Some(120)).trim_end()),
-            None => s.push_str("null"),
-        }
-        s.push_str(",\n\"drain\":");
-        match &*self.drain.lock().unwrap_or_else(|e| e.into_inner()) {
-            Some(d) => s.push_str(d.trim_end()),
-            None => s.push_str("null"),
-        }
-        s.push_str("\n}\n");
-        s
+        let drain = self.drain.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        Json::obj([
+            ("trigger", trigger.into()),
+            ("written_unix_ms", unix_ms().into()),
+            ("build", build),
+            ("flight", flight.map(|rec| rec.render_json(cfg.window, 5000)).into()),
+            ("metrics", self.metrics.render_json()),
+            ("alerts", self.evaluate_slo_raw().map(|st| alerts_json(&st)).into()),
+            ("slow", self.slow.render_json()),
+            ("traces", summaries_json(&self.tracer.summaries())),
+            ("resources", self.resource_summary().map(|r| resources_json(&r)).into()),
+            ("stmt", self.stmt_handle().map(|st| st.render_json(10, StmtSort::default())).into()),
+            ("history", self.history_handle().map(|h| h.render_json(Some(120))).into()),
+            ("drain", drain.into()),
+        ])
     }
 
     fn resource_summary(&self) -> Option<ResourceSummary> {
@@ -474,49 +439,36 @@ impl Telemetry {
     /// Deep readiness: health checks + pull-gauge refresh + SLO
     /// evaluation + store totals. 503 when a check fails or an alert
     /// fires.
-    fn healthz(&self) -> (u16, String) {
+    fn healthz(&self) -> (u16, Json) {
         // Refresh pull gauges first so watermark rules see current values.
         self.refresh();
-        let checks = self.health.lock().unwrap_or_else(|e| e.into_inner());
         let mut all_ok = true;
-        let mut items = Vec::new();
-        for (name, check) in checks.iter() {
-            match check() {
-                Ok(detail) => items.push(format!("\"{}\":{{\"ok\":true,\"detail\":\"{}\"}}", esc(name), esc(&detail))),
-                Err(why) => {
-                    all_ok = false;
-                    items.push(format!("\"{}\":{{\"ok\":false,\"error\":\"{}\"}}", esc(name), esc(&why)));
-                }
-            }
-        }
-        drop(checks);
-        let mut extra = String::new();
+        let checks = self
+            .health
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .map(|(name, check)| {
+                let result = match check() {
+                    Ok(detail) => Json::obj([("ok", true.into()), ("detail", detail.into())]),
+                    Err(why) => {
+                        all_ok = false;
+                        Json::obj([("ok", false.into()), ("error", why.into())])
+                    }
+                };
+                (name.clone(), result)
+            })
+            .collect();
+        let mut body = BTreeMap::from([("checks".to_string(), Json::Obj(checks))]);
         if let Some(statuses) = self.evaluate_slo() {
-            let firing = statuses.iter().filter(|a| a.state.is_firing()).count();
-            if firing > 0 {
-                all_ok = false;
-            }
-            extra.push_str(&format!(",\"alerts\":{}", alerts_json(&statuses).trim_end()));
+            all_ok &= !statuses.iter().any(|a| a.state.is_firing());
+            body.insert("alerts".into(), alerts_json(&statuses));
         }
         if let Some(r) = self.resource_summary() {
-            extra.push_str(&format!(
-                ",\"store\":{{\"total_bytes\":{},\"entity_bytes\":{},\"adjacency_bytes\":{},\"unique_index_bytes\":{},\"journal_bytes\":{},\"classes\":{}}}",
-                r.total_bytes,
-                r.entity_bytes,
-                r.adjacency_bytes,
-                r.unique_index_bytes,
-                r.journal_bytes,
-                r.classes.len()
-            ));
+            body.insert("store".into(), resources_json(&r));
         }
-        let status = if all_ok { 200 } else { 503 };
-        let body = format!(
-            "{{\"status\":\"{}\",\"checks\":{{{}}}{}}}\n",
-            if all_ok { "ok" } else { "unhealthy" },
-            items.join(","),
-            extra
-        );
-        (status, body)
+        body.insert("status".into(), if all_ok { "ok" } else { "unhealthy" }.into());
+        (if all_ok { 200 } else { 503 }, Json::Obj(body))
     }
 
     fn dashboard(&self) -> String {
@@ -777,7 +729,7 @@ impl Telemetry {
         }
         if let Some(d) = &*self.drain.lock().unwrap_or_else(|e| e.into_inner()) {
             b.push_str("<h2>drain report</h2>");
-            b.push_str(&format!("<p><code>{}</code></p>", html_esc(d.trim_end())));
+            b.push_str(&format!("<p><code>{}</code></p>", html_esc(&d.to_string())));
         }
         b.push_str(
             "<p><a href=\"/metrics\">/metrics</a> · <a href=\"/alerts\">/alerts</a> · \
@@ -795,11 +747,9 @@ impl Telemetry {
         let path = path.split('?').next().unwrap_or(path);
         match path {
             "/snapshot" => match self.snapshot("http") {
-                Ok(p) => (200, CT_JSON, format!("{{\"written\":\"{}\"}}\n", esc(&p.display().to_string()))),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    (404, CT_JSON, "{\"error\":\"snapshots not configured\"}\n".to_string())
-                }
-                Err(e) => (500, CT_JSON, format!("{{\"error\":\"{}\"}}\n", esc(&e.to_string()))),
+                Ok(p) => json(200, Json::obj([("written", p.display().to_string().into())])),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => json_error(404, "snapshots not configured"),
+                Err(e) => json_error(500, &e.to_string()),
             },
             _ => (405, CT_TEXT, "POST is supported only on /snapshot\n".to_string()),
         }
@@ -814,37 +764,32 @@ impl Telemetry {
                 Some(rec) => {
                     let secs = query_param(query, "secs").and_then(|v| v.parse().ok()).unwrap_or(60);
                     let limit = query_param(query, "limit").and_then(|v| v.parse().ok()).unwrap_or(500);
-                    (200, CT_JSON, rec.render_json(Duration::from_secs(secs), limit))
+                    json(200, rec.render_json(Duration::from_secs(secs), limit))
                 }
-                None => (404, CT_JSON, "{\"error\":\"no flight recorder attached\"}\n".to_string()),
+                None => json_error(404, "no flight recorder attached"),
             },
             "/snapshot" => {
-                if self.snapshots.lock().unwrap_or_else(|e| e.into_inner()).is_none() {
-                    return (404, CT_JSON, "{\"error\":\"snapshots not configured\"}\n".to_string());
-                }
-                let dir = self
-                    .snapshots
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                    .map(|c| c.dir.display().to_string())
-                    .unwrap_or_default();
-                let mut s = format!("{{\"dir\":\"{}\",\"bundles\":[", esc(&dir));
-                for (i, (name, bytes, modified)) in self.list_snapshots().iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"file\":\"{}\",\"bytes\":{bytes},\"modified_unix_ms\":{modified}}}",
-                        esc(name)
-                    ));
-                }
-                s.push_str("]}\n");
-                (200, CT_JSON, s)
+                let Some(dir) =
+                    self.snapshots.lock().unwrap_or_else(|e| e.into_inner()).as_ref().map(|c| c.dir.clone())
+                else {
+                    return json_error(404, "snapshots not configured");
+                };
+                let bundles = self
+                    .list_snapshots()
+                    .into_iter()
+                    .map(|(name, bytes, modified)| {
+                        Json::obj([
+                            ("file", name.into()),
+                            ("bytes", bytes.into()),
+                            ("modified_unix_ms", modified.into()),
+                        ])
+                    })
+                    .collect();
+                json(200, Json::obj([("dir", dir.display().to_string().into()), ("bundles", Json::Arr(bundles))]))
             }
             "/drain" => match &*self.drain.lock().unwrap_or_else(|e| e.into_inner()) {
-                Some(d) => (200, CT_JSON, format!("{}\n", d.trim_end())),
-                None => (404, CT_JSON, "{\"error\":\"no drain recorded\"}\n".to_string()),
+                Some(d) => json(200, d.clone()),
+                None => json_error(404, "no drain recorded"),
             },
             "/metrics" => {
                 if query_param(query, "deep").is_some() {
@@ -860,9 +805,7 @@ impl Telemetry {
                 } else {
                     self.refresh();
                 }
-                let mut body = self.metrics.render_json();
-                body.push('\n');
-                (200, CT_JSON, body)
+                json(200, self.metrics.render_json())
             }
             "/top" => match self.stmt_handle() {
                 Some(stmt) => {
@@ -876,65 +819,79 @@ impl Telemetry {
                 Some(stmt) => {
                     let n = query_param(query, "n").and_then(|v| v.parse().ok()).unwrap_or(20);
                     let sort = query_param(query, "sort").and_then(StmtSort::parse).unwrap_or_default();
-                    (200, CT_JSON, stmt.render_json(n, sort))
+                    json(200, stmt.render_json(n, sort))
                 }
-                None => (404, CT_JSON, "{\"error\":\"statement stats not attached\"}\n".to_string()),
+                None => json_error(404, "statement stats not attached"),
             },
             "/history.json" => match self.history_handle() {
-                Some(h) => {
-                    let tail = query_param(query, "tail").and_then(|v| v.parse().ok());
-                    (200, CT_JSON, h.render_json(tail))
-                }
-                None => (404, CT_JSON, "{\"error\":\"metrics history not attached\"}\n".to_string()),
+                Some(h) => json(200, h.render_json(query_param(query, "tail").and_then(|v| v.parse().ok()))),
+                None => json_error(404, "metrics history not attached"),
             },
             "/healthz" => {
                 let (status, body) = self.healthz();
-                (status, CT_JSON, body)
+                json(status, body)
             }
             "/alerts" => match self.evaluate_slo() {
                 Some(statuses) => (200, CT_TEXT, alerts_text(&statuses)),
                 None => (404, CT_TEXT, "no slo engine attached\n".to_string()),
             },
             "/alerts.json" => match self.evaluate_slo() {
-                Some(statuses) => (200, CT_JSON, alerts_json(&statuses)),
-                None => (404, CT_JSON, "{\"error\":\"no slo engine attached\"}\n".to_string()),
+                Some(statuses) => json(200, alerts_json(&statuses)),
+                None => json_error(404, "no slo engine attached"),
             },
             "/dashboard" => {
                 self.refresh();
                 (200, CT_HTML, self.dashboard())
             }
-            "/slow" => (200, CT_JSON, self.slow.render_json()),
+            "/slow" => json(200, self.slow.render_json()),
             "/qlog" => match &*self.qlog.lock().unwrap_or_else(|e| e.into_inner()) {
                 Some(q) => (200, CT_TEXT, q.feedback.render_text(20)),
                 None => (404, CT_TEXT, "query log not attached\n".to_string()),
             },
             "/qlog.json" => match &*self.qlog.lock().unwrap_or_else(|e| e.into_inner()) {
                 Some(q) => {
-                    let status = match &q.log {
-                        Some(log) => format!("\"enabled\":true,{}", log.status_json()),
-                        None => "\"enabled\":false".to_string(),
-                    };
-                    let body = format!("{{{},\"fingerprints\":{}}}\n", status, q.feedback.render_json());
-                    (200, CT_JSON, body)
+                    let mut body = BTreeMap::from([
+                        ("enabled".to_string(), q.log.is_some().into()),
+                        ("fingerprints".to_string(), q.feedback.render_json()),
+                    ]);
+                    if let Some(Json::Obj(status)) = q.log.as_ref().map(|log| log.status_json()) {
+                        body.extend(status);
+                    }
+                    json(200, Json::Obj(body))
                 }
-                None => (404, CT_JSON, "{\"error\":\"query log not attached\"}\n".to_string()),
+                None => json_error(404, "query log not attached"),
             },
-            "/traces" => (200, CT_JSON, summaries_json(&self.tracer.summaries())),
-            "/traces/latest" => match self.tracer.export_latest_chrome() {
-                Some(json) => (200, CT_JSON, json),
-                None => (404, CT_JSON, "{\"error\":\"no traces stored\"}\n".to_string()),
+            "/traces" => json(200, summaries_json(&self.tracer.summaries())),
+            "/traces/latest" => match self.tracer.latest_id().and_then(|id| self.tracer.get(id)) {
+                Some(t) => json(200, chrome_trace_json(&t)),
+                None => json_error(404, "no traces stored"),
             },
             _ => {
                 if let Some(id) = path.strip_prefix("/traces/").and_then(|s| s.parse::<u64>().ok()) {
-                    return match self.tracer.export_chrome(id) {
-                        Some(json) => (200, CT_JSON, json),
-                        None => (404, CT_JSON, format!("{{\"error\":\"no trace with id {id}\"}}\n")),
+                    return match self.tracer.get(id) {
+                        Some(t) => json(200, chrome_trace_json(&t)),
+                        None => json_error(404, &format!("no trace with id {id}")),
                     };
                 }
                 (404, CT_TEXT, "not found\n".to_string())
             }
         }
     }
+}
+
+/// A JSON response: the compact document plus a trailing newline.
+fn json(code: u16, body: Json) -> (u16, &'static str, String) {
+    (code, CT_JSON, json_body(body))
+}
+
+fn json_error(code: u16, msg: &str) -> (u16, &'static str, String) {
+    json(code, Json::obj([("error", msg.into())]))
+}
+
+fn json_body(body: Json) -> String {
+    let mut s = body.to_string();
+    s.push('\n');
+    s
 }
 
 fn html_esc(s: &str) -> String {
@@ -950,17 +907,15 @@ fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query.split('&').find_map(|kv| kv.split_once('=').filter(|(k, _)| *k == key).map(|(_, v)| v))
 }
 
-fn resources_json(r: &ResourceSummary) -> String {
-    format!(
-        "{{\"total_bytes\":{},\"entity_bytes\":{},\"adjacency_bytes\":{},\"unique_index_bytes\":{},\
-         \"journal_bytes\":{},\"classes\":{}}}",
-        r.total_bytes,
-        r.entity_bytes,
-        r.adjacency_bytes,
-        r.unique_index_bytes,
-        r.journal_bytes,
-        r.classes.len()
-    )
+fn resources_json(r: &ResourceSummary) -> Json {
+    Json::obj([
+        ("total_bytes", r.total_bytes.into()),
+        ("entity_bytes", r.entity_bytes.into()),
+        ("adjacency_bytes", r.adjacency_bytes.into()),
+        ("unique_index_bytes", r.unique_index_bytes.into()),
+        ("journal_bytes", r.journal_bytes.into()),
+        ("classes", r.classes.len().into()),
+    ])
 }
 
 static PANIC_HOOK_INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -1204,7 +1159,8 @@ mod tests {
         assert!(body.contains("\"nepal_queries_total\":5"));
         let (code, _, body) = t.handle("/healthz");
         assert_eq!(code, 200);
-        assert!(body.contains("\"native\":{\"ok\":true"));
+        let doc = crate::json::parse_json(&body).unwrap();
+        assert_eq!(doc.get("checks").and_then(|c| c.get("native")).and_then(|n| n.get("ok")), Some(&Json::Bool(true)));
         let (code, _, body) = t.handle("/slow");
         assert_eq!(code, 200);
         assert!(body.contains("Retrieve P"));
@@ -1300,7 +1256,11 @@ mod tests {
         let (code, _, body) = t.handle("/healthz");
         assert_eq!(code, 503);
         assert!(body.contains("\"status\":\"unhealthy\""));
-        assert!(body.contains("\"gremlin\":{\"ok\":false"));
+        let doc = crate::json::parse_json(&body).unwrap();
+        assert_eq!(
+            doc.get("checks").and_then(|c| c.get("gremlin")).and_then(|n| n.get("ok")),
+            Some(&Json::Bool(false))
+        );
     }
 
     #[test]

@@ -1,13 +1,18 @@
 //! Observability for Nepal: engine metrics, query profiling, span tracing,
 //! and the live telemetry endpoint.
 //!
-//! Dependency-free by design (the build environment is offline). Four
-//! halves:
+//! Dependency-free by design (the build environment is offline), which
+//! is also why it owns the workspace's one JSON codec. The modules:
 //!
+//! - [`json`] — the [`Json`] value, its writer and parser. Every JSON
+//!   surface of the workspace (these routes, qlog lines, snapshot bundles,
+//!   bench reports, the Gremlin wire frames) builds a [`Json`] tree and
+//!   serialises it once: compact, keys sorted, non-finite numbers as
+//!   `null`.
 //! - [`metrics`] — atomic [`Counter`]/[`Gauge`]/[`Histogram`] primitives in
 //!   a [`MetricsRegistry`], renderable as Prometheus text exposition format
-//!   or JSON. Histograms use log₂ buckets, sized for nanosecond latencies,
-//!   with estimated p50/p95/p99 quantiles.
+//!   or a [`Json`] document. Histograms use log₂ buckets, sized for
+//!   nanosecond latencies, with estimated p50/p95/p99 quantiles.
 //! - [`profile`] — the [`QueryProfile`] trace threaded through the query
 //!   pipeline: parse/plan/execute phase timings, the anchor candidates the
 //!   planner considered with their costs, per-operator
@@ -38,6 +43,7 @@
 pub mod flight;
 pub mod history;
 pub mod http;
+pub mod json;
 pub mod meter;
 pub mod metrics;
 pub mod profile;
@@ -51,6 +57,7 @@ pub use history::{sparkline, HistoryRing, HistorySnapshot};
 pub use http::{
     fmt_bytes, install_panic_hook, ResourceClass, ResourceSummary, SnapshotConfig, Telemetry, TelemetryServer,
 };
+pub use json::{parse_json, Json};
 pub use meter::{thread_cpu_ns, MeterSnapshot, ResourceMeter};
 pub use metrics::{quantile_from_counts, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use profile::{

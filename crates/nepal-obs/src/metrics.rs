@@ -13,6 +13,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Json;
+
 /// Monotonically increasing counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -215,10 +217,6 @@ fn series_le(name: &str, labels: &str, le: &str) -> String {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
 impl MetricsRegistry {
     pub fn new() -> Self {
         Self::default()
@@ -407,56 +405,34 @@ impl MetricsRegistry {
 
     /// JSON object keyed by series (`name` or `name{labels}`). Histograms
     /// carry `{"count", "sum", "buckets": [[le, n], …]}`.
-    pub fn render_json(&self) -> String {
+    pub fn render_json(&self) -> Json {
         let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out = String::from("{");
-        let mut first = true;
-        let mut emit = |s: String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&s);
-        };
+        let mut out = BTreeMap::new();
         for (name, entry) in entries.iter() {
             match &entry.metric {
                 Metric::Counter(m) => {
-                    for (labels, c) in m {
-                        emit(format!("\"{}\":{}", json_escape(&series(name, labels)), c.get()), &mut first);
-                    }
+                    out.extend(m.iter().map(|(labels, c)| (series(name, labels), c.get().into())));
                 }
                 Metric::Gauge(m) => {
-                    for (labels, g) in m {
-                        emit(format!("\"{}\":{}", json_escape(&series(name, labels)), g.get()), &mut first);
-                    }
+                    out.extend(m.iter().map(|(labels, g)| (series(name, labels), g.get().into())));
                 }
                 Metric::Histogram(m) => {
                     for (labels, h) in m {
-                        let mut s = format!(
-                            "\"{}\":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[",
-                            json_escape(&series(name, labels)),
-                            h.count(),
-                            h.sum(),
-                            h.quantile(0.50),
-                            h.quantile(0.95),
-                            h.quantile(0.99)
-                        );
-                        let mut bfirst = true;
-                        for (bound, n) in h.buckets() {
-                            if !bfirst {
-                                s.push(',');
-                            }
-                            bfirst = false;
-                            s.push_str(&format!("[{bound},{n}]"));
-                        }
-                        s.push_str("]}");
-                        emit(s, &mut first);
+                        let buckets = h.buckets().into_iter().map(|(le, n)| vec![le, n]).collect::<Vec<_>>();
+                        let doc = Json::obj([
+                            ("count", h.count().into()),
+                            ("sum", h.sum().into()),
+                            ("p50", h.quantile(0.50).into()),
+                            ("p95", h.quantile(0.95).into()),
+                            ("p99", h.quantile(0.99).into()),
+                            ("buckets", buckets.into()),
+                        ]);
+                        out.insert(series(name, labels), doc);
                     }
                 }
             }
         }
-        out.push('}');
-        out
+        Json::Obj(out)
     }
 }
 
@@ -564,7 +540,7 @@ mod tests {
         assert!(text.contains("nepal_store_bytes{class=\"Host\"} 40"), "{text}");
         assert!(text.contains("nepal_store_bytes{class=\"VM\"} 101"), "{text}");
 
-        let json = reg.render_json();
+        let json = reg.render_json().to_string();
         assert!(json.contains("\"nepal_store_bytes{class=\\\"VM\\\"}\":101"), "{json}");
 
         // Label values are escaped, label names sanitized.
@@ -592,11 +568,15 @@ mod tests {
         reg.counter("a_total", "a").add(3);
         reg.histogram("b_ns", "b").observe(9);
         let json = reg.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"a_total\":3"));
+        assert_eq!(json.get("a_total").and_then(Json::as_u64), Some(3));
         // 9 lands in the (8, 16] bucket; rank 1 of 1 interpolates to the
         // bucket's upper bound for every quantile.
-        assert!(json.contains("\"b_ns\":{\"count\":1,\"sum\":9,\"p50\":16,\"p95\":16,\"p99\":16,\"buckets\":[[16,1]]}"));
+        assert_eq!(
+            json.get("b_ns").map(Json::to_string).as_deref(),
+            Some(r#"{"buckets":[[16,1]],"count":1,"p50":16,"p95":16,"p99":16,"sum":9}"#)
+        );
+        let text = json.to_string();
+        assert!(text.starts_with('{') && text.ends_with('}'));
     }
 
     #[test]

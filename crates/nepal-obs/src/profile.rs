@@ -12,6 +12,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crate::json::Json;
+
 /// Stats for one operator instance in the §5 operator DAG.
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
@@ -307,22 +309,22 @@ impl SlowQueryLog {
         self.len() == 0
     }
 
-    /// JSON array of the ring (the `/slow` endpoint body).
-    pub fn render_json(&self) -> String {
-        let items: Vec<String> = self
+    /// The `/slow` endpoint body: the threshold and the ring, oldest
+    /// first.
+    pub fn render_json(&self) -> Json {
+        let entries = self
             .entries()
             .iter()
             .map(|e| {
-                format!(
-                    "{{\"query\":\"{}\",\"total_ns\":{},\"result_rows\":{},\"trace_id\":{}}}",
-                    crate::trace::esc(&e.query),
-                    e.total_ns,
-                    e.result_rows,
-                    e.trace_id.map(|t| t.to_string()).unwrap_or_else(|| "null".into())
-                )
+                Json::obj([
+                    ("query", e.query.as_str().into()),
+                    ("total_ns", e.total_ns.into()),
+                    ("result_rows", e.result_rows.into()),
+                    ("trace_id", e.trace_id.into()),
+                ])
             })
             .collect();
-        format!("{{\"threshold_ns\":{},\"entries\":[{}]}}\n", self.threshold_ns(), items.join(","))
+        Json::obj([("threshold_ns", self.threshold_ns().into()), ("entries", Json::Arr(entries))])
     }
 }
 
@@ -355,8 +357,9 @@ mod tests {
         assert_eq!(queries, vec!["q2", "q3"], "oldest entry evicted");
         assert_eq!(log.len(), 2);
         let json = log.render_json();
-        assert!(json.contains("\"threshold_ns\":1000"));
-        assert!(json.contains("\"query\":\"q3\""));
+        assert_eq!(json.get("threshold_ns").and_then(Json::as_u64), Some(1000));
+        let last = json.get("entries").and_then(Json::as_arr).unwrap().last().unwrap();
+        assert_eq!(last.get("query").and_then(Json::as_str), Some("q3"));
     }
 
     #[test]
@@ -372,8 +375,9 @@ mod tests {
         assert!(log.record_traced("q2", 3000, 2, None));
         assert!(log.record_traced("q2", 3000, 2, None));
         assert_eq!(log.len(), 3);
-        assert!(log.render_json().contains("\"trace_id\":7"));
-        assert!(log.render_json().contains("\"trace_id\":null"));
+        let json = log.render_json().to_string();
+        assert!(json.contains("\"trace_id\":7"), "{json}");
+        assert!(json.contains("\"trace_id\":null"), "{json}");
     }
 
     #[test]

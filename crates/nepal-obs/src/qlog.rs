@@ -33,9 +33,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::{parse_json, Json};
 use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::profile::QueryProfile;
-use crate::trace::esc;
 
 // ---------------------------------------------------------------------
 // Hashing: FNV-1a, shared by fingerprints and result digests
@@ -290,17 +290,6 @@ pub struct QlogRecord {
     pub feedback: PlanFeedback,
 }
 
-fn jnum(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.3}")
-    }
-}
-
 impl QlogRecord {
     /// A record for a query that failed before producing a result.
     pub fn for_error(query: &str, total_ns: u64, error: &str, trace_id: Option<u64>, threads: u64) -> QlogRecord {
@@ -317,132 +306,115 @@ impl QlogRecord {
 
     /// Serialize as a single JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push_str(&format!(
-            "{{\"ts_ms\":{},\"query\":\"{}\",\"fp\":\"{:016x}\",\"trace\":{},\"threads\":{},",
-            self.ts_ms,
-            esc(&self.query),
-            self.fingerprint,
-            self.trace_id.map(|t| t.to_string()).unwrap_or_else(|| "null".into()),
-            self.threads
-        ));
-        s.push_str(&format!(
-            "\"parse_ns\":{},\"plan_ns\":{},\"exec_ns\":{},\"total_ns\":{},\"rows\":{},\"digest\":\"{:016x}\",",
-            self.parse_ns, self.plan_ns, self.exec_ns, self.total_ns, self.rows, self.digest
-        ));
-        match &self.error {
-            Some(e) => s.push_str(&format!("\"error\":\"{}\",", esc(e))),
-            None => s.push_str("\"error\":null,"),
-        }
-        let vars: Vec<String> = self
+        let vars = self
             .feedback
             .vars
             .iter()
             .map(|v| {
-                let cands: Vec<String> =
-                    v.candidates.iter().map(|(d, c)| format!("[\"{}\",{}]", esc(d), jnum(*c))).collect();
-                format!(
-                    "{{\"var\":\"{}\",\"backend\":\"{}\",\"anchor\":\"{}\",\"est\":{},\"actual\":{},\
-                     \"pathways\":{},\"eval_ns\":{},\"candidates\":[{}]}}",
-                    esc(&v.var),
-                    esc(&v.backend),
-                    esc(&v.anchor),
-                    jnum(v.est_rows),
-                    v.actual_rows,
-                    v.pathways,
-                    v.eval_ns,
-                    cands.join(",")
-                )
+                let candidates =
+                    v.candidates.iter().map(|(d, c)| Json::Arr(vec![d.as_str().into(), (*c).into()])).collect();
+                Json::obj([
+                    ("var", v.var.as_str().into()),
+                    ("backend", v.backend.as_str().into()),
+                    ("anchor", v.anchor.as_str().into()),
+                    ("est", v.est_rows.into()),
+                    ("actual", v.actual_rows.into()),
+                    ("pathways", v.pathways.into()),
+                    ("eval_ns", v.eval_ns.into()),
+                    ("candidates", Json::Arr(candidates)),
+                ])
             })
             .collect();
-        let joins: Vec<String> = self
+        let joins = self
             .feedback
             .joins
             .iter()
             .map(|j| {
-                format!(
-                    "{{\"var\":\"{}\",\"probe\":{},\"build\":{},\"emitted\":{}}}",
-                    esc(&j.var),
-                    j.probe,
-                    j.build,
-                    j.emitted
-                )
+                Json::obj([
+                    ("var", j.var.as_str().into()),
+                    ("probe", j.probe.into()),
+                    ("build", j.build.into()),
+                    ("emitted", j.emitted.into()),
+                ])
             })
             .collect();
-        s.push_str(&format!("\"vars\":[{}],\"joins\":[{}]}}", vars.join(","), joins.join(",")));
-        s
+        Json::obj([
+            ("ts_ms", self.ts_ms.into()),
+            ("query", self.query.as_str().into()),
+            ("fp", Json::hex(self.fingerprint)),
+            ("trace", self.trace_id.into()),
+            ("threads", self.threads.into()),
+            ("parse_ns", self.parse_ns.into()),
+            ("plan_ns", self.plan_ns.into()),
+            ("exec_ns", self.exec_ns.into()),
+            ("total_ns", self.total_ns.into()),
+            ("rows", self.rows.into()),
+            ("digest", Json::hex(self.digest)),
+            ("error", self.error.as_deref().into()),
+            ("vars", Json::Arr(vars)),
+            ("joins", Json::Arr(joins)),
+        ])
+        .to_string()
     }
 
-    /// Parse a JSONL line written by [`QlogRecord::to_json_line`].
+    /// Parse a JSONL line written by [`QlogRecord::to_json_line`] (or by
+    /// any earlier layout carrying the same keys).
     pub fn parse(line: &str) -> Option<QlogRecord> {
-        let v = json_parse(line)?;
-        let obj = v.as_obj()?;
-        let num = |k: &str| obj_get(obj, k).and_then(JVal::as_u64).unwrap_or(0);
-        let hexnum =
-            |k: &str| obj_get(obj, k).and_then(JVal::as_str).and_then(|s| u64::from_str_radix(s, 16).ok()).unwrap_or(0);
-        let vars = obj_get(obj, "vars")
-            .and_then(JVal::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|jv| {
-                        let o = jv.as_obj()?;
-                        let gets = |k: &str| obj_get(o, k).and_then(JVal::as_str).unwrap_or("").to_string();
-                        let getn = |k: &str| obj_get(o, k).and_then(JVal::as_u64).unwrap_or(0);
-                        let candidates = obj_get(o, "candidates")
-                            .and_then(JVal::as_arr)
-                            .map(|cs| {
-                                cs.iter()
-                                    .filter_map(|c| {
-                                        let pair = c.as_arr()?;
-                                        Some((pair.first()?.as_str()?.to_string(), pair.get(1)?.as_f64()?))
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        Some(VarFeedback {
-                            var: gets("var"),
-                            backend: gets("backend"),
-                            anchor: gets("anchor"),
-                            est_rows: obj_get(o, "est").and_then(JVal::as_f64).unwrap_or(0.0),
-                            actual_rows: getn("actual"),
-                            pathways: getn("pathways"),
-                            eval_ns: getn("eval_ns"),
-                            candidates,
-                        })
+        let obj = parse_json(line).ok()?;
+        if !matches!(obj, Json::Obj(_)) {
+            return None;
+        }
+        let num = |o: &Json, k: &str| o.get(k).and_then(Json::as_u64).unwrap_or(0);
+        let text = |o: &Json, k: &str| o.get(k).and_then(Json::as_str).unwrap_or("").to_string();
+        let hex =
+            |k: &str| obj.get(k).and_then(Json::as_str).and_then(|s| u64::from_str_radix(s, 16).ok()).unwrap_or(0);
+        let list = |k: &str| obj.get(k).and_then(Json::as_arr).unwrap_or(&[]);
+        let vars = list("vars")
+            .iter()
+            .filter(|o| matches!(o, Json::Obj(_)))
+            .map(|o| VarFeedback {
+                var: text(o, "var"),
+                backend: text(o, "backend"),
+                anchor: text(o, "anchor"),
+                est_rows: o.get("est").and_then(Json::as_f64).unwrap_or(0.0),
+                actual_rows: num(o, "actual"),
+                pathways: num(o, "pathways"),
+                eval_ns: num(o, "eval_ns"),
+                candidates: o
+                    .get("candidates")
+                    .and_then(Json::as_arr)
+                    .unwrap_or(&[])
+                    .iter()
+                    .filter_map(|c| {
+                        let pair = c.as_arr()?;
+                        Some((pair.first()?.as_str()?.to_string(), pair.get(1)?.as_f64()?))
                     })
-                    .collect()
+                    .collect(),
             })
-            .unwrap_or_default();
-        let joins = obj_get(obj, "joins")
-            .and_then(JVal::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|jv| {
-                        let o = jv.as_obj()?;
-                        let getn = |k: &str| obj_get(o, k).and_then(JVal::as_u64).unwrap_or(0);
-                        Some(JoinFeedback {
-                            var: obj_get(o, "var").and_then(JVal::as_str).unwrap_or("").to_string(),
-                            probe: getn("probe"),
-                            build: getn("build"),
-                            emitted: getn("emitted"),
-                        })
-                    })
-                    .collect()
+            .collect();
+        let joins = list("joins")
+            .iter()
+            .filter(|o| matches!(o, Json::Obj(_)))
+            .map(|o| JoinFeedback {
+                var: text(o, "var"),
+                probe: num(o, "probe"),
+                build: num(o, "build"),
+                emitted: num(o, "emitted"),
             })
-            .unwrap_or_default();
+            .collect();
         Some(QlogRecord {
-            ts_ms: num("ts_ms"),
-            query: obj_get(obj, "query").and_then(JVal::as_str).unwrap_or("").to_string(),
-            fingerprint: hexnum("fp"),
-            trace_id: obj_get(obj, "trace").and_then(JVal::as_u64),
-            threads: num("threads"),
-            parse_ns: num("parse_ns"),
-            plan_ns: num("plan_ns"),
-            exec_ns: num("exec_ns"),
-            total_ns: num("total_ns"),
-            rows: num("rows"),
-            digest: hexnum("digest"),
-            error: obj_get(obj, "error").and_then(JVal::as_str).map(str::to_string),
+            ts_ms: num(&obj, "ts_ms"),
+            query: text(&obj, "query"),
+            fingerprint: hex("fp"),
+            trace_id: obj.get("trace").and_then(Json::as_u64),
+            threads: num(&obj, "threads"),
+            parse_ns: num(&obj, "parse_ns"),
+            plan_ns: num(&obj, "plan_ns"),
+            exec_ns: num(&obj, "exec_ns"),
+            total_ns: num(&obj, "total_ns"),
+            rows: num(&obj, "rows"),
+            digest: hex("digest"),
+            error: obj.get("error").and_then(Json::as_str).map(str::to_string),
             feedback: PlanFeedback { vars, joins },
         })
     }
@@ -579,14 +551,13 @@ impl QueryLog {
     }
 
     /// Status fields for `/qlog.json`.
-    pub fn status_json(&self) -> String {
-        format!(
-            "\"path\":\"{}\",\"records\":{},\"bytes\":{},\"rotations\":{}",
-            esc(&self.path.display().to_string()),
-            self.records(),
-            self.bytes(),
-            self.rotations()
-        )
+    pub fn status_json(&self) -> Json {
+        Json::obj([
+            ("path", self.path.display().to_string().into()),
+            ("records", self.records().into()),
+            ("bytes", self.bytes().into()),
+            ("rotations", self.rotations().into()),
+        ])
     }
 }
 
@@ -780,245 +751,26 @@ impl EstimateFeedback {
     }
 
     /// The `fingerprints` array of `/qlog.json`, worst first.
-    pub fn render_json(&self) -> String {
-        let items: Vec<String> = self
+    pub fn render_json(&self) -> Json {
+        let items = self
             .top(usize::MAX)
             .iter()
             .map(|f| {
-                format!(
-                    "{{\"fp\":\"{:016x}\",\"example\":\"{}\",\"count\":{},\"max_qerror\":{},\"mean_qerror\":{},\
-                     \"last_est\":{},\"last_actual\":{},\"anchor\":\"{}\",\"hindsight_anchor\":\"{}\",\"mischosen\":{}}}",
-                    f.fingerprint,
-                    esc(&f.example),
-                    f.count,
-                    jnum(f.max_qerror),
-                    jnum(f.mean_qerror()),
-                    jnum(f.last_est),
-                    f.last_actual,
-                    esc(&f.anchor),
-                    esc(&f.hindsight_anchor),
-                    f.mischosen()
-                )
+                Json::obj([
+                    ("fp", Json::hex(f.fingerprint)),
+                    ("example", f.example.as_str().into()),
+                    ("count", f.count.into()),
+                    ("max_qerror", f.max_qerror.into()),
+                    ("mean_qerror", f.mean_qerror().into()),
+                    ("last_est", f.last_est.into()),
+                    ("last_actual", f.last_actual.into()),
+                    ("anchor", f.anchor.as_str().into()),
+                    ("hindsight_anchor", f.hindsight_anchor.as_str().into()),
+                    ("mischosen", f.mischosen().into()),
+                ])
             })
             .collect();
-        format!("[{}]", items.join(","))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Minimal JSON parsing (for reading qlog lines back)
-// ---------------------------------------------------------------------
-
-/// A parsed JSON value (internal to qlog record parsing; just enough JSON
-/// for the records this module writes).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JVal {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JVal>),
-    Obj(Vec<(String, JVal)>),
-}
-
-impl JVal {
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JVal::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JVal::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JVal::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    pub fn as_arr(&self) -> Option<&[JVal]> {
-        match self {
-            JVal::Arr(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    pub fn as_obj(&self) -> Option<&[(String, JVal)]> {
-        match self {
-            JVal::Obj(o) => Some(o),
-            _ => None,
-        }
-    }
-}
-
-fn obj_get<'a>(obj: &'a [(String, JVal)], key: &str) -> Option<&'a JVal> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Parse a JSON document (object/array/scalar). Returns `None` on any
-/// syntax error — qlog readers skip unparseable lines.
-pub fn json_parse(text: &str) -> Option<JVal> {
-    let mut p = JParser { b: text.as_bytes(), i: 0 };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.i == p.b.len() {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-struct JParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl JParser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn lit(&mut self, s: &str, v: JVal) -> Option<JVal> {
-        if self.b[self.i..].starts_with(s.as_bytes()) {
-            self.i += s.len();
-            Some(v)
-        } else {
-            None
-        }
-    }
-
-    fn value(&mut self) -> Option<JVal> {
-        self.ws();
-        match *self.b.get(self.i)? {
-            b'{' => self.obj(),
-            b'[' => self.arr(),
-            b'"' => self.string().map(JVal::Str),
-            b't' => self.lit("true", JVal::Bool(true)),
-            b'f' => self.lit("false", JVal::Bool(false)),
-            b'n' => self.lit("null", JVal::Null),
-            _ => self.num(),
-        }
-    }
-
-    fn obj(&mut self) -> Option<JVal> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.eat(b'}').is_some() {
-            return Some(JVal::Obj(out));
-        }
-        loop {
-            self.ws();
-            let k = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let v = self.value()?;
-            out.push((k, v));
-            self.ws();
-            if self.eat(b',').is_some() {
-                continue;
-            }
-            self.eat(b'}')?;
-            return Some(JVal::Obj(out));
-        }
-    }
-
-    fn arr(&mut self) -> Option<JVal> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.eat(b']').is_some() {
-            return Some(JVal::Arr(out));
-        }
-        loop {
-            out.push(self.value()?);
-            self.ws();
-            if self.eat(b',').is_some() {
-                continue;
-            }
-            self.eat(b']')?;
-            return Some(JVal::Arr(out));
-        }
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            let c = *self.b.get(self.i)?;
-            self.i += 1;
-            match c {
-                b'"' => return Some(out),
-                b'\\' => {
-                    let e = *self.b.get(self.i)?;
-                    self.i += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.b.get(self.i..self.i + 4)?;
-                            self.i += 4;
-                            let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                        }
-                        _ => return None,
-                    }
-                }
-                _ => {
-                    // Re-sync to char boundaries for multi-byte UTF-8.
-                    let start = self.i - 1;
-                    let len = utf8_len(c);
-                    let bytes = self.b.get(start..start + len)?;
-                    self.i = start + len;
-                    out.push_str(std::str::from_utf8(bytes).ok()?);
-                }
-            }
-        }
-    }
-
-    fn num(&mut self) -> Option<JVal> {
-        let start = self.i;
-        if self.b.get(self.i) == Some(&b'-') {
-            self.i += 1;
-        }
-        while self.i < self.b.len() && matches!(self.b[self.i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i]).ok()?.parse::<f64>().ok().map(JVal::Num)
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+        Json::Arr(items)
     }
 }
 
@@ -1189,8 +941,8 @@ mod tests {
         assert!(top[0].mischosen(), "hindsight prefers the unique anchor");
         let text = fb.render_text(1);
         assert!(text.contains("->"), "{text}");
-        let json = fb.render_json();
-        assert!(json_parse(&json).is_some(), "{json}");
+        let json = fb.render_json().to_string();
+        assert!(parse_json(&json).is_ok(), "{json}");
         assert!(json.contains("\"mischosen\":true"), "{json}");
     }
 
@@ -1203,13 +955,15 @@ mod tests {
 
     #[test]
     fn json_parser_handles_escapes_and_nesting() {
-        let v = json_parse(r#"{"a":[1,2.5,-3],"b":"x\"yA","c":{"d":null,"e":true}}"#).unwrap();
-        let obj = v.as_obj().unwrap();
-        let a = obj_get(obj, "a").unwrap().as_arr().unwrap();
+        let v = parse_json(r#"{"a":[1,2.5,-3],"b":"x\"y\u0041","c":{"d":null,"e":true}}"#).unwrap();
+        let a = v.get("a").unwrap().as_arr().unwrap();
         assert_eq!(a[1].as_f64(), Some(2.5));
         assert_eq!(a[2].as_f64(), Some(-3.0));
-        assert_eq!(obj_get(obj, "b").unwrap().as_str(), Some("x\"yA"));
-        assert!(json_parse("{broken").is_none());
-        assert!(json_parse("[1,2] trailing").is_none());
+        assert_eq!(v.get("b").unwrap().as_str(), Some("x\"yA"));
+        assert_eq!(v.get("c").and_then(|c| c.get("e")), Some(&Json::Bool(true)));
+        assert!(parse_json("{broken").is_err());
+        assert!(parse_json("[1,2] trailing").is_err());
+        // A record line is an object: anything else is not a record.
+        assert!(QlogRecord::parse("[1,2]").is_none());
     }
 }

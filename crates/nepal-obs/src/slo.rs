@@ -32,8 +32,8 @@
 use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use crate::json::Json;
 use crate::metrics::{quantile_from_counts, Counter, Gauge, MetricsRegistry, HISTOGRAM_BUCKETS};
-use crate::trace::esc;
 
 /// What a rule measures. Metric names refer to families in the
 /// [`MetricsRegistry`] the engine was built over.
@@ -325,25 +325,22 @@ pub fn alerts_text(statuses: &[AlertStatus]) -> String {
 }
 
 /// `/alerts.json` body: `{"firing": n, "rules": [...]}`.
-pub fn alerts_json(statuses: &[AlertStatus]) -> String {
+pub fn alerts_json(statuses: &[AlertStatus]) -> Json {
     let firing = statuses.iter().filter(|a| a.state.is_firing()).count();
-    let mut s = format!("{{\"firing\":{firing},\"rules\":[");
-    for (i, a) in statuses.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "{{\"name\":\"{}\",\"state\":\"{}\",\"measured\":{:.3},\"threshold\":{:.3},\"burn\":{:.3},\"detail\":\"{}\"}}",
-            esc(&a.name),
-            a.state.name(),
-            a.measured,
-            a.threshold,
-            a.burn,
-            esc(&a.detail)
-        ));
-    }
-    s.push_str("]}\n");
-    s
+    let rules = statuses
+        .iter()
+        .map(|a| {
+            Json::obj([
+                ("name", a.name.as_str().into()),
+                ("state", a.state.name().into()),
+                ("measured", a.measured.into()),
+                ("threshold", a.threshold.into()),
+                ("burn", a.burn.into()),
+                ("detail", a.detail.as_str().into()),
+            ])
+        })
+        .collect();
+    Json::obj([("firing", firing.into()), ("rules", Json::Arr(rules))])
 }
 
 #[cfg(test)]
@@ -479,7 +476,9 @@ mod tests {
         let text = alerts_text(&s);
         assert!(text.contains("over") && text.contains("firing"), "{text}");
         let json = alerts_json(&s);
-        assert!(json.contains("\"firing\":1"), "{json}");
-        assert!(json.contains("\"name\":\"under\",\"state\":\"ok\""), "{json}");
+        assert_eq!(json.get("firing").and_then(Json::as_u64), Some(1), "{json}");
+        let rules = json.get("rules").and_then(Json::as_arr).unwrap();
+        let under = rules.iter().find(|r| r.get("name").and_then(Json::as_str) == Some("under")).unwrap();
+        assert_eq!(under.get("state").and_then(Json::as_str), Some("ok"), "{json}");
     }
 }

@@ -12,6 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use crate::json::Json;
 use crate::meter::MeterSnapshot;
 use crate::metrics::MetricsRegistry;
 
@@ -297,43 +298,36 @@ impl StmtStats {
     }
 
     /// JSON top-N for `/top.json` and bundle inclusion.
-    pub fn render_json(&self, n: usize, sort: StmtSort) -> String {
-        let rows = self.top(n, sort);
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"sort\":\"{}\",\"tracked\":{},\"evicted\":{},\"statements\":[",
-            sort.name(),
-            self.tracked(),
-            self.evicted()
-        ));
-        for (i, e) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fingerprint\":\"{:016x}\",\"query\":\"{}\",\"calls\":{},\"errors\":{},\
-                 \"deadline_exceeded\":{},\"cancelled\":{},\"wall_ns_total\":{},\"wall_ns_max\":{},\
-                 \"cpu_ns_total\":{},\"cpu_ns_max\":{},\"rows\":{},\"bytes_scanned\":{},\
-                 \"materializations\":{},\"keyframe_hits\":{},\"join_build_rows\":{}}}",
-                e.fingerprint,
-                jesc(&e.text),
-                e.calls,
-                e.errors,
-                e.deadline_exceeded,
-                e.cancelled,
-                e.wall_ns_total,
-                e.wall_ns_max,
-                e.cpu_ns_total,
-                e.cpu_ns_max,
-                e.rows,
-                e.bytes_scanned,
-                e.materializations,
-                e.keyframe_hits,
-                e.join_build_rows,
-            ));
-        }
-        out.push_str("]}");
-        out
+    pub fn render_json(&self, n: usize, sort: StmtSort) -> Json {
+        let statements = self
+            .top(n, sort)
+            .iter()
+            .map(|e| {
+                Json::obj([
+                    ("fingerprint", Json::hex(e.fingerprint)),
+                    ("query", e.text.as_str().into()),
+                    ("calls", e.calls.into()),
+                    ("errors", e.errors.into()),
+                    ("deadline_exceeded", e.deadline_exceeded.into()),
+                    ("cancelled", e.cancelled.into()),
+                    ("wall_ns_total", e.wall_ns_total.into()),
+                    ("wall_ns_max", e.wall_ns_max.into()),
+                    ("cpu_ns_total", e.cpu_ns_total.into()),
+                    ("cpu_ns_max", e.cpu_ns_max.into()),
+                    ("rows", e.rows.into()),
+                    ("bytes_scanned", e.bytes_scanned.into()),
+                    ("materializations", e.materializations.into()),
+                    ("keyframe_hits", e.keyframe_hits.into()),
+                    ("join_build_rows", e.join_build_rows.into()),
+                ])
+            })
+            .collect();
+        Json::obj([
+            ("sort", sort.name().into()),
+            ("tracked", self.tracked().into()),
+            ("evicted", self.evicted().into()),
+            ("statements", Json::Arr(statements)),
+        ])
     }
 }
 
@@ -342,22 +336,6 @@ fn truncate_text(s: &str, max: usize) -> &str {
         Some((i, _)) => &s[..i],
         None => s,
     }
-}
-
-fn jesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -410,7 +388,7 @@ mod tests {
         s.record(7, "VM(name=\"a\")", StmtOutcome::Ok, 1000, 2, Some(&meter(10, 64, 1)));
         let text = s.render_text(5, StmtSort::Calls);
         assert!(text.contains("top 1 statements by calls"), "{text}");
-        let json = s.render_json(5, StmtSort::Cpu);
+        let json = s.render_json(5, StmtSort::Cpu).to_string();
         assert!(json.contains("\"fingerprint\":\"0000000000000007\""), "{json}");
         assert!(json.contains("\\\"a\\\""), "escaped quote missing: {json}");
         assert!(json.contains("\"cpu_ns_total\":10"), "{json}");

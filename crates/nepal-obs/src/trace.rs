@@ -22,6 +22,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::Json;
+
 /// One finished span within a trace.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
@@ -228,7 +230,7 @@ impl Tracer {
 
     /// Chrome trace-event JSON for a stored trace.
     pub fn export_chrome(&self, id: u64) -> Option<String> {
-        self.get(id).map(|t| chrome_trace_json(&t))
+        self.get(id).map(|t| chrome_trace_json(&t).to_string())
     }
 
     /// Chrome trace-event JSON for the most recent stored trace.
@@ -418,23 +420,6 @@ impl SpanHandle {
     pub fn finish(self) {}
 }
 
-/// JSON string escaping (shared by the exporters in this crate).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn tid_of(track: &str) -> u32 {
     match track {
         TRACK_CLIENT => 1,
@@ -447,71 +432,78 @@ fn tid_of(track: &str) -> u32 {
 /// object format). Spans become `"ph": "X"` complete events with
 /// microsecond timestamps relative to the trace start; events become
 /// thread-scoped `"ph": "i"` instants; tracks become named threads.
-pub fn chrome_trace_json(trace: &Trace) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"nepal\"}}");
+pub fn chrome_trace_json(trace: &Trace) -> Json {
+    let meta = |tid: u32, kind: &str, name: &str| {
+        Json::obj([
+            ("name", kind.into()),
+            ("ph", "M".into()),
+            ("pid", 1u32.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", name.into())])),
+        ])
+    };
+    let mut events = vec![meta(0, "process_name", "nepal")];
     let mut tracks: Vec<&str> = trace.spans.iter().map(|s| s.track).collect();
     tracks.sort_unstable();
     tracks.dedup();
-    for t in &tracks {
-        out.push_str(&format!(
-            ",\n{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            tid_of(t),
-            esc(t)
-        ));
-    }
-    let us = |ns: u64| (ns.saturating_sub(trace.start_ns)) as f64 / 1000.0;
+    events.extend(tracks.iter().map(|t| meta(tid_of(t), "thread_name", t)));
+    let us = |ns: u64| Json::Num(ns.saturating_sub(trace.start_ns) as f64 / 1000.0);
     let mut spans: Vec<&SpanRecord> = trace.spans.iter().collect();
     spans.sort_by_key(|s| (s.start_ns, s.id));
     for s in &spans {
-        out.push_str(&format!(
-            ",\n{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"span_id\":{},\"parent_id\":{}",
-            esc(&s.name),
-            us(s.start_ns),
-            s.dur_ns as f64 / 1000.0,
-            tid_of(s.track),
-            s.id,
-            s.parent
-        ));
-        for (k, v) in &s.attrs {
-            out.push_str(&format!(",\"{}\":\"{}\"", esc(k), esc(v)));
-        }
-        out.push_str("}}");
+        let ids = [("span_id", s.id.into()), ("parent_id", s.parent.into())];
+        let args = Json::obj(ids.into_iter().chain(s.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str().into()))));
+        events.push(Json::obj([
+            ("name", s.name.as_str().into()),
+            ("ph", "X".into()),
+            ("ts", us(s.start_ns)),
+            ("dur", Json::Num(s.dur_ns as f64 / 1000.0)),
+            ("pid", 1u32.into()),
+            ("tid", tid_of(s.track).into()),
+            ("args", args),
+        ]));
         for (ts, name) in &s.events {
-            out.push_str(&format!(
-                ",\n{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},\"pid\":1,\"tid\":{},\"args\":{{\"span_id\":{}}}}}",
-                esc(name),
-                us(*ts),
-                tid_of(s.track),
-                s.id
-            ));
+            events.push(Json::obj([
+                ("name", name.as_str().into()),
+                ("ph", "i".into()),
+                ("s", "t".into()),
+                ("ts", us(*ts)),
+                ("pid", 1u32.into()),
+                ("tid", tid_of(s.track).into()),
+                ("args", Json::obj([("span_id", s.id.into())])),
+            ]));
         }
     }
-    out.push_str(&format!(
-        "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"trace_id\":{},\"trace_name\":\"{}\",\"dur_ns\":{}}}}}\n",
-        trace.id,
-        esc(&trace.name),
-        trace.dur_ns
-    ));
-    out
+    Json::obj([
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", "ms".into()),
+        (
+            "otherData",
+            Json::obj([
+                ("trace_id", trace.id.into()),
+                ("trace_name", trace.name.as_str().into()),
+                ("dur_ns", trace.dur_ns.into()),
+            ]),
+        ),
+    ])
 }
 
 /// JSON listing of stored traces (the `/traces` endpoint body).
-pub fn summaries_json(summaries: &[TraceSummary]) -> String {
-    let items: Vec<String> = summaries
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"id\":{},\"name\":\"{}\",\"sampled\":{},\"dur_ns\":{},\"spans\":{}}}",
-                s.id,
-                esc(&s.name),
-                s.sampled,
-                s.dur_ns,
-                s.spans
-            )
-        })
-        .collect();
-    format!("[{}]\n", items.join(","))
+pub fn summaries_json(summaries: &[TraceSummary]) -> Json {
+    Json::Arr(
+        summaries
+            .iter()
+            .map(|s| {
+                Json::obj([
+                    ("id", s.id.into()),
+                    ("name", s.name.as_str().into()),
+                    ("sampled", s.sampled.into()),
+                    ("dur_ns", s.dur_ns.into()),
+                    ("spans", s.spans.into()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -660,22 +652,30 @@ mod tests {
         child.event("bound");
         drop(child);
         drop(root);
-        let json = t.export_latest_chrome().unwrap();
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"name\":\"server\""));
-        assert!(json.contains("\"name\":\"client\""));
-        assert!(json.contains("\"displayTimeUnit\":\"ms\""));
-        // Balanced braces/brackets as a cheap well-formedness check; the
-        // real JSON validity test lives in the workspace integration tests.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let doc = crate::json::parse_json(&t.export_latest_chrome().unwrap()).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_str).map(str::to_string);
+        assert!(events.iter().any(|e| field(e, "ph").as_deref() == Some("X")));
+        assert!(events.iter().any(|e| field(e, "ph").as_deref() == Some("i")));
+        let threads: Vec<String> = events.iter().filter_map(|e| e.get("args").and_then(|a| field(a, "name"))).collect();
+        assert!(threads.iter().any(|n| n == "server"), "{threads:?}");
+        assert!(threads.iter().any(|n| n == "client"), "{threads:?}");
+        assert_eq!(doc.get("displayTimeUnit").and_then(Json::as_str), Some("ms"));
     }
 
     #[test]
     fn json_escaping_handles_quotes_and_control_chars() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let t = enabled_tracer();
+        let name = "a\"b\\c\nd\u{1}";
+        let root = t.start_trace(name);
+        root.attr("k\t", "v\"");
+        drop(root);
+        let text = t.export_latest_chrome().unwrap();
+        assert!(text.contains(r#""a\"b\\c\nd\u0001""#), "{text}");
+        let doc = crate::json::parse_json(&text).unwrap();
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("trace_name").and_then(Json::as_str), Some(name));
+        let root_ev = doc.get("traceEvents").and_then(Json::as_arr).unwrap().last().unwrap();
+        assert_eq!(root_ev.get("args").and_then(|a| a.get("k\t")).and_then(Json::as_str), Some("v\""));
     }
 }

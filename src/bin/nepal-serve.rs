@@ -71,7 +71,7 @@ use std::time::Duration;
 use nepal::core::{BackendRegistry, Engine, GremlinBackend, NativeBackend, RelationalBackend, StandardSlos};
 use nepal::graph::{resource_summary, StoreGauges, TemporalGraph};
 use nepal::gremlin::{property_graph_from, GremlinClient, GremlinServer, ServeConfig};
-use nepal::obs::{install_panic_hook, HistoryRing, SnapshotConfig, Telemetry, TelemetryServer};
+use nepal::obs::{install_panic_hook, HistoryRing, Json, SnapshotConfig, Telemetry, TelemetryServer};
 use nepal::workload::{generate_virtualized, VirtParams};
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -376,13 +376,12 @@ fn main() {
     }
     // Publish the final drain report through telemetry and leave one last
     // diagnostics bundle behind as the flight recorder's shutdown record.
-    telemetry.set_drain_json(format!(
-        "{{\"clean\":{},\"shed_queued\":{},\"budget_ms\":{},\"waited_ms\":{}}}",
-        report.clean,
-        report.shed_queued,
-        drain_ms,
-        t_drain.elapsed().as_millis()
-    ));
+    telemetry.set_drain_json(Json::obj([
+        ("clean", report.clean.into()),
+        ("shed_queued", report.shed_queued.into()),
+        ("budget_ms", drain_ms.into()),
+        ("waited_ms", (t_drain.elapsed().as_millis() as u64).into()),
+    ]));
     if flight_events > 0 {
         match telemetry.snapshot("shutdown") {
             Ok(path) => eprintln!("shutdown snapshot: {}", path.display()),

@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use nepal::core::{digest_result, engine_over, Engine};
 use nepal::graph::TemporalGraph;
-use nepal::obs::{fingerprint, QueryLog, Telemetry};
+use nepal::obs::qlog::JoinFeedback;
+use nepal::obs::{fingerprint, PlanFeedback, QlogRecord, QueryLog, Telemetry, VarFeedback};
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::Value;
 use proptest::prelude::*;
@@ -181,6 +182,49 @@ fn rotation_never_splits_a_record_and_replay_sees_all_generations() {
         assert_eq!(r.query, rec(i).query, "order preserved across rotation");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Query logs captured before records were written through the shared
+/// JSON writer (keys in field order, estimates rounded to three decimals,
+/// an explicit `"error":null`) still parse to the same records, so old
+/// captures keep replaying.
+#[test]
+fn qlog_lines_in_the_earlier_layout_still_parse() {
+    let ok = r#"{"ts_ms":1700000000123,"query":"Retrieve P From PATHS P Where P MATCHES VM()->HostedOn()->Host(host_id=7)","fp":"0123456789abcdef","trace":42,"threads":2,"parse_ns":1200,"plan_ns":3400,"exec_ns":56000,"total_ns":61000,"rows":4,"digest":"fedcba9876543210","error":null,"vars":[{"var":"P","backend":"native","anchor":"Host(host_id=7)","est":1,"actual":1,"pathways":4,"eval_ns":50000,"candidates":[["Host(host_id=7)",1],["VM()",4.333]]}],"joins":[{"var":"Q","probe":4,"build":2,"emitted":3}]}"#;
+    let expected = QlogRecord {
+        ts_ms: 1_700_000_000_123,
+        query: OK_QUERY.into(),
+        fingerprint: 0x0123_4567_89ab_cdef,
+        trace_id: Some(42),
+        threads: 2,
+        parse_ns: 1200,
+        plan_ns: 3400,
+        exec_ns: 56_000,
+        total_ns: 61_000,
+        rows: 4,
+        digest: 0xfedc_ba98_7654_3210,
+        error: None,
+        feedback: PlanFeedback {
+            vars: vec![VarFeedback {
+                var: "P".into(),
+                backend: "native".into(),
+                anchor: "Host(host_id=7)".into(),
+                est_rows: 1.0,
+                actual_rows: 1,
+                pathways: 4,
+                eval_ns: 50_000,
+                candidates: vec![("Host(host_id=7)".into(), 1.0), ("VM()".into(), 4.333)],
+            }],
+            joins: vec![JoinFeedback { var: "Q".into(), probe: 4, build: 2, emitted: 3 }],
+        },
+    };
+    assert_eq!(QlogRecord::parse(ok), Some(expected.clone()));
+    let err = r#"{"ts_ms":0,"query":"Retrieve P From","fp":"00000000000000ff","trace":null,"threads":1,"parse_ns":0,"plan_ns":0,"exec_ns":0,"total_ns":99,"rows":0,"digest":"0000000000000000","error":"syntax error: \"oops\"","vars":[],"joins":[]}"#;
+    let back = QlogRecord::parse(err).unwrap();
+    assert_eq!(back.error.as_deref(), Some("syntax error: \"oops\""));
+    assert_eq!((back.fingerprint, back.trace_id, back.total_ns), (0xff, None, 99));
+    // Written again, the record reads back the same.
+    assert_eq!(QlogRecord::parse(&expected.to_json_line()), Some(expected));
 }
 
 /// The fingerprint folds literals and whitespace but preserves structure:

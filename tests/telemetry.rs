@@ -412,3 +412,190 @@ fn induced_overload_flips_healthz_and_alerts_then_resolves() {
     assert!(body.contains("<html") || body.contains("<!doctype"), "{body}");
     assert!(body.contains("induced-overload"), "dashboard lists alert rules: {body}");
 }
+
+/// Quotes, a backslash, a tab, a raw control character and non-ASCII: every
+/// JSON surface must escape them and give them back unchanged.
+const HOSTILE: &str = "q\"b\\s\tt\u{1}é☃";
+
+/// Byte offset of a raw control character inside a JSON string literal, if
+/// any. Such a byte makes the document invalid JSON even where a lenient
+/// parser accepts it.
+fn raw_control_in_string(body: &str) -> Option<usize> {
+    let (mut in_str, mut escaped) = (false, false);
+    for (i, b) in body.bytes().enumerate() {
+        if !in_str {
+            in_str = b == b'"';
+        } else if escaped {
+            escaped = false;
+        } else if b == b'\\' {
+            escaped = true;
+        } else if b == b'"' {
+            in_str = false;
+        } else if b < 0x20 {
+            return Some(i);
+        }
+    }
+    None
+}
+
+/// Parse a JSON body after checking that no string in it carries a raw
+/// control character.
+fn strict_parse(what: &str, body: &str) -> nepal::gremlin::Json {
+    assert_eq!(raw_control_in_string(body), None, "{what}: raw control character in a string: {body:?}");
+    parse_json(body).unwrap_or_else(|e| panic!("{what}: {e}: {body:?}"))
+}
+
+fn str_at<'a>(j: &'a nepal::gremlin::Json, path: &[&str]) -> Option<&'a str> {
+    path.iter().try_fold(j, |j, k| j.get(k))?.as_str()
+}
+
+/// Hostile strings in a query text, a metric label value, a health-check
+/// detail, an alert name, a flight label and the build/drain facts: every
+/// JSON route and the snapshot bundle stay valid JSON and return each
+/// string unchanged at its key.
+#[test]
+fn json_surfaces_survive_hostile_strings() {
+    use nepal::obs::{FlightKind, FlightRecorder, Json, QueryLog, SnapshotConfig};
+
+    let schema = Arc::new(
+        parse_schema(
+            r#"
+            node VM { vm_id: int unique, name: string }
+            node Host { host_id: int unique }
+            edge HostedOn { }
+            allow HostedOn (VM -> Host)
+            "#,
+        )
+        .unwrap(),
+    );
+    let mut g = TemporalGraph::new(schema.clone());
+    let host = g.insert_node(schema.class_by_name("Host").unwrap(), vec![Value::Int(7)], 0).unwrap();
+    let vm =
+        g.insert_node(schema.class_by_name("VM").unwrap(), vec![Value::Int(1), Value::Str("vm-1".into())], 0).unwrap();
+    g.insert_edge(schema.class_by_name("HostedOn").unwrap(), vm, host, vec![], 0).unwrap();
+    let query = format!("Retrieve P From PATHS P Where P MATCHES VM(name='{HOSTILE}')->HostedOn()->Host(host_id=7)");
+
+    let dir = std::env::temp_dir().join(format!("nepal-hostile-json-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut engine = engine_over(Arc::new(g));
+    engine.tracer.set_enabled(true);
+    engine.tracer.set_sample_every(1);
+    engine.slow_log.set_threshold_ns(0);
+    let stmt = engine.enable_stmt(8);
+    engine.enable_qlog(dir.join("qlog.jsonl"), 1 << 20, 1).unwrap();
+    engine.query(&query).unwrap();
+    let series = format!("nepal_hostile_total{{who=\"{}\"}}", HOSTILE.replace('\\', "\\\\").replace('"', "\\\""));
+    engine.metrics.counter_labeled("nepal_hostile_total", &[("who", HOSTILE)], "hostile label value").inc();
+
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone());
+    telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
+    telemetry.set_stmt(stmt);
+    let history = Arc::new(HistoryRing::new(std::time::Duration::from_millis(1), 8));
+    history.tick_at(1, &engine.metrics);
+    telemetry.set_history(history);
+    telemetry.add_health("store", || Ok(HOSTILE.to_string()));
+    let slo = Arc::new(nepal::obs::SloEngine::new(engine.metrics.clone()));
+    slo.add(SloRule::gauge_max(HOSTILE, "nepal_missing_gauge", 1));
+    telemetry.set_slo(slo);
+    let flight = FlightRecorder::new(16);
+    flight.handle("main").emit(FlightKind::AlertTransition, 0, 2, 0, HOSTILE);
+    telemetry.set_flight(flight);
+    telemetry.set_build_info(vec![("note".into(), HOSTILE.into())]);
+    telemetry.set_drain_json(Json::obj([("note", HOSTILE.into())]));
+    telemetry.set_snapshots(SnapshotConfig { dir: dir.join("snapshots"), keep: 2, ..Default::default() });
+
+    let get = |path: &str| {
+        let (status, _, body) = telemetry.handle(path);
+        assert_eq!(status, 200, "{path}: {body}");
+        strict_parse(path, &body)
+    };
+    let find = |arr: Option<&[Json]>, path: &[&str], want: &str| {
+        arr.unwrap_or(&[]).iter().any(|item| str_at(item, path) == Some(want))
+    };
+
+    // The query text: qlog (file and route), /top.json, /slow, traces.
+    let line = std::fs::read_to_string(dir.join("qlog.jsonl")).unwrap();
+    assert_eq!(str_at(&strict_parse("qlog line", line.trim_end()), &["query"]), Some(query.as_str()));
+    assert_eq!(QueryLog::read_records(dir.join("qlog.jsonl")).unwrap()[0].query, query);
+    let qlog = get("/qlog.json");
+    assert!(find(qlog.get("fingerprints").and_then(Json::as_arr), &["example"], &query), "{qlog}");
+    let top = get("/top.json");
+    assert!(find(top.get("statements").and_then(Json::as_arr), &["query"], &query), "{top}");
+    let slow = get("/slow");
+    assert!(find(slow.get("entries").and_then(Json::as_arr), &["query"], &query), "{slow}");
+    assert!(find(get("/traces").as_arr(), &["name"], &query));
+    let id = engine.tracer.latest_id().unwrap();
+    for path in ["/traces/latest".to_string(), format!("/traces/{id}")] {
+        assert_eq!(str_at(&get(&path), &["otherData", "trace_name"]), Some(query.as_str()), "{path}");
+    }
+
+    // The metric label value: /metrics.json and /history.json.
+    assert_eq!(get("/metrics.json").get(&series).and_then(Json::as_u64), Some(1));
+    let history = get("/history.json");
+    let snaps = history.get("snapshots").and_then(Json::as_arr).unwrap();
+    assert_eq!(snaps[0].get("values").and_then(|v| v.get(&series)).and_then(Json::as_f64), Some(1.0));
+
+    // The health-check detail and the alert name.
+    let health = get("/healthz");
+    assert_eq!(str_at(&health, &["checks", "store", "detail"]), Some(HOSTILE));
+    assert!(find(health.get("alerts").and_then(|a| a.get("rules")).and_then(Json::as_arr), &["name"], HOSTILE));
+    assert!(find(get("/alerts.json").get("rules").and_then(Json::as_arr), &["name"], HOSTILE));
+
+    // The flight label, the drain report and the bundle listing.
+    assert!(find(get("/flight").get("events").and_then(Json::as_arr), &["label"], HOSTILE));
+    assert_eq!(str_at(&get("/drain"), &["note"]), Some(HOSTILE));
+    let (status, _, body) = telemetry.handle_post("/snapshot");
+    assert_eq!(status, 200, "{body}");
+    let bundle_path = str_at(&strict_parse("POST /snapshot", &body), &["written"]).unwrap().to_string();
+    get("/snapshot");
+
+    // The snapshot bundle carries all of them at once.
+    let bundle = strict_parse("bundle", &std::fs::read_to_string(&bundle_path).unwrap());
+    assert_eq!(str_at(&bundle, &["build", "note"]), Some(HOSTILE));
+    assert_eq!(str_at(&bundle, &["drain", "note"]), Some(HOSTILE));
+    assert!(find(bundle.get("slow").and_then(|s| s.get("entries")).and_then(Json::as_arr), &["query"], &query));
+    assert!(find(bundle.get("stmt").and_then(|s| s.get("statements")).and_then(Json::as_arr), &["query"], &query));
+    assert!(find(bundle.get("traces").and_then(Json::as_arr), &["name"], &query));
+    assert!(find(bundle.get("alerts").and_then(|a| a.get("rules")).and_then(Json::as_arr), &["name"], HOSTILE));
+    assert!(find(bundle.get("flight").and_then(|f| f.get("events")).and_then(Json::as_arr), &["label"], HOSTILE));
+    assert_eq!(bundle.get("metrics").and_then(|m| m.get(&series)).and_then(Json::as_u64), Some(1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One query's fingerprint reads the same — 16 hex digits — in its flight
+/// events, its qlog record and its `/top.json` row.
+#[test]
+fn fingerprint_is_one_hex_string_across_flight_qlog_and_top() {
+    // A query shape no other test in this binary runs, so its fingerprint
+    // picks out this test's events from the process-wide recorder.
+    const SHAPE: &str = "Retrieve P From PATHS P Where P MATCHES VM(vm_id=50)->HostedOn()->Host()";
+    let recorder = nepal::obs::flight::recorder();
+    recorder.set_enabled(true);
+    let path = std::env::temp_dir().join(format!("nepal-fp-qlog-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut engine = engine_over(demo_graph());
+    let stmt = engine.enable_stmt(8);
+    engine.enable_qlog(&path, 1 << 20, 1).unwrap();
+    engine.query(SHAPE).unwrap();
+    let expected = format!("{:016x}", nepal::obs::fingerprint(SHAPE));
+
+    let line = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(str_at(&parse_json(line.trim_end()).unwrap(), &["fp"]), Some(expected.as_str()), "{line}");
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone());
+    telemetry.set_stmt(stmt);
+    let top = parse_json(&telemetry.handle("/top.json").2).unwrap();
+    let row = &top.get("statements").and_then(|s| s.as_arr()).unwrap()[0];
+    assert_eq!(str_at(row, &["fingerprint"]), Some(expected.as_str()));
+    let events = recorder.render_json(std::time::Duration::from_secs(600), usize::MAX);
+    let ours: Vec<&str> = events
+        .get("events")
+        .and_then(|e| e.as_arr())
+        .unwrap()
+        .iter()
+        .filter(|e| str_at(e, &["fp"]) == Some(expected.as_str()))
+        .filter_map(|e| str_at(e, &["kind"]))
+        .collect();
+    assert_eq!(ours, ["query_start", "query_end"], "{events}");
+    let _ = std::fs::remove_file(&path);
+}
