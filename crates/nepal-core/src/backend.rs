@@ -20,10 +20,12 @@ use nepal_schema::{ClassId, Schema, Value};
 
 use crate::error::{NepalError, Result};
 
-/// A query-evaluation target. `Send + Sync` so the engine can evaluate
-/// independent range variables against the same backend from several
-/// worker-pool threads at once (see [`Backend::eval_shared`]).
-pub trait Backend: Send + Sync {
+/// A query-evaluation target. The engine evaluates a query's range
+/// variables one at a time, each through `&mut self`, so a backend may keep
+/// per-call state (generated code, wire statistics, lazily built indexes);
+/// parallelism lives inside each evaluation. `Send`, so an engine and its
+/// backends can be handed to another thread.
+pub trait Backend: Send {
     /// Human-readable backend kind.
     fn kind(&self) -> &'static str;
 
@@ -47,22 +49,6 @@ pub trait Backend: Send + Sync {
         opts: &EvalOptions,
         ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>>;
-
-    /// [`Backend::eval_in`] through `&self`, so the engine can run several
-    /// range variables against this backend concurrently. `None` (the
-    /// default) means this backend keeps per-call translator state — it
-    /// buffers generated code or wire statistics — and must be evaluated
-    /// through `&mut self`; the native store has none.
-    fn eval_shared(
-        &self,
-        _plan: &RpePlan,
-        _filter: TimeFilter,
-        _seeds: Seeds,
-        _opts: &EvalOptions,
-        _ctx: &mut ExecCtx,
-    ) -> Option<Result<Vec<Pathway>>> {
-        None
-    }
 
     /// Field values (and runtime class) of an element, for Select
     /// post-processing.
@@ -110,19 +96,8 @@ impl Backend for NativeBackend {
         opts: &EvalOptions,
         ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>> {
-        self.eval_shared(plan, filter, seeds, opts, ctx).expect("the native store evaluates through &self")
-    }
-
-    fn eval_shared(
-        &self,
-        plan: &RpePlan,
-        filter: TimeFilter,
-        seeds: Seeds,
-        opts: &EvalOptions,
-        ctx: &mut ExecCtx,
-    ) -> Option<Result<Vec<Pathway>>> {
         let view = GraphView::new(&self.graph, filter);
-        Some(nepal_rpe::try_evaluate(&view, plan, seeds, opts, ctx).map_err(NepalError::from))
+        nepal_rpe::try_evaluate(&view, plan, seeds, opts, ctx).map_err(NepalError::from)
     }
 
     fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
@@ -276,7 +251,7 @@ impl<T: nepal_gremlin::server::Transport> GremlinBackend<T> {
     }
 }
 
-impl<T: nepal_gremlin::server::Transport + Sync> Backend for GremlinBackend<T> {
+impl<T: nepal_gremlin::server::Transport> Backend for GremlinBackend<T> {
     fn kind(&self) -> &'static str {
         "gremlin"
     }

@@ -115,7 +115,9 @@ pub struct Engine {
     /// per-query.
     pub eval_options: EvalOptions,
     /// Per-query deadline applied to every query as a fresh child token
-    /// (`None` = unbounded). A tripped deadline surfaces as
+    /// (`None` = unbounded). The query's nested runs (view
+    /// materialisation, decorrelated `EXISTS`) share its token, so the
+    /// deadline bounds the whole query. A tripped deadline surfaces as
     /// [`NepalError::DeadlineExceeded`].
     pub default_deadline: Option<std::time::Duration>,
     /// Engine-level metrics: query counts, latency histograms, slow-log
@@ -141,17 +143,23 @@ pub struct Engine {
     /// row / byte totals are folded into its fingerprint's entry. `None`
     /// — the default — adds one `Option` check to the hot path.
     pub stmt: Option<Arc<StmtStats>>,
-    /// Meter of the query currently executing: created by the outermost
-    /// profiled `execute_inner` and shared with nested sub-executions
-    /// (views, decorrelated EXISTS), so their scans are charged to the
-    /// outer query. Taken (and cleared) by the caller that created it.
-    cur_meter: Option<Arc<ResourceMeter>>,
     /// Named pathway views (§3.4: "Additional views can be defined").
     views: HashMap<String, Query>,
+}
+
+/// One query's execution state. The outermost execution creates it;
+/// nested runs (view materialisation, decorrelated `EXISTS`) borrow it, so
+/// they share the query's cancel token — and with it one deadline — and
+/// charge their work to its meter.
+struct QueryRun {
+    /// The engine's options with this query's token and meter.
+    opts: EvalOptions,
+    /// Views being materialised around the current run.
     view_depth: u8,
-    /// Chosen anchor of the most recently planned variable — carried into
-    /// the flight recorder's `query_end` wide event.
-    last_anchor: String,
+    /// Chosen anchor of the most recently planned variable, rendered only
+    /// while the flight recorder is on — carried into its `query_end`
+    /// event.
+    anchor: String,
 }
 
 struct VarEval {
@@ -160,11 +168,10 @@ struct VarEval {
     filter: TimeFilter,
     /// Participates in the query-level joint coexistence requirement.
     joint: bool,
-    /// `None` for view-sourced variables (pathways pre-materialized).
+    /// `None` for view-sourced variables, whose pathways are filled in
+    /// when they are planned.
     plan: Option<RpePlan>,
     pathways: Vec<Pathway>,
-    /// Pathways already filled in (view variables).
-    prefilled: bool,
 }
 
 fn spec_to_filter(spec: &TimeSpec) -> TimeFilter {
@@ -174,27 +181,40 @@ fn spec_to_filter(spec: &TimeSpec) -> TimeFilter {
     }
 }
 
-/// Rate-limited cancellation poll for the engine's own join/coexistence
-/// loops: polls the token once per `mask`+1 calls.
-#[inline]
-fn poll_every(cancel: &Option<CancelToken>, ctr: &mut u64, mask: u64) -> Option<CancelCause> {
-    let tok = cancel.as_ref()?;
-    *ctr = ctr.wrapping_add(1);
-    if *ctr & mask != 0 {
-        return None;
-    }
-    tok.poll()
+/// What the engine's own row loops (unary filters, joins, coexistence)
+/// read of the query's options: its token, polled once per 1024 rows
+/// through one counter, and its meter.
+struct RowLoop<'a> {
+    opts: &'a EvalOptions,
+    polls: u64,
 }
 
-fn cancel_to_err(cause: CancelCause) -> NepalError {
-    match cause {
-        CancelCause::Deadline => NepalError::DeadlineExceeded,
-        CancelCause::Explicit => NepalError::Cancelled,
+impl RowLoop<'_> {
+    #[inline]
+    fn poll(&mut self) -> Result<()> {
+        let Some(tok) = &self.opts.cancel else { return Ok(()) };
+        self.polls = self.polls.wrapping_add(1);
+        if self.polls & ENGINE_CANCEL_MASK != 0 {
+            return Ok(());
+        }
+        match tok.poll() {
+            None => Ok(()),
+            Some(CancelCause::Deadline) => Err(NepalError::DeadlineExceeded),
+            Some(CancelCause::Explicit) => Err(NepalError::Cancelled),
+        }
     }
 }
 
-/// Poll frequency for the engine's row loops (joins, coexistence).
+/// Poll frequency for the engine's row loops.
 const ENGINE_CANCEL_MASK: u64 = 0x3FF; // every 1024 rows
+
+/// The node at one end of a pathway.
+fn path_end(p: &Pathway, f: PathFn) -> Uid {
+    match f {
+        PathFn::Source => p.source(),
+        PathFn::Target => p.target(),
+    }
+}
 
 impl Engine {
     pub fn new(registry: BackendRegistry) -> Engine {
@@ -210,10 +230,7 @@ impl Engine {
             qlog: None,
             feedback,
             stmt: None,
-            cur_meter: None,
             views: HashMap::new(),
-            view_depth: 0,
-            last_anchor: String::new(),
         }
     }
 
@@ -309,7 +326,23 @@ impl Engine {
         if self.qlog.is_some() || self.stmt.is_some() {
             return self.query_profiled(text).map(|(r, _)| r);
         }
-        self.run_query(text, None).0
+        let mut run = self.begin_query(false);
+        self.run_query(text, None, &mut run).0
+    }
+
+    /// The state of a new query: a fresh child of the session/server parent
+    /// token (if any) carrying the engine's default deadline — one token per
+    /// query, so the deadline clock starts here and every nested run
+    /// observes it — and, when `profiled`, a fresh resource meter.
+    fn begin_query(&self, profiled: bool) -> QueryRun {
+        let mut opts = self.eval_options.clone();
+        opts.cancel = match (&self.eval_options.cancel, self.default_deadline) {
+            (None, None) => None,
+            (Some(parent), deadline) => Some(parent.child(deadline)),
+            (None, Some(deadline)) => Some(CancelToken::with_deadline(deadline)),
+        };
+        opts.meter = profiled.then(ResourceMeter::new);
+        QueryRun { opts, view_depth: 0, anchor: String::new() }
     }
 
     /// What [`Engine::query`] and [`Engine::query_profiled`] share: the
@@ -322,6 +355,7 @@ impl Engine {
         &mut self,
         text: &str,
         mut profile: Option<&mut QueryProfile>,
+        run: &mut QueryRun,
     ) -> (Result<QueryResult>, u64, SpanHandle) {
         if nepal_obs::flight::recorder().is_enabled() {
             nepal_obs::flight::emit(nepal_obs::FlightKind::QueryStart, fingerprint(text), 0, 0, "");
@@ -334,12 +368,13 @@ impl Engine {
         if let Some(p) = profile.as_deref_mut() {
             p.parse_ns = t0.elapsed().as_nanos() as u64;
         }
-        let result = parsed.and_then(|q| self.execute_inner(&q, profile, &root));
+        let result = parsed.and_then(|q| self.execute_inner(&q, profile, &root, run));
         let total_ns = t0.elapsed().as_nanos() as u64;
         if let Ok(r) = &result {
             root.attr("rows", r.rows.len());
         }
-        self.record_query_metrics(text, total_ns, result.as_ref().ok().map(|r| r.rows.len() as u64), root.trace_id());
+        let rows = result.as_ref().ok().map(|r| r.rows.len() as u64);
+        self.record_query_metrics(text, total_ns, rows, root.trace_id(), &run.anchor);
         if let Err(e) = &result {
             self.note_cancellation_metrics(e);
         }
@@ -350,10 +385,11 @@ impl Engine {
     /// path): phase timings, anchor candidates, per-operator statistics.
     pub fn query_profiled(&mut self, text: &str) -> Result<(QueryResult, QueryProfile)> {
         let mut profile = QueryProfile::default();
-        let (result, total_ns, root) = self.run_query(text, Some(&mut profile));
+        let mut run = self.begin_query(true);
+        let (result, total_ns, root) = self.run_query(text, Some(&mut profile), &mut run);
         let trace_id = root.trace_id();
         let threads = resolved_threads(self.eval_options.threads) as u64;
-        let meter_snap = self.cur_meter.take().map(|m| m.snapshot());
+        let meter_snap = run.opts.meter.as_ref().map(|m| m.snapshot());
         let result = match result {
             Ok(r) => r,
             Err(e) => {
@@ -430,14 +466,12 @@ impl Engine {
         }
     }
 
-    fn record_query_metrics(&mut self, text: &str, total_ns: u64, rows: Option<u64>, trace_id: Option<u64>) {
+    fn record_query_metrics(&self, text: &str, total_ns: u64, rows: Option<u64>, trace_id: Option<u64>, anchor: &str) {
         self.metrics.counter("nepal_queries_total", "Queries executed").inc();
         if nepal_obs::flight::recorder().is_enabled() {
             let fp = fingerprint(text);
             match rows {
-                Some(n) => {
-                    nepal_obs::flight::emit(nepal_obs::FlightKind::QueryEnd, fp, total_ns / 1_000, n, &self.last_anchor)
-                }
+                Some(n) => nepal_obs::flight::emit(nepal_obs::FlightKind::QueryEnd, fp, total_ns / 1_000, n, anchor),
                 None => nepal_obs::flight::emit(nepal_obs::FlightKind::QueryError, fp, total_ns / 1_000, 0, ""),
             }
         }
@@ -457,19 +491,19 @@ impl Engine {
 
     /// Execute a parsed query.
     pub fn execute(&mut self, q: &Query) -> Result<QueryResult> {
-        self.execute_inner(q, None, &SpanHandle::none())
+        let mut run = self.begin_query(false);
+        self.execute_inner(q, None, &SpanHandle::none(), &mut run)
     }
 
     /// Execute a parsed query, collecting a [`QueryProfile`].
     pub fn execute_profiled(&mut self, q: &Query) -> Result<(QueryResult, QueryProfile)> {
         let mut profile = QueryProfile::default();
         let t0 = Instant::now();
-        let result = self.execute_inner(q, Some(&mut profile), &SpanHandle::none());
-        let meter_snap = self.cur_meter.take().map(|m| m.snapshot());
-        let result = result?;
+        let mut run = self.begin_query(true);
+        let result = self.execute_inner(q, Some(&mut profile), &SpanHandle::none(), &mut run)?;
         profile.total_ns = t0.elapsed().as_nanos() as u64;
         profile.result_rows = result.rows.len() as u64;
-        profile.meter = meter_snap;
+        profile.meter = run.opts.meter.map(|m| m.snapshot());
         Ok((result, profile))
     }
 
@@ -478,37 +512,25 @@ impl Engine {
         q: &Query,
         profile: Option<&mut QueryProfile>,
         span: &SpanHandle,
+        run: &mut QueryRun,
     ) -> Result<QueryResult> {
-        let joined = self.joined_rows(q, profile, span)?;
+        let joined = self.joined_rows(q, profile, span, run)?;
         let _head_span = span.child("head");
         self.finish_head(q, joined)
     }
 
-    /// Everything before the head: plan and evaluate each range variable,
-    /// apply the single-variable filters, join, require joint coexistence
-    /// under a query-level range, and filter by the `EXISTS` subqueries.
-    fn joined_rows(&mut self, q: &Query, mut profile: Option<&mut QueryProfile>, span: &SpanHandle) -> Result<Joined> {
-        // Per-query cancellation: a fresh child of the session/server
-        // parent token (if any) carrying the engine's default deadline.
-        // A child per query avoids the one-shot-expired-token bug — the
-        // deadline clock starts at query start, not engine construction.
-        let mut qopts = self.eval_options.clone();
-        qopts.cancel = match (&self.eval_options.cancel, self.default_deadline) {
-            (None, None) => None,
-            (Some(parent), deadline) => Some(parent.child(deadline)),
-            (None, Some(deadline)) => Some(CancelToken::with_deadline(deadline)),
-        };
-        // Resource metering: the outermost profiled call creates the
-        // query's meter; nested sub-executions (views, EXISTS) find it
-        // already present and share it, charging their work to the outer
-        // query. The creator takes it back via `cur_meter.take()`.
-        if self.cur_meter.is_none() && profile.is_some() {
-            self.cur_meter = Some(ResourceMeter::new());
-        }
-        qopts.meter = self.cur_meter.clone();
-        let qopts = qopts;
-        let mut cancel_ctr = 0u64;
-
+    /// Everything before the head, one phase after another, each under the
+    /// span of its name (the unary filters have none): plan each range
+    /// variable, execute them in anchor-cost order, apply the
+    /// single-variable filters, join, require joint coexistence under a
+    /// query-level range, and filter by the `EXISTS` subqueries.
+    fn joined_rows(
+        &mut self,
+        q: &Query,
+        mut profile: Option<&mut QueryProfile>,
+        span: &SpanHandle,
+        run: &mut QueryRun,
+    ) -> Result<Joined> {
         let aggregate = matches!(q.head, Head::FirstTimeWhenExists | Head::LastTimeWhenExists | Head::WhenExists);
         // Temporal aggregates need interval sets: default to the full
         // history range when no AT clause is present.
@@ -517,65 +539,72 @@ impl Engine {
             (None, true) => Some(TimeSpec::Range(FULL_RANGE.0, FULL_RANGE.1)),
             (None, false) => None,
         };
+        let mut evals = self.plan_vars(q, query_time, profile.as_deref_mut(), span, run)?;
+        let texec = profile.is_some().then(Instant::now);
+        let order = self.eval_vars(q, &mut evals, profile.as_deref_mut(), span, &run.opts)?;
+        let mut row_loop = RowLoop { opts: &run.opts, polls: 0 };
+        self.unary_filters(q, &mut evals, &mut row_loop)?;
+        let mut joined = self.join(q, evals, &order, profile.as_deref_mut(), span, &mut row_loop)?;
+        let coexistence_pruned = joined.coexist(query_time, span, &mut row_loop)?;
+        let exists_pruned = self.filter_exists(q, &mut joined, span, run)?;
+        if let Some(p) = profile {
+            p.coexistence_pruned = coexistence_pruned;
+            p.exists_pruned = exists_pruned;
+            if let Some(t) = texec {
+                p.exec_ns = t.elapsed().as_nanos() as u64;
+            }
+        }
+        Ok(joined)
+    }
 
-        // --- per-variable planning ---
-        let threads = resolved_threads(self.eval_options.threads);
-        let profiled = profile.is_some();
-        let tplan_phase = profiled.then(Instant::now);
+    /// Plan phase: plan each range variable's RPE against its backend's
+    /// statistics (§5.1), or materialise the view it ranges over.
+    fn plan_vars(
+        &mut self,
+        q: &Query,
+        query_time: Option<TimeSpec>,
+        mut profile: Option<&mut QueryProfile>,
+        span: &SpanHandle,
+        run: &mut QueryRun,
+    ) -> Result<Vec<VarEval>> {
+        let tphase = profile.is_some().then(Instant::now);
         let plan_span = span.child("plan");
-        let mut evals: Vec<VarEval> = Vec::new();
+        let mut evals = Vec::with_capacity(q.sources.len());
         for s in &q.sources {
             let (filter, joint) = match (&s.time, &query_time) {
                 (Some(t), _) => (spec_to_filter(t), false),
                 (None, Some(t)) => (spec_to_filter(t), matches!(t, TimeSpec::Range(_, _))),
                 (None, None) => (TimeFilter::Current, false),
             };
+            let mut eval = VarEval {
+                var: s.var.clone(),
+                backend: s.backend.clone(),
+                filter,
+                joint,
+                plan: None,
+                pathways: Vec::new(),
+            };
             if let Some(view_name) = &s.view {
-                // Materialize the view (recursively, with a depth guard).
-                let vq = self
-                    .views
-                    .get(view_name)
-                    .cloned()
-                    .ok_or_else(|| NepalError::UnknownBackend(format!("view `{view_name}`")))?;
-                if self.view_depth >= 8 {
-                    return Err(NepalError::Unsupported("view recursion too deep".into()));
-                }
-                self.view_depth += 1;
-                let result = self.execute(&vq);
-                self.view_depth -= 1;
-                let result = result?;
-                let first_var = match &vq.head {
-                    Head::Retrieve(vars) => vars[0].clone(),
-                    _ => unreachable!("define_view enforces Retrieve"),
-                };
-                let pathways: Vec<Pathway> = result.pathways_of(&first_var).into_iter().cloned().collect();
+                eval.pathways = self.materialise_view(view_name, run)?;
                 if let Some(p) = profile.as_deref_mut() {
                     p.vars.push(VarProfile {
                         var: s.var.clone(),
                         backend: format!("view `{view_name}`"),
-                        pathways: pathways.len() as u64,
+                        pathways: eval.pathways.len() as u64,
                         ..Default::default()
                     });
                 }
-                evals.push(VarEval {
-                    var: s.var.clone(),
-                    backend: s.backend.clone(),
-                    filter,
-                    joint,
-                    plan: None,
-                    pathways,
-                    prefilled: true,
-                });
+                evals.push(eval);
                 continue;
             }
             let rpe = q.matches_of(&s.var).ok_or_else(|| NepalError::NoMatches(s.var.clone()))?;
             let backend = self.registry.get(s.backend.as_deref())?;
-            let tplan = profiled.then(Instant::now);
+            let tplan = profile.is_some().then(Instant::now);
             let var_span = plan_span.child(&format!("plan:{}", s.var));
-            let plan = plan_rpe_with(backend.schema(), rpe, &BackendEstimator(backend), &var_span, threads)?;
+            let plan = plan_rpe_with(backend.schema(), rpe, &BackendEstimator(backend), &var_span)?;
             var_span.attr("anchor_cost", format!("{:.1}", plan.anchor.cost));
             if nepal_obs::flight::recorder().is_enabled() {
-                self.last_anchor = plan.anchor_desc(&plan.anchor);
+                run.anchor = plan.anchor_desc(&plan.anchor);
             }
             drop(var_span);
             if let Some(p) = profile.as_deref_mut() {
@@ -596,110 +625,82 @@ impl Engine {
                     ..Default::default()
                 });
             }
-            evals.push(VarEval {
-                var: s.var.clone(),
-                backend: s.backend.clone(),
-                filter,
-                joint,
-                plan: Some(plan),
-                pathways: Vec::new(),
-                prefilled: false,
-            });
+            eval.plan = Some(plan);
+            evals.push(eval);
         }
-
         drop(plan_span);
-        if let (Some(p), Some(t)) = (profile.as_deref_mut(), tplan_phase) {
+        if let (Some(p), Some(t)) = (profile, tphase) {
             p.plan_ns = t.elapsed().as_nanos() as u64;
         }
-        let texec_phase = profiled.then(Instant::now);
-        let exec_span = span.child("execute");
+        Ok(evals)
+    }
 
-        // --- evaluation order: cheapest anchor first (views are free) ---
-        let cost_of = |e: &VarEval| e.plan.as_ref().map(|p| p.anchor.cost).unwrap_or(0.0);
+    /// The pathways of a view's first retrieved variable, from a nested run
+    /// of the view's query under this query's state (with a depth guard).
+    fn materialise_view(&mut self, view_name: &str, run: &mut QueryRun) -> Result<Vec<Pathway>> {
+        let vq = self
+            .views
+            .get(view_name)
+            .cloned()
+            .ok_or_else(|| NepalError::UnknownBackend(format!("view `{view_name}`")))?;
+        if run.view_depth >= 8 {
+            return Err(NepalError::Unsupported("view recursion too deep".into()));
+        }
+        run.view_depth += 1;
+        let result = self.execute_inner(&vq, None, &SpanHandle::none(), run);
+        run.view_depth -= 1;
+        let Head::Retrieve(vars) = &vq.head else { unreachable!("define_view enforces Retrieve") };
+        Ok(result?.pathways_of(&vars[0]).into_iter().cloned().collect())
+    }
+
+    /// Execute phase: evaluate the variables one at a time, cheapest anchor
+    /// first (view variables are already filled in); parallelism lives
+    /// inside each evaluation. A variable whose ends are equated with an
+    /// evaluated variable's starts from that variable's distinct ends
+    /// instead of its own anchor when they are fewer than the anchor's
+    /// estimate — the anchor import of §3.4. Returns the evaluation order,
+    /// which the join follows.
+    fn eval_vars(
+        &mut self,
+        q: &Query,
+        evals: &mut [VarEval],
+        mut profile: Option<&mut QueryProfile>,
+        span: &SpanHandle,
+        opts: &EvalOptions,
+    ) -> Result<Vec<usize>> {
+        let exec_span = span.child("execute");
+        let cost_of = |e: &VarEval| e.plan.as_ref().map_or(0.0, |p| p.anchor.cost);
         let mut order: Vec<usize> = (0..evals.len()).collect();
         order.sort_by(|&a, &b| cost_of(&evals[a]).total_cmp(&cost_of(&evals[b])));
-
         // Equality conditions between path ends, used for anchor import.
-        let end_links: Vec<(PathFn, String, PathFn, String)> = q
+        let end_links: Vec<(PathFn, &str, PathFn, &str)> = q
             .conds
             .iter()
             .filter_map(|c| match c {
-                Cond::Cmp(Expr::PathEnd(fa, va), QCmp::Eq, Expr::PathEnd(fb, vb)) => {
-                    Some((*fa, va.clone(), *fb, vb.clone()))
-                }
+                Cond::Cmp(Expr::PathEnd(fa, va), QCmp::Eq, Expr::PathEnd(fb, vb)) => Some((*fa, &**va, *fb, &**vb)),
                 _ => None,
             })
             .collect();
-
         let mut evaluated: HashSet<String> = HashSet::new();
-        // When the query ranges over several independent variables (no
-        // anchor-import links between path ends) and there is no profiling
-        // trace to thread through, deal the per-variable evaluations to
-        // the evaluator's worker pool (this thread takes the first; each
-        // evaluation may start nested runs of its own). A backend that
-        // cannot evaluate through a shared reference declines, and its
-        // variable is left to the loop below. Results are identical to
-        // evaluating one by one — each variable's evaluation is already
-        // deterministic — only wall-clock time changes.
-        let pending: Vec<usize> = order.iter().copied().filter(|&i| !evals[i].prefilled).collect();
-        if threads > 1 && !profiled && end_links.is_empty() && pending.len() >= 2 {
-            let (outs, _, _) = nepal_rpe::par::run_jobs(
-                pending.len(),
-                threads,
-                false,
-                |_| (),
-                |_, k| {
-                    let e = &evals[pending[k]];
-                    let backend = self.registry.get(e.backend.as_deref()).ok()?;
-                    let var_span = exec_span.child(&format!("eval:{}", e.var));
-                    var_span.attr("backend", backend.kind());
-                    let plan = e.plan.as_ref().expect("non-view variables have plans");
-                    let mut ctx = ExecCtx { trace: None, span: Some(&var_span), metrics: Some(&self.metrics) };
-                    let r = backend.eval_shared(plan, e.filter, Seeds::Anchor, &qopts, &mut ctx)?;
-                    if let Ok(p) = &r {
-                        var_span.attr("pathways", p.len());
-                    }
-                    Some(r)
-                },
-            );
-            for (&i, r) in pending.iter().zip(outs) {
-                let Some(r) = r else { continue };
-                evals[i].pathways = r?;
-                evaluated.insert(evals[i].var.clone());
-            }
-            exec_span.attr("parallel_vars", evaluated.len());
-        }
         for &i in &order {
-            if evaluated.contains(&evals[i].var) {
+            let e = &evals[i];
+            let Some(plan) = &e.plan else {
+                evaluated.insert(e.var.clone());
                 continue;
-            }
-            if evals[i].prefilled {
-                evaluated.insert(evals[i].var.clone());
-                continue;
-            }
-            let (var, filter, cost) = {
-                let e = &evals[i];
-                (e.var.clone(), e.filter, cost_of(e))
             };
-            // Can we import an anchor from an already-evaluated variable?
+            // Of the evaluated variables this one is linked to, the one
+            // with the fewest distinct ends supplies the candidate seeds.
             let mut seed_nodes: Option<(PathFn, Vec<Uid>)> = None;
-            for (fa, va, fb, vb) in &end_links {
-                let (my_end, other_end, other_var) = if *va == var && evaluated.contains(vb) {
-                    (*fa, *fb, vb)
-                } else if *vb == var && evaluated.contains(va) {
-                    (*fb, *fa, va)
+            for &(fa, va, fb, vb) in &end_links {
+                let (my_end, other_end, other_var) = if va == e.var && evaluated.contains(vb) {
+                    (fa, fb, vb)
+                } else if vb == e.var && evaluated.contains(va) {
+                    (fb, fa, va)
                 } else {
                     continue;
                 };
-                let other = evals.iter().find(|e| &e.var == other_var).unwrap();
-                let mut uids: Vec<Uid> = other
-                    .pathways
-                    .iter()
-                    .map(|p| match other_end {
-                        PathFn::Source => p.source(),
-                        PathFn::Target => p.target(),
-                    })
-                    .collect();
+                let other = evals.iter().find(|o| o.var == other_var).unwrap();
+                let mut uids: Vec<Uid> = other.pathways.iter().map(|p| path_end(p, other_end)).collect();
                 uids.sort_unstable();
                 uids.dedup();
                 match &seed_nodes {
@@ -707,47 +708,40 @@ impl Engine {
                     _ => seed_nodes = Some((my_end, uids)),
                 }
             }
-            let use_seeds = match &seed_nodes {
-                Some((_, uids)) => (uids.len() as f64) < cost,
-                None => false,
+            let seed_nodes = seed_nodes.filter(|(_, uids)| (uids.len() as f64) < plan.anchor.cost);
+            let seeds = match &seed_nodes {
+                Some((PathFn::Source, uids)) => Seeds::Sources(uids),
+                Some((PathFn::Target, uids)) => Seeds::Targets(uids),
+                None => Seeds::Anchor,
             };
-            let e = &evals[i];
-            let plan = e.plan.as_ref().expect("non-view variables have plans");
             let backend = self.registry.get_mut(e.backend.as_deref())?;
-            let seeds = if use_seeds {
-                let (end, uids) = seed_nodes.as_ref().unwrap();
-                match end {
-                    PathFn::Source => Seeds::Sources(uids),
-                    PathFn::Target => Seeds::Targets(uids),
-                }
-            } else {
-                Seeds::Anchor
-            };
-            let teval = profiled.then(Instant::now);
-            let var_span = exec_span.child(&format!("eval:{var}"));
+            let teval = profile.is_some().then(Instant::now);
+            let var_span = exec_span.child(&format!("eval:{}", e.var));
             var_span.attr("backend", backend.kind());
             let mut ctx = ExecCtx {
                 trace: profile.as_deref_mut().map(|p| &mut p.vars[i].trace),
                 span: Some(&var_span),
                 metrics: Some(&self.metrics),
             };
-            let pathways = backend.eval_in(plan, filter, seeds, &qopts, &mut ctx)?;
+            let pathways = backend.eval_in(plan, e.filter, seeds, opts, &mut ctx)?;
             var_span.attr("pathways", pathways.len());
             drop(var_span);
             if let Some(p) = profile.as_deref_mut() {
                 let vp = &mut p.vars[i];
                 vp.eval_ns = teval.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
-                vp.imported_seeds = use_seeds.then(|| seed_nodes.as_ref().unwrap().1.len() as u64);
+                vp.imported_seeds = seed_nodes.as_ref().map(|(_, uids)| uids.len() as u64);
                 vp.pathways = pathways.len() as u64;
                 vp.generated = backend.last_generated();
             }
-            let e = &mut evals[i];
-            e.pathways = pathways;
-            evaluated.insert(var);
+            evaluated.insert(e.var.clone());
+            evals[i].pathways = pathways;
         }
-        drop(exec_span);
+        Ok(order)
+    }
 
-        // --- unary filters (conditions touching a single variable) ---
+    /// Unary-filter phase: a condition touching a single variable drops
+    /// that variable's failing pathways before the join.
+    fn unary_filters(&mut self, q: &Query, evals: &mut [VarEval], row_loop: &mut RowLoop) -> Result<()> {
         for cond in &q.conds {
             let Cond::Cmp(a, op, b) = cond else { continue };
             let var = match (a.var(), b.var()) {
@@ -759,9 +753,7 @@ impl Engine {
             let (filter, backend) = (evals[idx].filter, evals[idx].backend.clone());
             let mut kept = Vec::new();
             for p in std::mem::take(&mut evals[idx].pathways) {
-                if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
-                    return Err(cancel_to_err(cause));
-                }
+                row_loop.poll()?;
                 let lookup = |v: &str| (v == var).then_some(&p);
                 let lhs = self.eval_expr(a, &lookup, filter, backend.as_deref())?;
                 let rhs = self.eval_expr(b, &lookup, filter, backend.as_deref())?;
@@ -771,8 +763,21 @@ impl Engine {
             }
             evals[idx].pathways = kept;
         }
+        Ok(())
+    }
 
-        // --- join across variables ---
+    /// Join phase: add the variables to the rows in evaluation order — by
+    /// hash join when every condition linking a variable to those already
+    /// joined equates path ends, by nested loop otherwise.
+    fn join(
+        &mut self,
+        q: &Query,
+        evals: Vec<VarEval>,
+        order: &[usize],
+        mut profile: Option<&mut QueryProfile>,
+        span: &SpanHandle,
+        row_loop: &mut RowLoop,
+    ) -> Result<Joined> {
         // Rows are index vectors aligned with `evals`, stored flat.
         let width = evals.len().max(1);
         let mut rows: Vec<usize> = vec![usize::MAX; width];
@@ -789,13 +794,11 @@ impl Engine {
                 _ => None,
             })
             .collect();
-
         let join_phase_span = span.child("join");
-        for &i in &order {
-            let tjoin = profiled.then(Instant::now);
+        for &i in order {
+            let tjoin = profile.is_some().then(Instant::now);
             let join_span = join_phase_span.child(&format!("join:{}", evals[i].var));
             let probe_rows = (rows.len() / width) as u64;
-            let mut next_rows: Vec<usize> = Vec::new();
             // Conditions applicable once var i joins: they mention it, and
             // their other variable has joined already.
             let is_joined = |v: &str| joined.iter().any(|&j| evals[j].var == v);
@@ -806,13 +809,10 @@ impl Engine {
                 })
                 .map(|&(a, _, op, b, _)| (a, op, b))
                 .collect();
-            // Hash-join fast path: when every applicable condition is a
-            // `source/target(X) = source/target(Y)` equality, build a hash
-            // table over the joining variable's pathway ends and probe it
-            // per row instead of testing the cross product. Emission order
-            // (rows outer, pathway index ascending inner) matches the
-            // nested loop exactly.
-            let mut key_specs: Vec<(PathFn, PathFn, usize)> = Vec::new(); // (my end, other end, other idx)
+            // (my end, other end, other variable) per condition, when every
+            // applicable condition is a `source/target(X) = source/target(Y)`
+            // equality.
+            let mut key_specs: Vec<(PathFn, PathFn, usize)> = Vec::new();
             let hashable = !applicable.is_empty()
                 && applicable.iter().all(|c| {
                     if let (Expr::PathEnd(fa, va), QCmp::Eq, Expr::PathEnd(fb, vb)) = c {
@@ -824,70 +824,15 @@ impl Engine {
                     }
                     false
                 });
-            if hashable {
+            rows = if hashable {
                 join_span.attr("strategy", "hash");
-                let end_of = |p: &Pathway, f: PathFn| match f {
-                    PathFn::Source => p.source().0,
-                    PathFn::Target => p.target().0,
-                };
-                // Build side: one fixed-width key per pathway in a flat
-                // arena, and per distinct key a chain through `next` in
-                // ascending pathway index (filled back to front).
-                let build = &evals[i].pathways;
-                let k = key_specs.len();
-                let mut keys: Vec<u64> = Vec::with_capacity(build.len() * k);
-                for p in build {
-                    keys.extend(key_specs.iter().map(|&(my, _, _)| end_of(p, my)));
-                }
-                let mut heads: FxHashMap<&[u64], usize> = FxHashMap::default();
-                let mut next = vec![usize::MAX; build.len()];
-                for pi in (0..build.len()).rev() {
-                    if let Some(after) = heads.insert(&keys[pi * k..(pi + 1) * k], pi) {
-                        next[pi] = after;
-                    }
-                }
-                let mut probe: Vec<u64> = Vec::with_capacity(k);
-                for row in rows.chunks_exact(width) {
-                    if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
-                        return Err(cancel_to_err(cause));
-                    }
-                    probe.clear();
-                    probe.extend(key_specs.iter().map(|&(_, other, j)| end_of(&evals[j].pathways[row[j]], other)));
-                    let mut pi = heads.get(probe.as_slice()).copied().unwrap_or(usize::MAX);
-                    while pi != usize::MAX {
-                        next_rows.extend_from_slice(row);
-                        let at = next_rows.len() - width + i;
-                        next_rows[at] = pi;
-                        pi = next[pi];
-                    }
-                }
+                hash_join(&evals, i, &key_specs, &rows, width, row_loop)?
             } else {
                 join_span.attr("strategy", "nested");
-                let scoped: Vec<_> =
-                    applicable.iter().map(|&(a, op, b)| (a, scope_of(&evals, a), op, b, scope_of(&evals, b))).collect();
-                let mut trial = vec![usize::MAX; width];
-                for row in rows.chunks_exact(width) {
-                    if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
-                        return Err(cancel_to_err(cause));
-                    }
-                    trial.copy_from_slice(row);
-                    'cand: for pi in 0..evals[i].pathways.len() {
-                        trial[i] = pi;
-                        let lookup = row_lookup(&evals, &trial);
-                        for &(a, (fa, ba), op, b, (fb, bb)) in &scoped {
-                            let lhs = self.eval_expr(a, &lookup, fa, ba)?;
-                            let rhs = self.eval_expr(b, &lookup, fb, bb)?;
-                            if (lhs == rhs) != (op == QCmp::Eq) {
-                                continue 'cand;
-                            }
-                        }
-                        next_rows.extend_from_slice(&trial);
-                    }
-                }
-            }
-            rows = next_rows;
+                self.nested_join(&evals, i, &applicable, &rows, width, row_loop)?
+            };
             joined.push(i);
-            if let Some(mm) = &qopts.meter {
+            if let Some(mm) = &row_loop.opts.meter {
                 mm.add_join_build_rows(evals[i].pathways.len() as u64);
             }
             let emitted = rows.len() / width;
@@ -906,75 +851,57 @@ impl Engine {
             }
         }
         drop(join_phase_span);
+        Ok(Joined { evals, width, rows, times: Vec::new() })
+    }
 
-        // --- joint temporal coexistence (query-level AT range) ---
-        // Only a query-level range makes variables joint; without one
-        // every row survives and carries no times.
-        let coex_span = span.child("coexistence");
-        let mut times: Vec<Option<IntervalSet>> = Vec::new();
-        let mut coexistence_pruned = 0u64;
-        if let (Some(TimeSpec::Range(a, b)), true) = (query_time, evals.iter().any(|e| e.joint)) {
-            let probe = Interval::new(a, b.saturating_add(1));
-            let mut kept = 0;
-            'row: for r in 0..rows.len() / width {
-                if let Some(cause) = poll_every(&qopts.cancel, &mut cancel_ctr, ENGINE_CANCEL_MASK) {
-                    return Err(cancel_to_err(cause));
-                }
-                let mut joint: Option<IntervalSet> = None;
-                for (e, &pi) in evals.iter().zip(&rows[r * width..]) {
-                    let Some(times) = e.pathways[pi].times.as_ref().filter(|_| e.joint) else { continue };
-                    let j = match joint {
-                        None => times.clone(),
-                        Some(j) => j.intersect(times),
-                    };
-                    if j.is_empty() {
-                        coexistence_pruned += 1;
-                        continue 'row;
+    /// Join variable `i` to `rows` by testing `conds` on every (row,
+    /// pathway) pair: rows outer, pathway index ascending inner.
+    fn nested_join(
+        &mut self,
+        evals: &[VarEval],
+        i: usize,
+        conds: &[(&Expr, QCmp, &Expr)],
+        rows: &[usize],
+        width: usize,
+        row_loop: &mut RowLoop,
+    ) -> Result<Vec<usize>> {
+        let scoped: Vec<_> =
+            conds.iter().map(|&(a, op, b)| (a, scope_of(evals, a), op, b, scope_of(evals, b))).collect();
+        let mut next_rows = Vec::new();
+        let mut trial = vec![usize::MAX; width];
+        for row in rows.chunks_exact(width) {
+            row_loop.poll()?;
+            trial.copy_from_slice(row);
+            'cand: for pi in 0..evals[i].pathways.len() {
+                trial[i] = pi;
+                let lookup = row_lookup(evals, &trial);
+                for &(a, (fa, ba), op, b, (fb, bb)) in &scoped {
+                    let lhs = self.eval_expr(a, &lookup, fa, ba)?;
+                    let rhs = self.eval_expr(b, &lookup, fb, bb)?;
+                    if (lhs == rhs) != (op == QCmp::Eq) {
+                        continue 'cand;
                     }
-                    joint = Some(j);
                 }
-                let joint = match joint {
-                    Some(j) => {
-                        let comps = j.components_overlapping(&probe);
-                        if comps.is_empty() {
-                            coexistence_pruned += 1;
-                            continue 'row;
-                        }
-                        Some(IntervalSet::from_intervals(comps))
-                    }
-                    None => None,
-                };
-                rows.copy_within(r * width..(r + 1) * width, kept * width);
-                times.push(joint);
-                kept += 1;
+                next_rows.extend_from_slice(&trial);
             }
-            rows.truncate(kept * width);
         }
-        coex_span.attr("pruned", coexistence_pruned);
-        drop(coex_span);
-        let mut result = Joined { evals, width, rows, times };
+        Ok(next_rows)
+    }
 
-        // --- EXISTS subqueries (decorrelated) ---
+    /// Exists phase: filter the rows by each `[Not] Exists` subquery.
+    /// Returns the number of rows pruned.
+    fn filter_exists(&mut self, q: &Query, joined: &mut Joined, span: &SpanHandle, run: &mut QueryRun) -> Result<u64> {
         let exists_span = span.child("exists");
-        let mut exists_pruned = 0u64;
+        let mut pruned = 0u64;
         for cond in &q.conds {
             if let Cond::Exists { negated, query } = cond {
-                let before = result.len();
-                self.apply_exists(q, query, *negated, &mut result)?;
-                exists_pruned += (before - result.len()) as u64;
+                let before = joined.len();
+                self.apply_exists(q, query, *negated, joined, run)?;
+                pruned += (before - joined.len()) as u64;
             }
         }
-        exists_span.attr("pruned", exists_pruned);
-        drop(exists_span);
-
-        if let Some(p) = profile {
-            p.coexistence_pruned = coexistence_pruned;
-            p.exists_pruned = exists_pruned;
-            if let Some(t) = texec_phase {
-                p.exec_ns = t.elapsed().as_nanos() as u64;
-            }
-        }
-        Ok(result)
+        exists_span.attr("pruned", pruned);
+        Ok(pruned)
     }
 
     fn eval_expr<'p>(
@@ -985,19 +912,15 @@ impl Engine {
         backend: Option<&str>,
     ) -> Result<Value> {
         let bound = |var: &str| lookup(var).ok_or_else(|| NepalError::UnknownVariable(var.to_string()));
-        let end = |f: &PathFn, p: &Pathway| match f {
-            PathFn::Source => p.source(),
-            PathFn::Target => p.target(),
-        };
         match expr {
             Expr::Literal(v) => Ok(v.clone()),
             Expr::PathVar(v) => {
                 Err(NepalError::Unsupported(format!("bare pathway variable `{v}` is only valid inside count(…)")))
             }
             Expr::Length(v) => Ok(Value::Int(bound(v)?.len_edges() as i64)),
-            Expr::PathEnd(f, v) => Ok(Value::Int(end(f, bound(v)?).0 as i64)),
+            Expr::PathEnd(f, v) => Ok(Value::Int(path_end(bound(v)?, *f).0 as i64)),
             Expr::PathEndField(f, v, field) => {
-                let uid = end(f, bound(v)?);
+                let uid = path_end(bound(v)?, *f);
                 let b = self.registry.get_mut(backend)?;
                 let schema = b.schema().clone();
                 match b.fields(uid, filter) {
@@ -1017,7 +940,14 @@ impl Engine {
     /// Decorrelated EXISTS: join the inner query's rows without its
     /// correlated conditions, collect the inner key tuples, and semi-/
     /// anti-join the outer rows against them in place.
-    fn apply_exists(&mut self, outer_q: &Query, inner_q: &Query, negated: bool, outer: &mut Joined) -> Result<()> {
+    fn apply_exists(
+        &mut self,
+        outer_q: &Query,
+        inner_q: &Query,
+        negated: bool,
+        outer: &mut Joined,
+        run: &mut QueryRun,
+    ) -> Result<()> {
         let inner_vars: Vec<&str> = inner_q.var_names();
         let outer_vars: Vec<&str> = outer_q.var_names();
         let mut local_conds = Vec::new();
@@ -1047,7 +977,7 @@ impl Engine {
             sources: inner_q.sources.clone(),
             conds: local_conds,
         };
-        let inner = self.joined_rows(&decorrelated, None, &SpanHandle::none())?;
+        let inner = self.joined_rows(&decorrelated, None, &SpanHandle::none(), run)?;
         // Key set from the inner side of each correlated equality; a row
         // whose key cannot be evaluated matches nothing.
         let mut keys: HashSet<Vec<Value>> = HashSet::new();
@@ -1240,6 +1170,54 @@ impl Joined {
         self.rows.chunks_exact(self.width)
     }
 
+    /// Coexistence phase: under a query-level range `AT a : b`, keep the
+    /// rows whose joint variables' assertion ranges intersect, and record
+    /// each kept row's maximal joint ranges overlapping `[a, b]`. Without a
+    /// query-level range every row survives and carries no times. Returns
+    /// the number of rows pruned.
+    fn coexist(&mut self, query_time: Option<TimeSpec>, span: &SpanHandle, row_loop: &mut RowLoop) -> Result<u64> {
+        let coex_span = span.child("coexistence");
+        let mut pruned = 0u64;
+        if let (Some(TimeSpec::Range(a, b)), true) = (query_time, self.evals.iter().any(|e| e.joint)) {
+            let probe = Interval::new(a, b.saturating_add(1));
+            let width = self.width;
+            let mut kept = 0;
+            'row: for r in 0..self.len() {
+                row_loop.poll()?;
+                let mut joint: Option<IntervalSet> = None;
+                for (e, &pi) in self.evals.iter().zip(&self.rows[r * width..]) {
+                    let Some(times) = e.pathways[pi].times.as_ref().filter(|_| e.joint) else { continue };
+                    let j = match joint {
+                        None => times.clone(),
+                        Some(j) => j.intersect(times),
+                    };
+                    if j.is_empty() {
+                        pruned += 1;
+                        continue 'row;
+                    }
+                    joint = Some(j);
+                }
+                let joint = match joint {
+                    Some(j) => {
+                        let comps = j.components_overlapping(&probe);
+                        if comps.is_empty() {
+                            pruned += 1;
+                            continue 'row;
+                        }
+                        Some(IntervalSet::from_intervals(comps))
+                    }
+                    None => None,
+                };
+                self.rows.copy_within(r * width..(r + 1) * width, kept * width);
+                self.times.push(joint);
+                kept += 1;
+            }
+            self.rows.truncate(kept * width);
+        }
+        coex_span.attr("pruned", pruned);
+        Ok(pruned)
+    }
+
     /// The owned result rows for `picked` (row index, select values), in
     /// that order; each row at most once. A pathway moves out of its
     /// variable's set into the last picked row that references it and is
@@ -1278,6 +1256,51 @@ impl Joined {
         }
         out
     }
+}
+
+/// Join variable `i` to `rows` through a hash table over its pathways'
+/// ends: `key_specs` holds (its end, other end, other variable) per
+/// equality. Emission order (rows outer, pathway index ascending inner)
+/// matches the nested loop exactly.
+fn hash_join(
+    evals: &[VarEval],
+    i: usize,
+    key_specs: &[(PathFn, PathFn, usize)],
+    rows: &[usize],
+    width: usize,
+    row_loop: &mut RowLoop,
+) -> Result<Vec<usize>> {
+    // Build side: one fixed-width key per pathway in a flat arena, and per
+    // distinct key a chain through `next` in ascending pathway index
+    // (filled back to front).
+    let build = &evals[i].pathways;
+    let k = key_specs.len();
+    let mut keys: Vec<u64> = Vec::with_capacity(build.len() * k);
+    for p in build {
+        keys.extend(key_specs.iter().map(|&(my, _, _)| path_end(p, my).0));
+    }
+    let mut heads: FxHashMap<&[u64], usize> = FxHashMap::default();
+    let mut next = vec![usize::MAX; build.len()];
+    for pi in (0..build.len()).rev() {
+        if let Some(after) = heads.insert(&keys[pi * k..(pi + 1) * k], pi) {
+            next[pi] = after;
+        }
+    }
+    let mut next_rows = Vec::new();
+    let mut probe: Vec<u64> = Vec::with_capacity(k);
+    for row in rows.chunks_exact(width) {
+        row_loop.poll()?;
+        probe.clear();
+        probe.extend(key_specs.iter().map(|&(_, other, j)| path_end(&evals[j].pathways[row[j]], other).0));
+        let mut pi = heads.get(probe.as_slice()).copied().unwrap_or(usize::MAX);
+        while pi != usize::MAX {
+            next_rows.extend_from_slice(row);
+            let at = next_rows.len() - width + i;
+            next_rows[at] = pi;
+            pi = next[pi];
+        }
+    }
+    Ok(next_rows)
 }
 
 /// The binding of pathway variables in one index row.

@@ -41,7 +41,7 @@ pub enum FlightKind {
     /// A query entered the engine. `a` = fingerprint.
     QueryStart = 1,
     /// A query completed. `a` = fingerprint, `b` = latency µs, `c` = rows;
-    /// label = chosen anchor (class/index) of the first planned variable.
+    /// label = chosen anchor of the query's last planned variable.
     QueryEnd = 2,
     /// A query failed. `a` = fingerprint, `b` = latency µs; label = error kind.
     QueryError = 3,

@@ -25,12 +25,11 @@ use nepal_schema::Schema;
 
 use crate::bind::{BoundAtom, Norm};
 use crate::error::{Result, RpeError};
-use crate::par;
 
 /// Estimates the number of elements matching an atom. Implemented by the
-/// native graph store (live statistics) and by a schema-hint fallback.
-/// `Sync` so per-atom cost probes can fan out across the worker pool.
-pub trait CardinalityEstimator: Sync {
+/// native graph store (live statistics), by each backend of the engine, and
+/// by a schema-hint fallback.
+pub trait CardinalityEstimator {
     fn estimate(&self, schema: &Schema, atom: &BoundAtom) -> f64;
 }
 
@@ -80,19 +79,6 @@ impl AnchorSet {
     }
 }
 
-/// Probe the per-atom cardinalities once up front. An atom occurrence can
-/// appear in many candidate sets (and did get re-estimated per set before
-/// this table existed); with `threads > 1` the probes are dealt to the
-/// worker pool in chunks — useful when the estimator goes to a remote
-/// backend.
-fn atom_costs(atoms: &[BoundAtom], schema: &Schema, est: &dyn CardinalityEstimator, threads: usize) -> Vec<f64> {
-    if threads > 1 && atoms.len() >= 4 {
-        par::map_indexed(atoms.len(), threads, |i| est.estimate(schema, &atoms[i]))
-    } else {
-        atoms.iter().map(|a| est.estimate(schema, a)).collect()
-    }
-}
-
 fn candidates(norm: &Norm, costs: &[f64]) -> Vec<AnchorSet> {
     match norm {
         Norm::Atom(a) => vec![AnchorSet::of(vec![*a], costs)],
@@ -116,27 +102,16 @@ fn candidates(norm: &Norm, costs: &[f64]) -> Vec<AnchorSet> {
     }
 }
 
-/// Enumerate candidate anchors and pick the cheapest.
+/// Enumerate candidate anchors and pick the cheapest. Each atom
+/// occurrence is estimated once, up front, however many candidate sets it
+/// appears in.
 pub fn select_anchor(
     norm: &Norm,
     atoms: &[BoundAtom],
     schema: &Schema,
     est: &dyn CardinalityEstimator,
 ) -> Result<(AnchorSet, Vec<AnchorSet>)> {
-    select_anchor_with(norm, atoms, schema, est, 1)
-}
-
-/// [`select_anchor`] with the per-atom cost probes run on up to `threads`
-/// pool seats. Selection itself is deterministic either way — the cost
-/// table is fully materialized before enumeration starts.
-pub fn select_anchor_with(
-    norm: &Norm,
-    atoms: &[BoundAtom],
-    schema: &Schema,
-    est: &dyn CardinalityEstimator,
-    threads: usize,
-) -> Result<(AnchorSet, Vec<AnchorSet>)> {
-    let costs = atom_costs(atoms, schema, est, threads);
+    let costs: Vec<f64> = atoms.iter().map(|a| est.estimate(schema, a)).collect();
     let mut cands = candidates(norm, &costs);
     // Deduplicate identical candidate sets, keeping the cheapest ordering
     // stable for deterministic plans.

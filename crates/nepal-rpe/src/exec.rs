@@ -806,7 +806,7 @@ fn run_stage<'a, T: Send>(
     n_jobs: usize,
     job: impl Fn(&mut ElemMatcher<'a>, usize) -> T + Sync,
 ) -> Vec<Option<T>> {
-    let (outs, mut reports, stats) = par::run_jobs_cancel(
+    let (outs, mut reports, stats) = par::run_jobs(
         n_jobs,
         env.threads,
         env.timed,

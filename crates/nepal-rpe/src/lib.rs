@@ -58,7 +58,7 @@ pub mod parser;
 pub mod path;
 pub mod plan;
 
-pub use anchor::{select_anchor, select_anchor_with, AnchorSet, CardinalityEstimator, HintEstimator};
+pub use anchor::{select_anchor, AnchorSet, CardinalityEstimator, HintEstimator};
 pub use ast::{Atom, CmpOp, Pred, Rpe};
 pub use bind::{bind, BoundAtom, BoundPred, BoundRpe, Norm};
 pub use cancel::{CancelCause, CancelToken};

@@ -19,9 +19,9 @@
 //!
 //! A run returns only when every job someone claimed has finished, and a
 //! waiter only ever waits for jobs a participant is *executing*: unclaimed
-//! jobs are taken by the caller itself. So a job that starts a nested run
-//! (the engine's per-variable fan-out calls the evaluator) and any number
-//! of concurrent callers make progress even when every helper is busy.
+//! jobs are taken by the caller itself. So any number of concurrent callers
+//! (server connections, each evaluating its own query) and a job that
+//! starts a nested run make progress even when every helper is busy.
 
 use std::any::Any;
 use std::ops::Range;
@@ -65,24 +65,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// Split `0..n` into at most `4 * threads` contiguous, near-equal ranges:
 /// the unit in which callers deal items (search roots, union pairs, seed
-/// nodes, cost probes) to the pool. A few chunks per participant leave
+/// nodes) to the pool. A few chunks per participant leave
 /// room to steal; one job per item would pay a claim and a slot per item.
 pub fn chunks(n: usize, threads: usize) -> Vec<Range<usize>> {
     let k = threads.max(1).saturating_mul(4).min(n);
     (0..k).map(|c| c * n / k..(c + 1) * n / k).collect()
-}
-
-/// `(0..n).map(f)` with the indices dealt to the pool in [`chunks`];
-/// results come back in index order.
-pub fn map_indexed<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let bounds = chunks(n, threads);
-    let (parts, _, _) =
-        run_jobs(bounds.len(), threads, false, |_| (), |_, c| -> Vec<T> { bounds[c].clone().map(&f).collect() });
-    parts.into_iter().flatten().collect()
 }
 
 /// A seat's half-open job range `[lo, hi)` packed into one word, so the
@@ -129,31 +116,14 @@ impl Drop for StopOnUnwind<'_> {
 /// single job against that state. A panicking job body stops
 /// the run and is re-raised on the calling thread once every participant
 /// has left. With `timed == false` no clock is ever read.
+///
+/// With a `cancel` token, a participant polls it before claiming its next
+/// job (own block or a steal) and stops claiming once it trips, abandoning
+/// the remaining dealt blocks cleanly — the job currently running finishes
+/// (its body carries its own checkpoints). Unrun jobs come back as `None`
+/// slots; `PoolStats::jobs` counts jobs actually executed. Without a token
+/// every slot is `Some`.
 pub fn run_jobs<T, W, FW, F>(
-    n_jobs: usize,
-    threads: usize,
-    timed: bool,
-    make_worker: FW,
-    run: F,
-) -> (Vec<T>, Vec<WorkerReport<W>>, PoolStats)
-where
-    T: Send,
-    W: Send,
-    FW: FnMut(usize) -> W,
-    F: Fn(&mut W, usize) -> T + Sync,
-{
-    let (slots, reports, stats) = run_jobs_cancel(n_jobs, threads, timed, None, make_worker, run);
-    let results = slots.into_iter().map(|o| o.expect("every job ran exactly once")).collect();
-    (results, reports, stats)
-}
-
-/// [`run_jobs`] observing a [`CancelToken`] between jobs: a participant
-/// polls the token before claiming its next job (own block or a steal)
-/// and stops claiming once it trips, abandoning the remaining dealt
-/// blocks cleanly — the job currently running finishes (its body carries
-/// its own checkpoints). Unrun jobs come back as `None` slots;
-/// `PoolStats::jobs` counts jobs actually executed.
-pub fn run_jobs_cancel<T, W, FW, F>(
     n_jobs: usize,
     threads: usize,
     timed: bool,
@@ -413,10 +383,15 @@ fn helper_loop(pool: &'static Pool) {
 mod tests {
     use super::*;
 
+    /// The results of a run without a token: every slot is filled.
+    fn filled<T>(slots: Vec<Option<T>>) -> Vec<T> {
+        slots.into_iter().map(|o| o.expect("every job ran exactly once")).collect()
+    }
+
     #[test]
     fn results_are_ordered_by_job_index() {
-        let (results, reports, stats) = run_jobs(100, 4, false, |_| (), |_, j| j * 2);
-        assert_eq!(results, (0..100).map(|j| j * 2).collect::<Vec<_>>());
+        let (results, reports, stats) = run_jobs(100, 4, false, None, |_| (), |_, j| j * 2);
+        assert_eq!(filled(results), (0..100).map(|j| j * 2).collect::<Vec<_>>());
         assert_eq!(stats.jobs, 100);
         assert_eq!(reports.iter().map(|r| r.jobs).sum::<u64>(), 100);
         assert_eq!(reports.iter().map(|r| r.steals).sum::<u64>(), stats.steals);
@@ -428,23 +403,24 @@ mod tests {
             10,
             3,
             true,
+            None,
             |_| 0u64,
             |seen, j| {
                 *seen += 1;
                 j
             },
         );
-        assert_eq!(results, (0..10).collect::<Vec<_>>());
+        assert_eq!(filled(results), (0..10).collect::<Vec<_>>());
         assert_eq!(reports.iter().map(|r| r.state).sum::<u64>(), 10);
         assert_eq!(reports.iter().map(|r| r.jobs).sum::<u64>(), 10);
     }
 
     #[test]
     fn more_threads_than_jobs_and_zero_jobs() {
-        let (results, reports, _) = run_jobs(2, 8, false, |_| (), |_, j| j);
-        assert_eq!(results, vec![0, 1]);
+        let (results, reports, _) = run_jobs(2, 8, false, None, |_| (), |_, j| j);
+        assert_eq!(filled(results), vec![0, 1]);
         assert_eq!(reports.len(), 2);
-        let (results, reports, stats) = run_jobs(0, 4, false, |_| (), |_, j| j);
+        let (results, reports, stats) = run_jobs(0, 4, false, None, |_| (), |_, j| j);
         assert!(results.is_empty() && reports.is_empty());
         assert_eq!(stats.jobs, 0);
     }
@@ -453,7 +429,7 @@ mod tests {
     fn pre_cancelled_pool_runs_nothing() {
         let tok = CancelToken::new();
         tok.cancel();
-        let (slots, reports, stats) = run_jobs_cancel(64, 4, false, Some(&tok), |_| (), |_, j| j);
+        let (slots, reports, stats) = run_jobs(64, 4, false, Some(&tok), |_| (), |_, j| j);
         assert_eq!(slots.len(), 64);
         assert!(slots.iter().all(|s| s.is_none()));
         assert_eq!(stats.jobs, 0);
@@ -465,7 +441,7 @@ mod tests {
         // Single worker: the first job trips the token, so exactly one job
         // runs and the rest of the dealt block is abandoned.
         let tok = CancelToken::new();
-        let (slots, _, stats) = run_jobs_cancel(
+        let (slots, _, stats) = run_jobs(
             16,
             1,
             false,
@@ -482,21 +458,23 @@ mod tests {
 
     #[test]
     fn uncancelled_cancel_variant_matches_run_jobs() {
+        // An untripped token fills every slot, exactly as no token does.
         let tok = CancelToken::new();
-        let (slots, _, stats) = run_jobs_cancel(20, 3, false, Some(&tok), |_| (), |_, j| j * 3);
+        let (slots, _, stats) = run_jobs(20, 3, false, Some(&tok), |_| (), |_, j| j * 3);
         assert_eq!(stats.jobs, 20);
-        let vals: Vec<usize> = slots.into_iter().map(|o| o.unwrap()).collect();
-        assert_eq!(vals, (0..20).map(|j| j * 3).collect::<Vec<_>>());
+        assert_eq!(slots, run_jobs(20, 3, false, None, |_| (), |_, j| j * 3).0);
+        assert_eq!(filled(slots), (0..20).map(|j| j * 3).collect::<Vec<_>>());
     }
 
     #[test]
     fn cpu_time_is_sampled_only_when_timed() {
-        let (_, reports, _) = run_jobs(32, 2, false, |_| (), |_, j| j);
+        let (_, reports, _) = run_jobs(32, 2, false, None, |_| (), |_, j| j);
         assert!(reports.iter().all(|r| r.cpu_ns == 0 && r.busy_ns == 0));
         let (_, reports, _) = run_jobs(
             32,
             2,
             true,
+            None,
             |_| (),
             |_, j: usize| {
                 // Burn a little CPU so the per-thread clock visibly advances.
@@ -521,6 +499,7 @@ mod tests {
             16,
             4,
             false,
+            None,
             |_| (),
             |_, j| {
                 if j == 0 {
@@ -529,7 +508,7 @@ mod tests {
                 j
             },
         );
-        assert_eq!(results, (0..16).collect::<Vec<_>>());
+        assert_eq!(filled(results), (0..16).collect::<Vec<_>>());
     }
 
     // --- the persistent pool ---
@@ -546,7 +525,11 @@ mod tests {
             assert_eq!(cs.iter().flat_map(|r| r.clone()).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
             assert!(cs.iter().all(|r| !r.is_empty()));
         }
-        assert_eq!(map_indexed(100, 3, |i| i * i), (0..100).map(|i| i * i).collect::<Vec<_>>());
+        // Chunks dealt as jobs concatenate back into index order.
+        let bounds = chunks(100, 3);
+        let (parts, _, _) =
+            run_jobs(bounds.len(), 3, false, None, |_| (), |_, c| bounds[c].clone().map(|i| i * i).collect::<Vec<_>>());
+        assert_eq!(filled(parts).concat(), (0..100).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
@@ -558,14 +541,15 @@ mod tests {
             12,
             4,
             false,
+            None,
             |_| (),
             |_, j| {
-                let (inner, _, _) = run_jobs(50, 4, false, |_| (), |_, k| j * 100 + k);
-                inner.into_iter().sum::<usize>()
+                let (inner, _, _) = run_jobs(50, 4, false, None, |_| (), |_, k| j * 100 + k);
+                filled(inner).into_iter().sum::<usize>()
             },
         );
         let want: Vec<usize> = (0..12).map(|j| (0..50).map(|k| j * 100 + k).sum()).collect();
-        assert_eq!(results, want);
+        assert_eq!(filled(results), want);
     }
 
     #[test]
@@ -577,8 +561,8 @@ mod tests {
                 let caller = move || {
                     barrier.wait();
                     for round in 0..20 {
-                        let (results, _, stats) = run_jobs(200, 4, false, |_| (), |_, j| (t, round, j));
-                        assert_eq!(results, (0..200).map(|j| (t, round, j)).collect::<Vec<_>>());
+                        let (results, _, stats) = run_jobs(200, 4, false, None, |_| (), |_, j| (t, round, j));
+                        assert_eq!(filled(results), (0..200).map(|j| (t, round, j)).collect::<Vec<_>>());
                         assert_eq!(stats.jobs, 200);
                     }
                 };
@@ -610,7 +594,7 @@ mod tests {
     #[test]
     fn job_panic_reaches_its_caller_and_the_pool_survives() {
         // `helper = true` forces the panicking job onto a helper: seat 1's
-        // block starts at job 32, and job 0 (the caller's first) does not
+        // block starts at job 32, None, and job 0 (the caller's first) does not
         // return before job 32 has started.
         for helper in [false, true] {
             let live = AtomicUsize::new(0);
@@ -621,6 +605,7 @@ mod tests {
                     64,
                     2,
                     false,
+                    None,
                     |_| Counted::new(&live),
                     |_, j| {
                         if helper && j == 0 {
@@ -645,20 +630,21 @@ mod tests {
             // still borrows `live` or `borrowed`.
             assert_eq!(live.load(Ordering::SeqCst), 0);
             drop(borrowed);
-            let (results, _, _) = run_jobs(64, 2, false, |_| (), |_, j| j + 1);
-            assert_eq!(results, (1..=64).collect::<Vec<_>>());
+            let (results, _, _) = run_jobs(64, 2, false, None, |_| (), |_, j| j + 1);
+            assert_eq!(filled(results), (1..=64).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn threads_caps_participants_on_a_larger_pool() {
         // Grow the pool to at least four helpers, then run with two seats.
-        let _ = run_jobs(64, 5, false, |_| (), |_, j| j);
+        let _ = run_jobs(64, 5, false, None, |_| (), |_, j| j);
         let who = Mutex::new(HashSet::new());
         let (results, reports, _) = run_jobs(
             64,
             2,
             false,
+            None,
             |_| (),
             |_, j| {
                 lock(&who).insert(std::thread::current().id());
@@ -666,7 +652,7 @@ mod tests {
                 j
             },
         );
-        assert_eq!(results, (0..64).collect::<Vec<_>>());
+        assert_eq!(filled(results), (0..64).collect::<Vec<_>>());
         assert_eq!(reports.len(), 2);
         assert!(lock(&who).len() <= 2, "threads = 2 admitted {} participants", lock(&who).len());
     }
@@ -688,7 +674,7 @@ mod tests {
     fn no_thread_is_created_after_warm_up() {
         // Eight is the widest run any test of this binary asks for, so no
         // concurrent test can grow the pool past this warm-up.
-        let _ = run_jobs(64, 8, false, |_| (), |_, j| j);
+        let _ = run_jobs(64, 8, false, None, |_| (), |_, j| j);
         #[cfg(target_os = "linux")]
         {
             let t0 = Instant::now();
@@ -703,6 +689,7 @@ mod tests {
                 16,
                 8,
                 false,
+                None,
                 |_| (),
                 |_, j| {
                     lock(&ran_jobs).insert(std::thread::current().id());

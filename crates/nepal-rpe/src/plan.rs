@@ -8,7 +8,7 @@
 use nepal_obs::SpanHandle;
 use nepal_schema::{ClassId, Schema, NODE};
 
-use crate::anchor::{select_anchor_with, AnchorSet, CardinalityEstimator};
+use crate::anchor::{select_anchor, AnchorSet, CardinalityEstimator};
 use crate::ast::Rpe;
 use crate::bind::{bind, BoundAtom, Norm};
 use crate::error::Result;
@@ -64,22 +64,15 @@ fn lca_of_labels(schema: &Schema, atoms: &[BoundAtom], labels: &[Label]) -> Clas
 
 /// Bind, normalize, compile, and anchor an RPE.
 pub fn plan_rpe(schema: &Schema, rpe: &Rpe, est: &dyn CardinalityEstimator) -> Result<RpePlan> {
-    plan_rpe_with(schema, rpe, est, &SpanHandle::none(), 1)
+    plan_rpe_with(schema, rpe, est, &SpanHandle::none())
 }
 
-/// [`plan_rpe`] under a live span — binding/compilation and the cost-based
+/// [`plan_rpe`] under a live span: binding/compilation and the cost-based
 /// anchor selection become child spans carrying candidate counts and the
-/// chosen anchor's cost; an inactive span adds no work — with the per-atom
-/// anchor cost probes fanned out over up to `threads` pool seats (see
-/// [`select_anchor_with`]). The produced plan is identical at any thread
-/// count.
-pub fn plan_rpe_with(
-    schema: &Schema,
-    rpe: &Rpe,
-    est: &dyn CardinalityEstimator,
-    span: &SpanHandle,
-    threads: usize,
-) -> Result<RpePlan> {
+/// chosen anchor's cost; an inactive span adds no work. Planning runs on
+/// the calling thread — the per-atom cost probes are a handful of
+/// estimator calls, cheaper than a pool hand-off.
+pub fn plan_rpe_with(schema: &Schema, rpe: &Rpe, est: &dyn CardinalityEstimator, span: &SpanHandle) -> Result<RpePlan> {
     let bind_span = span.child("bind+compile");
     let bound = bind(schema, rpe)?;
     let kinds: Vec<bool> = bound.atoms.iter().map(|a| a.is_node).collect();
@@ -88,7 +81,7 @@ pub fn plan_rpe_with(
     bind_span.attr("nfa_states", nfa.n_states);
     drop(bind_span);
     let anchor_span = span.child("anchor-select");
-    let (anchor, candidates) = select_anchor_with(&bound.norm, &bound.atoms, schema, est, threads)?;
+    let (anchor, candidates) = select_anchor(&bound.norm, &bound.atoms, schema, est)?;
     anchor_span.attr("candidates", candidates.len());
     anchor_span.attr("cost", format!("{:.1}", anchor.cost));
     drop(anchor_span);

@@ -2,9 +2,8 @@
 //! small-tier churned inventory, the benchmark's query shapes must come
 //! out the same at 1, 2 and 4 participants under every kind of time
 //! filter — same pathways, same operator rows, same logical meter counts,
-//! and the same result digest through `Engine::query` (which adds the
-//! planner's cost probes and the per-variable fan-out, both dealt to the
-//! same pool).
+//! and the same result digest through `Engine::query` (which adds
+//! planning, anchor import, joins and heads around each evaluation).
 
 use std::sync::Arc;
 
@@ -144,11 +143,12 @@ fn engine_digests_are_identical_at_every_thread_count() {
     queries.push(format!("AT {} Select count(A) {join}", at(w.t2)));
     queries.push(format!("AT {} : {} Select count(A) {join}", at(w.t1), at(w.t2)));
     queries.push(format!("Retrieve A, B {join}"));
-    // No link between the variables' ends: the engine deals one job per
-    // variable to the pool, and each evaluation nests its own runs.
+    // No link between the variables' ends: each runs from its own anchor,
+    // and the cross product of the two sets must come out in the same
+    // order whatever the seat count.
     queries.push(format!("Retrieve A, B From PATHS A, PATHS B Where A MATCHES {} And B MATCHES {b}", w.table1[0]));
-    // A hash-join build side past the engine's 4096-pathway mark, so key
-    // extraction goes to the pool as well.
+    // A hash join whose build side holds thousands of pathways: the count
+    // must not depend on how the pool split either evaluation.
     queries.push(
         "Select count(B) From PATHS A, PATHS B Where A MATCHES VFC()->OnVM()->Container() \
          And B MATCHES VM()->[ConnectedTo()]{1,2}->Container() And target(A) = source(B)"

@@ -10,6 +10,7 @@ use nepal::core::{engine_over, BackendRegistry, Engine, GremlinBackend, NativeBa
 use nepal::graph::{resource_summary, StoreGauges, TemporalGraph};
 use nepal::gremlin::{parse_json, property_graph_from, GremlinClient, GremlinServer, ServeConfig};
 use nepal::obs::{HistoryRing, SloRule, Telemetry, TelemetryServer, TRACK_SERVER};
+use nepal::rpe::{parse_rpe, plan_rpe, GraphEstimator};
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::Value;
 
@@ -564,17 +565,22 @@ fn json_surfaces_survive_hostile_strings() {
 }
 
 /// One query's fingerprint reads the same — 16 hex digits — in its flight
-/// events, its qlog record and its `/top.json` row.
+/// events, its qlog record and its `/top.json` row; its `query_end` event
+/// carries the anchor its planned variable chose, and the next query's
+/// carries its own.
 #[test]
 fn fingerprint_is_one_hex_string_across_flight_qlog_and_top() {
-    // A query shape no other test in this binary runs, so its fingerprint
-    // picks out this test's events from the process-wide recorder.
+    // Query shapes no other test in this binary runs, so their
+    // fingerprints pick out this test's events from the process-wide
+    // recorder. The two shapes anchor on different atoms.
     const SHAPE: &str = "Retrieve P From PATHS P Where P MATCHES VM(vm_id=50)->HostedOn()->Host()";
+    const OTHER: &str = "Retrieve P From PATHS P Where P MATCHES VM()->[HostedOn()]{1,1}->Host(host_id=7)";
     let recorder = nepal::obs::flight::recorder();
     recorder.set_enabled(true);
     let path = std::env::temp_dir().join(format!("nepal-fp-qlog-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let mut engine = engine_over(demo_graph());
+    let graph = demo_graph();
+    let mut engine = engine_over(graph.clone());
     let stmt = engine.enable_stmt(8);
     engine.enable_qlog(&path, 1 << 20, 1).unwrap();
     engine.query(SHAPE).unwrap();
@@ -587,15 +593,30 @@ fn fingerprint_is_one_hex_string_across_flight_qlog_and_top() {
     let top = parse_json(&telemetry.handle("/top.json").2).unwrap();
     let row = &top.get("statements").and_then(|s| s.as_arr()).unwrap()[0];
     assert_eq!(str_at(row, &["fingerprint"]), Some(expected.as_str()));
+    engine.query(OTHER).unwrap();
     let events = recorder.render_json(std::time::Duration::from_secs(600), usize::MAX);
-    let ours: Vec<&str> = events
-        .get("events")
-        .and_then(|e| e.as_arr())
-        .unwrap()
-        .iter()
-        .filter(|e| str_at(e, &["fp"]) == Some(expected.as_str()))
-        .filter_map(|e| str_at(e, &["kind"]))
-        .collect();
-    assert_eq!(ours, ["query_start", "query_end"], "{events}");
+    // (kind, label) of every event of one query shape.
+    let events_of = |shape: &str| -> Vec<(&str, &str)> {
+        let fp = format!("{:016x}", nepal::obs::fingerprint(shape));
+        events
+            .get("events")
+            .and_then(|e| e.as_arr())
+            .unwrap()
+            .iter()
+            .filter(|e| str_at(e, &["fp"]) == Some(fp.as_str()))
+            .filter_map(|e| Some((str_at(e, &["kind"])?, str_at(e, &["label"]).unwrap_or(""))))
+            .collect()
+    };
+    let anchor_of = |shape: &str| {
+        let rpe = shape.split("MATCHES ").nth(1).unwrap();
+        let plan = plan_rpe(graph.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: &graph }).unwrap();
+        plan.anchor_desc(&plan.anchor)
+    };
+    let (ours, other) = (events_of(SHAPE), events_of(OTHER));
+    assert_eq!(ours.iter().map(|&(kind, _)| kind).collect::<Vec<_>>(), ["query_start", "query_end"], "{events}");
+    assert_eq!(ours[1].1, anchor_of(SHAPE));
+    assert_eq!(ours[1].1, "VM(vm_id=50)");
+    assert_eq!(other.last().copied(), Some(("query_end", anchor_of(OTHER).as_str())));
+    assert_eq!(anchor_of(OTHER), "Host(host_id=7)");
     let _ = std::fs::remove_file(&path);
 }
