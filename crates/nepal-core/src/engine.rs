@@ -600,9 +600,9 @@ impl Engine {
             let rpe = q.matches_of(&s.var).ok_or_else(|| NepalError::NoMatches(s.var.clone()))?;
             let backend = self.registry.get(s.backend.as_deref())?;
             let tplan = profile.is_some().then(Instant::now);
-            let var_span = plan_span.child(&format!("plan:{}", s.var));
+            let var_span = plan_span.child(format_args!("plan:{}", s.var));
             let plan = plan_rpe_with(backend.schema(), rpe, &BackendEstimator(backend), &var_span)?;
-            var_span.attr("anchor_cost", format!("{:.1}", plan.anchor.cost));
+            var_span.attr("anchor_cost", format_args!("{:.1}", plan.anchor.cost));
             if nepal_obs::flight::recorder().is_enabled() {
                 run.anchor = plan.anchor_desc(&plan.anchor);
             }
@@ -716,7 +716,7 @@ impl Engine {
             };
             let backend = self.registry.get_mut(e.backend.as_deref())?;
             let teval = profile.is_some().then(Instant::now);
-            let var_span = exec_span.child(&format!("eval:{}", e.var));
+            let var_span = exec_span.child(format_args!("eval:{}", e.var));
             var_span.attr("backend", backend.kind());
             let mut ctx = ExecCtx {
                 trace: profile.as_deref_mut().map(|p| &mut p.vars[i].trace),
@@ -797,7 +797,7 @@ impl Engine {
         let join_phase_span = span.child("join");
         for &i in order {
             let tjoin = profile.is_some().then(Instant::now);
-            let join_span = join_phase_span.child(&format!("join:{}", evals[i].var));
+            let join_span = join_phase_span.child(format_args!("join:{}", evals[i].var));
             let probe_rows = (rows.len() / width) as u64;
             // Conditions applicable once var i joins: they mention it, and
             // their other variable has joined already.

@@ -58,7 +58,7 @@ pub use metrics::{resource_summary, StoreGauges};
 pub use snapshot::{SnapshotEdge, SnapshotLoader, SnapshotNode, SnapshotStats};
 pub use store::{
     materialize_version, value_heap_bytes, AdjEntry, AdjList, ClassAccounting, ClassHeat, ClassHeatSnapshot,
-    ClassMemory, EdgeEntry, HeatTally, MemoryReport, NodeEntry, StoreCounts, TemporalGraph, Uid, UniqueIndexRow,
-    Version, VersionData, KEYFRAME_INTERVAL,
+    ClassMemory, EdgeEntry, ElemWord, HeatTally, MemoryReport, NodeEntry, StoreCounts, TemporalGraph, Uid,
+    UniqueIndexRow, Version, VersionData, KEYFRAME_INTERVAL,
 };
 pub use view::{AccessCost, GraphView, MatchTime, TimeFilter};

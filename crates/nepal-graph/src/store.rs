@@ -150,21 +150,21 @@ fn encode_history(older: Vec<Value>, newer: &[Value]) -> VersionData {
     }
 }
 
-/// A stored node.
+/// A stored node. Its class is kept in the element column
+/// ([`TemporalGraph::class_of`]), not here.
 #[derive(Debug, Clone)]
 pub struct NodeEntry {
     pub uid: Uid,
-    pub class: ClassId,
     /// Versions in chronological order; spans never overlap.
     pub versions: Vec<Version>,
 }
 
 /// A stored edge. Endpoints are immutable for the lifetime of the uid
 /// (a moved connection is a delete + insert, as in real inventory feeds).
+/// Its class is kept in the element column ([`TemporalGraph::class_of`]).
 #[derive(Debug, Clone)]
 pub struct EdgeEntry {
     pub uid: Uid,
-    pub class: ClassId,
     pub src: Uid,
     pub dst: Uid,
     pub versions: Vec<Version>,
@@ -191,11 +191,45 @@ impl Entry {
         }
     }
 
-    fn class(&self) -> ClassId {
-        match self {
-            Entry::Node(n) => n.class,
-            Entry::Edge(e) => e.class,
-        }
+    /// The word this entry's uid has in the element column.
+    fn elem_word(&self, class: ClassId) -> ElemWord {
+        ElemWord::new(
+            class,
+            matches!(self, Entry::Node(_)),
+            self.versions().last().is_some_and(|v| v.span.is_current()),
+        )
+    }
+}
+
+/// One uid's word in the element column: its exact class, whether it is a
+/// node, and whether its chain head is open (the element is asserted in the
+/// current snapshot), packed into 32 bits. A `Current` element check reads
+/// this word alone instead of an entry slot plus its chain's heap block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ElemWord(u32);
+
+impl ElemWord {
+    const NODE: u32 = 1 << 31;
+    const OPEN: u32 = 1 << 30;
+    /// Class ids live below the two flag bits.
+    const CLASS: u32 = Self::OPEN - 1;
+
+    fn new(class: ClassId, is_node: bool, open: bool) -> ElemWord {
+        ElemWord(class.0 | if is_node { Self::NODE } else { 0 } | if open { Self::OPEN } else { 0 })
+    }
+
+    /// The exact class.
+    pub fn class(self) -> ClassId {
+        ClassId(self.0 & Self::CLASS)
+    }
+
+    pub fn is_node(self) -> bool {
+        self.0 & Self::NODE != 0
+    }
+
+    /// Is the chain head open, i.e. the element asserted now?
+    pub fn is_open(self) -> bool {
+        self.0 & Self::OPEN != 0
     }
 }
 
@@ -294,9 +328,11 @@ pub(crate) const VERSION_BYTES: u64 = std::mem::size_of::<Version>() as u64;
 /// Inline size of one backward-delta slot (`(field index, value)`).
 const DELTA_SLOT_BYTES: u64 = std::mem::size_of::<(u32, Value)>() as u64;
 /// Per-entity overhead: the `Entry` slot in the entry table, the
-/// adjacency-slot index, and the extent-list uid.
-const ENTRY_OVERHEAD_BYTES: u64 =
-    (std::mem::size_of::<Entry>() + std::mem::size_of::<u32>() + std::mem::size_of::<Uid>()) as u64;
+/// adjacency-slot index, the element-column word, and the extent-list uid.
+const ENTRY_OVERHEAD_BYTES: u64 = (std::mem::size_of::<Entry>()
+    + std::mem::size_of::<u32>()
+    + std::mem::size_of::<ElemWord>()
+    + std::mem::size_of::<Uid>()) as u64;
 const ADJ_ENTRY_BYTES: u64 = std::mem::size_of::<AdjEntry>() as u64;
 const ADJ_BUCKET_BYTES: u64 = std::mem::size_of::<AdjBucket>() as u64;
 /// Per-node adjacency base: one out and one in `AdjList` header.
@@ -625,10 +661,23 @@ type UniqueIndex = HashMap<(ClassId, usize), HashMap<Value, Uid>>;
 /// (declaring class, field index) → value → former holders.
 type FormerIndex = HashMap<(ClassId, usize), HashMap<Value, Vec<Uid>>>;
 
+/// Starting capacity of the per-uid tables (entries, element column,
+/// adjacency). A first buffer this large comes from the building thread's
+/// own allocator arena. A small one may instead be a chunk that glibc's
+/// per-thread cache recycled from another arena (evaluator pool helpers
+/// allocate pathway buffers that the calling thread frees), and the table
+/// would then grow by `realloc` inside that other arena for its whole
+/// life, beside the memory that arena already holds.
+const UID_TABLE_CAPACITY: usize = 1024;
+
 /// The temporal graph store.
 pub struct TemporalGraph {
     schema: Arc<Schema>,
     entries: Vec<Entry>,
+    /// The element column: uid → [`ElemWord`] (class, kind, open head).
+    /// The only place a uid's class is stored; written by
+    /// [`TemporalGraph::write_elem`] alone.
+    elems: Vec<ElemWord>,
     /// uid → adjacency slot (nodes only; `u32::MAX` for edges).
     adj_slot: Vec<u32>,
     out_adj: Vec<AdjList>,
@@ -664,6 +713,7 @@ pub struct TemporalGraph {
 impl TemporalGraph {
     pub fn new(schema: Arc<Schema>) -> TemporalGraph {
         let n = schema.num_classes();
+        assert!(n <= ElemWord::CLASS as usize, "{n} classes do not fit the element column");
         let unique_keys = (0..n as u32)
             .map(|c| {
                 let class = ClassId(c);
@@ -672,10 +722,11 @@ impl TemporalGraph {
             .collect();
         TemporalGraph {
             schema,
-            entries: Vec::new(),
-            adj_slot: Vec::new(),
-            out_adj: Vec::new(),
-            in_adj: Vec::new(),
+            entries: Vec::with_capacity(UID_TABLE_CAPACITY),
+            elems: Vec::with_capacity(UID_TABLE_CAPACITY),
+            adj_slot: Vec::with_capacity(UID_TABLE_CAPACITY),
+            out_adj: Vec::with_capacity(UID_TABLE_CAPACITY),
+            in_adj: Vec::with_capacity(UID_TABLE_CAPACITY),
             extents: vec![Vec::new(); n],
             alive: vec![0; n],
             unique: HashMap::new(),
@@ -761,6 +812,21 @@ impl TemporalGraph {
         }
     }
 
+    /// The element column's one writer: sets `uid`'s word from `class`, its
+    /// entry's kind and its chain head. Called wherever a uid is created
+    /// (inserts, both restores) or its head moves (updates, closes).
+    fn write_elem(&mut self, uid: Uid, class: ClassId) {
+        let i = uid.0 as usize;
+        let word = self.entries[i].elem_word(class);
+        match self.elems.get_mut(i) {
+            Some(w) => *w = word,
+            None => {
+                debug_assert_eq!(i, self.elems.len(), "uids are dense");
+                self.elems.push(word);
+            }
+        }
+    }
+
     /// Insert a node of `class` asserted from `ts`.
     pub fn insert_node(&mut self, class: ClassId, fields: Vec<Value>, ts: Ts) -> Result<Uid> {
         if self.schema.kind(class) != ClassKind::Node {
@@ -771,11 +837,8 @@ impl TemporalGraph {
         let uid = Uid(self.entries.len() as u64);
         self.index_unique(class, &fields, uid);
         let heap = ENTRY_OVERHEAD_BYTES + version_heap_bytes(&fields);
-        self.entries.push(Entry::Node(NodeEntry {
-            uid,
-            class,
-            versions: vec![Version::full(fields, Interval::since(ts))],
-        }));
+        self.entries.push(Entry::Node(NodeEntry { uid, versions: vec![Version::full(fields, Interval::since(ts))] }));
+        self.write_elem(uid, class);
         let slot = self.out_adj.len() as u32;
         self.adj_slot.push(slot);
         self.out_adj.push(AdjList::default());
@@ -801,14 +864,16 @@ impl TemporalGraph {
             return Err(GraphError::BadClass(self.schema.class(class).name.clone()));
         }
         self.schema.validate_record(class, &fields)?;
-        let src_class = self.node(src)?.class;
-        let dst_class = self.node(dst)?.class;
-        if self.current_version(src).is_none() {
+        self.node(src)?;
+        self.node(dst)?;
+        let (src_elem, dst_elem) = (self.elems[src.0 as usize], self.elems[dst.0 as usize]);
+        if !src_elem.is_open() {
             return Err(GraphError::Dead { uid: src, at: ts });
         }
-        if self.current_version(dst).is_none() {
+        if !dst_elem.is_open() {
             return Err(GraphError::Dead { uid: dst, at: ts });
         }
+        let (src_class, dst_class) = (src_elem.class(), dst_elem.class());
         if !self.schema.edge_allowed(class, src_class, dst_class) {
             return Err(GraphError::EdgeNotAllowed {
                 edge_class: self.schema.class(class).name.clone(),
@@ -822,11 +887,11 @@ impl TemporalGraph {
         let heap = ENTRY_OVERHEAD_BYTES + version_heap_bytes(&fields);
         self.entries.push(Entry::Edge(EdgeEntry {
             uid,
-            class,
             src,
             dst,
             versions: vec![Version::full(fields, Interval::since(ts))],
         }));
+        self.write_elem(uid, class);
         self.adj_slot.push(u32::MAX);
         let (ss, ds) = (self.adj_slot[src.0 as usize] as usize, self.adj_slot[dst.0 as usize] as usize);
         let new_out = self.out_adj[ss].insert(AdjEntry { edge: uid, other: dst, class, out: true });
@@ -848,7 +913,7 @@ impl TemporalGraph {
     /// version at `ts` and opens a new one.
     pub fn update(&mut self, uid: Uid, changes: &[(usize, Value)], ts: Ts) -> Result<()> {
         let entry = self.entries.get(uid.0 as usize).ok_or(GraphError::UnknownUid(uid))?;
-        let class = entry.class();
+        let class = self.elems[uid.0 as usize].class();
         let cur = entry.versions().last().filter(|v| v.span.is_current()).ok_or(GraphError::Dead { uid, at: ts })?;
         if ts < cur.span.from {
             return Err(GraphError::NonMonotonicTs { uid, last: cur.span.from, got: ts });
@@ -945,6 +1010,7 @@ impl TemporalGraph {
             acct.bytes += VERSION_BYTES + new_heap;
             acct.full_bytes += VERSION_BYTES + new_heap;
         }
+        self.write_elem(uid, class);
         nepal_obs::flight::emit(nepal_obs::FlightKind::JournalMutation, uid.0, class.0 as u64, 0, "update");
         Ok(())
     }
@@ -960,7 +1026,7 @@ impl TemporalGraph {
             let incident: Vec<Uid> =
                 self.out_adj[slot].entries.iter().chain(self.in_adj[slot].entries.iter()).map(|a| a.edge).collect();
             for e in incident {
-                if self.current_version(e).is_some() {
+                if self.elems[e.0 as usize].is_open() {
                     self.close_entry(e, ts)?;
                 }
             }
@@ -969,9 +1035,8 @@ impl TemporalGraph {
     }
 
     fn close_entry(&mut self, uid: Uid, ts: Ts) -> Result<()> {
-        let entry = &mut self.entries[uid.0 as usize];
-        let class = entry.class();
-        let versions = entry.versions_mut();
+        let class = self.elems[uid.0 as usize].class();
+        let versions = self.entries[uid.0 as usize].versions_mut();
         let cur = versions.last().filter(|v| v.span.is_current()).ok_or(GraphError::Dead { uid, at: ts })?;
         if ts < cur.span.from {
             return Err(GraphError::NonMonotonicTs { uid, last: cur.span.from, got: ts });
@@ -1019,6 +1084,7 @@ impl TemporalGraph {
             }
         }
         self.alive[class.0 as usize] = self.alive[class.0 as usize].saturating_sub(1);
+        self.write_elem(uid, class);
         nepal_obs::flight::emit(nepal_obs::FlightKind::JournalMutation, uid.0, class.0 as u64, 0, "delete");
         Ok(())
     }
@@ -1027,8 +1093,15 @@ impl TemporalGraph {
     // Lookup API
     // ------------------------------------------------------------------
 
+    /// `uid`'s word in the element column: class, kind and whether it is
+    /// asserted now, from one 4-byte read. `None` for an unknown uid.
+    #[inline]
+    pub fn elem(&self, uid: Uid) -> Option<ElemWord> {
+        self.elems.get(uid.0 as usize).copied()
+    }
+
     pub fn is_node(&self, uid: Uid) -> bool {
-        matches!(self.entries.get(uid.0 as usize), Some(Entry::Node(_)))
+        self.elem(uid).is_some_and(ElemWord::is_node)
     }
 
     pub fn node(&self, uid: Uid) -> Result<&NodeEntry> {
@@ -1047,8 +1120,9 @@ impl TemporalGraph {
         }
     }
 
+    #[inline]
     pub fn class_of(&self, uid: Uid) -> Option<ClassId> {
-        self.entries.get(uid.0 as usize).map(|e| e.class())
+        self.elem(uid).map(ElemWord::class)
     }
 
     pub fn versions(&self, uid: Uid) -> &[Version] {
@@ -1330,7 +1404,8 @@ impl TemporalGraph {
         let heap = ENTRY_OVERHEAD_BYTES + stored_heap;
         let n_versions = vs.len() as u64;
         if is_node {
-            self.entries.push(Entry::Node(NodeEntry { uid, class, versions: vs }));
+            self.entries.push(Entry::Node(NodeEntry { uid, versions: vs }));
+            self.write_elem(uid, class);
             let slot = self.out_adj.len() as u32;
             self.adj_slot.push(slot);
             self.out_adj.push(AdjList::default());
@@ -1342,7 +1417,8 @@ impl TemporalGraph {
             }
             self.node(src)?;
             self.node(dst)?;
-            self.entries.push(Entry::Edge(EdgeEntry { uid, class, src, dst, versions: vs }));
+            self.entries.push(Entry::Edge(EdgeEntry { uid, src, dst, versions: vs }));
+            self.write_elem(uid, class);
             self.adj_slot.push(u32::MAX);
             let ss = self.adj_slot[src.0 as usize] as usize;
             let ds = self.adj_slot[dst.0 as usize] as usize;
@@ -1377,8 +1453,8 @@ impl TemporalGraph {
     /// deltas record the older value exactly where it changed).
     fn build_unique_index(&self) -> Result<(UniqueIndex, FormerIndex)> {
         let (mut unique, mut former) = (UniqueIndex::new(), FormerIndex::new());
-        for (raw, entry) in self.entries.iter().enumerate() {
-            let class = entry.class();
+        for (raw, (entry, elem)) in self.entries.iter().zip(&self.elems).enumerate() {
+            let class = elem.class();
             let keys = &self.unique_keys[class.0 as usize];
             if keys.is_empty() {
                 continue;
@@ -1417,10 +1493,10 @@ impl TemporalGraph {
     /// daily snapshots.
     pub fn approx_version_bytes(&self) -> u64 {
         let mut total = 0u64;
-        for e in &self.entries {
+        for (e, elem) in self.entries.iter().zip(&self.elems) {
             // Uncompressed-equivalent estimate: every version priced at the
             // schema's field width for its class (delta versions included).
-            let width = self.schema.all_fields(e.class()).len() as u64;
+            let width = self.schema.all_fields(elem.class()).len() as u64;
             total += e.versions().len() as u64 * (16 /* span */ + 24 /* vec hdr */ + 40 * width);
             total += 48; // entry overhead
         }
@@ -1546,6 +1622,29 @@ impl TemporalGraph {
         self.assemble_report(self.class_memory(), self.adj_bytes, unique_index_bytes)
     }
 
+    /// The element column, indexed by uid.
+    pub fn elem_column(&self) -> &[ElemWord] {
+        &self.elems
+    }
+
+    /// The element column rebuilt from its definition, ignoring the live
+    /// one: each uid's class from the class extent that lists it, its kind
+    /// from its entry, its open bit from its chain head. Tests pin
+    /// [`TemporalGraph::elem_column`] to this after every mutation path.
+    pub fn elem_column_recount(&self) -> Vec<ElemWord> {
+        let mut class = vec![None; self.entries.len()];
+        for (c, extent) in self.extents.iter().enumerate() {
+            for u in extent {
+                class[u.0 as usize] = Some(ClassId(c as u32));
+            }
+        }
+        self.entries
+            .iter()
+            .zip(class)
+            .map(|(e, c)| e.elem_word(c.expect("every uid sits in its class extent")))
+            .collect()
+    }
+
     /// Brute-force recount: rebuild the entire [`MemoryReport`] by walking
     /// every entry, version, and adjacency list, ignoring the incremental
     /// accounting. The churn proptest pins `memory_report` to this walk.
@@ -1553,8 +1652,8 @@ impl TemporalGraph {
         let n = self.schema.num_classes();
         let mut per = vec![ClassAccounting::default(); n];
         let mut alive = vec![0u64; n];
-        for e in &self.entries {
-            let c = e.class().0 as usize;
+        for (e, elem) in self.entries.iter().zip(&self.elems) {
+            let c = elem.class().0 as usize;
             let vs = e.versions();
             per[c].entities += 1;
             per[c].versions += vs.len() as u64;
@@ -1761,7 +1860,7 @@ mod tests {
         assert_eq!(runs, vec![(hosted, vec![e0, e2]), (linked, vec![e1, e3])]);
         // The flat view covers the same entries, grouped.
         assert_eq!(list.entries().len(), 4);
-        assert!(list.entries().iter().all(|a| a.out && a.class == g.edge(a.edge).unwrap().class));
+        assert!(list.entries().iter().all(|a| a.out && Some(a.class) == g.class_of(a.edge)));
         // In-adjacency carries direction = false and the same denormalized class.
         let in0 = g.in_adj(hosts[0]);
         assert_eq!(in0.len(), 1);
@@ -1783,7 +1882,15 @@ mod tests {
         assert_eq!(vs.len(), 1); // [20, ∞)
     }
 
+    /// The live element column equals the one rebuilt from extents,
+    /// entries and chain heads.
+    fn assert_column_matches_recount(g: &TemporalGraph) {
+        assert_eq!(g.elem_column().len(), g.num_entities());
+        assert_eq!(g.elem_column(), g.elem_column_recount(), "element column drifted from the chains");
+    }
+
     fn assert_report_matches_recount(g: &TemporalGraph) {
+        assert_column_matches_recount(g);
         let report = g.memory_report();
         let recount = g.memory_recount();
         assert_eq!(report.entity_bytes, recount.entity_bytes, "entity bytes drifted from recount");
@@ -1833,17 +1940,24 @@ mod tests {
         // Re-keys, at a fresh instant and then in place: the closed
         // version keeps vm_id 1, so the former-holder map gains it.
         g.update(v, &[(0, Value::Int(3))], 30).unwrap();
+        assert_column_matches_recount(&g);
         g.update(v, &[(0, Value::Int(4))], 30).unwrap();
         assert_report_matches_recount(&g);
+        assert!(g.elem(v).is_some_and(|w| w.is_open() && w.is_node()));
 
         // Deletes close version chains (cascade closes the edge too).
         g.delete(h, 50).unwrap();
         assert!(g.current_version(e).is_none());
+        assert_eq!(g.elem(e).map(|w| (w.class(), w.is_node(), w.is_open())), Some((ec, false, false)));
+        assert_eq!(g.elem(h).map(|w| (w.class(), w.is_open())), Some((hc, false)));
         assert_report_matches_recount(&g);
 
         // Same-instant insert+delete pops the version entirely.
         let v2 = vm(&mut g, 2, 100);
+        assert!(g.elem(v2).is_some_and(ElemWord::is_open));
         g.delete(v2, 100).unwrap();
+        assert!(g.versions(v2).is_empty());
+        assert!(g.elem(v2).is_some_and(|w| !w.is_open() && w.is_node()));
         assert_report_matches_recount(&g);
 
         // Per-class split: VM vs Host vs HostedOn all present.
@@ -1854,6 +1968,29 @@ mod tests {
         assert_eq!(vm_row.kind, ClassKind::Node);
         assert_eq!(vm_row.entities, 2);
         assert_eq!(vm_row.alive, 1);
+    }
+
+    #[test]
+    fn entry_slots_hold_no_class() {
+        // The class lives in the 4-byte element column only; an edge
+        // entry is its uid, two endpoints and the chain.
+        assert_eq!(std::mem::size_of::<Entry>(), 48);
+        assert_eq!(std::mem::size_of::<ElemWord>(), 4);
+        assert_eq!(ENTRY_OVERHEAD_BYTES, 48 + 4 + 4 + 8);
+    }
+
+    #[test]
+    fn same_instant_pop_back_to_an_older_head_keeps_the_column() {
+        // Insert, update, then delete at the update's instant: the popped
+        // head leaves a closed version, so the entity is dead.
+        let s = schema();
+        let mut g = TemporalGraph::new(s);
+        let u = vm(&mut g, 1, 10);
+        g.update(u, &[(1, Value::Str("Red".into()))], 20).unwrap();
+        g.delete(u, 20).unwrap();
+        assert_eq!(g.versions(u).len(), 1);
+        assert!(!g.elem(u).unwrap().is_open());
+        assert_column_matches_recount(&g);
     }
 
     #[test]

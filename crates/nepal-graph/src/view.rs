@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use nepal_schema::{ClassId, Ts, Value};
 
 use crate::interval::{Interval, IntervalSet};
-use crate::store::{materialize_version, AdjEntry, HeatTally, TemporalGraph, Uid, Version};
+use crate::store::{materialize_version, AdjEntry, ElemWord, HeatTally, TemporalGraph, Uid, Version};
 
 /// The temporal scope a query (or one range variable) executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,16 +205,27 @@ impl<'g> GraphView<'g> {
 
     /// When `uid` is asserted under this view, whatever its field values:
     /// what [`GraphView::matching`] returns for a predicate that is always
-    /// true, answered from the version spans alone. No version is
+    /// true, answered from the element column at `Current` and from the
+    /// version spans otherwise. No version is
     /// materialized (`matching` clones the keyframe and replays deltas
     /// before calling a predicate that ignores them, and under a range
     /// re-materializes the whole chain to extend the runs), so each span
     /// consulted tallies as a replay-free read of zero bytes.
     pub fn asserted(&self, uid: Uid, heat: &mut HeatTally<'g>) -> Option<MatchTime> {
-        let class = self.graph.class_of(uid)?;
+        self.asserted_elem(uid, self.graph.elem(uid)?, heat)
+    }
+
+    /// [`GraphView::asserted`] for a caller that has already read `uid`'s
+    /// element-column word. `Current` is answered from the word alone;
+    /// `AsOf` and `Range` ask about closed versions, which only the chain
+    /// records.
+    pub fn asserted_elem(&self, uid: Uid, elem: ElemWord, heat: &mut HeatTally<'g>) -> Option<MatchTime> {
+        let class = elem.class();
         match self.filter {
             TimeFilter::Current => {
-                self.graph.current_version(uid)?;
+                if !elem.is_open() {
+                    return None;
+                }
                 heat.version_read(class, false, 0);
                 Some(MatchTime::Point)
             }
@@ -264,7 +275,7 @@ impl<'g> GraphView<'g> {
     /// predicates?
     pub fn alive(&self, uid: Uid) -> bool {
         match self.filter {
-            TimeFilter::Current => self.graph.current_version(uid).is_some(),
+            TimeFilter::Current => self.graph.elem(uid).is_some_and(ElemWord::is_open),
             TimeFilter::AsOf(t) => self.graph.version_at(uid, t).is_some(),
             TimeFilter::Range(a, b) => {
                 !self.graph.versions_overlapping(uid, &Interval::new(a, b.saturating_add(1))).is_empty()

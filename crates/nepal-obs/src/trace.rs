@@ -326,12 +326,10 @@ impl SpanHandle {
         self.0.as_ref().map(|s| s.buf.id)
     }
 
-    /// Start a child span on the same track.
-    pub fn child(&self, name: &str) -> SpanHandle {
-        self.child_on(name, None)
-    }
-
-    fn child_on(&self, name: &str, track: Option<&'static str>) -> SpanHandle {
+    /// Start a child span on the same track. The name is only formatted
+    /// when this span is active, so a `format_args!` name costs nothing
+    /// with tracing off.
+    pub fn child(&self, name: impl std::fmt::Display) -> SpanHandle {
         match &self.0 {
             None => SpanHandle(None),
             Some(s) => {
@@ -342,7 +340,7 @@ impl SpanHandle {
                     id,
                     parent: s.id,
                     name: name.to_string(),
-                    track: track.unwrap_or(s.track),
+                    track: s.track,
                     start_ns,
                     root: false,
                     state: Mutex::new(SpanState::default()),
@@ -371,8 +369,9 @@ impl SpanHandle {
     ///
     /// Used for operators whose work is interleaved across a loop (e.g. the
     /// accumulated forward-extend time of an anchored evaluation): the
-    /// duration is exact, the placement approximate.
-    pub fn span_dur(&self, name: &str, dur_ns: u64, attrs: &[(&str, String)]) {
+    /// duration is exact, the placement approximate. Attribute values are
+    /// only formatted when the span is active.
+    pub fn span_dur(&self, name: &str, dur_ns: u64, attrs: &[(&str, &dyn std::fmt::Display)]) {
         if let Some(s) = &self.0 {
             let end_ns = s.buf.tracer.epoch.elapsed().as_nanos() as u64;
             let id = s.buf.tracer.next_id.fetch_add(1, Ordering::Relaxed);
@@ -383,7 +382,7 @@ impl SpanHandle {
                 track: s.track,
                 start_ns: end_ns.saturating_sub(dur_ns),
                 dur_ns,
-                attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.clone())).collect(),
+                attrs: attrs.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
                 events: Vec::new(),
             });
         }
@@ -631,7 +630,7 @@ mod tests {
         let t = enabled_tracer();
         let root = t.start_trace("round-trip");
         root.remote_span("evaluate", 10, 500, TRACK_SERVER, vec![("requestId".into(), "req-1".into())]);
-        root.span_dur("Extend(fwd)", 250, &[("rows", "7".to_string())]);
+        root.span_dur("Extend(fwd)", 250, &[("rows", &7)]);
         drop(root);
         let tr = t.get(t.latest_id().unwrap()).unwrap();
         assert_eq!(tr.spans.len(), 3);

@@ -186,8 +186,8 @@ struct ElemMatcher<'a> {
     /// than a lookup: any label in range mode (interval sets are built from
     /// the version chain) and atoms with field predicates (the predicate
     /// runs over a possibly delta-encoded version). A predicate-less label
-    /// in point mode is two array reads and an aliveness check, cheaper
-    /// than hashing its key, and is never cached.
+    /// in point mode is an element-column read plus (under `AsOf`) a span
+    /// search, cheaper than hashing its key, and is never cached.
     memo: FxHashMap<(Uid, Label), Option<Times>>,
     /// Version reads made by this seat, flushed to the store's per-class
     /// heatmap once per stage ([`run_stage`]) rather than per element.
@@ -266,14 +266,16 @@ impl<'a> ElemMatcher<'a> {
     /// `None` → element does not satisfy the label; `Some(times)` → it
     /// does, with assertion times in range mode.
     fn matches(&mut self, uid: Uid, is_node: bool, label: Label) -> Option<Times> {
-        // Kind and class mismatches are decided from two array reads,
-        // without touching versions or the memo. This is what makes
-        // class-partitioned storage pay off (§6: "the automatic elimination
-        // of many useless edges from the navigation joins").
+        // Kind and class mismatches are decided from the element column's
+        // 4-byte word, without touching versions or the memo. This is what
+        // makes class-partitioned storage pay off (§6: "the automatic
+        // elimination of many useless edges from the navigation joins").
+        // At `Current` the same word also answers a predicate-less label.
+        let elem = self.view.graph.elem(uid)?;
         let atom = match label {
             Label::Atom(a) => {
                 let atom = &self.atoms[a as usize];
-                if atom.is_node != is_node || !self.schema.is_subclass(self.view.graph.class_of(uid)?, atom.class) {
+                if atom.is_node != is_node || !self.schema.is_subclass(elem.class(), atom.class) {
                     return None;
                 }
                 Some(atom)
@@ -286,7 +288,7 @@ impl<'a> ElemMatcher<'a> {
             }
         };
         if !self.range_mode && atom.is_none_or(|a| a.preds.is_empty()) {
-            return self.view.asserted(uid, &mut self.heat).map(|_| None);
+            return self.view.asserted_elem(uid, elem, &mut self.heat).map(|_| None);
         }
         if let Some(hit) = self.memo.get(&(uid, label)) {
             return hit.clone();
@@ -845,12 +847,7 @@ fn run_stage<'a, T: Send>(
             env.span.span_dur(
                 "worker",
                 r.busy_ns,
-                &[
-                    ("stage", stage.to_string()),
-                    ("worker", i.to_string()),
-                    ("jobs", r.jobs.to_string()),
-                    ("steals", r.steals.to_string()),
-                ],
+                &[("stage", &stage), ("worker", &i), ("jobs", &r.jobs), ("steals", &r.steals)],
             );
         }
         if let Some(reg) = env.metrics {
@@ -878,7 +875,14 @@ fn op_row(ctx: &mut ExecCtx, op: &str, detail: &str, depth: u8, rows: (u64, u64)
 /// Report a finished `Extend` / `Union`: its trace row, and — because its
 /// work is interleaved across candidates and seats — the accumulated
 /// duration as a completed span.
-fn op_done(ctx: &mut ExecCtx, op: &str, detail: &str, rows: (u64, u64), elapsed_ns: u64, attrs: &[(&str, String)]) {
+fn op_done(
+    ctx: &mut ExecCtx,
+    op: &str,
+    detail: &str,
+    rows: (u64, u64),
+    elapsed_ns: u64,
+    attrs: &[(&str, &dyn std::fmt::Display)],
+) {
     op_row(ctx, op, detail, 1, rows, elapsed_ns);
     if let Some(span) = ctx.span {
         span.span_dur(op, elapsed_ns, attrs);
@@ -1023,19 +1027,24 @@ fn run_passes(
                             if let Some(t) = complete_times(plan, &seed, false) {
                                 units[bu].halves.push(&[], t);
                             }
-                            for adj in view.graph.in_adj(*elem) {
-                                if adj.edge == *elem || adj.other == *elem {
+                            for (class, entries) in view.graph.in_adj_list(*elem).buckets() {
+                                if !class_viable(plan, m.atoms, m.schema, &seed, class, false) {
                                     continue;
                                 }
-                                step(plan, &mut m, &seed, adj.edge, false, false, &mut s1);
-                                if s1.is_empty() {
-                                    continue;
+                                for adj in entries {
+                                    if adj.edge == *elem || adj.other == *elem {
+                                        continue;
+                                    }
+                                    step(plan, &mut m, &seed, adj.edge, false, false, &mut s1);
+                                    if s1.is_empty() {
+                                        continue;
+                                    }
+                                    step(plan, &mut m, &s1, adj.other, true, false, &mut s2);
+                                    if s2.is_empty() {
+                                        continue;
+                                    }
+                                    roots.push(bu, &[adj.edge, adj.other], &mut s2);
                                 }
-                                step(plan, &mut m, &s1, adj.other, true, false, &mut s2);
-                                if s2.is_empty() {
-                                    continue;
-                                }
-                                roots.push(bu, &[adj.edge, adj.other], &mut s2);
                             }
                             bu
                         };
@@ -1167,14 +1176,14 @@ fn run_passes(
                 }
                 merge_sorted(&mut results);
 
-                let n_cand = candidates.len() as u64;
-                let atom_attr = ("atom", atom.display.clone());
-                let halves_attr = |n: u64| [atom_attr.clone(), ("halves", n.to_string())];
-                op_done(ctx, "Extend(fwd)", &atom.display, (n_cand, fwd_halves), fwd_ns, &halves_attr(fwd_halves));
-                op_done(ctx, "Extend(bwd)", &atom.display, (n_cand, bwd_halves), bwd_ns, &halves_attr(bwd_halves));
-                let union_out = results.len() as u64 - union_before;
-                let pairs_attr = [atom_attr.clone(), ("pairs_in", union_in.to_string())];
-                op_done(ctx, "Union", &atom.display, (union_in, union_out), union_ns, &pairs_attr);
+                let (n_cand, union_out) = (candidates.len() as u64, results.len() as u64 - union_before);
+                for (op, rows, ns, key, n) in [
+                    ("Extend(fwd)", (n_cand, fwd_halves), fwd_ns, "halves", fwd_halves),
+                    ("Extend(bwd)", (n_cand, bwd_halves), bwd_ns, "halves", bwd_halves),
+                    ("Union", (union_in, union_out), union_ns, "pairs_in", union_in),
+                ] {
+                    op_done(ctx, op, &atom.display, rows, ns, &[("atom", &atom.display), (key, &n)]);
+                }
             }
         }
         Seeds::Sources(nodes) | Seeds::Targets(nodes) => {
@@ -1233,8 +1242,8 @@ fn run_passes(
                 ("Extend(bwd)", "imported target seeds", "from imported targets")
             };
             op_row(ctx, "Select", select, 0, (nodes.len() as u64, seeded), 0);
-            let attrs = [("seeds", format!("{seeded}/{}", nodes.len())), ("halves", halves.to_string())];
-            op_done(ctx, op, extend, (seeded, halves), ns_since(t0), &attrs);
+            let seeds = format_args!("{seeded}/{}", nodes.len());
+            op_done(ctx, op, extend, (seeded, halves), ns_since(t0), &[("seeds", &seeds), ("halves", &halves)]);
         }
     }
 

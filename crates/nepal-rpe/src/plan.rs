@@ -83,7 +83,7 @@ pub fn plan_rpe_with(schema: &Schema, rpe: &Rpe, est: &dyn CardinalityEstimator,
     let anchor_span = span.child("anchor-select");
     let (anchor, candidates) = select_anchor(&bound.norm, &bound.atoms, schema, est)?;
     anchor_span.attr("candidates", candidates.len());
-    anchor_span.attr("cost", format!("{:.1}", anchor.cost));
+    anchor_span.attr("cost", format_args!("{:.1}", anchor.cost));
     drop(anchor_span);
     let max_elements = nfa.max_elements();
     let source_class = lca_of_labels(schema, &bound.atoms, &nfa.first_labels());

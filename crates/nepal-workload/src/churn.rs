@@ -82,8 +82,8 @@ pub fn apply_churn(
         for k in 0..n_rewires {
             let idx = rng.gen_range(0..alive_edges.len());
             let e = alive_edges[idx];
-            let Ok(entry) = g.edge(e) else { continue };
-            let (class, src, dst) = (entry.class, entry.src, entry.dst);
+            let (Ok(entry), Some(class)) = (g.edge(e), g.class_of(e)) else { continue };
+            let (src, dst) = (entry.src, entry.dst);
             let fields = match g.current_version(e) {
                 Some(v) => v.fields().to_vec(),
                 None => continue,

@@ -2,14 +2,16 @@
 //! arbitrary interleavings of inserts, updates, deletes (including
 //! same-instant rewrites and cascades), the incrementally maintained
 //! [`memory_report`] must agree with the brute-force [`memory_recount`]
-//! walk within 1% — in practice, exactly.
+//! walk within 1% — in practice, exactly — and the element column (class,
+//! kind and open-head bit per uid) must equal the one rebuilt from the
+//! extents, entries and chain heads.
 //!
 //! [`memory_report`]: nepal::graph::TemporalGraph::memory_report
 //! [`memory_recount`]: nepal::graph::TemporalGraph::memory_recount
 
 use std::sync::Arc;
 
-use nepal::graph::{MemoryReport, TemporalGraph, Uid};
+use nepal::graph::{GraphView, MemoryReport, TemporalGraph, TimeFilter, Uid};
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::{Schema, Value};
 use nepal::workload::{alive_edges, apply_churn, generate_virtualized, updatable_entities, ChurnParams, VirtParams};
@@ -86,6 +88,21 @@ enum Op {
         target: usize,
         status: String,
     },
+    /// Update, then delete at that instant: the delete pops the new head.
+    SameInstantDelete {
+        target: usize,
+    },
+}
+
+/// The live element column equals its definition, and a `Current` view
+/// (which reads the column) agrees with the chain heads on every uid.
+fn assert_column_matches_chains(g: &TemporalGraph) {
+    assert_eq!(g.elem_column(), g.elem_column_recount(), "element column drifted from the chains");
+    let now = GraphView::new(g, TimeFilter::Current);
+    for raw in 0..g.num_entities() as u64 {
+        let u = Uid(raw);
+        assert_eq!(now.alive(u), g.current_version(u).is_some(), "uid {raw}");
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -96,6 +113,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         ((0usize..32), "[a-z]{0,20}").prop_map(|(target, status)| Op::Update { target, status }),
         (0usize..32).prop_map(|target| Op::Delete { target }),
         ((0usize..32), "[a-z]{0,8}").prop_map(|(target, status)| Op::SameInstantUpdate { target, status }),
+        (0usize..32).prop_map(|target| Op::SameInstantDelete { target }),
     ]
 }
 
@@ -152,7 +170,15 @@ proptest! {
                     let _ = g.update(u, &[(1, Value::Str(status.clone()))], ts);
                     let _ = g.update(u, &[(1, Value::Str(format!("{status}!")))], ts);
                 }
+                Op::SameInstantDelete { target } => {
+                    if vms.is_empty() { continue; }
+                    let u = vms[target % vms.len()];
+                    if g.update(u, &[(1, Value::Str("popped".into()))], ts).is_ok() {
+                        g.delete(u, ts).unwrap();
+                    }
+                }
             }
+            assert_column_matches_chains(&g);
         }
         let report = g.memory_report();
         let recount = g.memory_recount();
@@ -180,6 +206,7 @@ fn report_matches_recount_after_workload_churn() {
 
     let churned = topo.graph.memory_report();
     assert_within_one_percent(&churned, &topo.graph.memory_recount());
+    assert_column_matches_chains(&topo.graph);
     assert!(churned.total_bytes > baseline.total_bytes, "churn must grow the footprint");
     assert!(churned.journal_bytes > baseline.journal_bytes);
 }
