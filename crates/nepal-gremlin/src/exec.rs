@@ -381,6 +381,11 @@ fn extend_block_shape(plan: &RpePlan) -> Option<ExtendBlock> {
 /// Evaluate a planned RPE against a Gremlin server. Under a live `span`
 /// every protocol round trip becomes a child span, with server-reported
 /// phases grafted in; an inactive span adds no work.
+///
+/// Every route below starts with a round trip (the anchor `Select` or the
+/// imported-seed fetch), and [`GremlinEval::submit`] polls the cancel token
+/// before each one, so a token tripped on entry fails here before any work
+/// — without spending a second poll of a poll-budget token.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_gremlin<T: Transport>(
     client: &mut GremlinClient<T>,

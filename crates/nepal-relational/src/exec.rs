@@ -577,6 +577,12 @@ pub fn evaluate_relational(
     opts: &EvalOptions,
     span: &SpanHandle,
 ) -> Result<RelResult> {
+    // Fast-fail, as the native evaluator does: a token already tripped on
+    // entry seeds no work. The scan and join checkpoints poll only every
+    // 1024 rows and may never fire on a small pass.
+    if let Some(cause) = opts.cancel.as_ref().and_then(CancelToken::poll) {
+        return Err(cause.into());
+    }
     let mut ev = Evaluator {
         db,
         schema,

@@ -148,8 +148,13 @@ fn times_union(a: Times, b: &Times) -> Times {
     }
 }
 
-/// One entry in an on-the-fly subset construction: an NFA state plus the
-/// times during which this state is reachable for the current partial path.
+/// The automaton states a partial path is in, each with the times during
+/// which it is. An element can satisfy several labels out of one state, so
+/// a path can be in several states at once. The automaton is deterministic
+/// per label, so the runs over the same elements that share a label
+/// sequence end in one state, and they carry the same times: merging at a
+/// state (union) before the next step (intersection) gives the times that
+/// tracking every run apart would.
 type StateSet = Vec<(u32, Times)>;
 
 fn push_state(set: &mut StateSet, s: u32, t: Times) {
@@ -933,7 +938,6 @@ fn run_passes(
         Seeds::Anchor => {
             // Seeding buffers, reused across candidates and atoms.
             let mut fwd_units: Vec<(u32, Option<usize>)> = Vec::new();
-            let mut seen_pairs: Vec<(u32, u32)> = Vec::new();
             let (mut seed, mut s1, mut s2) = (StateSet::new(), StateSet::new(), StateSet::new());
             for &occ in &plan.anchor.atoms {
                 let atom = &plan.atoms[occ as usize];
@@ -967,19 +971,13 @@ fn run_passes(
                             Err(_) => continue,
                         }
                     };
-                    // ε-elimination can leave the anchor occurrence on
-                    // several transitions; the forward half depends only on
-                    // the target state, so there is one forward unit per
-                    // distinct state (`None` marks a state the edge seed
-                    // cannot even step into) and duplicate (from, to) pairs
-                    // are skipped outright.
+                    // The anchor occurrence can sit on several transitions
+                    // (one per repetition depth), each from its own state;
+                    // the forward half depends only on the target state, so
+                    // there is one forward unit per distinct state (`None`
+                    // marks a state the edge seed cannot even step into).
                     fwd_units.clear();
-                    seen_pairs.clear();
                     for tr in &seed_trans {
-                        if seen_pairs.contains(&(tr.from, tr.to)) {
-                            continue;
-                        }
-                        seen_pairs.push((tr.from, tr.to));
                         let fu = match fwd_units.iter().find(|(s, _)| *s == tr.to) {
                             Some(&(_, u)) => u,
                             None => {
@@ -1054,12 +1052,14 @@ fn run_passes(
 
                 // Carve: with few candidates (unique anchors — the common
                 // Table-1 shape) there are too few roots to keep several
-                // seats busy; carve deeper frontiers out of each unit's
-                // tree. One seat has nobody to share with and searches the
-                // roots as they are.
-                let target = threads * 3;
-                if threads > 1 && roots.len() < target && !units.is_empty() {
-                    let want = (target.div_ceil(units.len())).max(2);
+                // seats busy; carve deeper frontiers out of each rooted
+                // unit's tree, aiming at one subtree per seat (units whose
+                // search ended while seeding hold no roots and get none).
+                // One seat has nobody to share with and searches the roots
+                // as they are.
+                if threads > 1 && roots.len() < threads * 3 && !roots.meta.is_empty() {
+                    let rooted = 1 + roots.meta.windows(2).filter(|w| w[0].0 != w[1].0).count();
+                    let want = threads.div_ceil(rooted).max(2);
                     let mut carved = Roots::default();
                     let mut i = 0;
                     while i < roots.len() {

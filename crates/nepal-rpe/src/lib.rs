@@ -7,8 +7,9 @@
 //! - [`mod@bind`] — binding against a [`nepal_schema::Schema`] (strongly-typed
 //!   atoms) and normalization (repetition expansion preserving the 4-way
 //!   concatenation semantics).
-//! - [`nfa`] — compilation to an ε-free NFA over pathway elements; RPEs are
-//!   length-limited by construction, so the NFA is a DAG.
+//! - [`nfa`] — compilation to a trimmed, kind-typed subset automaton over
+//!   pathway elements (one transition per state and label); RPEs are
+//!   length-limited by construction, so the automaton is a DAG.
 //! - [`anchor`] — anchor enumeration and cost-based selection, including
 //!   the alternation cross-product rule.
 //! - [`plan`] — the complete plan: the paper's `Select`/`Extend`/`Union`

@@ -1,4 +1,4 @@
-//! RPE query plans: bound atoms + compiled NFA + selected anchor.
+//! RPE query plans: bound atoms + compiled automaton + selected anchor.
 //!
 //! A plan corresponds to the paper's DAG of `Select` / `Extend` / `Union`
 //! operators (§5.1): the anchor scan is the `Select`, each NFA transition
@@ -36,23 +36,14 @@ pub struct RpePlan {
 }
 
 fn lca_of_labels(schema: &Schema, atoms: &[BoundAtom], labels: &[Label]) -> ClassId {
-    // Wrapper AnyNode transitions exist unconditionally but can only fire
-    // when the expression actually begins/ends with an edge atom (otherwise
-    // the next consumed element would have the wrong kind). So: node atoms
-    // contribute their class; edge atoms contribute NODE (the implicit
-    // endpoint is unconstrained); AnyNode/AnyEdge labels are ignored.
+    // The automaton is kind-typed, so the labels that begin or end a match
+    // all consume nodes: a node atom contributes its class, `AnyNode` (the
+    // implicit endpoint of an edge-initial / edge-final RPE) the root NODE.
     let mut acc: Option<ClassId> = None;
     for l in labels {
         let c = match l {
-            Label::AnyNode | Label::AnyEdge => continue,
-            Label::Atom(a) => {
-                let at = &atoms[*a as usize];
-                if at.is_node {
-                    at.class
-                } else {
-                    NODE
-                }
-            }
+            Label::Atom(a) if atoms[*a as usize].is_node => atoms[*a as usize].class,
+            _ => NODE,
         };
         acc = Some(match acc {
             None => c,
