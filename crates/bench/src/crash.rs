@@ -73,14 +73,14 @@ pub fn run_crash_forensics(dir: &Path, seed: u64) -> Result<CrashReport, String>
     let rec = nepal_obs::flight::recorder();
     rec.set_enabled(true);
 
-    // Engine + telemetry: the bundle composes metrics/alerts/slow/traces
+    // Engine + telemetry: the bundle composes metrics/alerts/traces/stmt
     // from a real engine, so run the load through one worth snapshotting.
     let (snap, _) = build_virtualized(seed);
     let graph = Arc::new(snap.graph);
     let registry = BackendRegistry::new("native", Box::new(NativeBackend::new(graph.clone())));
     let mut engine = Engine::new(registry);
     let slo = engine.install_standard_slos(&StandardSlos::default());
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     telemetry.set_slo(slo);
     telemetry.set_flight(rec.clone());
     telemetry.set_snapshots(SnapshotConfig { dir: dir.to_path_buf(), keep: 4, window: Duration::from_secs(60) });

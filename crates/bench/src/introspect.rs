@@ -89,7 +89,7 @@ pub fn run_introspect(tier: SizeTier, seed: u64) -> IntrospectReport {
     let gauges = Arc::new(StoreGauges::register(&engine.metrics));
     let stmt = engine.enable_stmt(512);
 
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     telemetry.set_stmt(stmt.clone());
     // Minimum (1ms) resolution, so the drill controls snapshot count
     // deterministically instead of sleeping through wall time.

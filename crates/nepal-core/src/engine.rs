@@ -27,8 +27,7 @@ use nepal_graph::{FxHashMap, Interval, IntervalSet, TimeFilter, Uid};
 use nepal_obs::qlog::Fnv64;
 use nepal_obs::{
     fingerprint, AnchorCandidate, EstimateFeedback, JoinStep, MetricsRegistry, PlanFeedback, QlogRecord, QueryLog,
-    QueryProfile, ResourceMeter, SloEngine, SloRule, SlowQueryLog, SpanHandle, StmtOutcome, StmtStats, Tracer,
-    VarProfile,
+    QueryProfile, ResourceMeter, SloEngine, SloRule, SpanHandle, StmtOutcome, StmtStats, Tracer, VarProfile,
 };
 use nepal_rpe::{
     plan_rpe_with, resolved_threads, BoundAtom, CancelCause, CancelToken, CardinalityEstimator, EvalOptions, ExecCtx,
@@ -120,12 +119,10 @@ pub struct Engine {
     /// deadline bounds the whole query. A tripped deadline surfaces as
     /// [`NepalError::DeadlineExceeded`].
     pub default_deadline: Option<std::time::Duration>,
-    /// Engine-level metrics: query counts, latency histograms, slow-log
-    /// depth. Render with [`MetricsRegistry::render_prometheus`]. Shared
-    /// (`Arc`) so a telemetry endpoint can serve it concurrently.
+    /// Engine-level metrics: query counts and latency histograms. Render
+    /// with [`MetricsRegistry::render_prometheus`]. Shared (`Arc`) so a
+    /// telemetry endpoint can serve it concurrently.
     pub metrics: Arc<MetricsRegistry>,
-    /// Ring buffer of recent queries slower than its threshold.
-    pub slow_log: Arc<SlowQueryLog>,
     /// Span tracer: every `query` call becomes a hierarchical trace when
     /// enabled; when disabled the whole span machinery is a no-op.
     pub tracer: Tracer,
@@ -225,7 +222,6 @@ impl Engine {
             eval_options: EvalOptions::default(),
             default_deadline: None,
             metrics,
-            slow_log: Arc::new(SlowQueryLog::default()),
             tracer: Tracer::new(),
             qlog: None,
             feedback,
@@ -255,7 +251,7 @@ impl Engine {
 
     /// Enable per-fingerprint statement statistics, bounded at `capacity`
     /// tracked fingerprints (LRU eviction beyond that). Returns the shared
-    /// table so a telemetry endpoint can serve `/top` from it.
+    /// table so a telemetry endpoint can serve `/top.json` from it.
     pub fn enable_stmt(&mut self, capacity: usize) -> Arc<StmtStats> {
         let stats = Arc::new(StmtStats::new(capacity));
         self.stmt = Some(stats.clone());
@@ -374,7 +370,7 @@ impl Engine {
             root.attr("rows", r.rows.len());
         }
         let rows = result.as_ref().ok().map(|r| r.rows.len() as u64);
-        self.record_query_metrics(text, total_ns, rows, root.trace_id(), &run.anchor);
+        self.record_query_metrics(text, total_ns, rows, &run.anchor);
         if let Err(e) = &result {
             self.note_cancellation_metrics(e);
         }
@@ -466,7 +462,7 @@ impl Engine {
         }
     }
 
-    fn record_query_metrics(&self, text: &str, total_ns: u64, rows: Option<u64>, trace_id: Option<u64>, anchor: &str) {
+    fn record_query_metrics(&self, text: &str, total_ns: u64, rows: Option<u64>, anchor: &str) {
         self.metrics.counter("nepal_queries_total", "Queries executed").inc();
         if nepal_obs::flight::recorder().is_enabled() {
             let fp = fingerprint(text);
@@ -479,9 +475,6 @@ impl Engine {
             Some(n) => {
                 self.metrics.histogram("nepal_query_duration_ns", "Query latency in nanoseconds").observe(total_ns);
                 self.metrics.histogram("nepal_query_result_rows", "Result rows per query").observe(n);
-                self.slow_log.record_traced(text, total_ns, n, trace_id);
-                let len = self.slow_log.len() as i64;
-                self.metrics.gauge("nepal_slow_log_len", "Entries in the slow-query log").set(len);
             }
             None => {
                 self.metrics.counter("nepal_query_errors_total", "Queries that returned an error").inc();
@@ -493,18 +486,6 @@ impl Engine {
     pub fn execute(&mut self, q: &Query) -> Result<QueryResult> {
         let mut run = self.begin_query(false);
         self.execute_inner(q, None, &SpanHandle::none(), &mut run)
-    }
-
-    /// Execute a parsed query, collecting a [`QueryProfile`].
-    pub fn execute_profiled(&mut self, q: &Query) -> Result<(QueryResult, QueryProfile)> {
-        let mut profile = QueryProfile::default();
-        let t0 = Instant::now();
-        let mut run = self.begin_query(true);
-        let result = self.execute_inner(q, Some(&mut profile), &SpanHandle::none(), &mut run)?;
-        profile.total_ns = t0.elapsed().as_nanos() as u64;
-        profile.result_rows = result.rows.len() as u64;
-        profile.meter = run.opts.meter.map(|m| m.snapshot());
-        Ok((result, profile))
     }
 
     fn execute_inner(

@@ -1,5 +1,5 @@
 //! The observability layer: EXPLAIN ANALYZE parsing, query profiles,
-//! engine metrics, and the slow-query log.
+//! engine metrics, and the trace ring's keep-slow.
 
 use std::sync::Arc;
 
@@ -147,15 +147,22 @@ fn join_steps_and_imported_seeds_are_recorded() {
 }
 
 #[test]
-fn metrics_and_slow_log_record_queries() {
+fn metrics_and_keep_slow_traces_record_queries() {
     let (mut eng, _g) = fixture();
-    eng.slow_log.set_threshold_ns(0); // record everything
+    // Head sampling keeps only the first of every million traces; a slow
+    // threshold of 0 makes every query slow, so keep-slow alone stores Q.
+    eng.tracer.set_enabled(true);
+    eng.tracer.set_sample_every(1_000_000);
+    eng.tracer.set_slow_threshold_ns(0);
+    drop(eng.tracer.start_trace("head-sampled"));
+    eng.tracer.clear();
     eng.query(Q).unwrap();
     assert!(eng.query("Retrieve P From").is_err());
     let text = eng.metrics.render_prometheus();
     assert!(text.contains("nepal_queries_total 2"), "{text}");
     assert!(text.contains("nepal_query_errors_total 1"), "{text}");
     assert!(text.contains("nepal_query_duration_ns_count 1"), "{text}");
-    assert_eq!(eng.slow_log.len(), 1);
-    assert_eq!(eng.slow_log.entries()[0].query, Q);
+    let kept = eng.tracer.summaries();
+    let q = kept.iter().find(|t| t.name == Q).expect("slow query kept in the trace ring under its text");
+    assert!(!q.sampled, "kept by the slow threshold, not the head sampler");
 }

@@ -9,7 +9,6 @@ use nepal_obs::{Gauge, MetricsRegistry, ResourceClass, ResourceSummary};
 use nepal_schema::ClassId;
 
 use crate::journal::journal_lines;
-use crate::snapshot::SnapshotLoader;
 use nepal_schema::ClassKind;
 
 use crate::store::{MemoryReport, TemporalGraph};
@@ -37,8 +36,6 @@ pub struct StoreGauges {
     adjacency_bytes: Arc<Gauge>,
     unique_index_bytes: Arc<Gauge>,
     journal_bytes: Arc<Gauge>,
-    snapshot_hits: Arc<Gauge>,
-    snapshot_misses: Arc<Gauge>,
     binsnap_full: Arc<Gauge>,
     binsnap_delta: Arc<Gauge>,
     /// Labeled-series handles resolved once per class: registry lookups
@@ -89,8 +86,6 @@ impl StoreGauges {
             adjacency_bytes: metrics.gauge("nepal_store_adjacency_bytes", "Estimated adjacency-structure heap bytes"),
             unique_index_bytes: metrics.gauge("nepal_store_unique_index_bytes", "Estimated unique-index heap bytes"),
             journal_bytes: metrics.gauge("nepal_store_journal_bytes", "Bytes a full journal save would write"),
-            snapshot_hits: metrics.gauge("nepal_snapshot_cache_hits", "Snapshot upserts resolved to live entities"),
-            snapshot_misses: metrics.gauge("nepal_snapshot_cache_misses", "Snapshot upserts that inserted fresh"),
             binsnap_full: metrics
                 .gauge("nepal_binsnap_decoded_full", "Full (keyframe) versions decoded from binary snapshots"),
             binsnap_delta: metrics.gauge("nepal_binsnap_decoded_delta", "Delta versions decoded from binary snapshots"),
@@ -176,12 +171,6 @@ impl StoreGauges {
         }
         report
     }
-
-    /// Update the snapshot-cache gauges from a loader's counters.
-    pub fn observe_snapshot(&self, loader: &SnapshotLoader) {
-        self.snapshot_hits.set(loader.cache_hits() as i64);
-        self.snapshot_misses.set(loader.cache_misses() as i64);
-    }
 }
 
 /// Convert a store [`MemoryReport`] into the store-agnostic
@@ -253,16 +242,7 @@ mod tests {
         assert!(text.contains("nepal_heat_scan_rows{class=\"VM\"} 2"), "{text}");
         assert!(text.contains("nepal_heat_seeks{class=\"VM\"} 0"), "{text}");
         assert!(text.contains("nepal_binsnap_decoded_full"), "{text}");
-
-        let mut loader = SnapshotLoader::new();
-        let node =
-            crate::snapshot::SnapshotNode { ext_id: "x".into(), class: vm, fields: vec![Value::Str("Green".into())] };
-        loader.apply(&mut g, 400, std::slice::from_ref(&node), &[]).unwrap();
-        loader.apply(&mut g, 500, &[node], &[]).unwrap();
-        gauges.observe_snapshot(&loader);
-        let text = metrics.render_prometheus();
-        assert!(text.contains("nepal_snapshot_cache_hits 1"), "{text}");
-        assert!(text.contains("nepal_snapshot_cache_misses 1"), "{text}");
+        assert!(text.contains("nepal_binsnap_decoded_delta"), "{text}");
     }
 
     #[test]

@@ -1,27 +1,23 @@
 //! Std-only HTTP/1.1 telemetry endpoint.
 //!
 //! [`Telemetry`] bundles the observable state of a running engine — the
-//! [`MetricsRegistry`], the [`SlowQueryLog`] ring, the [`Tracer`] store,
-//! plus pluggable per-backend health checks, the [`SloEngine`] and a
-//! store resource provider — and maps `GET` paths onto it:
+//! [`MetricsRegistry`] and the [`Tracer`] store, plus pluggable
+//! per-backend health checks, the [`SloEngine`] and a store resource
+//! provider — and maps `GET` paths onto it:
 //!
 //! | path             | body                                            |
 //! |------------------|-------------------------------------------------|
 //! | `/metrics`       | Prometheus text exposition format               |
 //! | `/metrics.json`  | the registry as JSON                            |
 //! | `/healthz`       | deep readiness: checks + firing alerts + store  |
-//! | `/alerts`        | SLO rule states, human-readable                 |
-//! | `/alerts.json`   | the same as JSON                                |
+//! | `/alerts.json`   | SLO rule states as JSON                         |
 //! | `/dashboard`     | self-contained HTML overview                    |
-//! | `/slow`          | slow-query ring as JSON                         |
-//! | `/qlog`          | worst-estimated fingerprints, human-readable    |
 //! | `/qlog.json`     | qlog status + per-fingerprint q-error as JSON   |
 //! | `/traces`        | stored trace summaries                          |
 //! | `/traces/latest` | newest trace as Chrome trace-event JSON         |
 //! | `/traces/<id>`   | one trace as Chrome trace-event JSON            |
 //! | `/flight`        | flight-recorder wide events (`?secs=`, `?limit=`) |
-//! | `/top`           | per-fingerprint cost table (`?n=`, `?sort=`)    |
-//! | `/top.json`      | the same as JSON                                |
+//! | `/top.json`      | per-fingerprint cost table (`?n=`, `?sort=`)    |
 //! | `/history.json`  | metrics history ring snapshots (`?tail=`)       |
 //! | `/snapshot`      | GET lists bundles; POST writes one on demand    |
 //! | `/drain`         | the final drain report, once recorded           |
@@ -55,9 +51,9 @@ use crate::flight::{self, FlightKind, FlightRecorder};
 use crate::history::{sparkline, HistoryRing};
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
-use crate::profile::{fmt_ns, SlowQueryLog};
+use crate::profile::fmt_ns;
 use crate::qlog::{EstimateFeedback, QueryLog};
-use crate::slo::{alerts_json, alerts_text, AlertStatus, SloEngine};
+use crate::slo::{alerts_json, AlertStatus, SloEngine};
 use crate::stmt::{StmtSort, StmtStats};
 use crate::trace::{chrome_trace_json, summaries_json, Tracer};
 
@@ -123,7 +119,6 @@ impl Default for SnapshotConfig {
 /// Everything the telemetry endpoint can serve.
 pub struct Telemetry {
     pub metrics: Arc<MetricsRegistry>,
-    pub slow: Arc<SlowQueryLog>,
     pub tracer: Tracer,
     health: Mutex<Vec<(String, HealthCheck)>>,
     refreshers: Mutex<Vec<Refresher>>,
@@ -131,7 +126,7 @@ pub struct Telemetry {
     /// `/metrics?deep=1`, never on a default scrape.
     deep_refreshers: Mutex<Vec<Refresher>>,
     qlog: Mutex<Option<QlogState>>,
-    /// Per-fingerprint statement cost table, served on `/top[.json]`.
+    /// Per-fingerprint statement cost table, served on `/top.json`.
     stmt: Mutex<Option<Arc<StmtStats>>>,
     /// Metrics history ring, served on `/history.json`.
     history: Mutex<Option<Arc<HistoryRing>>>,
@@ -157,10 +152,9 @@ const CT_JSON: &str = "application/json";
 const CT_HTML: &str = "text/html; charset=utf-8";
 
 impl Telemetry {
-    pub fn new(metrics: Arc<MetricsRegistry>, slow: Arc<SlowQueryLog>, tracer: Tracer) -> Telemetry {
+    pub fn new(metrics: Arc<MetricsRegistry>, tracer: Tracer) -> Telemetry {
         let t = Telemetry {
             metrics,
-            slow,
             tracer,
             health: Mutex::new(Vec::new()),
             refreshers: Mutex::new(Vec::new()),
@@ -221,12 +215,12 @@ impl Telemetry {
     }
 
     /// Attach the engine's plan-feedback aggregator (and the durable log
-    /// handle when one is open) so `/qlog` and `/qlog.json` can serve them.
+    /// handle when one is open) so `/qlog.json` can serve them.
     pub fn set_qlog(&self, feedback: Arc<EstimateFeedback>, log: Option<Arc<QueryLog>>) {
         *self.qlog.lock().unwrap_or_else(|e| e.into_inner()) = Some(QlogState { feedback, log });
     }
 
-    /// Attach the SLO engine: `/alerts` serves its rule states and
+    /// Attach the SLO engine: `/alerts.json` serves its rule states and
     /// `/healthz` turns 503 while any rule fires.
     pub fn set_slo(&self, slo: Arc<SloEngine>) {
         *self.slo.lock().unwrap_or_else(|e| e.into_inner()) = Some(slo);
@@ -259,9 +253,8 @@ impl Telemetry {
         self.deep_refreshers.lock().unwrap_or_else(|e| e.into_inner()).push(Box::new(refresh));
     }
 
-    /// Attach the per-fingerprint statement cost table: `/top` and
-    /// `/top.json` serve it and `nepal_stmt_*` gauges export on every
-    /// scrape.
+    /// Attach the per-fingerprint statement cost table: `/top.json`
+    /// serves it and `nepal_stmt_*` gauges export on every scrape.
     pub fn set_stmt(&self, stmt: Arc<StmtStats>) {
         *self.stmt.lock().unwrap_or_else(|e| e.into_inner()) = Some(stmt);
     }
@@ -422,7 +415,6 @@ impl Telemetry {
             ("flight", flight.map(|rec| rec.render_json(cfg.window, 5000)).into()),
             ("metrics", self.metrics.render_json()),
             ("alerts", self.evaluate_slo_raw().map(|st| alerts_json(&st)).into()),
-            ("slow", self.slow.render_json()),
             ("traces", summaries_json(&self.tracer.summaries())),
             ("resources", self.resource_summary().map(|r| resources_json(&r)).into()),
             ("stmt", self.stmt_handle().map(|st| st.render_json(10, StmtSort::default())).into()),
@@ -559,29 +551,6 @@ impl Telemetry {
             )),
             _ => b.push_str("<p>no queries recorded</p>"),
         }
-        // Slow queries with trace links.
-        b.push_str("<h2>top slow queries</h2>");
-        let mut slow = self.slow.entries();
-        if slow.is_empty() {
-            b.push_str("<p>slow-query ring is empty</p>");
-        } else {
-            slow.sort_by_key(|q| std::cmp::Reverse(q.total_ns));
-            b.push_str("<table><tr><th class=l>query</th><th>duration</th><th>rows</th><th class=l>trace</th></tr>");
-            for q in slow.iter().take(10) {
-                let trace = match q.trace_id {
-                    Some(id) => format!("<a href=\"/traces/{id}\">{id}</a>"),
-                    None => "—".to_string(),
-                };
-                b.push_str(&format!(
-                    "<tr><td class=l><code>{}</code></td><td>{}</td><td>{}</td><td class=l>{}</td></tr>",
-                    html_esc(&truncate(&q.query, 100)),
-                    fmt_ns(q.total_ns),
-                    q.result_rows,
-                    trace
-                ));
-            }
-            b.push_str("</table>");
-        }
         // Per-fingerprint cost attribution.
         b.push_str("<h2>top queries by cost</h2>");
         match self.stmt_handle() {
@@ -616,7 +585,7 @@ impl Telemetry {
                     }
                     b.push_str("</table>");
                 }
-                b.push_str("<p><a href=\"/top\">/top</a> · <a href=\"/top.json\">/top.json</a></p>");
+                b.push_str("<p><a href=\"/top.json\">/top.json</a></p>");
             }
             None => b.push_str("<p>statement stats not attached</p>"),
         }
@@ -732,10 +701,10 @@ impl Telemetry {
             b.push_str(&format!("<p><code>{}</code></p>", html_esc(&d.to_string())));
         }
         b.push_str(
-            "<p><a href=\"/metrics\">/metrics</a> · <a href=\"/alerts\">/alerts</a> · \
-             <a href=\"/healthz\">/healthz</a> · <a href=\"/slow\">/slow</a> · \
-             <a href=\"/top\">/top</a> · <a href=\"/history.json\">/history.json</a> · \
-             <a href=\"/qlog\">/qlog</a> · <a href=\"/traces\">/traces</a> · \
+            "<p><a href=\"/metrics\">/metrics</a> · <a href=\"/alerts.json\">/alerts.json</a> · \
+             <a href=\"/healthz\">/healthz</a> · <a href=\"/top.json\">/top.json</a> · \
+             <a href=\"/history.json\">/history.json</a> · <a href=\"/qlog.json\">/qlog.json</a> · \
+             <a href=\"/traces\">/traces</a> · \
              <a href=\"/flight\">/flight</a> · <a href=\"/snapshot\">/snapshot</a></p></body></html>",
         );
         b
@@ -807,14 +776,6 @@ impl Telemetry {
                 }
                 json(200, self.metrics.render_json())
             }
-            "/top" => match self.stmt_handle() {
-                Some(stmt) => {
-                    let n = query_param(query, "n").and_then(|v| v.parse().ok()).unwrap_or(20);
-                    let sort = query_param(query, "sort").and_then(StmtSort::parse).unwrap_or_default();
-                    (200, CT_TEXT, stmt.render_text(n, sort))
-                }
-                None => (404, CT_TEXT, "statement stats not attached\n".to_string()),
-            },
             "/top.json" => match self.stmt_handle() {
                 Some(stmt) => {
                     let n = query_param(query, "n").and_then(|v| v.parse().ok()).unwrap_or(20);
@@ -831,10 +792,6 @@ impl Telemetry {
                 let (status, body) = self.healthz();
                 json(status, body)
             }
-            "/alerts" => match self.evaluate_slo() {
-                Some(statuses) => (200, CT_TEXT, alerts_text(&statuses)),
-                None => (404, CT_TEXT, "no slo engine attached\n".to_string()),
-            },
             "/alerts.json" => match self.evaluate_slo() {
                 Some(statuses) => json(200, alerts_json(&statuses)),
                 None => json_error(404, "no slo engine attached"),
@@ -843,11 +800,6 @@ impl Telemetry {
                 self.refresh();
                 (200, CT_HTML, self.dashboard())
             }
-            "/slow" => json(200, self.slow.render_json()),
-            "/qlog" => match &*self.qlog.lock().unwrap_or_else(|e| e.into_inner()) {
-                Some(q) => (200, CT_TEXT, q.feedback.render_text(20)),
-                None => (404, CT_TEXT, "query log not attached\n".to_string()),
-            },
             "/qlog.json" => match &*self.qlog.lock().unwrap_or_else(|e| e.into_inner()) {
                 Some(q) => {
                     let mut body = BTreeMap::from([
@@ -1127,13 +1079,11 @@ mod tests {
     fn telemetry() -> Arc<Telemetry> {
         let metrics = Arc::new(MetricsRegistry::new());
         metrics.counter("nepal_queries_total", "Total queries").add(5);
-        let slow = Arc::new(SlowQueryLog::new(0, 8));
-        slow.record("Retrieve P …", 1234, 1);
         let tracer = Tracer::new();
         tracer.set_enabled(true);
         tracer.set_slow_threshold_ns(u64::MAX);
         drop(tracer.start_trace("q"));
-        Arc::new(Telemetry::new(metrics, slow, tracer))
+        Arc::new(Telemetry::new(metrics, tracer))
     }
 
     fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
@@ -1161,9 +1111,18 @@ mod tests {
         assert_eq!(code, 200);
         let doc = crate::json::parse_json(&body).unwrap();
         assert_eq!(doc.get("checks").and_then(|c| c.get("native")).and_then(|n| n.get("ok")), Some(&Json::Bool(true)));
-        let (code, _, body) = t.handle("/slow");
-        assert_eq!(code, 200);
-        assert!(body.contains("Retrieve P"));
+        // Each attached table answers on its JSON route only, and
+        // `/slow` is not a route: slow queries live in the trace ring.
+        t.set_stmt(Arc::new(StmtStats::new(4)));
+        t.set_qlog(Arc::new(EstimateFeedback::new()), None);
+        t.set_slo(Arc::new(SloEngine::new(t.metrics.clone())));
+        for route in ["/top", "/qlog", "/alerts"] {
+            assert_eq!(t.handle(route).0, 404, "{route}");
+            let json_route = format!("{route}.json");
+            let (code, ct, _) = t.handle(&json_route);
+            assert_eq!((code, ct), (200, CT_JSON), "{json_route}");
+        }
+        assert_eq!(t.handle("/slow").0, 404);
         let (code, ct, body) = t.handle("/dashboard");
         assert_eq!(code, 200);
         assert!(ct.starts_with("text/html"));
@@ -1184,16 +1143,13 @@ mod tests {
     #[test]
     fn alerts_routes_require_engine_then_serve_states() {
         let t = telemetry();
-        assert_eq!(t.handle("/alerts").0, 404);
         assert_eq!(t.handle("/alerts.json").0, 404);
         let slo = Arc::new(SloEngine::new(t.metrics.clone()));
         slo.add(SloRule::gauge_max("noop", "missing_gauge", 1));
         t.set_slo(slo);
-        let (code, _, body) = t.handle("/alerts");
-        assert_eq!(code, 200);
-        assert!(body.contains("noop"), "{body}");
         let (code, _, body) = t.handle("/alerts.json");
         assert_eq!(code, 200);
+        assert!(body.contains("noop"), "{body}");
         assert!(body.contains("\"firing\":0"), "{body}");
     }
 
@@ -1266,13 +1222,9 @@ mod tests {
     #[test]
     fn qlog_routes_require_attachment_then_serve_feedback() {
         let t = telemetry();
-        assert_eq!(t.handle("/qlog").0, 404);
         assert_eq!(t.handle("/qlog.json").0, 404);
         let feedback = Arc::new(EstimateFeedback::new());
         t.set_qlog(feedback.clone(), None);
-        let (code, _, body) = t.handle("/qlog");
-        assert_eq!(code, 200);
-        assert!(body.contains("no plan feedback"), "{body}");
         let (code, _, body) = t.handle("/qlog.json");
         assert_eq!(code, 200);
         assert!(body.contains("\"enabled\":false"), "{body}");
@@ -1282,7 +1234,6 @@ mod tests {
     #[test]
     fn top_routes_require_attachment_then_serve_stats() {
         let t = telemetry();
-        assert_eq!(t.handle("/top").0, 404);
         assert_eq!(t.handle("/top.json").0, 404);
         let stmt = Arc::new(StmtStats::new(16));
         let meter = crate::meter::ResourceMeter::new();
@@ -1290,11 +1241,10 @@ mod tests {
         meter.add_bytes(640);
         stmt.record(0xabcd, "Retrieve VM", crate::stmt::StmtOutcome::Ok, 1_000, 7, Some(&meter.snapshot()));
         t.set_stmt(stmt);
-        let (code, ct, body) = t.handle("/top?n=5&sort=rows");
-        assert_eq!(code, 200);
-        assert!(ct.starts_with("text/plain"));
+        let (code, ct, body) = t.handle("/top.json?n=5&sort=rows");
+        assert_eq!((code, ct), (200, CT_JSON));
         assert!(body.contains("Retrieve VM"), "{body}");
-        assert!(body.contains("rows"), "{body}");
+        assert!(body.contains("\"sort\":\"rows\""), "{body}");
         let (code, _, body) = t.handle("/top.json");
         assert_eq!(code, 200);
         assert!(body.contains("\"fingerprint\":\"000000000000abcd\""), "{body}");

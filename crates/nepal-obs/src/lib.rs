@@ -17,15 +17,15 @@
 //!   pipeline: parse/plan/execute phase timings, the anchor candidates the
 //!   planner considered with their costs, per-operator
 //!   rows-in/rows-out/duration for every `Select`/`Extend`/`Union`, join
-//!   build/probe sizes, and free-form backend counters. Plus the bounded
-//!   [`SlowQueryLog`] ring buffer.
+//!   build/probe sizes, and free-form backend counters.
 //! - [`trace`] — hierarchical [`SpanHandle`] spans under a [`Tracer`] with
-//!   head-based sampling, a bounded trace ring, and a Chrome trace-event
-//!   JSON exporter (Perfetto / `chrome://tracing`). Disabled tracing takes
-//!   no clock reads on the hot path.
+//!   head-based sampling, a bounded trace ring that always keeps slow
+//!   queries, and a Chrome trace-event JSON exporter (Perfetto /
+//!   `chrome://tracing`). Disabled tracing takes no clock reads on the
+//!   hot path.
 //! - [`http`] — a std-only HTTP listener ([`TelemetryServer`]) serving
-//!   `/metrics`, `/metrics.json`, `/healthz`, `/slow`, `/qlog`, and
-//!   `/traces/<id>`.
+//!   `/metrics`, `/metrics.json`, `/healthz`, `/traces`, `/qlog.json`,
+//!   and `/traces/<id>`.
 //! - [`qlog`] — the durable query log: append-only JSONL records
 //!   ([`QlogRecord`]) with bounded rotation ([`QueryLog`]), normalized
 //!   query [`fingerprint`]s, and the per-fingerprint planner
@@ -38,7 +38,7 @@
 //!   pull-time burn-rate engine ([`SloEngine`]): latency-quantile,
 //!   error-rate, memory-watermark and probe ceilings with
 //!   firing/pending/resolved alert state, exported as
-//!   `nepal_alerts_firing` and served at `/alerts`.
+//!   `nepal_alerts_firing` and served at `/alerts.json`.
 
 pub mod flight;
 pub mod history;
@@ -60,9 +60,7 @@ pub use http::{
 pub use json::{parse_json, Json};
 pub use meter::{thread_cpu_ns, MeterSnapshot, ResourceMeter};
 pub use metrics::{quantile_from_counts, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
-pub use profile::{
-    fmt_ns, AnchorCandidate, ExecTrace, JoinStep, OpStats, QueryProfile, SlowQuery, SlowQueryLog, VarProfile,
-};
+pub use profile::{fmt_ns, AnchorCandidate, ExecTrace, JoinStep, OpStats, QueryProfile, VarProfile};
 pub use qlog::{
     fingerprint, qerror, EstimateFeedback, FingerprintStats, PlanFeedback, QlogRecord, QueryLog, VarFeedback,
 };

@@ -474,7 +474,7 @@ mod tests {
     fn prometheus_rendering_is_valid_exposition_format() {
         let reg = MetricsRegistry::new();
         reg.counter("nepal_queries_total", "Total queries executed").add(7);
-        reg.gauge("nepal_slow_log_len", "Entries in the slow-query log").set(2);
+        reg.gauge("nepal_test_gauge", "An arbitrary gauge").set(2);
         let h = reg.histogram("nepal_query_ns", "Query latency in ns");
         h.observe(100);
         h.observe(5000);
@@ -518,7 +518,7 @@ mod tests {
         assert!(text.contains("nepal_query_ns_count 2"));
         // Specific samples.
         assert!(text.contains("nepal_queries_total 7"));
-        assert!(text.contains("nepal_slow_log_len 2"));
+        assert!(text.contains("nepal_test_gauge 2"));
     }
 
     #[test]

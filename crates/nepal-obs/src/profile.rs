@@ -8,12 +8,6 @@
 //! strictly opt-in: the untraced paths pass `None` and skip every clock
 //! read.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use crate::json::Json;
-
 /// Stats for one operator instance in the §5 operator DAG.
 #[derive(Debug, Clone, Default)]
 pub struct OpStats {
@@ -218,116 +212,6 @@ impl QueryProfile {
     }
 }
 
-/// One slow query captured by the ring buffer.
-#[derive(Debug, Clone)]
-pub struct SlowQuery {
-    pub query: String,
-    pub total_ns: u64,
-    pub result_rows: u64,
-    /// Trace id when the query also produced a trace — the key that keeps
-    /// `/slow` and the trace ring deduplicated (one entry per trace, even
-    /// when a query is both sampled and slow).
-    pub trace_id: Option<u64>,
-}
-
-/// Bounded ring buffer of the most recent queries slower than a threshold.
-///
-/// All methods take `&self`: the threshold is an atomic and the ring sits
-/// behind a mutex, so the log can be shared between the engine and the
-/// telemetry endpoint without wrapping it in another lock.
-#[derive(Debug)]
-pub struct SlowQueryLog {
-    threshold_ns: AtomicU64,
-    capacity: usize,
-    entries: Mutex<VecDeque<SlowQuery>>,
-}
-
-impl Default for SlowQueryLog {
-    fn default() -> Self {
-        // 10ms threshold, last 32 offenders.
-        SlowQueryLog::new(10_000_000, 32)
-    }
-}
-
-impl SlowQueryLog {
-    pub fn new(threshold_ns: u64, capacity: usize) -> Self {
-        SlowQueryLog {
-            threshold_ns: AtomicU64::new(threshold_ns),
-            capacity: capacity.max(1),
-            entries: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    pub fn threshold_ns(&self) -> u64 {
-        self.threshold_ns.load(Ordering::Relaxed)
-    }
-
-    pub fn set_threshold_ns(&self, ns: u64) {
-        self.threshold_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Record a query if it crossed the threshold; evicts the oldest entry
-    /// once full. Returns whether it was recorded.
-    pub fn record(&self, query: &str, total_ns: u64, result_rows: u64) -> bool {
-        self.record_traced(query, total_ns, result_rows, None)
-    }
-
-    /// Like [`SlowQueryLog::record`], keyed by trace id: if an entry with
-    /// the same trace id is already in the ring (e.g. the sampled and the
-    /// slow path both reported the query), it is updated in place rather
-    /// than duplicated.
-    pub fn record_traced(&self, query: &str, total_ns: u64, result_rows: u64, trace_id: Option<u64>) -> bool {
-        if total_ns < self.threshold_ns() {
-            return false;
-        }
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(id) = trace_id {
-            if let Some(existing) = entries.iter_mut().find(|e| e.trace_id == Some(id)) {
-                existing.query = query.to_string();
-                existing.total_ns = total_ns;
-                existing.result_rows = result_rows;
-                return true;
-            }
-        }
-        if entries.len() == self.capacity {
-            entries.pop_front();
-        }
-        entries.push_back(SlowQuery { query: query.to_string(), total_ns, result_rows, trace_id });
-        true
-    }
-
-    /// Snapshot of the ring, oldest first.
-    pub fn entries(&self) -> Vec<SlowQuery> {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).iter().cloned().collect()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `/slow` endpoint body: the threshold and the ring, oldest
-    /// first.
-    pub fn render_json(&self) -> Json {
-        let entries = self
-            .entries()
-            .iter()
-            .map(|e| {
-                Json::obj([
-                    ("query", e.query.as_str().into()),
-                    ("total_ns", e.total_ns.into()),
-                    ("result_rows", e.result_rows.into()),
-                    ("trace_id", e.trace_id.into()),
-                ])
-            })
-            .collect();
-        Json::obj([("threshold_ns", self.threshold_ns().into()), ("entries", Json::Arr(entries))])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,41 +227,6 @@ mod tests {
         t.ops.push(OpStats { op: "Extend(fwd)".into(), rows_out: 4, ..Default::default() });
         t.ops.push(OpStats { op: "Select".into(), rows_out: 100, ..Default::default() });
         assert_eq!(t.rows_out_of("Extend(fwd)"), 11);
-    }
-
-    #[test]
-    fn slow_query_log_is_a_bounded_ring() {
-        let log = SlowQueryLog::new(1000, 2);
-        assert!(!log.record("fast", 999, 0));
-        assert!(log.record("q1", 1000, 1));
-        assert!(log.record("q2", 2000, 2));
-        assert!(log.record("q3", 3000, 3));
-        let entries = log.entries();
-        let queries: Vec<&str> = entries.iter().map(|e| e.query.as_str()).collect();
-        assert_eq!(queries, vec!["q2", "q3"], "oldest entry evicted");
-        assert_eq!(log.len(), 2);
-        let json = log.render_json();
-        assert_eq!(json.get("threshold_ns").and_then(Json::as_u64), Some(1000));
-        let last = json.get("entries").and_then(Json::as_arr).unwrap().last().unwrap();
-        assert_eq!(last.get("query").and_then(Json::as_str), Some("q3"));
-    }
-
-    #[test]
-    fn slow_query_log_dedupes_by_trace_id() {
-        let log = SlowQueryLog::new(1000, 4);
-        assert!(log.record_traced("q1", 2000, 1, Some(7)));
-        // Same trace reported again (sampled AND slow): updated in place.
-        assert!(log.record_traced("q1", 2500, 1, Some(7)));
-        assert_eq!(log.len(), 1, "one entry per trace id");
-        assert_eq!(log.entries()[0].total_ns, 2500);
-        assert_eq!(log.entries()[0].trace_id, Some(7));
-        // Untraced entries never dedupe against each other.
-        assert!(log.record_traced("q2", 3000, 2, None));
-        assert!(log.record_traced("q2", 3000, 2, None));
-        assert_eq!(log.len(), 3);
-        let json = log.render_json().to_string();
-        assert!(json.contains("\"trace_id\":7"), "{json}");
-        assert!(json.contains("\"trace_id\":null"), "{json}");
     }
 
     #[test]

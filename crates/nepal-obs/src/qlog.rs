@@ -19,8 +19,8 @@
 //!   (`max(est/actual, actual/est)`) counts, the chosen anchor, and the
 //!   *best-in-hindsight* anchor (re-rank the candidates with the chosen
 //!   one's estimate replaced by its observed cardinality — would the
-//!   planner still pick it knowing the truth?). Rendered by `/qlog`,
-//!   `/qlog.json`, and the REPL's `:qlog top N`; q-errors also land in the
+//!   planner still pick it knowing the truth?). Rendered by
+//!   `/qlog.json` and the REPL's `:qlog top N`; q-errors also land in the
 //!   [`MetricsRegistry`] so misestimates show up on `/metrics`.
 //!
 //! The overhead contract matches tracing: a disabled query log costs the
@@ -718,7 +718,7 @@ impl EstimateFeedback {
         all
     }
 
-    /// Human-readable ranking (the `/qlog` body and `:qlog top`).
+    /// Human-readable ranking (the REPL's `:qlog` and `:qlog top`).
     pub fn render_text(&self, n: usize) -> String {
         let top = self.top(n);
         if top.is_empty() {

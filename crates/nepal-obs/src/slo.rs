@@ -1,7 +1,7 @@
 //! Declarative SLO rules evaluated by a pull-time burn-rate engine.
 //!
 //! No background thread: every evaluation happens when a consumer asks
-//! (`/alerts`, `/healthz`, the REPL's `:health`, a bench harness). Each
+//! (`/alerts.json`, `/healthz`, the REPL's `:health`, a bench harness). Each
 //! rule measures one *signal* against a ceiling:
 //!
 //! - [`SloSignal::LatencyQuantile`] — a quantile of a registered log₂
@@ -305,7 +305,7 @@ fn measure(metrics: &MetricsRegistry, rs: &mut RuleState) -> (f64, f64, bool, St
     }
 }
 
-/// Human-readable `/alerts` body.
+/// Human-readable rule states (the REPL's `:health`).
 pub fn alerts_text(statuses: &[AlertStatus]) -> String {
     if statuses.is_empty() {
         return "no slo rules configured\n".to_string();

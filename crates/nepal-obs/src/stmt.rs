@@ -5,7 +5,7 @@
 //! capacity so a workload of unbounded distinct shapes cannot grow memory.
 //!
 //! The table is fed from the engine's profiled path (one `record` per
-//! finished query, one `record_failure` per error) and read by `/top`,
+//! finished query, one `record_failure` per error) and read by
 //! `/top.json`, the REPL `:top` command, the dashboard panel and the
 //! `nepal_stmt_*` metric families.
 
@@ -269,7 +269,7 @@ impl StmtStats {
             .set(t.materializations as i64);
     }
 
-    /// Plain-text top-N table for `/top` and the REPL.
+    /// Plain-text top-N table for the REPL's `:top`.
     pub fn render_text(&self, n: usize, sort: StmtSort) -> String {
         let rows = self.top(n, sort);
         let mut out = String::new();

@@ -10,7 +10,7 @@
 //! Sampling is head-based: request `k` is recorded when `k ≡ 0 (mod N)`
 //! (`N` = `sample_every`). Unsampled traces are still *measured* so that a
 //! slow one — root duration ≥ `slow_threshold_ns` — is kept anyway
-//! (tail-keep for outliers, mirroring the slow-query log).
+//! (tail-keep for outliers).
 //!
 //! The overhead contract matches the profiling layer: with the tracer
 //! disabled, [`Tracer::start_trace`] is a single relaxed atomic load and

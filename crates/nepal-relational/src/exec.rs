@@ -5,8 +5,9 @@
 //! table of single-element paths; each NFA transition becomes an `Extend`
 //! — a bulk equi-join between a frontier TEMP table and the class tables —
 //! appending to `uid_list`/`concept_list` arrays with `NOT id = ANY(…)`
-//! cycle predicates; `Union` merges frontier tables per NFA state; the
-//! forward and backward frontiers are finally joined on the seed.
+//! cycle predicates; `Union` merges the feeds of one NFA state into its
+//! frontier table; the forward and backward frontiers are finally joined
+//! on the seed.
 //!
 //! Every operator also emits the equivalent SQL text, so the generated
 //! query sequence can be inspected exactly as the paper presents it.
@@ -113,13 +114,8 @@ impl<'a> Evaluator<'a> {
     /// Class tables (and history companions, depending on the time filter)
     /// that can hold elements satisfying `label`.
     fn tables_for_label(&self, label: Label) -> Vec<(String, bool)> {
-        let root = match label {
-            Label::AnyNode => "node".to_string(),
-            Label::AnyEdge => "edge".to_string(),
-            Label::Atom(a) => table_name(self.schema, self.plan.atoms[a as usize].class),
-        };
         let mut out = Vec::new();
-        for t in self.db.subtree(&root) {
+        for t in self.db.subtree(&self.label_table(label)) {
             match self.filter {
                 TimeFilter::Current => out.push((t, true)),
                 _ => {
@@ -152,14 +148,59 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn temporal_sql(&self) -> String {
-        match self.filter {
-            TimeFilter::Current => String::new(),
-            TimeFilter::AsOf(t) => {
-                format!(" AND H.sys_period @> '{}'::timestamptz", format_ts(t))
-            }
-            TimeFilter::Range(_, _) => String::new(),
+    /// The root class table of a label's subtree.
+    fn label_table(&self, label: Label) -> String {
+        match label {
+            Label::AnyNode => "node".into(),
+            Label::AnyEdge => "edge".into(),
+            Label::Atom(a) => table_name(self.schema, self.plan.atoms[a as usize].class),
         }
+    }
+
+    /// Suffix folding a class table's history companion in, unless only
+    /// current versions qualify.
+    fn hist_suffix(&self) -> &'static str {
+        if matches!(self.filter, TimeFilter::Current) {
+            ""
+        } else {
+            "__historical"
+        }
+    }
+
+    /// The temporal predicate on version alias `alias`.
+    fn temporal_sql(&self, alias: &str) -> String {
+        match self.filter {
+            TimeFilter::AsOf(t) => format!(" AND {alias}.sys_period @> '{}'::timestamptz", format_ts(t)),
+            TimeFilter::Current | TimeFilter::Range(_, _) => String::new(),
+        }
+    }
+
+    /// Log the statement filling NFA state `state`'s frontier table with
+    /// `select`: the state's first feed creates the table, later feeds
+    /// append to it (the per-state `Union`).
+    fn log_feed(&mut self, frontier: &mut HashMap<u32, String>, state: u32, stem: &str, select: String) {
+        match frontier.get(&state) {
+            Some(name) => self.sql.push(format!("insert into {name}\n  {select};")),
+            None => {
+                self.temp_counter += 1;
+                let name = format!("tmp_{stem}_{}", self.temp_counter);
+                self.sql.push(format!("create TEMP table {name} as (\n  {select}\n);"));
+                frontier.insert(state, name);
+            }
+        }
+    }
+
+    /// Log the seed table of a `Sources`/`Targets` evaluation: the `uids`
+    /// that satisfy node `label`, as single-element paths entering `state`.
+    fn log_seed(&mut self, frontier: &mut HashMap<u32, String>, state: u32, label: Label, uids: &[Uid]) {
+        let ids: Vec<String> = uids.iter().map(|u| u.0.to_string()).collect();
+        let (table, hist) = (self.label_table(label), self.hist_suffix());
+        let select = format!(
+            "select ARRAY[N.id_] as uid_list, ARRAY[cast('{table}' as text)] as concept_list, N.id_ as curr_uid\n  from {table}{hist} N\n  where N.id_ = ANY(ARRAY[{}]){}",
+            ids.join(", "),
+            self.temporal_sql("N"),
+        );
+        self.log_feed(frontier, state, "seed_node", select);
     }
 
     /// `Select`: scan class tables for elements satisfying an atom, one row
@@ -167,7 +208,7 @@ impl<'a> Evaluator<'a> {
     /// source endpoint so the backward pass can seed with `pending=source`
     /// while the forward pass uses `pending=target`. An `Eq` predicate on a
     /// scalar column probes that column's hash index instead of scanning.
-    fn select_atom(&mut self, atom_idx: u32, seed_tr: u32) -> Vec<SeedPair> {
+    fn select_atom(&mut self, atom_idx: u32, seed_tr: u32) -> (Vec<SeedPair>, String) {
         let plan = self.plan;
         let atom = &plan.atoms[atom_idx as usize];
         let label = Label::Atom(atom_idx);
@@ -221,18 +262,19 @@ impl<'a> Evaluator<'a> {
             }
         }
         self.temp_counter += 1;
+        let name = format!("tmp_select_{}_{}", if is_node { "node" } else { "edge" }, self.temp_counter);
         self.sql.push(format!(
-            "create TEMP table tmp_select_{}_{} as (\n  select ARRAY[N.id_] as uid_list, ARRAY[cast('{}' as text)] as concept_list, N.id_ as curr_uid\n  from {} N\n  where {}{}\n);",
-            if is_node { "node" } else { "edge" },
-            self.temp_counter,
+            "create TEMP table {name} as (\n  select ARRAY[N.id_] as uid_list, ARRAY[cast('{}' as text)] as concept_list, N.id_ as curr_uid{}\n  from {}{} N\n  where {}{}\n);",
             atom.class_name,
-            table_name(self.schema, atom.class),
+            if is_node { "" } else { ", N.source_id_ as source_uid, N.target_id_ as target_uid" },
+            self.label_table(label),
+            self.hist_suffix(),
             preds_sql(atom),
-            self.temporal_sql(),
+            self.temporal_sql("N"),
         ));
         scan_span.attr("rows_scanned", self.rows_scanned - scanned_before);
         scan_span.attr("rows_out", rows.len());
-        rows
+        (rows, name)
     }
 
     /// Extend a node-position frontier by one edge (forwards: join on
@@ -352,29 +394,38 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    fn log_extend(&mut self, label: Label, forwards: bool, from_table: u32) {
-        self.temp_counter += 1;
-        let (join_col, kind) = if self.label_is_node(label) {
-            ("H.id_ = T.pending_uid", "node")
-        } else if forwards {
-            ("H.source_id_ = T.curr_uid", "edge")
+    /// The `Extend` statement reading frontier table `from`: an edge
+    /// label joins on the frontier's current node and carries both
+    /// endpoints; a node label joins on the pending endpoint — the target
+    /// going forwards, the source going backwards.
+    fn extend_sql(&self, label: Label, forwards: bool, from: &str) -> String {
+        let (cols, join) = if self.label_is_node(label) {
+            let pending = if forwards { "target_uid" } else { "source_uid" };
+            (String::new(), format!("H.id_ = T.{pending}"))
         } else {
-            ("H.target_id_ = T.curr_uid", "edge")
+            let (near, far) = if forwards { ("source_id_", "target_id_") } else { ("target_id_", "source_id_") };
+            (
+                ", H.source_id_ as source_uid, H.target_id_ as target_uid".to_string(),
+                format!("H.{near} = T.curr_uid AND NOT H.{far} = ANY(T.uid_list)"),
+            )
         };
-        let table = match label {
-            Label::AnyNode => "node".into(),
-            Label::AnyEdge => "edge".into(),
-            Label::Atom(a) => table_name(self.schema, self.plan.atoms[a as usize].class),
-        };
-        let hist = if matches!(self.filter, TimeFilter::Current) { "" } else { "__historical" };
-        self.sql.push(format!(
-            "create TEMP table tmp_extend_{kind}_{} as (\n  select T.uid_list || ARRAY[H.id_] as uid_list,\n         T.concept_list || ARRAY[cast('{table}' as text)] as concept_list,\n         H.id_ as curr_uid\n  from {table}{hist} H, tmp_{} T\n  where {join_col} AND NOT H.id_ = ANY(T.uid_list){}\n);",
-            self.temp_counter, from_table, self.temporal_sql(),
-        ));
+        let (table, hist) = (self.label_table(label), self.hist_suffix());
+        format!(
+            "select T.uid_list || ARRAY[H.id_] as uid_list,\n         T.concept_list || ARRAY[cast('{table}' as text)] as concept_list,\n         H.id_ as curr_uid{cols}\n  from {table}{hist} H, {from} T\n  where {join} AND NOT H.id_ = ANY(T.uid_list){}",
+            self.temporal_sql("H"),
+        )
     }
 
     /// One directional pass: returns accepting rows keyed by (seed, tr).
-    fn pass(&mut self, seeds_by_state: HashMap<u32, Vec<Row>>, forwards: bool) -> Vec<Row> {
+    ///
+    /// `frontier` names the SQL table holding each seeded state's rows;
+    /// the pass adds one per state its extensions reach.
+    fn pass(
+        &mut self,
+        seeds_by_state: HashMap<u32, Vec<Row>>,
+        mut frontier: HashMap<u32, String>,
+        forwards: bool,
+    ) -> Vec<Row> {
         let join_span = self.span.child(if forwards { "Join(fwd)" } else { "Join(bwd)" });
         let joined_before = self.rows_joined;
         // Topological order of the NFA DAG.
@@ -385,7 +436,6 @@ impl<'a> Evaluator<'a> {
             seen.entry(*s).or_default().extend(rows.iter().cloned());
         }
         let mut accepted: Vec<Row> = Vec::new();
-        let mut table_no = 0u32;
         for &state in &order {
             if self.tripped.is_some() {
                 break; // cancelled: stop joining, the caller surfaces it
@@ -396,7 +446,7 @@ impl<'a> Evaluator<'a> {
                 Some(r) if !r.is_empty() => r,
                 _ => continue,
             };
-            table_no += 1;
+            let from = frontier[&state].clone();
             // Extend along transitions out of (fwd) / into (bwd) the state.
             let transitions: Vec<(Label, u32)> = if forwards {
                 self.plan.nfa.trans[state as usize].clone()
@@ -408,7 +458,9 @@ impl<'a> Evaluator<'a> {
                     let edge_rows = self.extend_edge(&rows, label, forwards);
                     let node_rows = self.extend_node(&rows, label);
                     if !edge_rows.is_empty() || !node_rows.is_empty() {
-                        self.log_extend(label, forwards, table_no);
+                        let stem = if self.label_is_node(label) { "extend_node" } else { "extend_edge" };
+                        let select = self.extend_sql(label, forwards, &from);
+                        self.log_feed(&mut frontier, next, stem, select);
                     }
                     let mut all = edge_rows;
                     all.extend(node_rows);
@@ -618,7 +670,7 @@ pub fn evaluate_relational(
                     if ev.tripped.is_some() {
                         break 'anchors;
                     }
-                    let seed_pairs = ev.select_atom(occ, tr_idx as u32);
+                    let (seed_pairs, seed_table) = ev.select_atom(occ, tr_idx as u32);
                     if seed_pairs.is_empty() {
                         continue;
                     }
@@ -639,14 +691,14 @@ pub fn evaluate_relational(
                     // Forward from tr.to (seed element already consumed).
                     let mut fwd_seeds: HashMap<u32, Vec<Row>> = HashMap::new();
                     fwd_seeds.insert(tr.to, fwd_rows);
-                    let fwd = ev.pass(fwd_seeds, true);
+                    let fwd = ev.pass(fwd_seeds, HashMap::from([(tr.to, seed_table.clone())]), true);
                     if fwd.is_empty() {
                         continue;
                     }
                     // Backward from tr.from.
                     let mut bwd_seeds: HashMap<u32, Vec<Row>> = HashMap::new();
                     bwd_seeds.insert(tr.from, bwd_rows);
-                    let bwd = ev.pass(bwd_seeds, false);
+                    let bwd = ev.pass(bwd_seeds, HashMap::from([(tr.from, seed_table)]), false);
                     // Join forward and backward halves on the seed.
                     let mut bwd_by_seed: HashMap<i64, Vec<&Row>> = HashMap::new();
                     for b in &bwd {
@@ -719,7 +771,13 @@ pub fn evaluate_relational(
                     }
                 }
             }
-            for f in ev.pass(seed_rows, true) {
+            let mut frontier = HashMap::new();
+            for &(label, to) in &plan.nfa.trans[plan.nfa.start as usize] {
+                if ev.label_is_node(label) && seed_rows.contains_key(&to) {
+                    ev.log_seed(&mut frontier, to, label, srcs);
+                }
+            }
+            for f in ev.pass(seed_rows, frontier, true) {
                 merged.entry(f.uid_list.clone()).or_default().push((f.t_from, f.t_to));
             }
         }
@@ -750,7 +808,13 @@ pub fn evaluate_relational(
                     }
                 }
             }
-            for b in ev.pass(seed_rows, false) {
+            let mut frontier = HashMap::new();
+            for tr in &plan.nfa.transitions {
+                if plan.nfa.accepts[tr.to as usize] && ev.label_is_node(tr.label) && seed_rows.contains_key(&tr.from) {
+                    ev.log_seed(&mut frontier, tr.from, tr.label, tgts);
+                }
+            }
+            for b in ev.pass(seed_rows, frontier, false) {
                 let mut elems = b.uid_list.clone();
                 elems.reverse();
                 merged.entry(elems).or_default().push((b.t_from, b.t_to));

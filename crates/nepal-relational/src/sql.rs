@@ -1,7 +1,8 @@
 //! A parser and executor for the SQL subset Nepal emits (§5.2).
 //!
 //! The translator generates Postgres statements — `CREATE TABLE …
-//! INHERITS(…)`, `create TEMP table … as (select …)`, array columns with
+//! INHERITS(…)`, `create TEMP table … as (select …)`, `insert into …
+//! select …` for a frontier table's further feeds, array columns with
 //! `||` concatenation and `= ANY(uid_list)` cycle predicates, and
 //! `sys_period @> '…'::timestamptz` temporal filters. This module makes
 //! that output *executable* against the in-memory substrate, so tests can
@@ -37,6 +38,8 @@ pub enum Stmt {
     Select(Select),
     /// `INSERT INTO name VALUES (…), (…)`.
     Insert { table: String, rows: Vec<Vec<SqlExpr>> },
+    /// `INSERT INTO name SELECT …`.
+    InsertSelect { table: String, query: Select },
 }
 
 /// A SELECT query.
@@ -313,6 +316,9 @@ impl P {
         if self.kw("insert") {
             self.expect_kw("into")?;
             let table = self.ident()?;
+            if matches!(self.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("select")) {
+                return Ok(Stmt::InsertSelect { table, query: self.select()? });
+            }
             self.expect_kw("values")?;
             let mut rows = Vec::new();
             loop {
@@ -795,6 +801,14 @@ pub fn execute_stmt(db: &mut RelDb, stmt: &Stmt) -> Result<Option<Table>> {
                 .collect::<Result<Vec<_>>>()?;
             let t = db.table_mut(table)?;
             for v in values {
+                t.insert(v)?;
+            }
+            Ok(None)
+        }
+        Stmt::InsertSelect { table, query } => {
+            let rows = execute_select(db, query)?.rows;
+            let t = db.table_mut(table)?;
+            for v in rows {
                 t.insert(v)?;
             }
             Ok(None)

@@ -13,12 +13,13 @@
 //! :sql <query>           run on the relational backend and show its SQL
 //! :profile <query>       run with profiling and print the operator trace
 //! :metrics               engine metrics in Prometheus text format
-//! :slow                  recent slow queries (ring buffer)
 //! :qlog                  query-log status and worst-estimated fingerprints
 //! :qlog on [file]        enable the durable query log (default nepal-qlog.jsonl)
 //! :qlog off              disable the durable query log
 //! :qlog top N            N worst q-error fingerprints, chosen vs hindsight anchor
 //! :top [N] [cpu|rows|bytes|calls|wall]   costliest statement fingerprints
+//!                        (`:top wall` ranks the slowest; traced slow
+//!                        queries are kept under `:trace`)
 //! :trace                 tracing status and buffered traces
 //! :trace on|off          enable/disable hierarchical span tracing
 //! :trace export <file>   write the latest trace as Chrome trace-event JSON
@@ -107,7 +108,7 @@ fn main() {
     // mutations land in the per-thread rings); :snapshot composes the same
     // diagnostics bundle the server writes on a panic or firing alert.
     nepal::obs::flight::recorder().set_enabled(true);
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     telemetry.set_slo(slo.clone());
     telemetry.set_stmt(stmt.clone());
     telemetry.set_flight(nepal::obs::flight::recorder().clone());
@@ -154,13 +155,13 @@ fn main() {
         }
         if line == ":help" {
             println!(
-                ":schema | :stats | :plan <rpe> | :sql <query> | :profile <query> | :metrics | :slow | :quit\n\
+                ":schema | :stats | :plan <rpe> | :sql <query> | :profile <query> | :metrics | :quit\n\
                  :threads [N]              show or set evaluator worker threads (0 = auto from NEPAL_THREADS/cores)\n\
                  :timeout [ms|off]         show or set the per-query deadline (typed error on expiry)\n\
                  :cancel                   trip the session cancel token (Ctrl-C does this mid-query)\n\
                  :trace | :trace on|off | :trace export <file>   span tracing / Chrome trace-event export\n\
                  :qlog | :qlog on [file] | :qlog off | :qlog top N   durable query log + planner q-error feedback\n\
-                 :top [N] [cpu|rows|bytes|calls|wall]   costliest statement fingerprints (cpu, rows, bytes, …)\n\
+                 :top [N] [cpu|rows|bytes|calls|wall]   costliest statement fingerprints (`:top wall` = slowest)\n\
                  :health | :mem            SLO alert states / store memory report\n\
                  :flight | :snapshot       recent wide events / write a diagnostics bundle\n\
                  EXPLAIN ANALYZE <query>   execute and print phase/operator timings\n\
@@ -316,17 +317,6 @@ fn main() {
             match telemetry.snapshot("repl") {
                 Ok(path) => println!("diagnostics bundle written: {}", path.display()),
                 Err(e) => println!("snapshot failed: {e}"),
-            }
-            continue;
-        }
-        if line == ":slow" {
-            if engine.slow_log.is_empty() {
-                println!("no queries above {} yet", fmt_ns(engine.slow_log.threshold_ns()));
-            } else {
-                for e in engine.slow_log.entries() {
-                    let trace = e.trace_id.map(|t| format!("trace #{t}")).unwrap_or_else(|| "-".to_string());
-                    println!("{:>10}  {:>6} row(s)  {:>10}  {}", fmt_ns(e.total_ns), e.result_rows, trace, e.query);
-                }
             }
             continue;
         }

@@ -15,16 +15,13 @@
 //!                     (?deep=1 adds the exact store walk; default scrapes
 //!                     run only cheap O(classes) refreshers)
 //! GET /metrics.json   the same registry as JSON
-//! GET /top            per-fingerprint cost attribution (?n=, ?sort=)
-//! GET /top.json       the same as JSON
+//! GET /top.json       per-fingerprint cost attribution (?n=, ?sort=)
 //! GET /history.json   metrics history ring (?tail=)
 //! GET /healthz        deep readiness: checks + store watermarks + alerts
-//! GET /alerts         SLO alert states as text (also /alerts.json)
+//! GET /alerts.json    SLO alert states
 //! GET /dashboard      self-contained HTML operations dashboard
-//! GET /slow           slow-query ring buffer
-//! GET /qlog           worst-estimated query fingerprints (planner q-error)
-//! GET /qlog.json      query-log status + per-fingerprint feedback as JSON
-//! GET /traces         buffered trace summaries
+//! GET /qlog.json      query-log status + per-fingerprint planner q-error
+//! GET /traces         buffered trace summaries (slow queries always kept)
 //! GET /traces/<id>    one trace as Chrome trace-event JSON
 //! GET /flight         recent flight-recorder wide events as JSON
 //! GET /snapshot       list of on-disk diagnostics bundles
@@ -174,7 +171,7 @@ fn main() {
     }
 
     // Per-fingerprint cost attribution: one shared table aggregates both
-    // engine queries and Gremlin wire requests, served at /top[.json].
+    // engine queries and Gremlin wire requests, served at /top.json.
     let stmt = (stmt_capacity > 0).then(|| engine.enable_stmt(stmt_capacity));
 
     // Gremlin wire endpoint over a property-graph mirror, sharing the
@@ -210,15 +207,15 @@ fn main() {
         Err(e) => eprintln!("warning: gremlin backend unavailable ({e})"),
     }
 
-    // Telemetry endpoint: engine metrics + store gauges, health checks,
-    // slow log and the trace ring.
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    // Telemetry endpoint: engine metrics + store gauges, health checks
+    // and the trace ring.
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
-    // The shared statement table serves /top, /top.json and the
+    // The shared statement table serves /top.json and the
     // nepal_stmt_* families.
     if let Some(stmt) = &stmt {
         telemetry.set_stmt(stmt.clone());
-        eprintln!("statement stats: tracking up to {stmt_capacity} fingerprints (/top)");
+        eprintln!("statement stats: tracking up to {stmt_capacity} fingerprints (/top.json)");
     }
     // Metrics history ring: self-scrape snapshots driven from the main
     // poll loop, served at /history.json and embedded in bundles.

@@ -16,7 +16,7 @@
 //! | [`relational`] | the Postgres-style backend substrate (SQL-emitting) |
 //! | [`gremlin`] | property graph + traversal machine + wire protocol |
 //! | [`core`] | the query language, engine, backends, federation |
-//! | [`obs`] | metrics registry, query profiles, slow-query log |
+//! | [`obs`] | metrics registry, query profiles, span tracing |
 //! | [`workload`] | evaluation topology & churn generators |
 //!
 //! ## Quickstart

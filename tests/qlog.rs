@@ -1,8 +1,9 @@
 //! Durable query log acceptance tests: records written through the full
-//! engine round-trip from JSONL with stable result digests, the `/qlog`
-//! telemetry routes serve planner feedback once attached, and the query
-//! fingerprint is invariant under literal and whitespace changes (checked
-//! on a corpus and property-tested over generated RPE shapes).
+//! engine round-trip from JSONL with stable result digests, the
+//! `/qlog.json` telemetry route serves planner feedback once attached,
+//! and the query fingerprint is invariant under literal and whitespace
+//! changes (checked on a corpus and property-tested over generated RPE
+//! shapes).
 
 use std::sync::Arc;
 
@@ -84,8 +85,8 @@ fn qlog_records_roundtrip_with_reproducible_digests() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `/qlog` and `/qlog.json` 404 until planner feedback is attached, then
-/// serve per-fingerprint estimate accuracy and log status.
+/// `/qlog.json` 404s until planner feedback is attached, then serves
+/// per-fingerprint estimate accuracy and log status.
 #[test]
 fn telemetry_qlog_routes_serve_feedback_after_queries() {
     let dir = std::env::temp_dir().join(format!("nepal-qlog-http-{}", std::process::id()));
@@ -95,19 +96,17 @@ fn telemetry_qlog_routes_serve_feedback_after_queries() {
     let _ = std::fs::remove_file(path);
 
     let mut engine = demo_engine();
-    let telemetry = Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone());
-    let (status, _, _) = telemetry.handle("/qlog");
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.tracer.clone());
+    let (status, _, _) = telemetry.handle("/qlog.json");
     assert_eq!(status, 404, "route 404s before attachment");
 
     engine.enable_qlog(path, 1 << 20, 2).unwrap();
     engine.query(OK_QUERY).unwrap();
     telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
 
-    let (status, _, body) = telemetry.handle("/qlog");
-    assert_eq!(status, 200);
-    assert!(body.contains("fingerprint"), "{body}");
     let (status, _, body) = telemetry.handle("/qlog.json");
     assert_eq!(status, 200);
+    assert!(body.contains(&format!("\"example\":\"{OK_QUERY}\"")), "{body}");
     assert!(body.contains("\"enabled\":true"), "{body}");
     assert!(body.contains("\"records\":1"), "{body}");
     let _ = std::fs::remove_dir_all(&dir);

@@ -171,7 +171,7 @@ fn telemetry_endpoint_serves_metrics_and_health_over_socket() {
     engine.tracer.set_sample_every(1);
     engine.query(QUERY).unwrap();
 
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     telemetry.add_health("store", || Ok("ok".into()));
     let server = TelemetryServer::start(telemetry, "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
@@ -209,7 +209,7 @@ fn metrics_exposition_survives_concurrent_scrapes() {
     for _ in 0..3 {
         engine.query(QUERY).unwrap();
     }
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     let server = TelemetryServer::start(telemetry, "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
@@ -262,7 +262,7 @@ fn metrics_exposition_survives_concurrent_scrapes() {
 #[test]
 fn slow_client_does_not_starve_other_scrapers() {
     let engine = engine_over(demo_graph());
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     let server = TelemetryServer::start(telemetry, "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
@@ -290,7 +290,7 @@ fn top_and_history_routes_attribute_workload_over_socket() {
     let stmt = engine.enable_stmt(32);
     let gauges = Arc::new(StoreGauges::register(&engine.metrics));
 
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
     telemetry.set_stmt(stmt);
     let history = Arc::new(HistoryRing::new(std::time::Duration::from_millis(0), 16));
     telemetry.set_history(history);
@@ -348,19 +348,20 @@ fn top_and_history_routes_attribute_workload_over_socket() {
     let (_, body) = http_get(addr, "/metrics?deep=1");
     assert!(body.contains("nepal_store_chain_entities"), "{body}");
 
-    let (status, body) = http_get(addr, "/top");
+    let (status, body) = http_get(addr, "/top.json?sort=calls");
     assert_eq!(status, 200);
-    assert!(body.contains("calls"), "{body}");
+    assert!(body.contains("\"sort\":\"calls\""), "{body}");
+    assert!(body.contains("\"calls\":3"), "{body}");
 }
 
 /// Acceptance: induced overload (an impossible latency SLO) flips
-/// `/healthz` to 503 and `/alerts` to firing; once the breach window
+/// `/healthz` to 503 and `/alerts.json` to firing; once the breach window
 /// drains, both recover.
 #[test]
 fn induced_overload_flips_healthz_and_alerts_then_resolves() {
     let graph = demo_graph();
     let mut engine = engine_over(graph.clone());
-    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone()));
+    let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
 
     // Standard rules (healthy thresholds) plus one impossible latency rule.
     let slo = engine.install_standard_slos(&StandardSlos::default());
@@ -392,10 +393,16 @@ fn induced_overload_flips_healthz_and_alerts_then_resolves() {
     let (status, body) = http_get(addr, "/healthz");
     assert_eq!(status, 503, "overload must flip healthz: {body}");
     assert!(body.contains("\"status\":\"unhealthy\""), "{body}");
+    let rule_state = |body: &str| {
+        let doc = parse_json(body).expect("alerts.json parses");
+        let rules = doc.get("rules").and_then(|r| r.as_arr()).expect("rules array");
+        let rule = rules.iter().find(|r| r.get("name").and_then(|n| n.as_str()) == Some("induced-overload"));
+        rule.and_then(|r| r.get("state").and_then(|s| s.as_str()).map(str::to_string))
+    };
     engine.query(QUERY).unwrap();
-    let (status, body) = http_get(addr, "/alerts");
+    let (status, body) = http_get(addr, "/alerts.json");
     assert_eq!(status, 200);
-    assert!(body.contains("induced-overload") && body.contains("firing"), "{body}");
+    assert_eq!(rule_state(&body).as_deref(), Some("firing"), "{body}");
     engine.query(QUERY).unwrap();
     let (_, json) = http_get(addr, "/alerts.json");
     assert!(json.contains("\"firing\":1"), "{json}");
@@ -404,8 +411,9 @@ fn induced_overload_flips_healthz_and_alerts_then_resolves() {
     // the alert resolves; healthz recovers.
     let (status, body) = http_get(addr, "/healthz");
     assert_eq!(status, 200, "alert must resolve once the window drains: {body}");
-    let (_, body) = http_get(addr, "/alerts");
-    assert!(!body.contains("firing"), "{body}");
+    let (_, body) = http_get(addr, "/alerts.json");
+    assert!(body.contains("\"firing\":0"), "{body}");
+    assert_ne!(rule_state(&body).as_deref(), Some("firing"), "{body}");
 
     // The dashboard renders through all of this.
     let (status, body) = http_get(addr, "/dashboard");
@@ -482,14 +490,13 @@ fn json_surfaces_survive_hostile_strings() {
     let mut engine = engine_over(Arc::new(g));
     engine.tracer.set_enabled(true);
     engine.tracer.set_sample_every(1);
-    engine.slow_log.set_threshold_ns(0);
     let stmt = engine.enable_stmt(8);
     engine.enable_qlog(dir.join("qlog.jsonl"), 1 << 20, 1).unwrap();
     engine.query(&query).unwrap();
     let series = format!("nepal_hostile_total{{who=\"{}\"}}", HOSTILE.replace('\\', "\\\\").replace('"', "\\\""));
     engine.metrics.counter_labeled("nepal_hostile_total", &[("who", HOSTILE)], "hostile label value").inc();
 
-    let telemetry = Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone());
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.tracer.clone());
     telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
     telemetry.set_stmt(stmt);
     let history = Arc::new(HistoryRing::new(std::time::Duration::from_millis(1), 8));
@@ -515,7 +522,7 @@ fn json_surfaces_survive_hostile_strings() {
         arr.unwrap_or(&[]).iter().any(|item| str_at(item, path) == Some(want))
     };
 
-    // The query text: qlog (file and route), /top.json, /slow, traces.
+    // The query text: qlog (file and route), /top.json, traces.
     let line = std::fs::read_to_string(dir.join("qlog.jsonl")).unwrap();
     assert_eq!(str_at(&strict_parse("qlog line", line.trim_end()), &["query"]), Some(query.as_str()));
     assert_eq!(QueryLog::read_records(dir.join("qlog.jsonl")).unwrap()[0].query, query);
@@ -523,8 +530,6 @@ fn json_surfaces_survive_hostile_strings() {
     assert!(find(qlog.get("fingerprints").and_then(Json::as_arr), &["example"], &query), "{qlog}");
     let top = get("/top.json");
     assert!(find(top.get("statements").and_then(Json::as_arr), &["query"], &query), "{top}");
-    let slow = get("/slow");
-    assert!(find(slow.get("entries").and_then(Json::as_arr), &["query"], &query), "{slow}");
     assert!(find(get("/traces").as_arr(), &["name"], &query));
     let id = engine.tracer.latest_id().unwrap();
     for path in ["/traces/latest".to_string(), format!("/traces/{id}")] {
@@ -555,7 +560,7 @@ fn json_surfaces_survive_hostile_strings() {
     let bundle = strict_parse("bundle", &std::fs::read_to_string(&bundle_path).unwrap());
     assert_eq!(str_at(&bundle, &["build", "note"]), Some(HOSTILE));
     assert_eq!(str_at(&bundle, &["drain", "note"]), Some(HOSTILE));
-    assert!(find(bundle.get("slow").and_then(|s| s.get("entries")).and_then(Json::as_arr), &["query"], &query));
+    assert!(bundle.get("slow").is_none(), "the trace ring is the bundle's slow-query record");
     assert!(find(bundle.get("stmt").and_then(|s| s.get("statements")).and_then(Json::as_arr), &["query"], &query));
     assert!(find(bundle.get("traces").and_then(Json::as_arr), &["name"], &query));
     assert!(find(bundle.get("alerts").and_then(|a| a.get("rules")).and_then(Json::as_arr), &["name"], HOSTILE));
@@ -588,7 +593,7 @@ fn fingerprint_is_one_hex_string_across_flight_qlog_and_top() {
 
     let line = std::fs::read_to_string(&path).unwrap();
     assert_eq!(str_at(&parse_json(line.trim_end()).unwrap(), &["fp"]), Some(expected.as_str()), "{line}");
-    let telemetry = Telemetry::new(engine.metrics.clone(), engine.slow_log.clone(), engine.tracer.clone());
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.tracer.clone());
     telemetry.set_stmt(stmt);
     let top = parse_json(&telemetry.handle("/top.json").2).unwrap();
     let row = &top.get("statements").and_then(|s| s.as_arr()).unwrap()[0];
