@@ -495,9 +495,57 @@ impl Engine {
         span: &SpanHandle,
         run: &mut QueryRun,
     ) -> Result<QueryResult> {
+        if count_only(q) {
+            return self.count_query(q, profile, span, run);
+        }
         let joined = self.joined_rows(q, profile, span, run)?;
         let _head_span = span.child("head");
         self.finish_head(q, joined)
+    }
+
+    /// A query that only counts one variable's pathways ([`count_only`]):
+    /// plan the variable, then ask its backend for the count instead of the
+    /// pathways. There is nothing to join, filter or fold: every pathway
+    /// would be one row.
+    fn count_query(
+        &mut self,
+        q: &Query,
+        mut profile: Option<&mut QueryProfile>,
+        span: &SpanHandle,
+        run: &mut QueryRun,
+    ) -> Result<QueryResult> {
+        let evals = self.plan_vars(q, None, profile.as_deref_mut(), span, run)?;
+        let e = &evals[0];
+        let plan = e.plan.as_ref().expect("count_only admits PATHS variables only");
+        let texec = profile.is_some().then(Instant::now);
+        let exec_span = span.child("execute");
+        let backend = self.registry.get_mut(e.backend.as_deref())?;
+        let var_span = exec_span.child(format_args!("eval:{}", e.var));
+        var_span.attr("backend", backend.kind());
+        let mut ctx = ExecCtx {
+            trace: profile.as_deref_mut().map(|p| &mut p.vars[0].trace),
+            span: Some(&var_span),
+            metrics: Some(&self.metrics),
+        };
+        let (n, mode) = backend.count_in(plan, e.filter, &run.opts, &mut ctx)?;
+        var_span.attr("count", mode.as_str());
+        var_span.attr("pathways", n);
+        drop(var_span);
+        drop(exec_span);
+        if let (Some(p), Some(t)) = (profile, texec) {
+            let vp = &mut p.vars[0];
+            vp.eval_ns = t.elapsed().as_nanos() as u64;
+            vp.pathways = n as u64;
+            vp.count = Some(mode.as_str());
+            vp.generated = backend.last_generated();
+            p.exec_ns = vp.eval_ns;
+        }
+        let _head_span = span.child("head");
+        let Head::Select(items) = &q.head else { unreachable!("count_only admits Select heads only") };
+        Ok(QueryResult {
+            columns: vec![item_name(&items[0])],
+            rows: vec![ResultRow { pathways: Vec::new(), values: vec![Value::Int(n as i64)], times: None }],
+        })
     }
 
     /// Everything before the head, one phase after another, each under the
@@ -1121,6 +1169,21 @@ impl Engine {
             }
         }
     }
+}
+
+/// Does the query only count one variable's pathways at `Current`? One
+/// `PATHS` variable (any backend) with no view, `AT` or per-variable time,
+/// a `Where` clause of `MATCHES` only, and the head exactly `count(P)`.
+fn count_only(q: &Query) -> bool {
+    let ([s], Head::Select(items)) = (&q.sources[..], &q.head) else { return false };
+    let [SelectItem { agg: Some(AggFn::Count), distinct: false, expr: Expr::PathVar(v) }] = &items[..] else {
+        return false;
+    };
+    *v == s.var
+        && s.view.is_none()
+        && s.time.is_none()
+        && q.time.is_none()
+        && q.conds.iter().all(|c| matches!(c, Cond::Matches(..)))
 }
 
 /// The rows a query's variables join to, after coexistence and `EXISTS`

@@ -145,6 +145,10 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// FNV-1a hash over the schema shape (class paths, kinds, field names and
 /// types, in class-id order). Snapshots refuse to load under a schema
 /// whose fingerprint differs — class ids and field offsets are positional.
+/// The `allow` rules are left out on purpose: they do not move a class id
+/// or a field, and the loader checks every restored edge against the
+/// loading schema's rules, so a snapshot loads under a stricter schema
+/// exactly when every edge in it is allowed there.
 pub fn schema_fingerprint(schema: &Schema) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
     for raw in 0..schema.num_classes() as u32 {

@@ -873,14 +873,7 @@ impl TemporalGraph {
         if !dst_elem.is_open() {
             return Err(GraphError::Dead { uid: dst, at: ts });
         }
-        let (src_class, dst_class) = (src_elem.class(), dst_elem.class());
-        if !self.schema.edge_allowed(class, src_class, dst_class) {
-            return Err(GraphError::EdgeNotAllowed {
-                edge_class: self.schema.class(class).name.clone(),
-                src_class: self.schema.class(src_class).name.clone(),
-                dst_class: self.schema.class(dst_class).name.clone(),
-            });
-        }
+        self.check_edge_allowed(class, src_elem.class(), dst_elem.class())?;
         self.check_unique_free(class, &fields)?;
         let uid = Uid(self.entries.len() as u64);
         self.index_unique(class, &fields, uid);
@@ -1373,6 +1366,19 @@ impl TemporalGraph {
         self.restore_entity_encoded(uid, is_node, class, src, dst, vs, stored_heap, full_heap)
     }
 
+    /// The schema's allowed-edge rules must permit an edge of `class` from a
+    /// `src` node to a `dst` node.
+    fn check_edge_allowed(&self, class: ClassId, src: ClassId, dst: ClassId) -> Result<()> {
+        if self.schema.edge_allowed(class, src, dst) {
+            return Ok(());
+        }
+        Err(GraphError::EdgeNotAllowed {
+            edge_class: self.schema.class(class).name.clone(),
+            src_class: self.schema.class(src).name.clone(),
+            dst_class: self.schema.class(dst).name.clone(),
+        })
+    }
+
     /// Shared tail of entity restore: push the already-encoded chain and
     /// maintain adjacency, extents, and accounting. `stored_heap` /
     /// `full_heap` are the chain's Σ per-version stored and
@@ -1417,6 +1423,10 @@ impl TemporalGraph {
             }
             self.node(src)?;
             self.node(dst)?;
+            // A journal or snapshot written under a looser schema must not
+            // bring in an edge this schema forbids: the evaluator's typed
+            // table assumes there is none.
+            self.check_edge_allowed(class, self.elems[src.0 as usize].class(), self.elems[dst.0 as usize].class())?;
             self.entries.push(Entry::Edge(EdgeEntry { uid, src, dst, versions: vs }));
             self.write_elem(uid, class);
             self.adj_slot.push(u32::MAX);

@@ -89,6 +89,10 @@ pub struct VarProfile {
     /// Seed count when the anchor was imported from a join (§3.4).
     pub imported_seeds: Option<u64>,
     pub pathways: u64,
+    /// How a `count(P)` query got its count: `union` (counted at `Union`,
+    /// no pathway built) or `enumerate`; `None` when the pathways were
+    /// asked for.
+    pub count: Option<&'static str>,
     pub trace: ExecTrace,
     /// Generated SQL / Gremlin, when the backend translates.
     pub generated: Vec<String>,
@@ -148,6 +152,9 @@ impl QueryProfile {
                 fmt_ns(v.plan_ns),
                 fmt_ns(v.eval_ns)
             ));
+            if let Some(mode) = v.count {
+                out.push_str(&format!("  count: {mode}\n"));
+            }
             if let Some(n) = v.imported_seeds {
                 out.push_str(&format!("  anchor imported from join: {n} seed node(s)\n"));
             }

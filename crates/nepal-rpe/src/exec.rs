@@ -202,6 +202,10 @@ struct ElemMatcher<'a> {
     /// empty (§5 temporal pruning). A plain increment — counted even
     /// untraced, and only reported when a trace is attached.
     temporal_prunes: u64,
+    /// Adjacency buckets skipped whole because the plan's typed table
+    /// admits their edge class from no state of the walk (see
+    /// [`crate::typing`]). Counted like `temporal_prunes`.
+    typed_prunes: u64,
     /// Cooperative cancellation: the token (if any), a checkpoint counter
     /// bounding poll frequency, and the sticky cause once tripped.
     cancel: Option<CancelToken>,
@@ -240,6 +244,7 @@ impl<'a> ElemMatcher<'a> {
             heat: HeatTally::new(env.view.graph),
             scratch: Scratch::default(),
             temporal_prunes: 0,
+            typed_prunes: 0,
             cancel: env.opts.cancel.clone(),
             cancel_ctr: 0,
             cancel_cause: None,
@@ -437,36 +442,13 @@ struct Env<'a> {
     metrics: Option<&'a MetricsRegistry>,
 }
 
-/// Can an edge of exact `class` satisfy *any* edge-label transition out of
-/// (`fwd`) or into (`!fwd`) the live states? When not, the whole adjacency
-/// bucket is skipped without touching per-neighbor state. The test mirrors
-/// [`ElemMatcher::matches`]'s kind and class rejections exactly, so
-/// skipping a bucket never changes match results or prune counts — every
-/// skipped neighbor would have produced `None` without counting.
-fn class_viable(
-    plan: &RpePlan,
-    atoms: &[BoundAtom],
-    schema: &Schema,
-    states: &[(u32, Times)],
-    class: ClassId,
-    fwd: bool,
-) -> bool {
-    let table = if fwd { &plan.nfa.trans } else { &plan.nfa.rev };
-    for (s, _) in states {
-        for &(label, _) in &table[*s as usize] {
-            match label {
-                Label::AnyEdge => return true,
-                Label::AnyNode => {}
-                Label::Atom(a) => {
-                    let atom = &atoms[a as usize];
-                    if !atom.is_node && schema.is_subclass(class, atom.class) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
+/// Does the plan's typed table admit a bucket of edge class `edge`, hanging
+/// off a node of class `node`, from any state of `states`? A bucket it does
+/// not admit cannot lead to a completed half-match, so it is skipped whole
+/// (and counted in `typed_prunes`).
+#[inline]
+fn admitted(plan: &RpePlan, states: &[(u32, Times)], edge: ClassId, node: ClassId, fwd: bool) -> bool {
+    states.iter().any(|(s, _)| plan.typed.admits(*s, edge, node, fwd))
 }
 
 /// Depth-first extension in one direction from `sc.path` in `states`.
@@ -497,9 +479,11 @@ fn search(
         sc.levels.push(StateSet::new());
     }
     let last = *sc.path.last().expect("search roots are non-empty");
+    let Some(node) = env.view.graph.class_of(last) else { return };
     let adj = if fwd { env.view.graph.out_adj_list(last) } else { env.view.graph.in_adj_list(last) };
     for (class, entries) in adj.buckets() {
-        if !class_viable(env.plan, m.atoms, m.schema, states, class, fwd) {
+        if !admitted(env.plan, states, class, node, fwd) {
+            m.typed_prunes += 1;
             continue;
         }
         for a in entries {
@@ -670,8 +654,8 @@ pub fn evaluate(view: &GraphView, plan: &RpePlan, seeds: Seeds, opts: &EvalOptio
 
 /// The evaluator: [`evaluate`] that reports a tripped [`EvalOptions::cancel`]
 /// token as a typed error and feeds the sinks in `ctx`. Pathways, `OpStats`
-/// rows and temporal-prune counts are identical at every
-/// [`EvalOptions::threads`] value (see DESIGN.md §5b).
+/// rows and prune counts are identical at every [`EvalOptions::threads`]
+/// value (see DESIGN.md §5b).
 pub fn try_evaluate(
     view: &GraphView,
     plan: &RpePlan,
@@ -679,6 +663,72 @@ pub fn try_evaluate(
     opts: &EvalOptions,
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Pathway>, RpeError> {
+    match evaluate_as(view, plan, seeds, opts, ctx, false)? {
+        Evaluated::Pathways(p) => Ok(p),
+        Evaluated::Count(_) => unreachable!("pathways were asked for"),
+    }
+}
+
+/// How a count was obtained: counted at `Union` without building the
+/// pathways, or by enumerating them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CountMode {
+    Union,
+    Enumerate,
+}
+
+impl CountMode {
+    /// `union` / `enumerate`, as `EXPLAIN ANALYZE` and the spans show it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CountMode::Union => "union",
+            CountMode::Enumerate => "enumerate",
+        }
+    }
+}
+
+/// The number of pathways [`try_evaluate`] would return from the plan's
+/// anchor, and how it was obtained. At `Current`, when the plan proves that
+/// no pathway is produced twice ([`RpePlan::count_at_union`]), the same
+/// passes run with `Union` counting the admissible (backward, forward) half
+/// pairs — cycle check, length cap and checkpoints unchanged — and no
+/// pathway is written, sorted or finalized. Otherwise the pathways are
+/// enumerated and counted.
+pub fn try_count(
+    view: &GraphView,
+    plan: &RpePlan,
+    opts: &EvalOptions,
+    ctx: &mut ExecCtx,
+) -> Result<(usize, CountMode), RpeError> {
+    let mode = if plan.count_at_union && matches!(view.filter, TimeFilter::Current) {
+        CountMode::Union
+    } else {
+        CountMode::Enumerate
+    };
+    let n = match evaluate_as(view, plan, Seeds::Anchor, opts, ctx, mode == CountMode::Union)? {
+        Evaluated::Pathways(p) => p.len(),
+        Evaluated::Count(n) => n,
+    };
+    Ok((n, mode))
+}
+
+/// What one evaluation produced: the pathways, or only their number when
+/// `Union` counted them.
+enum Evaluated {
+    Pathways(Vec<Pathway>),
+    Count(usize),
+}
+
+/// [`try_evaluate`] and [`try_count`]: the passes, with `Union` counting
+/// instead of writing pathways when `count` is set.
+fn evaluate_as(
+    view: &GraphView,
+    plan: &RpePlan,
+    seeds: Seeds,
+    opts: &EvalOptions,
+    ctx: &mut ExecCtx,
+    count: bool,
+) -> Result<Evaluated, RpeError> {
     // Fast-fail: a request arriving with an already-tripped token (server
     // drain, expired deadline) must not seed any work, however small the
     // graph — checkpoint polls inside the evaluator are rate-limited and
@@ -694,7 +744,7 @@ pub fn try_evaluate(
     if let (Some(mm), Seeds::Sources(nodes) | Seeds::Targets(nodes)) = (opts.meter.as_ref(), seeds) {
         mm.add_rows(nodes.len() as u64);
     }
-    let result = run_passes(view, plan, seeds, opts, ctx);
+    let result = run_passes(view, plan, seeds, opts, ctx, count);
     if let (Some(mm), Some(c0)) = (opts.meter.as_ref(), cpu0) {
         mm.add_cpu_ns(thread_cpu_ns().saturating_sub(c0));
     }
@@ -756,9 +806,11 @@ fn expand_frontier(
             continue;
         }
         let last = *path.last().expect("expansion roots are non-empty");
+        let Some(node) = env.view.graph.class_of(last) else { continue };
         let adj = if fwd { env.view.graph.out_adj_list(last) } else { env.view.graph.in_adj_list(last) };
         for (class, entries) in adj.buckets() {
-            if !class_viable(env.plan, m.atoms, m.schema, &states, class, fwd) {
+            if !admitted(env.plan, &states, class, node, fwd) {
+                m.typed_prunes += 1;
                 continue;
             }
             for a in entries {
@@ -829,6 +881,7 @@ fn run_stage<'a, T: Send>(
     m.heat.flush();
     for r in &reports {
         m.temporal_prunes += r.state.temporal_prunes;
+        m.typed_prunes += r.state.typed_prunes;
         totals.helper_memo += r.state.memo.len() as u64;
         if m.cancel_cause.is_none() {
             m.cancel_cause = r.state.cancel_cause;
@@ -898,8 +951,10 @@ fn op_done(
 /// one search unit per (candidate, distinct NFA seed state) on the calling
 /// thread; run the units' subtrees as pool jobs; cross-combine the halves
 /// (`Union`) as pool jobs; merge the new pathways into the sorted result.
-/// Then finalize. Imported seeds skip the `Select` and the `Union` — every
-/// half is already a whole pathway.
+/// Then finalize; the merges and the finalize are the `Dedup` row. Imported
+/// seeds skip the `Select` and the `Union` — every half is already a whole
+/// pathway. With `count` (one anchor atom, see [`try_count`]) `Union`
+/// counts the pairs it would write and there is nothing to dedup.
 ///
 /// Units, jobs and union pairs are enumerated in candidate order and job
 /// outputs come back in job order, so nothing observable depends on which
@@ -910,7 +965,12 @@ fn run_passes(
     seeds: Seeds,
     opts: &EvalOptions,
     ctx: &mut ExecCtx,
-) -> Result<Vec<Pathway>, RpeError> {
+    count: bool,
+) -> Result<Evaluated, RpeError> {
+    assert!(
+        plan.typed.built_for(&plan.nfa),
+        "the plan's typed table was built for another automaton (use RpePlan::set_nfa)"
+    );
     let no_span = SpanHandle::none();
     let span = ctx.span.unwrap_or(&no_span);
     // Operator timings are wanted: a trace or a live span is attached.
@@ -931,6 +991,9 @@ fn run_passes(
     let mut m = ElemMatcher::new(&env);
     // Whole pathways found so far, sorted and distinct between atoms.
     let mut results: Vec<(Vec<Uid>, Times)> = Vec::new();
+    // Pairs `Union` counted instead of writing; rows written for `Dedup`
+    // and its time.
+    let (mut counted, mut dedup_in, mut dedup_ns) = (0u64, 0u64, 0u64);
     let mut pool = PoolTotals::default();
     let ns_since = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
@@ -1025,8 +1088,10 @@ fn run_passes(
                             if let Some(t) = complete_times(plan, &seed, false) {
                                 units[bu].halves.push(&[], t);
                             }
+                            let node = view.graph.class_of(*elem).expect("a candidate is a stored element");
                             for (class, entries) in view.graph.in_adj_list(*elem).buckets() {
-                                if !class_viable(plan, m.atoms, m.schema, &seed, class, false) {
+                                if !admitted(plan, &seed, class, node, false) {
+                                    m.typed_prunes += 1;
                                     continue;
                                 }
                                 for adj in entries {
@@ -1132,6 +1197,7 @@ fn run_passes(
                 let ubounds = par::chunks(ujobs.len(), threads);
                 let uouts = run_stage(&env, &mut m, &mut pool, "union", ubounds.len(), |mw, c| {
                     let mut out: Vec<(Vec<Uid>, Times)> = Vec::new();
+                    let mut n = 0u64;
                     let t0 = enabled.then(Instant::now);
                     'jobs: for &(pi, lo, hi) in &ujobs[ubounds[c].clone()] {
                         let (bu, fu) = pairs[pi];
@@ -1159,6 +1225,10 @@ fn run_passes(
                                 if b.len() + fh.len() > env.cap {
                                     continue;
                                 }
+                                if count {
+                                    n += 1;
+                                    continue;
+                                }
                                 // The pathway is written once, here, and
                                 // moves from this buffer into the result.
                                 let mut elems = Vec::with_capacity(b.len() + fh.len());
@@ -1168,15 +1238,23 @@ fn run_passes(
                             }
                         }
                     }
-                    (out, ns_since(t0))
+                    (out, n, ns_since(t0))
                 });
-                for (out, ns) in uouts.into_iter().flatten() {
+                let counted_before = counted;
+                for (out, n, ns) in uouts.into_iter().flatten() {
                     union_ns += ns;
+                    counted += n;
+                    dedup_in += out.len() as u64;
                     results.extend(out);
                 }
-                merge_sorted(&mut results);
+                if !count {
+                    let t0 = enabled.then(Instant::now);
+                    merge_sorted(&mut results);
+                    dedup_ns += ns_since(t0);
+                }
 
-                let (n_cand, union_out) = (candidates.len() as u64, results.len() as u64 - union_before);
+                let n_cand = candidates.len() as u64;
+                let union_out = results.len() as u64 - union_before + counted - counted_before;
                 for (op, rows, ns, key, n) in [
                     ("Extend(fwd)", (n_cand, fwd_halves), fwd_ns, "halves", fwd_halves),
                     ("Extend(bwd)", (n_cand, bwd_halves), bwd_ns, "halves", bwd_halves),
@@ -1235,7 +1313,10 @@ fn run_passes(
                     lo = hi;
                 }
             }
+            dedup_in = results.len() as u64;
+            let t1 = enabled.then(Instant::now);
             merge_sorted(&mut results);
+            dedup_ns += ns_since(t1);
             let (op, select, extend) = if fwd {
                 ("Extend(fwd)", "imported source seeds", "from imported sources")
             } else {
@@ -1250,11 +1331,13 @@ fn run_passes(
     let memo_entries = m.memo.len() as u64 + pool.helper_memo;
     if let Some(trc) = ctx.trace.as_deref_mut() {
         trc.bump("temporal_prunes", m.temporal_prunes);
+        trc.bump("typed_prunes", m.typed_prunes);
         trc.bump("match_memo_entries", memo_entries);
         trc.bump("rpe_parallel_chunks", pool.chunks);
         trc.bump("rpe_steal_count", pool.steals);
     }
     span.attr("temporal_prunes", m.temporal_prunes);
+    span.attr("typed_prunes", m.typed_prunes);
     span.attr("match_memo_entries", memo_entries);
     span.attr("threads", threads);
     span.attr("rpe_parallel_chunks", pool.chunks);
@@ -1271,7 +1354,12 @@ fn run_passes(
         return Err(cause.into());
     }
 
+    if count {
+        let n = counted as usize;
+        return Ok(Evaluated::Count(opts.limit.map_or(n, |limit| n.min(limit))));
+    }
     // `results` is sorted by elements; finalizing keeps the order.
+    let t0 = enabled.then(Instant::now);
     let mut out: Vec<Pathway> = Vec::with_capacity(results.len());
     for (elems, times) in results {
         if let Some(t) = finalize(view, times) {
@@ -1281,7 +1369,9 @@ fn run_passes(
     if let Some(limit) = opts.limit {
         out.truncate(limit);
     }
-    Ok(out)
+    let rows = (dedup_in, out.len() as u64);
+    op_done(ctx, "Dedup", "sort, merge, finalize", rows, dedup_ns + ns_since(t0), &[("rows_in", &dedup_in)]);
+    Ok(Evaluated::Pathways(out))
 }
 
 /// Live-statistics estimator backed by the store (§5.1: "database

@@ -12,6 +12,9 @@
 //!   length-limited by construction, so the automaton is a DAG.
 //! - [`anchor`] — anchor enumeration and cost-based selection, including
 //!   the alternation cross-product rule.
+//! - [`typing`] — the schema-typed product of the automaton: which
+//!   adjacency buckets can still lead to a result, given the schema's edge
+//!   whitelist.
 //! - [`plan`] — the complete plan: the paper's `Select`/`Extend`/`Union`
 //!   operator DAG.
 //! - [`exec`] — the native anchored evaluator over time-filtered graph
@@ -58,14 +61,19 @@ pub mod par;
 pub mod parser;
 pub mod path;
 pub mod plan;
+pub mod typing;
 
 pub use anchor::{select_anchor, AnchorSet, CardinalityEstimator, HintEstimator};
 pub use ast::{Atom, CmpOp, Pred, Rpe};
 pub use bind::{bind, BoundAtom, BoundPred, BoundRpe, Norm};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{Result, RpeError};
-pub use exec::{anchor_scan, evaluate, resolved_threads, try_evaluate, EvalOptions, ExecCtx, GraphEstimator, Seeds};
+pub use exec::{
+    anchor_scan, evaluate, resolved_threads, try_count, try_evaluate, CountMode, EvalOptions, ExecCtx, GraphEstimator,
+    Seeds,
+};
 pub use nfa::{compile, Label, Nfa, Transition};
 pub use parser::parse_rpe;
 pub use path::Pathway;
 pub use plan::{plan_rpe, plan_rpe_with, RpePlan};
+pub use typing::TypedTable;

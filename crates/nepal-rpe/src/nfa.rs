@@ -392,6 +392,58 @@ impl Nfa {
         longest(self, self.start, &mut memo)
     }
 
+    /// Every state once, in depth-first post-order over the transitions: a
+    /// state comes after every state it steps to. The automaton is a DAG, so
+    /// the reverse is a topological order.
+    pub fn postorder(&self) -> Vec<u32> {
+        let adj = &self.trans;
+        let mut seen = vec![false; self.n_states];
+        let mut out = Vec::with_capacity(self.n_states);
+        let mut stack: Vec<(u32, usize)> = Vec::new();
+        for root in 0..self.n_states as u32 {
+            if std::mem::replace(&mut seen[root as usize], true) {
+                continue;
+            }
+            stack.push((root, 0));
+            while let Some(top) = stack.last_mut() {
+                let (s, i) = *top;
+                match adj[s as usize].get(i) {
+                    Some(&(_, t)) => {
+                        top.1 += 1;
+                        if !std::mem::replace(&mut seen[t as usize], true) {
+                            stack.push((t, 0));
+                        }
+                    }
+                    None => {
+                        out.push(s);
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The number of elements consumed on the way from the start to `s`,
+    /// when every run reaching `s` consumes the same number; `None` when
+    /// runs of different lengths reach it, or none does.
+    pub fn fixed_depth(&self, s: u32) -> Option<usize> {
+        if s == self.start && self.rev[s as usize].is_empty() {
+            return Some(0);
+        }
+        // (shortest, longest) run into each state, in topological order.
+        let mut depth: Vec<Option<(usize, usize)>> = vec![None; self.n_states];
+        depth[self.start as usize] = Some((0, 0));
+        for &u in self.postorder().iter().rev() {
+            let Some((lo, hi)) = depth[u as usize] else { continue };
+            for &(_, t) in &self.trans[u as usize] {
+                let d = &mut depth[t as usize];
+                *d = Some(d.map_or((lo + 1, hi + 1), |(a, b)| (a.min(lo + 1), b.max(hi + 1))));
+            }
+        }
+        depth[s as usize].filter(|(lo, hi)| lo == hi).map(|(lo, _)| lo)
+    }
+
     /// All transitions carrying the given atom occurrence — the seed points
     /// of an anchored evaluation.
     pub fn seeds_for(&self, atom: u32) -> Vec<Transition> {

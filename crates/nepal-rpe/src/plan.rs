@@ -13,6 +13,7 @@ use crate::ast::Rpe;
 use crate::bind::{bind, BoundAtom, Norm};
 use crate::error::Result;
 use crate::nfa::{compile, Label, Nfa};
+use crate::typing::TypedTable;
 
 /// A fully planned RPE, ready for evaluation or translation.
 #[derive(Debug, Clone)]
@@ -33,6 +34,27 @@ pub struct RpePlan {
     pub source_class: ClassId,
     /// Static type of `target(P)`.
     pub target_class: ClassId,
+    /// The schema-typed product of `nfa`: which adjacency buckets can still
+    /// lead to a result (see [`crate::typing`]). Built for `nfa`; replace
+    /// the automaton through [`RpePlan::set_nfa`], which rebuilds it.
+    pub typed: TypedTable,
+    /// `count(P)` can be counted at `Union` without building pathways: no
+    /// pathway can come from two (candidate, seed transition) origins (one
+    /// anchor atom on one seed transition whose `from` state sits at a
+    /// fixed depth).
+    pub count_at_union: bool,
+}
+
+/// Is every pathway the anchor produces produced once? True when there is
+/// one anchor atom with one seed transition, and every run reaches that
+/// transition's `from` state after the same number of elements: the anchor
+/// element then sits at one fixed position of every matching pathway, so a
+/// pathway has exactly one candidate, one seed transition and one split
+/// into a backward and a forward half.
+fn count_at_union(nfa: &Nfa, anchor: &AnchorSet) -> bool {
+    let [atom] = anchor.atoms[..] else { return false };
+    let seeds = nfa.seeds_for(atom);
+    seeds.len() == 1 && nfa.fixed_depth(seeds[0].from).is_some()
 }
 
 fn lca_of_labels(schema: &Schema, atoms: &[BoundAtom], labels: &[Label]) -> ClassId {
@@ -79,6 +101,8 @@ pub fn plan_rpe_with(schema: &Schema, rpe: &Rpe, est: &dyn CardinalityEstimator,
     let max_elements = nfa.max_elements();
     let source_class = lca_of_labels(schema, &bound.atoms, &nfa.first_labels());
     let target_class = lca_of_labels(schema, &bound.atoms, &nfa.last_labels());
+    let typed = TypedTable::build(schema, &bound.atoms, &nfa);
+    let count_at_union = count_at_union(&nfa, &anchor);
     Ok(RpePlan {
         text: rpe.to_string(),
         atoms: bound.atoms,
@@ -89,10 +113,21 @@ pub fn plan_rpe_with(schema: &Schema, rpe: &Rpe, est: &dyn CardinalityEstimator,
         max_elements,
         source_class,
         target_class,
+        typed,
+        count_at_union,
     })
 }
 
 impl RpePlan {
+    /// Walk `nfa` instead of the compiled automaton (it must accept the
+    /// same pathways): the typed table and the count rule are rebuilt for
+    /// it.
+    pub fn set_nfa(&mut self, schema: &Schema, nfa: Nfa) {
+        self.typed = TypedTable::build(schema, &self.atoms, &nfa);
+        self.count_at_union = count_at_union(&nfa, &self.anchor);
+        self.nfa = nfa;
+    }
+
     /// Render an anchor set's atoms, e.g. `VM(vm_id=55) | Docker(docker_id=66)`.
     pub fn anchor_desc(&self, set: &AnchorSet) -> String {
         let parts: Vec<&str> = set.atoms.iter().map(|&a| self.atoms[a as usize].display.as_str()).collect();

@@ -112,6 +112,18 @@ impl Schema {
         self.tin[b.0 as usize] <= self.tin[a.0 as usize] && self.tin[a.0 as usize] <= self.tout[b.0 as usize]
     }
 
+    /// Position of `id` in the class tree's DFS pre-order (`Entity` is 0).
+    pub fn preorder(&self, id: ClassId) -> usize {
+        self.tin[id.0 as usize] as usize - 1
+    }
+
+    /// The pre-order positions of `id` and all its subclasses: one
+    /// contiguous range, so a set of classes closed under subclassing is a
+    /// union of such ranges.
+    pub fn subtree(&self, id: ClassId) -> std::ops::Range<usize> {
+        self.preorder(id)..self.tout[id.0 as usize] as usize
+    }
+
     /// All classes in the subtree rooted at `id`, including `id` itself.
     pub fn descendants(&self, id: ClassId) -> Vec<ClassId> {
         let mut out = Vec::new();
@@ -534,6 +546,19 @@ mod tests {
                                                     // The paper: "one cannot directly link a VNF to a physical_server".
         let vertical = s.class_by_name("Vertical").unwrap();
         assert!(!s.edge_allowed(vertical, vm, host)); // rule is on HostedOn, not Vertical
+    }
+
+    #[test]
+    fn subtree_ranges_are_the_descendants() {
+        let s = sample();
+        for a in 0..s.num_classes() as u32 {
+            let a = ClassId(a);
+            let mut want: Vec<usize> = s.descendants(a).into_iter().map(|c| s.preorder(c)).collect();
+            want.sort_unstable();
+            assert_eq!(want, s.subtree(a).collect::<Vec<_>>(), "{}", s.class(a).name);
+        }
+        assert_eq!(s.preorder(ENTITY), 0);
+        assert_eq!(s.subtree(ENTITY).len(), s.num_classes());
     }
 
     #[test]

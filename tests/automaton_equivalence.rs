@@ -6,11 +6,13 @@
 //! at `Current`, `AsOf` and `Range`, on the native evaluator (one and four
 //! seats) and on the relational route.
 
+mod common;
+
+use common::{live_ids, mutation_span};
 use nepal::core::{Backend, RelationalBackend};
-use nepal::graph::{GraphView, TemporalGraph, TimeFilter, Uid, FOREVER};
+use nepal::graph::{GraphView, TemporalGraph, TimeFilter};
 use nepal::rpe::nfa::compile_eps_free;
 use nepal::rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, RpePlan, Seeds};
-use nepal::schema::{Ts, Value};
 use nepal::workload::{generate_tier_churned, SizeTier};
 
 /// The RPEs of the five `fanout.aggregate` queries (the join has two).
@@ -22,31 +24,6 @@ const FANOUT: [&str; 6] = [
     "VFC()->OnVM()->Container()->OnServer()->Host()",
     "Host()->ServerSwitch()->Switch()",
 ];
-
-/// The first and last instants any version opened or closed at.
-fn mutation_span(g: &TemporalGraph) -> (Ts, Ts) {
-    let times: Vec<Ts> = (0..g.num_entities() as u64)
-        .flat_map(|raw| g.versions(Uid(raw)))
-        .flat_map(|v| [v.span.from, v.span.to])
-        .filter(|&t| t != FOREVER)
-        .collect();
-    (*times.iter().min().expect("a non-empty graph"), *times.iter().max().unwrap())
-}
-
-/// The unique ids (`field`) of the currently asserted entities of `class`
-/// at extent positions `picks`.
-fn live_ids(g: &TemporalGraph, class: &str, field: &str, picks: &[usize]) -> Vec<i64> {
-    let c = g.schema().class_by_name(class).expect("class in the schema");
-    let idx = g.schema().all_fields(c).iter().position(|f| f.name == field).expect("id field");
-    let live = GraphView::new(g, TimeFilter::Current).scan_class(c);
-    picks
-        .iter()
-        .map(|&i| match g.current_fields(live[i % live.len()]).expect("alive")[idx] {
-            Value::Int(id) => id,
-            ref other => panic!("{field} is {other:?}"),
-        })
-        .collect()
-}
 
 /// The fanout RPEs, then top-down, bottom-up, VM connectivity and the
 /// retarget VFC shape, each anchored on three live ids.
@@ -71,7 +48,7 @@ fn plans(g: &TemporalGraph, rpe: &str) -> (RpePlan, RpePlan) {
     let plan = plan_rpe(g.schema(), &parse_rpe(rpe).unwrap(), &GraphEstimator { graph: g }).unwrap();
     let kinds: Vec<bool> = plan.atoms.iter().map(|a| a.is_node).collect();
     let mut eps = plan.clone();
-    eps.nfa = compile_eps_free(&plan.norm, &kinds);
+    eps.set_nfa(g.schema(), compile_eps_free(&plan.norm, &kinds));
     assert!(plan.nfa.n_states <= eps.nfa.n_states, "{rpe}: the determinised automaton is larger");
     (plan, eps)
 }

@@ -1,16 +1,21 @@
 //! Property tests: the automaton-based anchored evaluator agrees with an
 //! independent *reference implementation* of the paper's §3.3 pathway
 //! satisfaction semantics (recursive, directly following the four
-//! concatenation conditions), on randomized graphs and a corpus of RPEs;
-//! and the determinised automaton every plan carries agrees with the
+//! concatenation conditions), on randomized graphs and a corpus of RPEs,
+//! with and without an edge whitelist in the schema — and so does the
+//! relational route; and the determinised automaton every plan carries agrees with the
 //! ε-free automaton it is built from, on that corpus and on random RPEs.
+
+mod common;
 
 use std::sync::Arc;
 
+use common::{all_pathways, ref_matches};
+use nepal::core::{Backend, RelationalBackend};
 use nepal::graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal::rpe::nfa::compile_eps_free;
 use nepal::rpe::{
-    evaluate, parse_rpe, plan_rpe, BoundAtom, EvalOptions, GraphEstimator, HintEstimator, Label, Nfa, Norm, Rpe, Seeds,
+    evaluate, parse_rpe, plan_rpe, BoundAtom, EvalOptions, GraphEstimator, HintEstimator, Label, Nfa, Rpe, Seeds,
 };
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::{ClassId, Schema, Value, NODE};
@@ -25,114 +30,20 @@ const SCHEMA: &str = r#"
     edge Z { weight2: int }
 "#;
 
-/// A direct recursive implementation of §3.3 satisfaction over the
-/// normalized (repetition-free) form, using the same bound atoms.
-fn ref_matches_norm(g: &TemporalGraph, atoms: &[BoundAtom], norm: &Norm, path: &[Uid]) -> bool {
-    match norm {
-        Norm::Atom(a) => {
-            if path.len() != 1 {
-                return false;
-            }
-            let atom = &atoms[*a as usize];
-            let uid = path[0];
-            if g.is_node(uid) != atom.is_node {
-                return false;
-            }
-            let class = g.class_of(uid).unwrap();
-            if !g.schema().is_subclass(class, atom.class) {
-                return false;
-            }
-            match g.current_version(uid) {
-                Some(v) => atom.matches_fields(v.fields()),
-                None => false,
-            }
-        }
-        Norm::Alt(parts) => parts.iter().any(|p| ref_matches_norm(g, atoms, p, path)),
-        Norm::Seq(parts) => {
-            // Left-fold binary concatenation with the 4-way split rule.
-            fn concat(g: &TemporalGraph, atoms: &[BoundAtom], left: &[Norm], right: &Norm, path: &[Uid]) -> bool {
-                for k in 0..=path.len() {
-                    // Adjacent split (conditions 1/2).
-                    if seq_matches(g, atoms, left, &path[..k]) && ref_matches_norm(g, atoms, right, &path[k..]) {
-                        return true;
-                    }
-                    // Skip exactly one element at the boundary (3/4).
-                    if k < path.len()
-                        && seq_matches(g, atoms, left, &path[..k])
-                        && ref_matches_norm(g, atoms, right, &path[k + 1..])
-                    {
-                        return true;
-                    }
-                }
-                false
-            }
-            fn seq_matches(g: &TemporalGraph, atoms: &[BoundAtom], parts: &[Norm], path: &[Uid]) -> bool {
-                match parts.len() {
-                    0 => false,
-                    1 => ref_matches_norm(g, atoms, &parts[0], path),
-                    n => concat(g, atoms, &parts[..n - 1], &parts[n - 1], path),
-                }
-            }
-            seq_matches(g, atoms, parts, path)
-        }
-    }
-}
+/// Rules that make `SCHEMA` a whitelist: the generated graphs then lack the
+/// edges they forbid, and plans prune by them.
+const WHITELIST: &str = r#"
+    allow X (A -> C)
+    allow X (A -> A)
+    allow Y (B -> A)
+    allow Z (C -> A)
+"#;
 
-/// Whole-pathway satisfaction: the core form, possibly with implicit
-/// endpoint nodes stripped ("a single edge has implicit nodes at its
-/// endpoints"). Stripping a node from a node-initial RPE can never help,
-/// so trying all combinations is equivalent to the NFA wrapper.
-fn ref_matches(g: &TemporalGraph, atoms: &[BoundAtom], norm: &Norm, path: &[Uid]) -> bool {
-    if path.is_empty() || !g.is_node(path[0]) || !g.is_node(*path.last().unwrap()) {
-        return false;
-    }
-    let n = path.len();
-    if ref_matches_norm(g, atoms, norm, path) {
-        return true;
-    }
-    if n > 1 && ref_matches_norm(g, atoms, norm, &path[1..]) {
-        return true;
-    }
-    if n > 1 && ref_matches_norm(g, atoms, norm, &path[..n - 1]) {
-        return true;
-    }
-    n > 2 && ref_matches_norm(g, atoms, norm, &path[1..n - 1])
-}
-
-/// Enumerate every simple alternating pathway up to `max_elems` elements.
-fn all_pathways(g: &TemporalGraph, max_elems: usize) -> Vec<Vec<Uid>> {
-    let mut out = Vec::new();
-    let nodes: Vec<Uid> =
-        (0..g.num_entities() as u64).map(Uid).filter(|&u| g.is_node(u) && g.current_version(u).is_some()).collect();
-    fn dfs(g: &TemporalGraph, path: &mut Vec<Uid>, max: usize, out: &mut Vec<Vec<Uid>>) {
-        out.push(path.clone());
-        if path.len() + 2 > max {
-            return;
-        }
-        let last = *path.last().unwrap();
-        for adj in g.out_adj(last) {
-            if g.current_version(adj.edge).is_none() || g.current_version(adj.other).is_none() {
-                continue;
-            }
-            if path.contains(&adj.edge) || path.contains(&adj.other) {
-                continue;
-            }
-            path.push(adj.edge);
-            path.push(adj.other);
-            dfs(g, path, max, out);
-            path.pop();
-            path.pop();
-        }
-    }
-    for n in nodes {
-        let mut path = vec![n];
-        dfs(g, &mut path, max_elems, &mut out);
-    }
-    out
-}
-
-fn build_graph(seed: u64, n_nodes: usize, n_edges: usize) -> TemporalGraph {
-    let schema: Arc<Schema> = Arc::new(parse_schema(SCHEMA).unwrap());
+/// A random graph over `SCHEMA`, plus `WHITELIST` when `whitelist` is set
+/// (edges it forbids are not inserted).
+fn build_graph(seed: u64, n_nodes: usize, n_edges: usize, whitelist: bool) -> TemporalGraph {
+    let text = if whitelist { format!("{SCHEMA}{WHITELIST}") } else { SCHEMA.to_string() };
+    let schema: Arc<Schema> = Arc::new(parse_schema(&text).unwrap());
     let mut g = TemporalGraph::new(schema.clone());
     let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
     let mut rng = move || {
@@ -186,13 +97,12 @@ const RPES: &[&str] = &[
     "B(color='red')->Y()->B(color='red')",
 ];
 
-fn check_rpe_on_graph(g: &TemporalGraph, rpe_text: &str, threads: usize) {
+/// The native evaluator at one and four seats against the reference, and
+/// the relational route against the native evaluator.
+fn check_rpe_on_graph(g: &TemporalGraph, rel: &mut RelationalBackend, rpe_text: &str) {
     let rpe: Rpe = parse_rpe(rpe_text).unwrap();
     let plan = plan_rpe(g.schema(), &rpe, &GraphEstimator { graph: g }).unwrap();
     let view = GraphView::new(g, TimeFilter::Current);
-    let opts = EvalOptions { threads, ..Default::default() };
-    let engine_paths: std::collections::HashSet<Vec<Uid>> =
-        evaluate(&view, &plan, Seeds::Anchor, &opts).into_iter().map(|p| p.elems).collect();
     // Reference: brute-force over every simple pathway up to the plan's
     // length limit.
     let mut ref_paths = std::collections::HashSet::new();
@@ -201,17 +111,37 @@ fn check_rpe_on_graph(g: &TemporalGraph, rpe_text: &str, threads: usize) {
             ref_paths.insert(path);
         }
     }
-    // The engine may legitimately find longer matches than the brute-force
-    // bound; compare only up to the enumeration limit.
-    let engine_limited: std::collections::HashSet<Vec<Uid>> =
-        engine_paths.iter().filter(|p| p.len() <= plan.max_elements.min(7)).cloned().collect();
-    assert_eq!(
-        ref_paths,
-        engine_limited,
-        "semantics mismatch for `{rpe_text}` at threads {threads}:\n  reference-only: {:?}\n  engine-only: {:?}",
-        ref_paths.difference(&engine_limited).collect::<Vec<_>>(),
-        engine_limited.difference(&ref_paths).collect::<Vec<_>>(),
-    );
+    for threads in [1, 4] {
+        let opts = EvalOptions { threads, ..Default::default() };
+        let native = evaluate(&view, &plan, Seeds::Anchor, &opts);
+        if threads == 1 {
+            let by_rel = rel.eval(&plan, TimeFilter::Current, Seeds::Anchor, &opts).unwrap();
+            assert_eq!(by_rel, native, "relational route for `{rpe_text}`");
+        }
+        // The engine may legitimately find longer matches than the
+        // brute-force bound; compare only up to the enumeration limit.
+        let engine_limited: std::collections::HashSet<Vec<Uid>> =
+            native.into_iter().map(|p| p.elems).filter(|p| p.len() <= plan.max_elements.min(7)).collect();
+        assert_eq!(
+            ref_paths,
+            engine_limited,
+            "semantics mismatch for `{rpe_text}` at threads {threads}:\n  reference-only: {:?}\n  engine-only: {:?}",
+            ref_paths.difference(&engine_limited).collect::<Vec<_>>(),
+            engine_limited.difference(&ref_paths).collect::<Vec<_>>(),
+        );
+    }
+}
+
+/// Every corpus RPE on the graph `build_graph` makes, without and with the
+/// whitelist.
+fn check_corpus(seed: u64, n_nodes: usize, n_edges: usize) {
+    for whitelist in [false, true] {
+        let g = build_graph(seed, n_nodes, n_edges, whitelist);
+        let mut rel = RelationalBackend::from_graph(&g).unwrap();
+        for rpe in RPES {
+            check_rpe_on_graph(&g, &mut rel, rpe);
+        }
+    }
 }
 
 proptest! {
@@ -219,12 +149,7 @@ proptest! {
 
     #[test]
     fn nfa_engine_agrees_with_reference_semantics(seed in 0u64..5000) {
-        let g = build_graph(seed, 7, 10);
-        for rpe in RPES {
-            for threads in [1, 4] {
-                check_rpe_on_graph(&g, rpe, threads);
-            }
-        }
+        check_corpus(seed, 7, 10);
     }
 
     #[test]
@@ -243,12 +168,7 @@ proptest! {
 fn dense_graph_regression() {
     // A denser deterministic case that historically exercises the
     // combination of alternation anchors and boundary skips.
-    let g = build_graph(424242, 9, 20);
-    for rpe in RPES {
-        for threads in [1, 4] {
-            check_rpe_on_graph(&g, rpe, threads);
-        }
-    }
+    check_corpus(424242, 9, 20);
 }
 
 /// One pathway element for the automaton checks: its kind and the atoms it
