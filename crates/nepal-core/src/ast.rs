@@ -37,12 +37,8 @@ pub struct SourceDecl {
     pub backend: Option<String>,
 }
 
-/// `source(P)` / `target(P)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathFn {
-    Source,
-    Target,
-}
+/// `source(P)` / `target(P)`, shared with the evaluator's end-keyed sinks.
+pub use nepal_rpe::PathFn;
 
 /// An expression usable in Select heads and Where comparisons.
 #[derive(Debug, Clone, PartialEq)]

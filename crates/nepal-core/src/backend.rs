@@ -15,7 +15,9 @@ use nepal_gremlin::{evaluate_gremlin, GremlinClient, GremlinTime};
 use nepal_obs::{OpStats, SpanHandle};
 use nepal_relational::{db_from_graph, evaluate_relational, RelDb};
 use nepal_rpe::anchor::apply_selectivity;
-use nepal_rpe::{BoundAtom, CardinalityEstimator, CountMode, EvalOptions, ExecCtx, Pathway, RpePlan, Seeds};
+use nepal_rpe::{
+    BoundAtom, CardinalityEstimator, EvalOptions, ExecCtx, FoldMode, Folded, Pathway, RpePlan, Seeds, Sink,
+};
 use nepal_schema::{ClassId, Schema, Value};
 
 use crate::error::{NepalError, Result};
@@ -50,17 +52,18 @@ pub trait Backend: Send {
         ctx: &mut ExecCtx,
     ) -> Result<Vec<Pathway>>;
 
-    /// The number of pathways [`Backend::eval_in`] returns from the plan's
-    /// anchor, and how it was obtained. By default the pathways are
-    /// enumerated and counted.
-    fn count_in(
+    /// What `sink` collects over the pathways [`Backend::eval_in`] returns
+    /// from the plan's anchor, and how it was obtained. By default the
+    /// pathways are enumerated and folded.
+    fn fold_in(
         &mut self,
         plan: &RpePlan,
         filter: TimeFilter,
+        sink: Sink,
         opts: &EvalOptions,
         ctx: &mut ExecCtx,
-    ) -> Result<(usize, CountMode)> {
-        Ok((self.eval_in(plan, filter, Seeds::Anchor, opts, ctx)?.len(), CountMode::Enumerate))
+    ) -> Result<(Folded, FoldMode)> {
+        Ok((sink.fold(self.eval_in(plan, filter, Seeds::Anchor, opts, ctx)?), FoldMode::Enumerate))
     }
 
     /// Field values (and runtime class) of an element, for Select
@@ -113,15 +116,16 @@ impl Backend for NativeBackend {
         nepal_rpe::try_evaluate(&view, plan, seeds, opts, ctx).map_err(NepalError::from)
     }
 
-    fn count_in(
+    fn fold_in(
         &mut self,
         plan: &RpePlan,
         filter: TimeFilter,
+        sink: Sink,
         opts: &EvalOptions,
         ctx: &mut ExecCtx,
-    ) -> Result<(usize, CountMode)> {
+    ) -> Result<(Folded, FoldMode)> {
         let view = GraphView::new(&self.graph, filter);
-        nepal_rpe::try_count(&view, plan, opts, ctx).map_err(NepalError::from)
+        nepal_rpe::try_fold(&view, plan, sink, opts, ctx).map_err(NepalError::from)
     }
 
     fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {

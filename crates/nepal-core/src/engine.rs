@@ -31,7 +31,7 @@ use nepal_obs::{
 };
 use nepal_rpe::{
     plan_rpe_with, resolved_threads, BoundAtom, CancelCause, CancelToken, CardinalityEstimator, EvalOptions, ExecCtx,
-    Pathway, RpePlan, Seeds,
+    Folded, Pathway, RpePlan, Seeds, Sink,
 };
 use nepal_schema::{Schema, Ts, Value};
 
@@ -204,14 +204,6 @@ impl RowLoop<'_> {
 
 /// Poll frequency for the engine's row loops.
 const ENGINE_CANCEL_MASK: u64 = 0x3FF; // every 1024 rows
-
-/// The node at one end of a pathway.
-fn path_end(p: &Pathway, f: PathFn) -> Uid {
-    match f {
-        PathFn::Source => p.source(),
-        PathFn::Target => p.target(),
-    }
-}
 
 impl Engine {
     pub fn new(registry: BackendRegistry) -> Engine {
@@ -495,53 +487,71 @@ impl Engine {
         span: &SpanHandle,
         run: &mut QueryRun,
     ) -> Result<QueryResult> {
-        if count_only(q) {
-            return self.count_query(q, profile, span, run);
+        if let Some(sinks) = fold_sinks(q) {
+            return self.fold_query(q, &sinks, profile, span, run);
         }
         let joined = self.joined_rows(q, profile, span, run)?;
         let _head_span = span.child("head");
         self.finish_head(q, joined)
     }
 
-    /// A query that only counts one variable's pathways ([`count_only`]):
-    /// plan the variable, then ask its backend for the count instead of the
-    /// pathways. There is nothing to join, filter or fold: every pathway
-    /// would be one row.
-    fn count_query(
+    /// A query whose answer is a fold of its variables' pathways
+    /// ([`fold_sinks`]): plan the variables, ask each backend for its sink's
+    /// value instead of the pathways, and combine the values. A count is
+    /// the answer; a set of ends answers with its size; two by-end maps
+    /// answer with Σₖ cA(k)·cB(k), the number of rows the end equality
+    /// would join, probing the smaller map into the larger.
+    fn fold_query(
         &mut self,
         q: &Query,
+        sinks: &[Sink],
         mut profile: Option<&mut QueryProfile>,
         span: &SpanHandle,
         run: &mut QueryRun,
     ) -> Result<QueryResult> {
         let evals = self.plan_vars(q, None, profile.as_deref_mut(), span, run)?;
-        let e = &evals[0];
-        let plan = e.plan.as_ref().expect("count_only admits PATHS variables only");
         let texec = profile.is_some().then(Instant::now);
         let exec_span = span.child("execute");
-        let backend = self.registry.get_mut(e.backend.as_deref())?;
-        let var_span = exec_span.child(format_args!("eval:{}", e.var));
-        var_span.attr("backend", backend.kind());
-        let mut ctx = ExecCtx {
-            trace: profile.as_deref_mut().map(|p| &mut p.vars[0].trace),
-            span: Some(&var_span),
-            metrics: Some(&self.metrics),
-        };
-        let (n, mode) = backend.count_in(plan, e.filter, &run.opts, &mut ctx)?;
-        var_span.attr("count", mode.as_str());
-        var_span.attr("pathways", n);
-        drop(var_span);
+        let mut folds = Vec::with_capacity(sinks.len());
+        for (i, (e, &sink)) in evals.iter().zip(sinks).enumerate() {
+            let plan = e.plan.as_ref().expect("fold_sinks admits PATHS variables only");
+            let backend = self.registry.get_mut(e.backend.as_deref())?;
+            let teval = profile.is_some().then(Instant::now);
+            let var_span = exec_span.child(format_args!("eval:{}", e.var));
+            var_span.attr("backend", backend.kind());
+            let mut ctx = ExecCtx {
+                trace: profile.as_deref_mut().map(|p| &mut p.vars[i].trace),
+                span: Some(&var_span),
+                metrics: Some(&self.metrics),
+            };
+            let (folded, mode) = backend.fold_in(plan, e.filter, sink, &run.opts, &mut ctx)?;
+            var_span.attr("count", mode.as_str());
+            var_span.attr("pathways", folded.pathways());
+            drop(var_span);
+            if let (Some(p), Some(t)) = (profile.as_deref_mut(), teval) {
+                let vp = &mut p.vars[i];
+                vp.eval_ns = t.elapsed().as_nanos() as u64;
+                vp.pathways = folded.pathways() as u64;
+                vp.count = Some(mode.as_str());
+                vp.generated = backend.last_generated();
+            }
+            folds.push(folded);
+        }
         drop(exec_span);
         if let (Some(p), Some(t)) = (profile, texec) {
-            let vp = &mut p.vars[0];
-            vp.eval_ns = t.elapsed().as_nanos() as u64;
-            vp.pathways = n as u64;
-            vp.count = Some(mode.as_str());
-            vp.generated = backend.last_generated();
-            p.exec_ns = vp.eval_ns;
+            p.exec_ns = t.elapsed().as_nanos() as u64;
         }
         let _head_span = span.child("head");
-        let Head::Select(items) = &q.head else { unreachable!("count_only admits Select heads only") };
+        let n = match &folds[..] {
+            [Folded::Count(n)] => *n as u64,
+            [Folded::Ends(ends, _)] => ends.len() as u64,
+            [Folded::ByEnd(a), Folded::ByEnd(b)] => {
+                let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+                small.iter().map(|(end, n)| n * large.get(end).copied().unwrap_or(0)).sum()
+            }
+            _ => unreachable!("fold_sinks pairs each shape with its sinks"),
+        };
+        let Head::Select(items) = &q.head else { unreachable!("fold_sinks admits Select heads only") };
         Ok(QueryResult {
             columns: vec![item_name(&items[0])],
             rows: vec![ResultRow { pathways: Vec::new(), values: vec![Value::Int(n as i64)], times: None }],
@@ -729,7 +739,7 @@ impl Engine {
                     continue;
                 };
                 let other = evals.iter().find(|o| o.var == other_var).unwrap();
-                let mut uids: Vec<Uid> = other.pathways.iter().map(|p| path_end(p, other_end)).collect();
+                let mut uids: Vec<Uid> = other.pathways.iter().map(|p| p.end(other_end)).collect();
                 uids.sort_unstable();
                 uids.dedup();
                 match &seed_nodes {
@@ -947,9 +957,9 @@ impl Engine {
                 Err(NepalError::Unsupported(format!("bare pathway variable `{v}` is only valid inside count(…)")))
             }
             Expr::Length(v) => Ok(Value::Int(bound(v)?.len_edges() as i64)),
-            Expr::PathEnd(f, v) => Ok(Value::Int(path_end(bound(v)?, *f).0 as i64)),
+            Expr::PathEnd(f, v) => Ok(Value::Int(bound(v)?.end(*f).0 as i64)),
             Expr::PathEndField(f, v, field) => {
-                let uid = path_end(bound(v)?, *f);
+                let uid = bound(v)?.end(*f);
                 let b = self.registry.get_mut(backend)?;
                 let schema = b.schema().clone();
                 match b.fields(uid, filter) {
@@ -1171,19 +1181,44 @@ impl Engine {
     }
 }
 
-/// Does the query only count one variable's pathways at `Current`? One
-/// `PATHS` variable (any backend) with no view, `AT` or per-variable time,
-/// a `Where` clause of `MATCHES` only, and the head exactly `count(P)`.
-fn count_only(q: &Query) -> bool {
-    let ([s], Head::Select(items)) = (&q.sources[..], &q.head) else { return false };
-    let [SelectItem { agg: Some(AggFn::Count), distinct: false, expr: Expr::PathVar(v) }] = &items[..] else {
-        return false;
-    };
-    *v == s.var
-        && s.view.is_none()
-        && s.time.is_none()
-        && q.time.is_none()
-        && q.conds.iter().all(|c| matches!(c, Cond::Matches(..)))
+/// The sinks, one per variable, of a query whose answer is a fold of its
+/// variables' pathways, or `None` for every other query. Every variable
+/// ranges over `PATHS` (any backend) at `Current`: no view, no `AT`, no
+/// per-variable time. The head is one item, and the `Where` clause holds
+/// `MATCHES` conditions plus, in the third shape only, one end equality:
+/// - `count(P)` over one variable: [`Sink::Count`];
+/// - `count(distinct source(P))` or `count(distinct target(P))` over one
+///   variable: [`Sink::DistinctEnds`];
+/// - `count(A)` or `count(B)` over two variables joined by exactly one
+///   `source/target(A) = source/target(B)`: [`Sink::CountByEnd`] on each
+///   variable's end of the equality.
+fn fold_sinks(q: &Query) -> Option<Vec<Sink>> {
+    let Head::Select(items) = &q.head else { return None };
+    let [SelectItem { agg: Some(AggFn::Count), distinct, expr }] = &items[..] else { return None };
+    if q.time.is_some() || q.sources.iter().any(|s| s.view.is_some() || s.time.is_some()) {
+        return None;
+    }
+    let mut others = q.conds.iter().filter(|c| !matches!(c, Cond::Matches(..)));
+    let equality = others.next();
+    if others.next().is_some() {
+        return None;
+    }
+    match (&q.sources[..], *distinct, expr, equality) {
+        ([s], false, Expr::PathVar(v), None) if *v == s.var => Some(vec![Sink::Count]),
+        ([s], true, Expr::PathEnd(f, v), None) if *v == s.var => Some(vec![Sink::DistinctEnds(*f)]),
+        ([a, b], false, Expr::PathVar(v), Some(Cond::Cmp(Expr::PathEnd(fx, x), QCmp::Eq, Expr::PathEnd(fy, y))))
+            if a.var != b.var && (*v == a.var || *v == b.var) =>
+        {
+            if (x, y) == (&a.var, &b.var) {
+                Some(vec![Sink::CountByEnd(*fx), Sink::CountByEnd(*fy)])
+            } else if (x, y) == (&b.var, &a.var) {
+                Some(vec![Sink::CountByEnd(*fy), Sink::CountByEnd(*fx)])
+            } else {
+                None
+            }
+        }
+        _ => None,
+    }
 }
 
 /// The rows a query's variables join to, after coexistence and `EXISTS`
@@ -1321,7 +1356,7 @@ fn hash_join(
     let k = key_specs.len();
     let mut keys: Vec<u64> = Vec::with_capacity(build.len() * k);
     for p in build {
-        keys.extend(key_specs.iter().map(|&(my, _, _)| path_end(p, my).0));
+        keys.extend(key_specs.iter().map(|&(my, _, _)| p.end(my).0));
     }
     let mut heads: FxHashMap<&[u64], usize> = FxHashMap::default();
     let mut next = vec![usize::MAX; build.len()];
@@ -1335,7 +1370,7 @@ fn hash_join(
     for row in rows.chunks_exact(width) {
         row_loop.poll()?;
         probe.clear();
-        probe.extend(key_specs.iter().map(|&(_, other, j)| path_end(&evals[j].pathways[row[j]], other).0));
+        probe.extend(key_specs.iter().map(|&(_, other, j)| evals[j].pathways[row[j]].end(other).0));
         let mut pi = heads.get(probe.as_slice()).copied().unwrap_or(usize::MAX);
         while pi != usize::MAX {
             next_rows.extend_from_slice(row);

@@ -11,7 +11,8 @@
 //! .has('key', gte(value))             — P predicates: eq neq lt lte gt gte
 //! .outE('prefix'?) .inE('prefix'?) .inV() .outV()
 //! .repeat(__.outE('x').inV().simplePath()).times(n) [.emit()]
-//! .simplePath() .path() .dedup() .limit(n) .count() .values('k') .id()
+//! .simplePath() .path() .path().by(id) .dedup() .limit(n) .count()
+//! .values('k') .id()
 //! ```
 
 use crate::json::Json;
@@ -44,6 +45,8 @@ enum Arg {
     Pred(GCmp, Box<Arg>),
     /// An anonymous sub-traversal `__.step().step()`.
     Sub(Vec<(String, Vec<Arg>)>),
+    /// A bare token: `id`, `T.id`.
+    Token(String),
 }
 
 impl<'a> P<'a> {
@@ -129,8 +132,15 @@ impl<'a> P<'a> {
                 .map(Arg::Num)
                 .map_err(|_| LangError { pos: start, msg: "bad number".into() })
         } else {
-            // P predicate: gte(5), eq('x'), …
-            let name = self.ident()?;
+            // P predicate: gte(5), eq('x'), …; or a bare token.
+            let mut name = self.ident()?;
+            if name == "T" && self.eat('.') {
+                name = format!("T.{}", self.ident()?);
+            }
+            self.ws();
+            if name != "true" && !self.s[self.i..].starts_with('(') {
+                return Ok(Arg::Token(name));
+            }
             let cmp = match name.as_str() {
                 "eq" => GCmp::Eq,
                 "neq" => GCmp::Neq,
@@ -237,6 +247,11 @@ fn build(calls: Vec<(String, Vec<Arg>)>) -> Result<Vec<GStep>, LangError> {
             "emit" => {} // our Repeat already emits every depth ≥ min
             "simplePath" => out.push(GStep::SimplePath),
             "path" => out.push(GStep::Path),
+            "by" => match (out.last_mut(), &args[..]) {
+                (Some(step @ GStep::Path), [Arg::Token(t)]) if t == "id" || t == "T.id" => *step = GStep::PathIds,
+                (Some(GStep::Path), _) => return Err(e("path() takes by(id) only")),
+                _ => return Err(e("by() must follow path()")),
+            },
             "dedup" => out.push(GStep::Dedup),
             "limit" => {
                 let n = match args.first() {
@@ -337,6 +352,31 @@ mod tests {
         assert!(parse_traversal("g.V().has('k')").is_err());
         assert!(parse_traversal("g.V().hasLabel('unterminated").is_err());
         assert!(parse_traversal("g.V() trailing").is_err());
+    }
+
+    #[test]
+    fn path_by_id_parses_to_the_extend_block_bytecode() {
+        // The shape the translator submits for an ExtendBlock.
+        let text = "g.V(1, 2).repeat(__.outE('Edge:Vertical').inV().simplePath()).times(3)\
+                    .hasLabel('Node:Host').path().by(id)";
+        let body = vec![GStep::OutE(Some("Edge:Vertical".into())), GStep::InV, GStep::SimplePath];
+        let bytecode = vec![
+            GStep::V(vec![1, 2]),
+            GStep::Repeat(body, 1, 3),
+            GStep::HasLabelPrefix("Node:Host".into()),
+            GStep::PathIds,
+        ];
+        assert_eq!(parse_traversal(text).unwrap(), bytecode);
+        assert_eq!(parse_traversal(&text.replace("by(id)", "by(T.id)")).unwrap(), bytecode);
+        let r = evaluate(&graph(), &parse_traversal("g.V(1).outE().inV().path().by(id)").unwrap()).unwrap();
+        assert_eq!(r, vec![Json::Arr(vec![Json::Num(1.0), Json::Num(10.0), Json::Num(2.0)])]);
+        for bad in ["g.V().path().by('vm_id')", "g.V().path().by(label)", "g.V().path().by()", "g.V().by(id)"] {
+            let err = parse_traversal(bad).unwrap_err();
+            assert!(err.msg.contains("by("), "{bad}: {err}");
+        }
+        // `true` is still a literal, and an unknown call still an error.
+        assert!(parse_traversal("g.V().has('up', true)").is_ok());
+        assert!(parse_traversal("g.V().has('k', near(1))").is_err());
     }
 
     #[test]

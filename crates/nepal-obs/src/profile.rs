@@ -89,9 +89,11 @@ pub struct VarProfile {
     /// Seed count when the anchor was imported from a join (§3.4).
     pub imported_seeds: Option<u64>,
     pub pathways: u64,
-    /// How a `count(P)` query got its count: `union` (counted at `Union`,
-    /// no pathway built) or `enumerate`; `None` when the pathways were
-    /// asked for.
+    /// How a counting query folded this variable's pathways: at `Union`,
+    /// with no pathway built (`union` for `count(P)`, `distinct-ends` for a
+    /// count of distinct ends, `by-end` for one side of an end-keyed join
+    /// count), or by enumerating them (`enumerate`); `None` when the
+    /// pathways were asked for.
     pub count: Option<&'static str>,
     pub trace: ExecTrace,
     /// Generated SQL / Gremlin, when the backend translates.

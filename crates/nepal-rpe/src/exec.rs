@@ -21,7 +21,9 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use nepal_graph::FOREVER;
-use nepal_graph::{FxHashMap, GraphView, HeatTally, Interval, IntervalSet, MatchTime, TemporalGraph, TimeFilter, Uid};
+use nepal_graph::{
+    FxHashMap, FxHashSet, GraphView, HeatTally, Interval, IntervalSet, MatchTime, TemporalGraph, TimeFilter, Uid,
+};
 use nepal_obs::{thread_cpu_ns, ExecTrace, MetricsRegistry, OpStats, ResourceMeter, SpanHandle};
 use nepal_schema::{ClassId, Schema};
 
@@ -31,7 +33,7 @@ use crate::cancel::{CancelCause, CancelToken};
 use crate::error::RpeError;
 use crate::nfa::Label;
 use crate::par;
-use crate::path::Pathway;
+use crate::path::{PathFn, Pathway};
 use crate::plan::RpePlan;
 
 /// Where evaluation starts.
@@ -624,19 +626,19 @@ fn finalize(view: &GraphView, times: Times) -> Option<Times> {
     }
 }
 
-/// Sort accumulated `(elems, times)` results by `elems` and merge adjacent
+/// Sort accumulated pathways by `elems` and merge adjacent
 /// duplicates with [`times_union`]. An interval set is kept in canonical
 /// form (sorted, disjoint, non-adjacent) and its union is commutative and
 /// associative, so the merged times are the same set whichever order equal
 /// pathways arrived or sorted in — which is what makes the merge of pool
 /// job outputs deterministic, and the outcome the one a map keyed on
 /// `elems` followed by a sort would give.
-fn merge_sorted(results: &mut Vec<(Vec<Uid>, Times)>) {
-    results.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+fn merge_sorted(results: &mut Vec<Pathway>) {
+    results.sort_unstable_by(|a, b| a.elems.cmp(&b.elems));
     results.dedup_by(|later, kept| {
-        let same = later.0 == kept.0;
+        let same = later.elems == kept.elems;
         if same {
-            kept.1 = times_union(std::mem::take(&mut kept.1), &later.1);
+            kept.times = times_union(std::mem::take(&mut kept.times), &later.times);
         }
         same
     });
@@ -663,72 +665,186 @@ pub fn try_evaluate(
     opts: &EvalOptions,
     ctx: &mut ExecCtx,
 ) -> Result<Vec<Pathway>, RpeError> {
-    match evaluate_as(view, plan, seeds, opts, ctx, false)? {
-        Evaluated::Pathways(p) => Ok(p),
-        Evaluated::Count(_) => unreachable!("pathways were asked for"),
+    match evaluate_as(view, plan, seeds, opts, ctx, Sink::Pathways)? {
+        Folded::Pathways(p) => Ok(p),
+        _ => unreachable!("pathways were asked for"),
     }
 }
 
-/// How a count was obtained: counted at `Union` without building the
-/// pathways, or by enumerating them.
+/// What `Union` does with each admissible (backward, forward) half pair:
+/// write the pathway it stands for, or fold the pair into one value
+/// without building the pathway. A pair's `target` is the forward half's
+/// last element; its `source` is the backward half's last (leftmost)
+/// element, or the forward half's first when the backward half is empty.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CountMode {
-    Union,
-    Enumerate,
+pub enum Sink {
+    /// Write the pathway ([`try_evaluate`]).
+    Pathways,
+    /// Count it: `count(P)`.
+    Count,
+    /// Add its end to a set: `count(distinct source(P))` and
+    /// `count(distinct target(P))`.
+    DistinctEnds(PathFn),
+    /// Count it under its end: one side of an end-keyed join count.
+    CountByEnd(PathFn),
 }
 
-impl CountMode {
-    /// `union` / `enumerate`, as `EXPLAIN ANALYZE` and the spans show it.
-    pub fn as_str(self) -> &'static str {
+impl Sink {
+    /// Fold enumerated pathways into what this sink collects.
+    pub fn fold(self, pathways: Vec<Pathway>) -> Folded {
+        if self == Sink::Pathways {
+            return Folded::Pathways(pathways);
+        }
+        let mut folded = self.start();
+        for p in &pathways {
+            self.feed(&mut folded, &[], &p.elems, None);
+        }
+        folded
+    }
+
+    /// The empty value this sink feeds.
+    fn start(self) -> Folded {
         match self {
-            CountMode::Union => "union",
-            CountMode::Enumerate => "enumerate",
+            Sink::Pathways => Folded::Pathways(Vec::new()),
+            Sink::Count => Folded::Count(0),
+            Sink::DistinctEnds(_) => Folded::Ends(FxHashSet::default(), 0),
+            Sink::CountByEnd(_) => Folded::ByEnd(FxHashMap::default()),
+        }
+    }
+
+    /// Feed `into` (this sink's value) one admissible pair: the backward
+    /// half `b` (right to left, so its last element is the leftmost) and the
+    /// forward half `fh`, which is never empty, under times `t`.
+    #[inline]
+    fn feed(self, into: &mut Folded, b: &[Uid], fh: &[Uid], t: Times) {
+        let end = |f: PathFn| match f {
+            PathFn::Source => *b.last().unwrap_or(&fh[0]),
+            PathFn::Target => fh[fh.len() - 1],
+        };
+        match (self, into) {
+            (Sink::Pathways, Folded::Pathways(out)) => {
+                // The pathway is written once, here, and moves from this
+                // buffer into the result; its times are finalized last.
+                let mut elems = Vec::with_capacity(b.len() + fh.len());
+                elems.extend(b.iter().rev());
+                elems.extend_from_slice(fh);
+                out.push(Pathway { elems, times: t });
+            }
+            (Sink::Count, Folded::Count(n)) => *n += 1,
+            (Sink::DistinctEnds(f), Folded::Ends(ends, n)) => {
+                ends.insert(end(f));
+                *n += 1;
+            }
+            (Sink::CountByEnd(f), Folded::ByEnd(by_end)) => *by_end.entry(end(f)).or_default() += 1,
+            _ => unreachable!("a sink feeds the value it starts"),
         }
     }
 }
 
-/// The number of pathways [`try_evaluate`] would return from the plan's
-/// anchor, and how it was obtained. At `Current`, when the plan proves that
-/// no pathway is produced twice ([`RpePlan::count_at_union`]), the same
-/// passes run with `Union` counting the admissible (backward, forward) half
-/// pairs — cycle check, length cap and checkpoints unchanged — and no
-/// pathway is written, sorted or finalized. Otherwise the pathways are
-/// enumerated and counted.
-pub fn try_count(
-    view: &GraphView,
-    plan: &RpePlan,
-    opts: &EvalOptions,
-    ctx: &mut ExecCtx,
-) -> Result<(usize, CountMode), RpeError> {
-    let mode = if plan.count_at_union && matches!(view.filter, TimeFilter::Current) {
-        CountMode::Union
-    } else {
-        CountMode::Enumerate
-    };
-    let n = match evaluate_as(view, plan, Seeds::Anchor, opts, ctx, mode == CountMode::Union)? {
-        Evaluated::Pathways(p) => p.len(),
-        Evaluated::Count(n) => n,
-    };
-    Ok((n, mode))
-}
-
-/// What one evaluation produced: the pathways, or only their number when
-/// `Union` counted them.
-enum Evaluated {
+/// What a [`Sink`] collected.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Folded {
     Pathways(Vec<Pathway>),
     Count(usize),
+    /// The distinct ends, and the number of pathways they were read from.
+    /// Folded at `Union` that is the number of admissible half pairs, one
+    /// per pathway when the plan has the [`RpePlan::count_at_union`] proof.
+    Ends(FxHashSet<Uid>, usize),
+    /// The number of pathways per end.
+    ByEnd(FxHashMap<Uid, u64>),
 }
 
-/// [`try_evaluate`] and [`try_count`]: the passes, with `Union` counting
-/// instead of writing pathways when `count` is set.
+impl Folded {
+    /// The number of pathways folded (see [`Folded::Ends`]).
+    pub fn pathways(&self) -> usize {
+        match self {
+            Folded::Pathways(p) => p.len(),
+            Folded::Count(n) | Folded::Ends(_, n) => *n,
+            Folded::ByEnd(by_end) => by_end.values().sum::<u64>() as usize,
+        }
+    }
+
+    /// Add what another pool job fed the same sink.
+    fn merge(&mut self, other: Folded) {
+        match (self, other) {
+            (Folded::Pathways(a), Folded::Pathways(b)) => a.extend(b),
+            (Folded::Count(a), Folded::Count(b)) => *a += b,
+            (Folded::Ends(a, n), Folded::Ends(b, m)) => {
+                a.extend(b);
+                *n += m;
+            }
+            (Folded::ByEnd(a), Folded::ByEnd(b)) => {
+                for (end, n) in b {
+                    *a.entry(end).or_default() += n;
+                }
+            }
+            _ => unreachable!("one evaluation feeds one sink"),
+        }
+    }
+}
+
+/// How a fold was obtained: at `Union`, without building the pathways, or
+/// by enumerating them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FoldMode {
+    /// A [`Sink::Count`] counted at `Union`.
+    Union,
+    DistinctEnds,
+    ByEnd,
+    Enumerate,
+}
+
+impl FoldMode {
+    /// `union` / `distinct-ends` / `by-end` / `enumerate`, as
+    /// `EXPLAIN ANALYZE` and the spans show it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            FoldMode::Union => "union",
+            FoldMode::DistinctEnds => "distinct-ends",
+            FoldMode::ByEnd => "by-end",
+            FoldMode::Enumerate => "enumerate",
+        }
+    }
+}
+
+/// What `sink` collects over the pathways [`try_evaluate`] would return
+/// from the plan's anchor, and how it was obtained. At `Current` the same
+/// passes run with `Union` feeding every admissible half pair to the sink
+/// — cycle check, length cap and checkpoints unchanged — and no pathway is
+/// written, sorted or finalized:
+/// - `Count` when the plan proves that no pathway is produced twice
+///   ([`RpePlan::count_at_union`]); a set `opts.limit` caps the count;
+/// - `DistinctEnds` for every plan, because duplicates do not change a set,
+///   and `CountByEnd` with the proof; both only without `opts.limit`.
+///
+/// Otherwise the pathways are enumerated and folded ([`Sink::fold`]).
+pub fn try_fold(
+    view: &GraphView,
+    plan: &RpePlan,
+    sink: Sink,
+    opts: &EvalOptions,
+    ctx: &mut ExecCtx,
+) -> Result<(Folded, FoldMode), RpeError> {
+    let current = matches!(view.filter, TimeFilter::Current);
+    let mode = match sink {
+        Sink::Count if current && plan.count_at_union => FoldMode::Union,
+        Sink::DistinctEnds(_) if current && opts.limit.is_none() => FoldMode::DistinctEnds,
+        Sink::CountByEnd(_) if current && opts.limit.is_none() && plan.count_at_union => FoldMode::ByEnd,
+        _ => return Ok((sink.fold(try_evaluate(view, plan, Seeds::Anchor, opts, ctx)?), FoldMode::Enumerate)),
+    };
+    Ok((evaluate_as(view, plan, Seeds::Anchor, opts, ctx, sink)?, mode))
+}
+
+/// [`try_evaluate`] and [`try_fold`]: the passes, with `Union` feeding
+/// `sink`.
 fn evaluate_as(
     view: &GraphView,
     plan: &RpePlan,
     seeds: Seeds,
     opts: &EvalOptions,
     ctx: &mut ExecCtx,
-    count: bool,
-) -> Result<Evaluated, RpeError> {
+    sink: Sink,
+) -> Result<Folded, RpeError> {
     // Fast-fail: a request arriving with an already-tripped token (server
     // drain, expired deadline) must not seed any work, however small the
     // graph — checkpoint polls inside the evaluator are rate-limited and
@@ -744,7 +860,7 @@ fn evaluate_as(
     if let (Some(mm), Seeds::Sources(nodes) | Seeds::Targets(nodes)) = (opts.meter.as_ref(), seeds) {
         mm.add_rows(nodes.len() as u64);
     }
-    let result = run_passes(view, plan, seeds, opts, ctx, count);
+    let result = run_passes(view, plan, seeds, opts, ctx, sink);
     if let (Some(mm), Some(c0)) = (opts.meter.as_ref(), cpu0) {
         mm.add_cpu_ns(thread_cpu_ns().saturating_sub(c0));
     }
@@ -950,11 +1066,12 @@ fn op_done(
 /// The evaluator's passes. Per anchor atom: `Select` the candidates; seed
 /// one search unit per (candidate, distinct NFA seed state) on the calling
 /// thread; run the units' subtrees as pool jobs; cross-combine the halves
-/// (`Union`) as pool jobs; merge the new pathways into the sorted result.
-/// Then finalize; the merges and the finalize are the `Dedup` row. Imported
-/// seeds skip the `Select` and the `Union` — every half is already a whole
-/// pathway. With `count` (one anchor atom, see [`try_count`]) `Union`
-/// counts the pairs it would write and there is nothing to dedup.
+/// (`Union`) as pool jobs, each feeding its own value of `sink`; merge the
+/// jobs' values, new pathways into the sorted result.
+/// Then finalize; the merges and the finalize are the `Dedup` row, which a
+/// fold (see [`try_fold`]) does not have. Imported seeds skip the `Select`
+/// and the `Union` — every half is already a whole pathway. Seeding times
+/// into the `Extend` row of the direction it extends.
 ///
 /// Units, jobs and union pairs are enumerated in candidate order and job
 /// outputs come back in job order, so nothing observable depends on which
@@ -965,8 +1082,8 @@ fn run_passes(
     seeds: Seeds,
     opts: &EvalOptions,
     ctx: &mut ExecCtx,
-    count: bool,
-) -> Result<Evaluated, RpeError> {
+    sink: Sink,
+) -> Result<Folded, RpeError> {
     assert!(
         plan.typed.built_for(&plan.nfa),
         "the plan's typed table was built for another automaton (use RpePlan::set_nfa)"
@@ -989,11 +1106,11 @@ fn run_passes(
         metrics: ctx.metrics,
     };
     let mut m = ElemMatcher::new(&env);
-    // Whole pathways found so far, sorted and distinct between atoms.
-    let mut results: Vec<(Vec<Uid>, Times)> = Vec::new();
-    // Pairs `Union` counted instead of writing; rows written for `Dedup`
-    // and its time.
-    let (mut counted, mut dedup_in, mut dedup_ns) = (0u64, 0u64, 0u64);
+    // What `Union` fed the sink so far: whole pathways are sorted and
+    // distinct between atoms.
+    let mut fed = sink.start();
+    // Rows written for `Dedup` and its time.
+    let (mut dedup_in, mut dedup_ns) = (0u64, 0u64);
     let mut pool = PoolTotals::default();
     let ns_since = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
@@ -1015,7 +1132,7 @@ fn run_passes(
                 op_row(ctx, "Select", &atom.display, 0, (scanned, candidates.len() as u64), ns_since(t_sel));
                 let seed_trans = plan.nfa.seeds_for(occ);
                 let (mut fwd_ns, mut bwd_ns, mut union_ns) = (0u64, 0u64, 0u64);
-                let union_before = results.len() as u64;
+                let union_before = fed.pathways();
 
                 // Seed: step over each candidate's own element(s) and
                 // collect search units and their roots instead of recursing.
@@ -1041,6 +1158,7 @@ fn run_passes(
                     // marks a state the edge seed cannot even step into).
                     fwd_units.clear();
                     for tr in &seed_trans {
+                        let t_fwd = enabled.then(Instant::now);
                         let fu = match fwd_units.iter().find(|(s, _)| *s == tr.to) {
                             Some(&(_, u)) => u,
                             None => {
@@ -1067,17 +1185,18 @@ fn run_passes(
                                 u
                             }
                         };
+                        fwd_ns += ns_since(t_fwd);
                         let Some(fu) = fu else { continue };
+                        let t_bwd = enabled.then(Instant::now);
                         seed.clear();
                         seed.push((tr.from, times0.clone()));
                         let bu = if let Some((src, _)) = edge_ends {
                             step(plan, &mut m, &seed, src, true, false, &mut s2);
-                            if s2.is_empty() {
-                                continue;
-                            }
-                            let bu = new_unit(&mut units, false);
-                            roots.push(bu, &[src], &mut s2);
-                            bu
+                            (!s2.is_empty()).then(|| {
+                                let bu = new_unit(&mut units, false);
+                                roots.push(bu, &[src], &mut s2);
+                                bu
+                            })
                         } else {
                             // Node seed: the seed itself is the (current)
                             // leftmost element; acceptance before extending
@@ -1109,8 +1228,10 @@ fn run_passes(
                                     roots.push(bu, &[adj.edge, adj.other], &mut s2);
                                 }
                             }
-                            bu
+                            Some(bu)
                         };
+                        bwd_ns += ns_since(t_bwd);
+                        let Some(bu) = bu else { continue };
                         pairs.push((bu, fu));
                     }
                 }
@@ -1196,8 +1317,7 @@ fn run_passes(
                 }
                 let ubounds = par::chunks(ujobs.len(), threads);
                 let uouts = run_stage(&env, &mut m, &mut pool, "union", ubounds.len(), |mw, c| {
-                    let mut out: Vec<(Vec<Uid>, Times)> = Vec::new();
-                    let mut n = 0u64;
+                    let mut out = sink.start();
                     let t0 = enabled.then(Instant::now);
                     'jobs: for &(pi, lo, hi) in &ujobs[ubounds[c].clone()] {
                         let (bu, fu) = pairs[pi];
@@ -1225,36 +1345,27 @@ fn run_passes(
                                 if b.len() + fh.len() > env.cap {
                                     continue;
                                 }
-                                if count {
-                                    n += 1;
-                                    continue;
-                                }
-                                // The pathway is written once, here, and
-                                // moves from this buffer into the result.
-                                let mut elems = Vec::with_capacity(b.len() + fh.len());
-                                elems.extend(b.iter().rev());
-                                elems.extend_from_slice(fh);
-                                out.push((elems, t));
+                                sink.feed(&mut out, b, fh, t);
                             }
                         }
                     }
-                    (out, n, ns_since(t0))
+                    (out, ns_since(t0))
                 });
-                let counted_before = counted;
-                for (out, n, ns) in uouts.into_iter().flatten() {
+                for (out, ns) in uouts.into_iter().flatten() {
                     union_ns += ns;
-                    counted += n;
-                    dedup_in += out.len() as u64;
-                    results.extend(out);
+                    if let Folded::Pathways(written) = &out {
+                        dedup_in += written.len() as u64;
+                    }
+                    fed.merge(out);
                 }
-                if !count {
+                if let Folded::Pathways(results) = &mut fed {
                     let t0 = enabled.then(Instant::now);
-                    merge_sorted(&mut results);
+                    merge_sorted(results);
                     dedup_ns += ns_since(t0);
                 }
 
                 let n_cand = candidates.len() as u64;
-                let union_out = results.len() as u64 - union_before + counted - counted_before;
+                let union_out = (fed.pathways() - union_before) as u64;
                 for (op, rows, ns, key, n) in [
                     ("Extend(fwd)", (n_cand, fwd_halves), fwd_ns, "halves", fwd_halves),
                     ("Extend(bwd)", (n_cand, bwd_halves), bwd_ns, "halves", bwd_halves),
@@ -1268,6 +1379,7 @@ fn run_passes(
             // Forwards from the start state at each source, or backwards
             // from every accepting state at each target.
             let fwd = matches!(seeds, Seeds::Sources(_));
+            let Folded::Pathways(results) = &mut fed else { unreachable!("a fold starts from the anchor") };
             let t0 = enabled.then(Instant::now);
             let whole: Times = view.filter.is_range().then(universal);
             let init: StateSet = if fwd {
@@ -1309,13 +1421,13 @@ fn run_passes(
                     if !fwd {
                         elems.reverse();
                     }
-                    results.push((elems, times));
+                    results.push(Pathway { elems, times });
                     lo = hi;
                 }
             }
             dedup_in = results.len() as u64;
             let t1 = enabled.then(Instant::now);
-            merge_sorted(&mut results);
+            merge_sorted(results);
             dedup_ns += ns_since(t1);
             let (op, select, extend) = if fwd {
                 ("Extend(fwd)", "imported source seeds", "from imported sources")
@@ -1354,24 +1466,26 @@ fn run_passes(
         return Err(cause.into());
     }
 
-    if count {
-        let n = counted as usize;
-        return Ok(Evaluated::Count(opts.limit.map_or(n, |limit| n.min(limit))));
-    }
-    // `results` is sorted by elements; finalizing keeps the order.
+    let mut out = match fed {
+        Folded::Pathways(results) => results,
+        Folded::Count(n) => return Ok(Folded::Count(opts.limit.map_or(n, |limit| n.min(limit)))),
+        folded => return Ok(folded),
+    };
+    // `out` is sorted by elements; finalizing keeps the order.
     let t0 = enabled.then(Instant::now);
-    let mut out: Vec<Pathway> = Vec::with_capacity(results.len());
-    for (elems, times) in results {
-        if let Some(t) = finalize(view, times) {
-            out.push(Pathway { elems, times: t });
+    out.retain_mut(|p| match finalize(view, p.times.take()) {
+        Some(t) => {
+            p.times = t;
+            true
         }
-    }
+        None => false,
+    });
     if let Some(limit) = opts.limit {
         out.truncate(limit);
     }
     let rows = (dedup_in, out.len() as u64);
     op_done(ctx, "Dedup", "sort, merge, finalize", rows, dedup_ns + ns_since(t0), &[("rows_in", &dedup_in)]);
-    Ok(Evaluated::Pathways(out))
+    Ok(Folded::Pathways(out))
 }
 
 /// Live-statistics estimator backed by the store (§5.1: "database

@@ -69,11 +69,11 @@ pub use bind::{bind, BoundAtom, BoundPred, BoundRpe, Norm};
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{Result, RpeError};
 pub use exec::{
-    anchor_scan, evaluate, resolved_threads, try_count, try_evaluate, CountMode, EvalOptions, ExecCtx, GraphEstimator,
-    Seeds,
+    anchor_scan, evaluate, resolved_threads, try_evaluate, try_fold, EvalOptions, ExecCtx, FoldMode, Folded,
+    GraphEstimator, Seeds, Sink,
 };
 pub use nfa::{compile, Label, Nfa, Transition};
 pub use parser::parse_rpe;
-pub use path::Pathway;
+pub use path::{PathFn, Pathway};
 pub use plan::{plan_rpe, plan_rpe_with, RpePlan};
 pub use typing::TypedTable;

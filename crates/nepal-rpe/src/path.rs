@@ -4,6 +4,13 @@ use std::fmt;
 
 use nepal_graph::{IntervalSet, TemporalGraph, Uid};
 
+/// `source(P)` / `target(P)`: one end of a pathway.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathFn {
+    Source,
+    Target,
+}
+
 /// A pathway: an alternating sequence of node and edge uids that starts and
 /// ends with a node (§3.3). For time-range queries, `times` carries the
 /// maximal assertion intervals of the whole pathway (§4).
@@ -29,6 +36,14 @@ impl Pathway {
     /// The target node (`target(P)`).
     pub fn target(&self) -> Uid {
         *self.elems.last().unwrap()
+    }
+
+    /// The end `f` names.
+    pub fn end(&self, f: PathFn) -> Uid {
+        match f {
+            PathFn::Source => self.source(),
+            PathFn::Target => self.target(),
+        }
     }
 
     /// Number of edges (hops).

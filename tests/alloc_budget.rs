@@ -65,14 +65,14 @@ const SHAPES: [(&str, &str, u64, u64); 6] = [
     (
         "count_distinct_target",
         "Select count(distinct target(P)) From PATHS P Where P MATCHES Host()->[ConnectedTo()]{1,2}->Host()",
-        2,
+        1,
         700,
     ),
     (
         "join_count",
         "Select count(A) From PATHS A, PATHS B Where A MATCHES VFC()->OnVM()->Container()->OnServer()->Host() \
          And B MATCHES Host()->ServerSwitch()->Switch() And target(A) = source(B)",
-        3,
+        1,
         700,
     ),
     ("at_retrieve", "AT '{t1}' Retrieve P From PATHS P Where P MATCHES {top_down}", 4, 900),

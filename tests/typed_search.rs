@@ -14,6 +14,11 @@
 //!   every RPE, counted at `Union` where the plan allows it and enumerated
 //!   otherwise, natively at one and four seats and on the relational route;
 //!   a tripped token fails a count with a typed error, never a short count.
+//! - End folds: `count(distinct source(P))` and `count(distinct target(P))`
+//!   equal the distinct ends of the `Retrieve` rows, and the by-end maps
+//!   the rows' per-end tallies, folded at `Union` where the plan allows it
+//!   (distinct ends always, at `Current`) and enumerated otherwise,
+//!   natively at one and four seats and on the relational route.
 //! - Restore: an edge the ONAP schema forbids, written under an open
 //!   topology, does not load under the ONAP schema from a journal or a
 //!   binary snapshot.
@@ -27,13 +32,14 @@ use std::sync::Arc;
 use common::{all_pathways, live_ids, mutation_span, ref_matches};
 use nepal::core::{engine_over, Backend, BackendRegistry, Engine, GremlinBackend, NepalError, RelationalBackend};
 use nepal::graph::{
-    load_binary, load_journal, save_binary, save_journal, GraphError, GraphView, TemporalGraph, TimeFilter, Uid,
+    load_binary, load_journal, save_binary, save_journal, FxHashMap, FxHashSet, GraphError, GraphView, TemporalGraph,
+    TimeFilter, Uid,
 };
 use nepal::gremlin::{property_graph_from, serve_in_process, GremlinClient};
 use nepal::obs::ExecTrace;
 use nepal::rpe::{
-    evaluate, parse_rpe, plan_rpe, try_count, try_evaluate, CancelToken, CountMode, EvalOptions, ExecCtx,
-    GraphEstimator, Pathway, RpeError, RpePlan, Seeds,
+    evaluate, parse_rpe, plan_rpe, try_evaluate, try_fold, CancelToken, EvalOptions, ExecCtx, FoldMode, Folded,
+    GraphEstimator, PathFn, Pathway, RpeError, RpePlan, Seeds, Sink,
 };
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::{Schema, Value};
@@ -247,9 +253,15 @@ fn typed_search_matches_the_reference_under_both_schemas() {
 
 /// `count(P)` through the engine, with how the backend counted it.
 fn count(engine: &mut Engine, rpe: &str, using: &str) -> (i64, Option<&'static str>) {
+    count_head(engine, "count(P)", rpe, using)
+}
+
+/// A one-variable count head through the engine, with how the backend
+/// folded it.
+fn count_head(engine: &mut Engine, head: &str, rpe: &str, using: &str) -> (i64, Option<&'static str>) {
     let (r, profile) =
-        engine.query_profiled(&format!("Select count(P) From PATHS P{using} Where P MATCHES {rpe}")).unwrap();
-    assert_eq!(r.columns, vec!["count(P)"]);
+        engine.query_profiled(&format!("Select {head} From PATHS P{using} Where P MATCHES {rpe}")).unwrap();
+    assert_eq!(r.columns, vec![head]);
     let var = &profile.vars[0];
     let dedup = var.trace.ops.iter().any(|o| o.op == "Dedup");
     assert_eq!(dedup, var.count == Some("enumerate") && using.is_empty(), "{rpe}: the Dedup row");
@@ -265,14 +277,7 @@ fn count_at_union_equals_the_retrieved_rows() {
     let g = Arc::new(topo.graph);
     let mut engine = engine_over(g.clone());
     engine.registry.add("pg", Box::new(RelationalBackend::from_graph(&g).unwrap()));
-    let vms = live_ids(&g, "VM", "vm_id", &[2, 9]);
-    // Counted by enumeration: two anchor atoms (an alternation), an
-    // anchor on six seed transitions, and an edge anchor on two.
-    let enumerated = [
-        format!("(VM(vm_id={})|VM(vm_id={}))->[ConnectedTo()]{{1,2}}->Container()", vms[0], vms[1]),
-        format!("VNF()->[Vertical()]{{1,6}}->Host(host_id={})", live_ids(&g, "Host", "host_id", &[4])[0]),
-        "[ServerSwitch()]{1,2}".to_string(),
-    ];
+    let enumerated = unprovable(&g);
     let mut rpes = corpus(&g);
     rpes.extend(enumerated.iter().cloned());
     let mut unions = 0;
@@ -283,7 +288,7 @@ fn count_at_union_equals_the_retrieved_rows() {
             let plan = plan(&g, rpe).unwrap();
             let (n, mode) = count(&mut engine, rpe, "");
             assert_eq!(n, rows as i64, "{rpe} at {threads} seat(s), counted by {mode:?}");
-            let want = if plan.count_at_union { CountMode::Union } else { CountMode::Enumerate };
+            let want = if plan.count_at_union { FoldMode::Union } else { FoldMode::Enumerate };
             assert_eq!(mode, Some(want.as_str()), "{rpe}");
             unions += plan.count_at_union as usize;
             if enumerated.contains(rpe) {
@@ -305,33 +310,130 @@ fn count_at_union_equals_the_retrieved_rows() {
     }
 }
 
+/// Plans without the `count_at_union` proof: two anchor atoms (an
+/// alternation), an anchor on six seed transitions, and an edge anchor on
+/// two.
+fn unprovable(g: &TemporalGraph) -> [String; 3] {
+    let vms = live_ids(g, "VM", "vm_id", &[2, 9]);
+    let rpes = [
+        format!("(VM(vm_id={})|VM(vm_id={}))->[ConnectedTo()]{{1,2}}->Container()", vms[0], vms[1]),
+        format!("VNF()->[Vertical()]{{1,6}}->Host(host_id={})", live_ids(g, "Host", "host_id", &[4])[0]),
+        "[ServerSwitch()]{1,2}".to_string(),
+    ];
+    for rpe in &rpes {
+        assert!(!plan(g, rpe).unwrap().count_at_union, "{rpe}");
+    }
+    rpes
+}
+
+/// The distinct `f` ends of `pathways` and their tallies.
+fn ends_of(pathways: &[Pathway], f: PathFn) -> (FxHashSet<Uid>, FxHashMap<Uid, u64>) {
+    let mut tally: FxHashMap<Uid, u64> = FxHashMap::default();
+    for p in pathways {
+        *tally.entry(p.end(f)).or_default() += 1;
+    }
+    (tally.keys().copied().collect(), tally)
+}
+
+#[test]
+fn end_folds_equal_the_retrieved_rows() {
+    let (topo, _) = generate_tier_churned(SizeTier::Small, 42);
+    let g = Arc::new(topo.graph);
+    let mut engine = engine_over(g.clone());
+    engine.registry.add("pg", Box::new(RelationalBackend::from_graph(&g).unwrap()));
+    let mut rel = RelationalBackend::from_graph(&g).unwrap();
+    let enumerated = unprovable(&g);
+    let mut rpes = corpus(&g);
+    rpes.extend(enumerated.iter().cloned());
+    let view = GraphView::new(&g, TimeFilter::Current);
+    let mut non_empty = 0;
+    for threads in [1, 4] {
+        engine.eval_options.threads = threads;
+        let opts = EvalOptions { threads, ..Default::default() };
+        for rpe in &rpes {
+            let rows = engine.query(&format!("Retrieve P From PATHS P Where P MATCHES {rpe}")).unwrap().rows;
+            let pathways: Vec<Pathway> = rows.into_iter().map(|mut r| r.pathways.remove(0).1).collect();
+            non_empty += !pathways.is_empty() as usize;
+            let plan = plan(&g, rpe).unwrap();
+            let at = format!("{rpe} at {threads} seat(s)");
+            for (f, name) in [(PathFn::Source, "source"), (PathFn::Target, "target")] {
+                let (ends, tally) = ends_of(&pathways, f);
+                let head = format!("count(distinct {name}(P))");
+                let got = count_head(&mut engine, &head, rpe, "");
+                assert_eq!(got, (ends.len() as i64, Some("distinct-ends")), "{head}: {at}");
+
+                let sink = Sink::DistinctEnds(f);
+                let (folded, mode) = try_fold(&view, &plan, sink, &opts, &mut ExecCtx::default()).unwrap();
+                assert_eq!(mode, FoldMode::DistinctEnds, "{sink:?}: {at}");
+                match folded {
+                    Folded::Ends(got, n) => {
+                        assert_eq!(got, ends, "{sink:?}: {at}");
+                        if plan.count_at_union {
+                            assert_eq!(n, pathways.len(), "{sink:?}: {at}, pathways folded");
+                        }
+                    }
+                    other => panic!("{sink:?}: {at} folded to {other:?}"),
+                }
+
+                let sink = Sink::CountByEnd(f);
+                let want = if plan.count_at_union { FoldMode::ByEnd } else { FoldMode::Enumerate };
+                let got = try_fold(&view, &plan, sink, &opts, &mut ExecCtx::default()).unwrap();
+                assert_eq!(got, (Folded::ByEnd(tally.clone()), want), "{sink:?}: {at}");
+                if enumerated.contains(rpe) {
+                    assert_eq!(got.1, FoldMode::Enumerate, "{sink:?}: {at}");
+                }
+
+                // The relational route enumerates; it answers the anchored
+                // RPEs quickly.
+                if threads == 1 && rpe.contains('=') {
+                    let got = count_head(&mut engine, &head, rpe, " USING pg");
+                    assert_eq!(got, (ends.len() as i64, Some("enumerate")), "{head}: {rpe} on the relational route");
+                    let got = rel.fold_in(&plan, TimeFilter::Current, sink, &opts, &mut ExecCtx::default()).unwrap();
+                    assert_eq!(
+                        got,
+                        (Folded::ByEnd(tally), FoldMode::Enumerate),
+                        "{sink:?}: {rpe} on the relational route"
+                    );
+                }
+            }
+        }
+    }
+    assert!(2 * non_empty >= rpes.len(), "only {non_empty} of {} answers are non-empty", 2 * rpes.len());
+}
+
 #[test]
 fn a_tripped_token_fails_a_count_typed() {
     let (topo, _) = generate_tier_churned(SizeTier::Toy, 42);
     let g = Arc::new(topo.graph);
     let view = GraphView::new(&g, TimeFilter::Current);
     let host = live_ids(&g, "Host", "host_id", &[1])[0];
-    for (rpe, mode) in [
-        (FANOUT[0].to_string(), CountMode::Union),
-        (format!("VNF()->[Vertical()]{{1,6}}->Host(host_id={host})"), CountMode::Enumerate),
+    let anchored = format!("VNF()->[Vertical()]{{1,6}}->Host(host_id={host})");
+    let (end, fanout) = (PathFn::Target, FANOUT[0].to_string());
+    for (rpe, sink, mode) in [
+        (&fanout, Sink::Count, FoldMode::Union),
+        (&fanout, Sink::DistinctEnds(end), FoldMode::DistinctEnds),
+        (&fanout, Sink::CountByEnd(end), FoldMode::ByEnd),
+        (&anchored, Sink::Count, FoldMode::Enumerate),
+        (&anchored, Sink::DistinctEnds(end), FoldMode::DistinctEnds),
+        (&anchored, Sink::CountByEnd(end), FoldMode::Enumerate),
     ] {
-        let plan = plan(&g, &rpe).unwrap();
-        let full = try_count(&view, &plan, &EvalOptions::default(), &mut ExecCtx::default()).unwrap();
-        assert_eq!(full.1, mode, "{rpe}");
-        assert!(full.0 > 0, "{rpe}");
+        let plan = plan(&g, rpe).unwrap();
+        let full = try_fold(&view, &plan, sink, &EvalOptions::default(), &mut ExecCtx::default()).unwrap();
+        assert_eq!(full.1, mode, "{rpe}: {sink:?}");
+        assert!(full.0.pathways() > 0, "{rpe}: {sink:?}");
         let mut tripped = 0;
         for budget in [1, 2, 3, 5, 8, 30, 200, 5000] {
             for threads in [1, 4] {
                 let cancel = Some(CancelToken::cancel_after_polls(budget));
                 let opts = EvalOptions { threads, cancel, ..Default::default() };
-                match try_count(&view, &plan, &opts, &mut ExecCtx::default()) {
-                    Ok(done) => assert_eq!(done, full, "{rpe}: a short count under budget {budget}"),
+                match try_fold(&view, &plan, sink, &opts, &mut ExecCtx::default()) {
+                    Ok(done) => assert_eq!(done, full, "{rpe}: a short {sink:?} under budget {budget}"),
                     Err(RpeError::Cancelled) => tripped += 1,
                     Err(e) => panic!("{rpe}: {e}"),
                 }
             }
         }
-        assert!(tripped > 0, "{rpe}: no budget tripped");
+        assert!(tripped > 0, "{rpe}: {sink:?}: no budget tripped");
     }
     // Through the engine: a cancelled session token fails the query typed.
     let mut engine = Engine::new(BackendRegistry::new("native", Box::new(nepal::core::NativeBackend::new(g))));
