@@ -519,6 +519,7 @@ impl Engine {
             let teval = profile.is_some().then(Instant::now);
             let var_span = exec_span.child(format_args!("eval:{}", e.var));
             var_span.attr("backend", backend.kind());
+            var_span.attr("automaton", plan.automaton.as_str());
             let mut ctx = ExecCtx {
                 trace: profile.as_deref_mut().map(|p| &mut p.vars[i].trace),
                 span: Some(&var_span),
@@ -661,6 +662,7 @@ impl Engine {
                     backend: s.backend.clone().unwrap_or_else(|| self.registry.default_name().to_string()),
                     plan_ns: tplan.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0),
                     anchors,
+                    automaton: Some(plan.automaton.as_str()),
                     ..Default::default()
                 });
             }
@@ -757,6 +759,7 @@ impl Engine {
             let teval = profile.is_some().then(Instant::now);
             let var_span = exec_span.child(format_args!("eval:{}", e.var));
             var_span.attr("backend", backend.kind());
+            var_span.attr("automaton", plan.automaton.as_str());
             let mut ctx = ExecCtx {
                 trace: profile.as_deref_mut().map(|p| &mut p.vars[i].trace),
                 span: Some(&var_span),

@@ -60,7 +60,7 @@ pub use http::{
 pub use json::{parse_json, Json};
 pub use meter::{thread_cpu_ns, MeterSnapshot, ResourceMeter};
 pub use metrics::{quantile_from_counts, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
-pub use profile::{fmt_ns, AnchorCandidate, ExecTrace, JoinStep, OpStats, QueryProfile, VarProfile};
+pub use profile::{fmt_ns, AnchorCandidate, ExecTrace, JoinStep, OpStats, QueryProfile, SearchSplit, VarProfile};
 pub use qlog::{
     fingerprint, qerror, EstimateFeedback, FingerprintStats, PlanFeedback, QlogRecord, QueryLog, VarFeedback,
 };

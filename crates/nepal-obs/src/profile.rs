@@ -28,12 +28,49 @@ impl OpStats {
     }
 }
 
+/// How the native evaluator scheduled an anchored search: wholly on the
+/// calling thread, or split to the worker pool once it outlived its
+/// heartbeat, with the roots it handed over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SearchSplit {
+    Inline,
+    Split { after_ns: u64, donated: u64 },
+}
+
+impl SearchSplit {
+    /// Two searches of one evaluation (one per anchor atom) as one: the
+    /// first split's time, and every donated root.
+    pub fn merge(self, other: SearchSplit) -> SearchSplit {
+        match (self, other) {
+            (SearchSplit::Inline, s) | (s, SearchSplit::Inline) => s,
+            (SearchSplit::Split { after_ns, donated: a }, SearchSplit::Split { donated: b, .. }) => {
+                SearchSplit::Split { after_ns, donated: a + b }
+            }
+        }
+    }
+}
+
+impl std::fmt::Display for SearchSplit {
+    /// `inline`, or `split after 61.0µs, 14 roots donated`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SearchSplit::Inline => f.write_str("inline"),
+            SearchSplit::Split { after_ns, donated } => {
+                write!(f, "split after {}, {donated} roots donated", fmt_ns(*after_ns))
+            }
+        }
+    }
+}
+
 /// Collector the evaluators fill during a traced run.
 #[derive(Debug, Clone, Default)]
 pub struct ExecTrace {
     pub ops: Vec<OpStats>,
     /// Free-form counters: temporal prunes, rows scanned, wire bytes, …
     pub counters: Vec<(String, u64)>,
+    /// How the native evaluator ran the anchored search; `None` for other
+    /// backends and for imported seeds.
+    pub search: Option<SearchSplit>,
 }
 
 impl ExecTrace {
@@ -95,6 +132,9 @@ pub struct VarProfile {
     /// count), or by enumerating them (`enumerate`); `None` when the
     /// pathways were asked for.
     pub count: Option<&'static str>,
+    /// Whether the plan's automaton came from the plan cache (`cached`) or
+    /// was compiled for this query (`built`); `None` for a view variable.
+    pub automaton: Option<&'static str>,
     pub trace: ExecTrace,
     /// Generated SQL / Gremlin, when the backend translates.
     pub generated: Vec<String>,
@@ -156,6 +196,12 @@ impl QueryProfile {
             ));
             if let Some(mode) = v.count {
                 out.push_str(&format!("  count: {mode}\n"));
+            }
+            if let Some(automaton) = v.automaton {
+                out.push_str(&format!("  automaton: {automaton}\n"));
+            }
+            if let Some(search) = v.trace.search {
+                out.push_str(&format!("  search: {search}\n"));
             }
             if let Some(n) = v.imported_seeds {
                 out.push_str(&format!("  anchor imported from join: {n} seed node(s)\n"));

@@ -9,8 +9,10 @@
 //! frontier table; the forward and backward frontiers are finally joined
 //! on the seed.
 //!
-//! Every operator also emits the equivalent SQL text, so the generated
-//! query sequence can be inspected exactly as the paper presents it.
+//! The frontier operators also emit their SQL text, so that part of the
+//! query sequence can be inspected as the paper presents it. A statement
+//! is written only where its frontier had rows, and the final half join
+//! appears as a comment: it runs here, in Rust.
 
 use std::collections::{HashMap, HashSet};
 

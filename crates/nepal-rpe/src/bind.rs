@@ -120,7 +120,7 @@ impl BoundAtom {
 }
 
 /// Repetition-free, empty-free normalized RPE over bound-atom indexes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Norm {
     Atom(u32),
     Seq(Vec<Norm>),

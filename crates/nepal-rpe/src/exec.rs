@@ -6,17 +6,18 @@
 //! uid-list cycle checks, and a `Union` merging the per-seed results.
 //!
 //! There is one evaluator ([`try_evaluate`]). It always runs the same
-//! passes — seed, search, union, finalize — and deals the search and union
-//! work to [`crate::par`] as jobs; with one seat (`threads = 1`) those jobs
-//! run inline on the calling thread, with more they are shared with pool
-//! helpers. The result does not depend on the seat count.
+//! passes — seed, search, union, finalize. The calling thread searches an
+//! anchor's roots depth-first itself; at more than one seat it hands the
+//! untried rest to [`crate::par`] only once the search has outlived a
+//! heartbeat derived from the pool's hand-off latency. The union work is
+//! dealt to the pool as jobs, which at one seat (`threads = 1`) run inline.
+//! The result does not depend on the seat count.
 //!
 //! Temporal scope is threaded through every operator: under a
 //! [`TimeFilter::Range`] each partial pathway carries the intersection of
 //! its elements' maximal assertion intervals and is pruned the moment that
 //! intersection becomes empty.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -24,7 +25,7 @@ use nepal_graph::FOREVER;
 use nepal_graph::{
     FxHashMap, FxHashSet, GraphView, HeatTally, Interval, IntervalSet, MatchTime, TemporalGraph, TimeFilter, Uid,
 };
-use nepal_obs::{thread_cpu_ns, ExecTrace, MetricsRegistry, OpStats, ResourceMeter, SpanHandle};
+use nepal_obs::{thread_cpu_ns, ExecTrace, MetricsRegistry, OpStats, ResourceMeter, SearchSplit, SpanHandle};
 use nepal_schema::{ClassId, Schema};
 
 use crate::anchor::{apply_selectivity, CardinalityEstimator};
@@ -213,12 +214,30 @@ struct ElemMatcher<'a> {
     cancel: Option<CancelToken>,
     cancel_ctr: u32,
     cancel_cause: Option<CancelCause>,
+    /// Seat 0's inline search, while one runs at more than one seat: when
+    /// it must hand its untried work to the pool, and what it handed.
+    split: Option<Split>,
 }
 
-/// Poll the cancel token once per this many search checkpoints (node
-/// expansions / union rows), bounding both the poll overhead and the
-/// cancellation latency.
+/// Poll the cancel token — and, during an inline search at more than one
+/// seat, read the clock against the heartbeat — once per this many search
+/// checkpoints (node expansions / union rows), bounding both the poll
+/// overhead and the cancellation latency.
 const CANCEL_CHECK_MASK: u32 = 0x3F; // every 64 checkpoints
+
+/// The inline-first schedule of one anchored search ([`search_stage`]).
+/// Once the search has run past `heartbeat_ns`, `donated` is set, and from
+/// then on every child the depth-first search would have descended into is
+/// stepped and pushed there instead, as a root for the pool.
+struct Split {
+    start: Instant,
+    heartbeat_ns: u64,
+    /// The unit whose roots are being searched.
+    unit: usize,
+    /// When the heartbeat was found past, in ns after `start`.
+    after_ns: u64,
+    donated: Option<Roots>,
+}
 
 /// How `uid` satisfies an atom's field predicates under the view; `None`
 /// for `atom` is a wildcard label. Without predicates only the version
@@ -250,29 +269,47 @@ impl<'a> ElemMatcher<'a> {
             cancel: env.opts.cancel.clone(),
             cancel_ctr: 0,
             cancel_cause: None,
+            split: None,
         }
     }
 
     /// One search checkpoint: `true` → the token tripped, abandon work and
     /// unwind. Sticky, and rate-limited to one token poll per
-    /// [`CANCEL_CHECK_MASK`]+1 calls.
+    /// [`CANCEL_CHECK_MASK`]+1 calls; at the same rate an inline search
+    /// that is not yet splitting reads the clock against its heartbeat.
     #[inline]
     fn checkpoint(&mut self) -> bool {
         if self.cancel_cause.is_some() {
             return true;
         }
-        let Some(tok) = &self.cancel else { return false };
+        if self.cancel.is_none() && self.split.is_none() {
+            return false;
+        }
         self.cancel_ctr = self.cancel_ctr.wrapping_add(1);
         if self.cancel_ctr & CANCEL_CHECK_MASK != 0 {
             return false;
         }
-        match tok.poll() {
-            Some(cause) => {
-                self.cancel_cause = Some(cause);
-                true
-            }
-            None => false,
+        if let Some(cause) = self.cancel.as_ref().and_then(|t| t.poll()) {
+            self.cancel_cause = Some(cause);
+            return true;
         }
+        if let Some(sp) = self.split.as_mut().filter(|sp| sp.donated.is_none()) {
+            let ns = sp.start.elapsed().as_nanos() as u64;
+            if ns >= sp.heartbeat_ns {
+                sp.after_ns = ns;
+                sp.donated = Some(Roots::default());
+            }
+        }
+        false
+    }
+
+    /// Where the search pushes a child instead of descending into it, once
+    /// its inline search is splitting: the child's unit and the roots
+    /// donated so far.
+    #[inline]
+    fn donating(&mut self) -> Option<(usize, &mut Roots)> {
+        let sp = self.split.as_mut()?;
+        Some((sp.unit, sp.donated.as_mut()?))
     }
 
     /// `None` → element does not satisfy the label; `Some(times)` → it
@@ -458,7 +495,9 @@ fn admitted(plan: &RpePlan, states: &[(u32, Times)], edge: ClassId, node: ClassI
 /// NFA states after them. Backwards, it holds the elements to the LEFT of
 /// the seed in right-to-left order (so its last element is the leftmost)
 /// and `states` are before-states. Either way the path ends with a node.
-/// `depth` counts hops below the root and picks the level buffer.
+/// `depth` counts hops below the root and picks the level buffer. Once the
+/// seat's inline search is splitting ([`ElemMatcher::donating`]), a child
+/// is pushed to the donated roots instead of searched.
 fn search(
     env: &Env,
     m: &mut ElemMatcher,
@@ -502,7 +541,10 @@ fn search(
             if !next.is_empty() {
                 sc.path.push(a.edge);
                 sc.path.push(a.other);
-                search(env, m, sc, &next, depth + 1, fwd, out);
+                match m.donating() {
+                    Some((unit, donated)) => donated.push(unit, &sc.path, &mut next),
+                    None => search(env, m, sc, &next, depth + 1, fwd, out),
+                }
                 sc.path.truncate(sc.path.len() - 2);
             }
             sc.levels[depth] = next;
@@ -860,7 +902,8 @@ fn evaluate_as(
     if let (Some(mm), Seeds::Sources(nodes) | Seeds::Targets(nodes)) = (opts.meter.as_ref(), seeds) {
         mm.add_rows(nodes.len() as u64);
     }
-    let result = run_passes(view, plan, seeds, opts, ctx, sink);
+    let threads = resolved_threads(opts.threads);
+    let result = run_passes(view, plan, seeds, opts, ctx, sink, threads, (threads > 1).then(heartbeat_ns));
     if let (Some(mm), Some(c0)) = (opts.meter.as_ref(), cpu0) {
         mm.add_cpu_ns(thread_cpu_ns().saturating_sub(c0));
     }
@@ -869,9 +912,8 @@ fn evaluate_as(
 
 /// One search unit: the extension tree of one `(candidate, NFA seed
 /// transition)` in one direction. `halves` starts with what was completed
-/// while seeding (and carving out the frontier) and, after the search
-/// stage, holds the unit's full half-match list. Its roots live in the
-/// atom's [`Roots`] arena.
+/// while seeding and, after the search stage, holds the unit's full
+/// half-match list. Its roots live in the atom's [`Roots`] arena.
 struct Unit {
     fwd: bool,
     halves: Halves,
@@ -882,80 +924,252 @@ fn new_unit(units: &mut Vec<Unit>, fwd: bool) -> usize {
     units.len() - 1
 }
 
-/// Consume search-tree levels of `unit` breadth-first on the calling
-/// thread, starting from its roots `run` (non-empty) of `roots`, until the
-/// frontier holds at least `want` independent subtrees (or the tree is
-/// exhausted). Accepts
-/// found at consumed roots go to the unit's halves; the frontier is pushed
-/// onto `carved` and becomes pool jobs. The step calls made here are
-/// exactly the ones the depth-first search would have made for the same
-/// prefix paths, so match results and prune counts are unchanged — the
-/// work is split, not redone.
-fn expand_frontier(
+/// One anchor atom's seeded search: its units, their roots, and the
+/// (backward unit, forward unit) pairs `Union` combines.
+#[derive(Default)]
+struct Seeded {
+    units: Vec<Unit>,
+    roots: Roots,
+    pairs: Vec<(usize, usize)>,
+}
+
+/// Nanoseconds since `t0`; 0 when timing is off (`t0` is `None`).
+fn ns_since(t0: Option<Instant>) -> u64 {
+    t0.map_or(0, |t| t.elapsed().as_nanos() as u64)
+}
+
+/// Time spent extending forwards and backwards, for the `Extend` rows.
+#[derive(Default)]
+struct ExtendNs {
+    fwd: u64,
+    bwd: u64,
+}
+
+impl ExtendNs {
+    fn add(&mut self, fwd: bool, ns: u64) {
+        *(if fwd { &mut self.fwd } else { &mut self.bwd }) += ns;
+    }
+}
+
+/// Seed: step over each candidate's own element(s) and collect search
+/// units and their roots instead of recursing, on the calling thread.
+fn seed_atom(
     env: &Env,
     m: &mut ElemMatcher,
-    roots: &Roots,
-    run: std::ops::Range<usize>,
-    want: usize,
-    unit: &mut Unit,
-    carved: &mut Roots,
-) {
-    let (ui, fwd) = (roots.meta[run.start].0, unit.fwd);
-    let mut queue: VecDeque<(Vec<Uid>, StateSet)> = run
-        .map(|i| {
-            let (_, path, states) = roots.get(i);
-            (path.to_vec(), states.to_vec())
-        })
-        .collect();
-    let (mut s1, mut s2) = (StateSet::new(), StateSet::new());
-    let mut popped = 0usize;
-    while queue.len() < want && popped < want.saturating_mul(4) {
-        if m.checkpoint() {
-            break; // cancelled: the caller checks the cause before merging
+    occ: u32,
+    candidates: &[(Uid, Times)],
+    enabled: bool,
+    ns: &mut ExtendNs,
+) -> Seeded {
+    let (plan, view) = (env.plan, env.view);
+    let atom = &plan.atoms[occ as usize];
+    let seed_trans = plan.nfa.seeds_for(occ);
+    let mut out = Seeded::default();
+    let Seeded { units, roots, pairs } = &mut out;
+    let mut fwd_units: Vec<(u32, Option<usize>)> = Vec::new();
+    let (mut seed, mut s1, mut s2) = (StateSet::new(), StateSet::new(), StateSet::new());
+    for (elem, times0) in candidates {
+        if m.cancel_cause.is_some() {
+            break; // cancelled: stop seeding, surface below
         }
-        let Some((path, states)) = queue.pop_front() else { break };
-        popped += 1;
-        if let Some(times) = complete_times(env.plan, &states, fwd) {
-            unit.halves.push(&path, times);
-        }
-        if path.len() + 2 > env.cap {
-            continue;
-        }
-        let last = *path.last().expect("expansion roots are non-empty");
-        let Some(node) = env.view.graph.class_of(last) else { continue };
-        let adj = if fwd { env.view.graph.out_adj_list(last) } else { env.view.graph.in_adj_list(last) };
-        for (class, entries) in adj.buckets() {
-            if !admitted(env.plan, &states, class, node, fwd) {
-                m.typed_prunes += 1;
-                continue;
+        let edge_ends = if atom.is_node {
+            None
+        } else {
+            match view.graph.edge(*elem) {
+                Ok(e) => Some((e.src, e.dst)),
+                Err(_) => continue,
             }
-            for a in entries {
-                if path.contains(&a.edge) || path.contains(&a.other) {
-                    continue;
+        };
+        // The anchor occurrence can sit on several transitions (one per
+        // repetition depth), each from its own state; the forward half
+        // depends only on the target state, so there is one forward unit
+        // per distinct state (`None` marks a state the edge seed cannot
+        // even step into).
+        fwd_units.clear();
+        for tr in &seed_trans {
+            let t_fwd = enabled.then(Instant::now);
+            let fu = match fwd_units.iter().find(|(s, _)| *s == tr.to) {
+                Some(&(_, u)) => u,
+                None => {
+                    seed.clear();
+                    seed.push((tr.to, times0.clone()));
+                    let u = match edge_ends {
+                        // Edge seed: forward must consume the edge's
+                        // target node first.
+                        Some((_, dst)) => {
+                            step(plan, m, &seed, dst, true, true, &mut s2);
+                            (!s2.is_empty()).then(|| {
+                                let u = new_unit(units, true);
+                                roots.push(u, &[*elem, dst], &mut s2);
+                                u
+                            })
+                        }
+                        None => {
+                            let u = new_unit(units, true);
+                            roots.push(u, &[*elem], &mut seed);
+                            Some(u)
+                        }
+                    };
+                    fwd_units.push((tr.to, u));
+                    u
                 }
-                step(env.plan, m, &states, a.edge, false, fwd, &mut s1);
-                if s1.is_empty() {
-                    continue;
+            };
+            ns.add(true, ns_since(t_fwd));
+            let Some(fu) = fu else { continue };
+            let t_bwd = enabled.then(Instant::now);
+            seed.clear();
+            seed.push((tr.from, times0.clone()));
+            let bu = if let Some((src, _)) = edge_ends {
+                step(plan, m, &seed, src, true, false, &mut s2);
+                (!s2.is_empty()).then(|| {
+                    let bu = new_unit(units, false);
+                    roots.push(bu, &[src], &mut s2);
+                    bu
+                })
+            } else {
+                // Node seed: the seed itself is the (current) leftmost
+                // element; acceptance before extending is legal, and the
+                // first hop left of the seed happens here, so every root
+                // below is a standard backward search root.
+                let bu = new_unit(units, false);
+                if let Some(t) = complete_times(plan, &seed, false) {
+                    units[bu].halves.push(&[], t);
                 }
-                step(env.plan, m, &s1, a.other, true, fwd, &mut s2);
-                if s2.is_empty() {
-                    continue;
+                let node = view.graph.class_of(*elem).expect("a candidate is a stored element");
+                for (class, entries) in view.graph.in_adj_list(*elem).buckets() {
+                    if !admitted(plan, &seed, class, node, false) {
+                        m.typed_prunes += 1;
+                        continue;
+                    }
+                    for adj in entries {
+                        if adj.edge == *elem || adj.other == *elem {
+                            continue;
+                        }
+                        step(plan, m, &seed, adj.edge, false, false, &mut s1);
+                        if s1.is_empty() {
+                            continue;
+                        }
+                        step(plan, m, &s1, adj.other, true, false, &mut s2);
+                        if s2.is_empty() {
+                            continue;
+                        }
+                        roots.push(bu, &[adj.edge, adj.other], &mut s2);
+                    }
                 }
-                let mut p = path.clone();
-                p.push(a.edge);
-                p.push(a.other);
-                queue.push_back((p, std::mem::take(&mut s2)));
-            }
+                Some(bu)
+            };
+            ns.add(false, ns_since(t_bwd));
+            let Some(bu) = bu else { continue };
+            pairs.push((bu, fu));
         }
     }
-    for (path, mut states) in queue {
-        carved.push(ui, &path, &mut states);
+    out
+}
+
+/// The heartbeat of an inline search at more than one seat: twice the
+/// pool's running estimate of its hand-off latency. A search that ends
+/// sooner would not have gained from a helper that arrives only after the
+/// hand-off; one that runs longer leaves a helper as much time to work as
+/// it took to arrive.
+fn heartbeat_ns() -> u64 {
+    2 * par::handoff_ns()
+}
+
+/// Search: seat 0 searches the seeded roots depth-first on the calling
+/// thread, in root order, with its own matcher, memo and buffers. With a
+/// `heartbeat_ns` (more than one seat) the search reads the clock once per
+/// 64 checkpoints; past the heartbeat it donates work and stops: every
+/// open frame's untried children, stepped exactly as the depth-first
+/// search would step them, plus the roots not yet searched, dealt as a
+/// range. The donated roots and that range then run as pool jobs, with
+/// the calling thread as seat 0. So the split makes the step calls the
+/// one-seat search makes, each once — the work is split, not redone.
+/// Returns the inline search's outcome.
+fn search_stage<'a>(
+    env: &Env<'a>,
+    m: &mut ElemMatcher<'a>,
+    pool: &mut PoolTotals,
+    seeded: &mut Seeded,
+    heartbeat_ns: Option<u64>,
+    enabled: bool,
+    ns: &mut ExtendNs,
+) -> SearchSplit {
+    let Seeded { units, roots, .. } = seeded;
+    if roots.len() == 0 {
+        return SearchSplit::Inline;
     }
+    m.split = heartbeat_ns.map(|heartbeat_ns| Split {
+        start: Instant::now(),
+        heartbeat_ns,
+        unit: 0,
+        after_ns: 0,
+        donated: None,
+    });
+    pool.chunks += 1;
+    let mut next = roots.len();
+    for i in 0..roots.len() {
+        if m.cancel_cause.is_some() {
+            break;
+        }
+        if m.split.as_ref().is_some_and(|sp| sp.donated.is_some()) {
+            next = i;
+            break;
+        }
+        let (ui, path, states) = roots.get(i);
+        if let Some(sp) = m.split.as_mut() {
+            sp.unit = ui;
+        }
+        let fwd = units[ui].fwd;
+        let t0 = enabled.then(Instant::now);
+        search_root(env, m, path, states, fwd, &mut units[ui].halves);
+        ns.add(fwd, ns_since(t0));
+    }
+    let Some(Split { after_ns, donated: Some(donated), .. }) = m.split.take() else {
+        return SearchSplit::Inline;
+    };
+    // Donated roots first, then the unsearched range `next..` of the
+    // seeded roots, read in place. A split that found nothing left to
+    // donate ran inline after all.
+    let n_donated = donated.len();
+    let n = n_donated + roots.len() - next;
+    if m.cancel_cause.is_some() || n == 0 {
+        return SearchSplit::Inline;
+    }
+    let root = |v: usize| if v < n_donated { donated.get(v) } else { roots.get(next + v - n_donated) };
+    let bounds = par::chunks(n, env.threads);
+    let outs = run_stage(env, m, pool, "search", bounds.len(), |mw, c| {
+        let mut out: Vec<(usize, Halves)> = Vec::new();
+        let mut job_ns = ExtendNs::default();
+        for v in bounds[c].clone() {
+            if mw.cancel_cause.is_some() {
+                break;
+            }
+            let (ui, path, states) = root(v);
+            let fwd = units[ui].fwd;
+            if out.last().map(|(u, _)| *u) != Some(ui) {
+                out.push((ui, Halves::default()));
+            }
+            let halves = &mut out.last_mut().expect("pushed above").1;
+            let t0 = enabled.then(Instant::now);
+            search_root(env, mw, path, states, fwd, halves);
+            job_ns.add(fwd, ns_since(t0));
+        }
+        (out, job_ns)
+    });
+    for (out, job_ns) in outs.into_iter().flatten() {
+        ns.fwd += job_ns.fwd;
+        ns.bwd += job_ns.bwd;
+        for (ui, halves) in out {
+            units[ui].halves.append(halves);
+        }
+    }
+    SearchSplit::Split { after_ns, donated: n as u64 }
 }
 
 /// Pool usage summed over one evaluation's stages.
 #[derive(Default)]
 struct PoolTotals {
+    /// Jobs run: pool jobs, plus one per inline search.
     chunks: u64,
     steals: u64,
     /// Memo entries held by seats other than seat 0: a helper re-derives
@@ -1065,7 +1279,8 @@ fn op_done(
 
 /// The evaluator's passes. Per anchor atom: `Select` the candidates; seed
 /// one search unit per (candidate, distinct NFA seed state) on the calling
-/// thread; run the units' subtrees as pool jobs; cross-combine the halves
+/// thread; search the units' subtrees inline first ([`search_stage`]),
+/// splitting to the pool past the heartbeat; cross-combine the halves
 /// (`Union`) as pool jobs, each feeding its own value of `sink`; merge the
 /// jobs' values, new pathways into the sorted result.
 /// Then finalize; the merges and the finalize are the `Dedup` row, which a
@@ -1075,7 +1290,9 @@ fn op_done(
 ///
 /// Units, jobs and union pairs are enumerated in candidate order and job
 /// outputs come back in job order, so nothing observable depends on which
-/// seat ran which job.
+/// seat ran which job. `threads` is the resolved seat count; an anchored
+/// search splits to the pool only past `heartbeat_ns` ([`search_stage`]).
+#[allow(clippy::too_many_arguments)]
 fn run_passes(
     view: &GraphView,
     plan: &RpePlan,
@@ -1083,6 +1300,8 @@ fn run_passes(
     opts: &EvalOptions,
     ctx: &mut ExecCtx,
     sink: Sink,
+    threads: usize,
+    heartbeat_ns: Option<u64>,
 ) -> Result<Folded, RpeError> {
     assert!(
         plan.typed.built_for(&plan.nfa),
@@ -1093,7 +1312,6 @@ fn run_passes(
     // Operator timings are wanted: a trace or a live span is attached.
     let enabled = ctx.trace.is_some() || span.is_active();
     let schema = view.graph.schema().clone();
-    let threads = resolved_threads(opts.threads);
     let env = Env {
         view,
         plan,
@@ -1112,13 +1330,11 @@ fn run_passes(
     // Rows written for `Dedup` and its time.
     let (mut dedup_in, mut dedup_ns) = (0u64, 0u64);
     let mut pool = PoolTotals::default();
-    let ns_since = |t0: Option<Instant>| t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    // How the anchored searches ran, merged over the anchor's atoms.
+    let mut search: Option<SearchSplit> = None;
 
     match seeds {
         Seeds::Anchor => {
-            // Seeding buffers, reused across candidates and atoms.
-            let mut fwd_units: Vec<(u32, Option<usize>)> = Vec::new();
-            let (mut seed, mut s1, mut s2) = (StateSet::new(), StateSet::new(), StateSet::new());
             for &occ in &plan.anchor.atoms {
                 let atom = &plan.atoms[occ as usize];
                 let t_sel = enabled.then(Instant::now);
@@ -1130,174 +1346,14 @@ fn run_passes(
                 sel_span.attr("rows_out", candidates.len());
                 drop(sel_span);
                 op_row(ctx, "Select", &atom.display, 0, (scanned, candidates.len() as u64), ns_since(t_sel));
-                let seed_trans = plan.nfa.seeds_for(occ);
-                let (mut fwd_ns, mut bwd_ns, mut union_ns) = (0u64, 0u64, 0u64);
+                let mut ext = ExtendNs::default();
+                let mut union_ns = 0u64;
                 let union_before = fed.pathways();
-
-                // Seed: step over each candidate's own element(s) and
-                // collect search units and their roots instead of recursing.
-                let mut units: Vec<Unit> = Vec::new();
-                let mut roots = Roots::default();
-                let mut pairs: Vec<(usize, usize)> = Vec::new(); // (bwd unit, fwd unit)
-                for (elem, times0) in &candidates {
-                    if m.cancel_cause.is_some() {
-                        break; // cancelled: stop seeding, surface below
-                    }
-                    let edge_ends = if atom.is_node {
-                        None
-                    } else {
-                        match view.graph.edge(*elem) {
-                            Ok(e) => Some((e.src, e.dst)),
-                            Err(_) => continue,
-                        }
-                    };
-                    // The anchor occurrence can sit on several transitions
-                    // (one per repetition depth), each from its own state;
-                    // the forward half depends only on the target state, so
-                    // there is one forward unit per distinct state (`None`
-                    // marks a state the edge seed cannot even step into).
-                    fwd_units.clear();
-                    for tr in &seed_trans {
-                        let t_fwd = enabled.then(Instant::now);
-                        let fu = match fwd_units.iter().find(|(s, _)| *s == tr.to) {
-                            Some(&(_, u)) => u,
-                            None => {
-                                seed.clear();
-                                seed.push((tr.to, times0.clone()));
-                                let u = match edge_ends {
-                                    // Edge seed: forward must consume the
-                                    // edge's target node first.
-                                    Some((_, dst)) => {
-                                        step(plan, &mut m, &seed, dst, true, true, &mut s2);
-                                        (!s2.is_empty()).then(|| {
-                                            let u = new_unit(&mut units, true);
-                                            roots.push(u, &[*elem, dst], &mut s2);
-                                            u
-                                        })
-                                    }
-                                    None => {
-                                        let u = new_unit(&mut units, true);
-                                        roots.push(u, &[*elem], &mut seed);
-                                        Some(u)
-                                    }
-                                };
-                                fwd_units.push((tr.to, u));
-                                u
-                            }
-                        };
-                        fwd_ns += ns_since(t_fwd);
-                        let Some(fu) = fu else { continue };
-                        let t_bwd = enabled.then(Instant::now);
-                        seed.clear();
-                        seed.push((tr.from, times0.clone()));
-                        let bu = if let Some((src, _)) = edge_ends {
-                            step(plan, &mut m, &seed, src, true, false, &mut s2);
-                            (!s2.is_empty()).then(|| {
-                                let bu = new_unit(&mut units, false);
-                                roots.push(bu, &[src], &mut s2);
-                                bu
-                            })
-                        } else {
-                            // Node seed: the seed itself is the (current)
-                            // leftmost element; acceptance before extending
-                            // is legal, and the first hop left of the seed
-                            // happens here, so every root below is a
-                            // standard backward search root.
-                            let bu = new_unit(&mut units, false);
-                            if let Some(t) = complete_times(plan, &seed, false) {
-                                units[bu].halves.push(&[], t);
-                            }
-                            let node = view.graph.class_of(*elem).expect("a candidate is a stored element");
-                            for (class, entries) in view.graph.in_adj_list(*elem).buckets() {
-                                if !admitted(plan, &seed, class, node, false) {
-                                    m.typed_prunes += 1;
-                                    continue;
-                                }
-                                for adj in entries {
-                                    if adj.edge == *elem || adj.other == *elem {
-                                        continue;
-                                    }
-                                    step(plan, &mut m, &seed, adj.edge, false, false, &mut s1);
-                                    if s1.is_empty() {
-                                        continue;
-                                    }
-                                    step(plan, &mut m, &s1, adj.other, true, false, &mut s2);
-                                    if s2.is_empty() {
-                                        continue;
-                                    }
-                                    roots.push(bu, &[adj.edge, adj.other], &mut s2);
-                                }
-                            }
-                            Some(bu)
-                        };
-                        bwd_ns += ns_since(t_bwd);
-                        let Some(bu) = bu else { continue };
-                        pairs.push((bu, fu));
-                    }
-                }
-
-                // Carve: with few candidates (unique anchors — the common
-                // Table-1 shape) there are too few roots to keep several
-                // seats busy; carve deeper frontiers out of each rooted
-                // unit's tree, aiming at one subtree per seat (units whose
-                // search ended while seeding hold no roots and get none).
-                // One seat has nobody to share with and searches the roots
-                // as they are.
-                if threads > 1 && roots.len() < threads * 3 && !roots.meta.is_empty() {
-                    let rooted = 1 + roots.meta.windows(2).filter(|w| w[0].0 != w[1].0).count();
-                    let want = threads.div_ceil(rooted).max(2);
-                    let mut carved = Roots::default();
-                    let mut i = 0;
-                    while i < roots.len() {
-                        let ui = roots.meta[i].0;
-                        let end = (i..roots.len()).find(|&j| roots.meta[j].0 != ui).unwrap_or(roots.len());
-                        let fwd = units[ui].fwd;
-                        if end - i < want {
-                            let t0 = enabled.then(Instant::now);
-                            expand_frontier(&env, &mut m, &roots, i..end, want, &mut units[ui], &mut carved);
-                            *(if fwd { &mut fwd_ns } else { &mut bwd_ns }) += ns_since(t0);
-                        } else {
-                            for j in i..end {
-                                let (_, path, states) = roots.get(j);
-                                carved.push(ui, path, &mut states.to_vec());
-                            }
-                        }
-                        i = end;
-                    }
-                    roots = carved;
-                }
-
-                // Search: run the roots' subtrees on the pool, dealt as
-                // contiguous chunks, each seat carrying its memo and
-                // buffers across the chunks it executes. A chunk returns
-                // one half-arena per run of roots belonging to one unit.
-                let bounds = par::chunks(roots.len(), threads);
-                let outs = run_stage(&env, &mut m, &mut pool, "search", bounds.len(), |mw, c| {
-                    let mut out: Vec<(usize, Halves)> = Vec::new();
-                    let (mut f_ns, mut b_ns) = (0u64, 0u64);
-                    for i in bounds[c].clone() {
-                        if mw.cancel_cause.is_some() {
-                            break;
-                        }
-                        let (ui, path, states) = roots.get(i);
-                        let fwd = units[ui].fwd;
-                        if out.last().map(|(u, _)| *u) != Some(ui) {
-                            out.push((ui, Halves::default()));
-                        }
-                        let halves = &mut out.last_mut().expect("pushed above").1;
-                        let t0 = enabled.then(Instant::now);
-                        search_root(&env, mw, path, states, fwd, halves);
-                        *(if fwd { &mut f_ns } else { &mut b_ns }) += ns_since(t0);
-                    }
-                    (out, f_ns, b_ns)
-                });
-                for (out, f_ns, b_ns) in outs.into_iter().flatten() {
-                    fwd_ns += f_ns;
-                    bwd_ns += b_ns;
-                    for (ui, halves) in out {
-                        units[ui].halves.append(halves);
-                    }
-                }
+                let mut seeded = seed_atom(&env, &mut m, occ, &candidates, enabled, &mut ext);
+                let split = search_stage(&env, &mut m, &mut pool, &mut seeded, heartbeat_ns, enabled, &mut ext);
+                search = Some(search.map_or(split, |s| s.merge(split)));
+                let Seeded { units, pairs, .. } = &seeded;
+                let (fwd_ns, bwd_ns) = (ext.fwd, ext.bwd);
                 let halves_of =
                     |fwd: bool| -> u64 { units.iter().filter(|u| u.fwd == fwd).map(|u| u.halves.len() as u64).sum() };
                 let (fwd_halves, bwd_halves) = (halves_of(true), halves_of(false));
@@ -1447,6 +1503,10 @@ fn run_passes(
         trc.bump("match_memo_entries", memo_entries);
         trc.bump("rpe_parallel_chunks", pool.chunks);
         trc.bump("rpe_steal_count", pool.steals);
+        trc.search = search;
+    }
+    if let Some(split) = search {
+        span.attr("search", split);
     }
     span.attr("temporal_prunes", m.temporal_prunes);
     span.attr("typed_prunes", m.typed_prunes);
@@ -1511,5 +1571,198 @@ impl CardinalityEstimator for GraphEstimator<'_> {
             count as f64
         };
         apply_selectivity(base, atom)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parser::parse_rpe;
+    use crate::plan::plan_rpe;
+    use nepal_schema::dsl::parse_schema;
+    use nepal_schema::Value;
+
+    const SCHEMA: &str = r#"
+        node N { n_id: int unique }
+        node M { m_id: int unique }
+        edge E { }
+        edge F { }
+        allow E (N -> N)
+        allow E (N -> M)
+        allow F (M -> M)
+        allow F (M -> N)
+    "#;
+
+    /// Anchored at a unique node (forwards and backwards), edge-initial and
+    /// edge-final, and one unanchored shape with many roots.
+    const RPES: &[&str] = &[
+        "N(n_id=0)->[E()]{1,6}->M()",
+        "N()->[E()]{1,5}->M(m_id=1)",
+        "N(n_id=3)->[E()]{1,6}",
+        "[F()]{1,4}->N(n_id=4)",
+        "N(n_id=5)->E()->M()->[F()]{1,4}->N()",
+        "N()->E()->M()",
+    ];
+
+    /// Forty `N` and twenty `M` nodes with three and two random out-edges
+    /// each, a third of the edges deleted later: trees deep enough that an
+    /// anchored search passes its 64th checkpoint mid-search.
+    fn graph(seed: u64) -> TemporalGraph {
+        let schema = Arc::new(parse_schema(SCHEMA).unwrap());
+        let c = |n: &str| schema.class_by_name(n).unwrap();
+        let mut g = TemporalGraph::new(schema.clone());
+        let mut x = seed;
+        let mut rnd = |bound: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % bound
+        };
+        let ns: Vec<Uid> =
+            (0..40).map(|i| g.insert_node(c("N"), vec![Value::Int(i)], rnd(10) as i64).unwrap()).collect();
+        let ms: Vec<Uid> =
+            (0..20).map(|i| g.insert_node(c("M"), vec![Value::Int(i)], rnd(10) as i64).unwrap()).collect();
+        let mut edges = Vec::new();
+        for &n in &ns {
+            for _ in 0..3 {
+                let to = if rnd(3) == 0 { ms[rnd(20) as usize] } else { ns[rnd(40) as usize] };
+                edges.extend(g.insert_edge(c("E"), n, to, vec![], 10 + rnd(10) as i64).ok());
+            }
+        }
+        for &m in &ms {
+            for _ in 0..2 {
+                let to = if rnd(2) == 0 { ms[rnd(20) as usize] } else { ns[rnd(40) as usize] };
+                edges.extend(g.insert_edge(c("F"), m, to, vec![], 10 + rnd(10) as i64).ok());
+            }
+        }
+        for (i, &e) in edges.iter().enumerate() {
+            if i % 3 == 0 {
+                let _ = g.delete(e, 40 + rnd(20) as i64);
+            }
+        }
+        g
+    }
+
+    type UnitHalves = (bool, Vec<(Vec<Uid>, Times)>);
+
+    /// Seed and search every anchor atom of `plan` at `threads` seats with
+    /// `heartbeat_ns`: each unit's halves (sorted), the typed and temporal
+    /// prune counts, and how the search ran.
+    fn halves(
+        view: &GraphView,
+        plan: &RpePlan,
+        threads: usize,
+        heartbeat_ns: Option<u64>,
+    ) -> (Vec<UnitHalves>, u64, u64, SearchSplit) {
+        let schema = view.graph.schema().clone();
+        let (opts, span) = (EvalOptions::default(), SpanHandle::none());
+        let env = Env {
+            view,
+            plan,
+            schema: &schema,
+            opts: &opts,
+            cap: plan.max_elements,
+            threads,
+            timed: false,
+            span: &span,
+            metrics: None,
+        };
+        let mut m = ElemMatcher::new(&env);
+        let (mut pool, mut ns) = (PoolTotals::default(), ExtendNs::default());
+        let (mut units, mut split) = (Vec::new(), SearchSplit::Inline);
+        for &occ in &plan.anchor.atoms {
+            let (cands, _) = anchor_scan_cancel(view, &schema, &plan.atoms[occ as usize], None, None).unwrap();
+            let mut seeded = seed_atom(&env, &mut m, occ, &cands, false, &mut ns);
+            split = split.merge(search_stage(&env, &mut m, &mut pool, &mut seeded, heartbeat_ns, false, &mut ns));
+            for u in seeded.units {
+                let mut hs: Vec<(Vec<Uid>, Times)> = (0..u.halves.len())
+                    .map(|i| {
+                        let (elems, times) = u.halves.get(i);
+                        (elems.to_vec(), times.clone())
+                    })
+                    .collect();
+                hs.sort_by(|a, b| a.0.cmp(&b.0));
+                units.push((u.fwd, hs));
+            }
+        }
+        (units, m.typed_prunes, m.temporal_prunes, split)
+    }
+
+    const FILTERS: [TimeFilter; 3] = [TimeFilter::Current, TimeFilter::AsOf(30), TimeFilter::Range(5, 60)];
+
+    #[test]
+    fn split_search_gives_the_one_seat_halves_and_prunes() {
+        let mut donated = 0;
+        for seed in 0..6 {
+            let g = graph(seed);
+            for filter in FILTERS {
+                let view = GraphView::new(&g, filter);
+                for text in RPES {
+                    let plan = plan_rpe(g.schema(), &parse_rpe(text).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+                    let (one, typed, temporal, split) = halves(&view, &plan, 1, None);
+                    assert_eq!(split, SearchSplit::Inline);
+                    // An expired heartbeat splits at the first clock read; no
+                    // heartbeat never splits.
+                    for (threads, heartbeat) in [(2, Some(0)), (4, Some(0)), (2, None)] {
+                        let (units, t, tp, split) = halves(&view, &plan, threads, heartbeat);
+                        let ctx = format!("{text} at {filter:?}, seed {seed}, {threads} seats, {split}");
+                        assert_eq!(one, units, "halves differ: {ctx}");
+                        assert_eq!((typed, temporal), (t, tp), "prune counts differ: {ctx}");
+                        match split {
+                            SearchSplit::Inline => {}
+                            SearchSplit::Split { donated: n, .. } => {
+                                assert!(heartbeat.is_some(), "split without a heartbeat: {ctx}");
+                                donated += n;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(donated > 0, "no search outlived its 64th checkpoint");
+    }
+
+    #[test]
+    fn split_search_gives_the_one_seat_pathways_and_rows() {
+        for seed in 0..4 {
+            let g = graph(seed);
+            for filter in FILTERS {
+                let view = GraphView::new(&g, filter);
+                for text in RPES {
+                    let plan = plan_rpe(g.schema(), &parse_rpe(text).unwrap(), &GraphEstimator { graph: &g }).unwrap();
+                    let run = |threads: usize, heartbeat: Option<u64>| {
+                        let mut trace = ExecTrace::default();
+                        let mut ctx = ExecCtx { trace: Some(&mut trace), ..Default::default() };
+                        let opts = EvalOptions::default();
+                        let folded = run_passes(
+                            &view,
+                            &plan,
+                            Seeds::Anchor,
+                            &opts,
+                            &mut ctx,
+                            Sink::Pathways,
+                            threads,
+                            heartbeat,
+                        )
+                        .unwrap();
+                        let rows: Vec<(String, u64, u64)> =
+                            trace.ops.iter().map(|o| (o.op.clone(), o.rows_in, o.rows_out)).collect();
+                        let prunes = (trace.counter("typed_prunes"), trace.counter("temporal_prunes"));
+                        assert!(trace.counter("rpe_parallel_chunks") > 0 || folded.pathways() == 0);
+                        (folded, rows, prunes, trace.search)
+                    };
+                    let one = run(1, None);
+                    assert_eq!(one.3, Some(SearchSplit::Inline));
+                    for heartbeat in [Some(0), None] {
+                        let two = run(2, heartbeat);
+                        let ctx = format!("{text} at {filter:?}, seed {seed}, heartbeat {heartbeat:?}");
+                        assert_eq!(one.0, two.0, "pathways differ: {ctx}");
+                        assert_eq!(one.1, two.1, "operator rows differ: {ctx}");
+                        assert_eq!(one.2, two.2, "prune counts differ: {ctx}");
+                        if heartbeat.is_none() {
+                            assert_eq!(two.3, Some(SearchSplit::Inline), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

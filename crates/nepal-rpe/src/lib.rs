@@ -75,5 +75,5 @@ pub use exec::{
 pub use nfa::{compile, Label, Nfa, Transition};
 pub use parser::parse_rpe;
 pub use path::{PathFn, Pathway};
-pub use plan::{plan_rpe, plan_rpe_with, RpePlan};
+pub use plan::{plan_cache_len, plan_rpe, plan_rpe_with, Automaton, RpePlan, PLAN_CACHE_SHAPES};
 pub use typing::TypedTable;

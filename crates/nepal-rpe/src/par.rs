@@ -13,9 +13,15 @@
 //! `nepal-rpe-<i>`, never more than the largest `threads - 1` any run has
 //! asked for) and starts on its own block at once. A helper that wakes in
 //! time takes the next free seat; one that does not finds the blocks
-//! already drained by the caller's steals. Whether a run executes inline
-//! or in parallel is therefore decided by what happens, not by a size
-//! threshold — and no thread is created on the query path after warm-up.
+//! already drained by the caller's steals. No thread is created on the
+//! query path after warm-up.
+//!
+//! Waking a helper is not free, and the pool measures what it costs: a
+//! run that wakes a parked helper stamps the clock, and the first helper
+//! to wake folds the delay into a running estimate ([`handoff_ns`]). The
+//! evaluator keeps a search on the calling thread until it has run for
+//! twice that long, so a search that would end before a helper arrives
+//! never publishes a run.
 //!
 //! A run returns only when every job someone claimed has finished, and a
 //! waiter only ever waits for jobs a participant is *executing*: unclaimed
@@ -57,6 +63,26 @@ pub struct PoolStats {
     pub jobs: u64,
     /// Total cross-seat steals.
     pub steals: u64,
+}
+
+/// The pool's running estimate of its hand-off latency, in ns: the time
+/// from publishing a run that wakes a parked helper to that helper taking
+/// the pool lock again, averaged with weight 1/8 per sample. 0 until the
+/// first sample.
+static HANDOFF_NS: AtomicU64 = AtomicU64::new(0);
+
+/// How long, in ns, a run published now can expect to wait for its first
+/// helper ([`HANDOFF_NS`]); 0 before any run has woken a helper.
+pub fn handoff_ns() -> u64 {
+    HANDOFF_NS.load(Ordering::Relaxed)
+}
+
+/// Fold one sample into [`HANDOFF_NS`]; called under the pool lock, so the
+/// load and store do not race.
+fn record_handoff(sample_ns: u64) {
+    let old = HANDOFF_NS.load(Ordering::Relaxed);
+    let new = if old == 0 { sample_ns } else { old - old / 8 + sample_ns / 8 };
+    HANDOFF_NS.store(new, Ordering::Relaxed);
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -115,7 +141,8 @@ impl Drop for StopOnUnwind<'_> {
 /// the calling thread, in seat order, before any job runs; `run` executes a
 /// single job against that state. A panicking job body stops
 /// the run and is re-raised on the calling thread once every participant
-/// has left. With `timed == false` no clock is ever read.
+/// has left. With `timed == false` no job is timed; the only clock reads
+/// are the hand-off samples of a run that wakes a parked helper.
 ///
 /// With a `cancel` token, a participant polls it before claiming its next
 /// job (own block or a steal) and stops claiming once it trips, abandoning
@@ -237,6 +264,9 @@ struct PoolState {
     helpers: usize,
     /// Helpers parked on `work`.
     idle: usize,
+    /// When a run last woke a parked helper that has not yet come back:
+    /// the first to wake takes it as a hand-off sample.
+    woken_at: Option<Instant>,
 }
 
 struct Pool {
@@ -248,7 +278,7 @@ struct Pool {
 }
 
 static POOL: Pool = Pool {
-    state: Mutex::new(PoolState { runs: Vec::new(), next_id: 0, helpers: 0, idle: 0 }),
+    state: Mutex::new(PoolState { runs: Vec::new(), next_id: 0, helpers: 0, idle: 0, woken_at: None }),
     work: Condvar::new(),
     done: Condvar::new(),
 };
@@ -337,6 +367,9 @@ impl Pool {
         st.next_id += 1;
         st.runs.push(Run { id, sit: erased, next_seat: 1, n_seats, active: 0, panic: None });
         let wake = st.idle.min(n_seats - 1);
+        if wake > 0 && st.woken_at.is_none() {
+            st.woken_at = Some(Instant::now());
+        }
         drop(st);
         for _ in 0..wake {
             self.work.notify_one();
@@ -359,6 +392,9 @@ fn helper_loop(pool: &'static Pool) {
             st.idle += 1;
             st = pool.work.wait(st).unwrap_or_else(|e| e.into_inner());
             st.idle -= 1;
+            if let Some(t) = st.woken_at.take() {
+                record_handoff(t.elapsed().as_nanos() as u64);
+            }
             continue;
         };
         let (id, sit, seat) = (run.id, run.sit, run.next_seat);

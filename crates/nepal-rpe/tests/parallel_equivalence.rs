@@ -7,7 +7,10 @@ use std::sync::Arc;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal_obs::ExecTrace;
-use nepal_rpe::{evaluate, parse_rpe, plan_rpe, try_evaluate, EvalOptions, ExecCtx, GraphEstimator, Pathway, Seeds};
+use nepal_rpe::{
+    compile, evaluate, parse_rpe, plan_rpe, try_evaluate, Automaton, EvalOptions, ExecCtx, GraphEstimator, Pathway,
+    Seeds,
+};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
 use proptest::prelude::*;
@@ -177,9 +180,45 @@ fn merged_counters_equal_sequential() {
             counter(&par_trace, "temporal_prunes"),
             "temporal prune counts differ for {text}"
         );
-        // The parallel run reports its pool usage.
+        // The parallel run reports the jobs it ran, the inline search
+        // included.
         if !seq.is_empty() {
             assert!(counter(&par_trace, "rpe_parallel_chunks") > 0, "no parallel chunks recorded for {text}");
+        }
+    }
+}
+
+/// A plan whose automaton and typed table come from the plan cache and one
+/// that built them afresh give the same pathways, operator rows and prune
+/// counts on the corpus, at every time filter and at one and four seats.
+#[test]
+fn cached_and_built_plans_agree_on_the_corpus() {
+    for seed in 0..6 {
+        let g = random_graph(seed);
+        for filter in [TimeFilter::Current, TimeFilter::AsOf(30), TimeFilter::Range(5, 60)] {
+            let view = GraphView::new(&g, filter);
+            for text in RPES {
+                let rpe = parse_rpe(text).unwrap();
+                let est = GraphEstimator { graph: &g };
+                plan_rpe(g.schema(), &rpe, &est).unwrap();
+                let cached = plan_rpe(g.schema(), &rpe, &est).unwrap();
+                assert_eq!(cached.automaton, Automaton::Cached, "{text}");
+                let mut fresh = cached.clone();
+                let kinds: Vec<bool> = cached.atoms.iter().map(|a| a.is_node).collect();
+                fresh.set_nfa(g.schema(), compile(&cached.norm, &kinds));
+                assert_eq!(fresh.automaton, Automaton::Built);
+                for threads in [1, 4] {
+                    let run = |plan| {
+                        let mut trace = ExecTrace::default();
+                        let opts = EvalOptions { threads, ..Default::default() };
+                        let mut ctx = ExecCtx { trace: Some(&mut trace), ..Default::default() };
+                        let p = try_evaluate(&view, plan, Seeds::Anchor, &opts, &mut ctx).unwrap();
+                        let rows: Vec<_> = trace.ops.iter().map(|o| (o.op.clone(), o.rows_in, o.rows_out)).collect();
+                        (p, rows, trace.counter("typed_prunes"), trace.counter("temporal_prunes"))
+                    };
+                    assert_eq!(run(&cached), run(&fresh), "{text} at {filter:?}, seed {seed}, {threads} seat(s)");
+                }
+            }
         }
     }
 }

@@ -9,6 +9,7 @@
 //! fields declared at or above `VM` — exactly the paper's semantics.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, SchemaError};
 use crate::types::{DataTypeDef, DataTypeId, DataTypeRegistry, FieldDef};
@@ -64,6 +65,8 @@ pub struct Schema {
     /// containment test.
     tin: Vec<u32>,
     tout: Vec<u32>,
+    /// Process-unique identity, drawn when the schema is built.
+    id: u64,
 }
 
 /// The id of the `Entity` root class (always 0).
@@ -74,6 +77,14 @@ pub const NODE: ClassId = ClassId(1);
 pub const EDGE: ClassId = ClassId(2);
 
 impl Schema {
+    /// This schema's process-unique identity. A schema is immutable once
+    /// [`SchemaBuilder::finish`] returns it, so anything derived from it
+    /// alone can be cached under this id; a clone keeps the id, a rebuilt
+    /// schema (even an identical one) gets a new one.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
     /// Number of classes, including the three built-in roots.
     pub fn num_classes(&self) -> usize {
         self.classes.len()
@@ -448,6 +459,7 @@ impl SchemaBuilder {
                 stack.push((ch, false));
             }
         }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Schema {
             classes: self.classes,
             by_name: self.by_name,
@@ -457,6 +469,7 @@ impl SchemaBuilder {
             children,
             tin,
             tout,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 }

@@ -59,25 +59,29 @@ const SEED: u64 = 14;
 const TOP_DOWN: &str = "VNF(vnf_id={vnf})->[Vertical()]{1,6}->Host()";
 
 /// (name, query, allocations allowed per evaluated pathway, fixed allowance).
+/// The fixed allowances are what a query allocates beyond its per-pathway
+/// share when its plan's automaton comes from the plan cache, plus a
+/// margin; a query that compiles its automaton, or that publishes its
+/// search to the pool, does not fit (EXPERIMENTS.md "PR 43" has the counts).
 const SHAPES: [(&str, &str, u64, u64); 6] = [
-    ("top_down_retrieve", "Retrieve P From PATHS P Where P MATCHES {top_down}", 4, 900),
-    ("count", "Select count(P) From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()", 2, 700),
+    ("top_down_retrieve", "Retrieve P From PATHS P Where P MATCHES {top_down}", 4, 260),
+    ("count", "Select count(P) From PATHS P Where P MATCHES VNF()->[Vertical()]{1,6}->Host()", 2, 0),
     (
         "count_distinct_target",
         "Select count(distinct target(P)) From PATHS P Where P MATCHES Host()->[ConnectedTo()]{1,2}->Host()",
         1,
-        700,
+        0,
     ),
     (
         "join_count",
         "Select count(A) From PATHS A, PATHS B Where A MATCHES VFC()->OnVM()->Container()->OnServer()->Host() \
          And B MATCHES Host()->ServerSwitch()->Switch() And target(A) = source(B)",
         1,
-        700,
+        150,
     ),
-    ("at_retrieve", "AT '{t1}' Retrieve P From PATHS P Where P MATCHES {top_down}", 4, 900),
+    ("at_retrieve", "AT '{t1}' Retrieve P From PATHS P Where P MATCHES {top_down}", 4, 260),
     // Under a range every partial match carries an interval set, which is heap-allocated per step.
-    ("range_retrieve", "AT '{t1}' : '{t2}' Retrieve P From PATHS P Where P MATCHES {top_down}", 110, 600),
+    ("range_retrieve", "AT '{t1}' : '{t2}' Retrieve P From PATHS P Where P MATCHES {top_down}", 110, 0),
 ];
 
 fn vnf_id(g: &TemporalGraph, uid: Uid) -> i64 {
