@@ -799,10 +799,11 @@ mod tests {
             let g2 = load_binary(g.schema().clone(), &buf, threads).unwrap();
             assert_eq!(g.num_entities(), g2.num_entities());
             assert_eq!(g.num_versions(), g2.num_versions());
-            // The restored element column is the original's and its
-            // definition, whether blocks decode on one thread or four.
+            // The restored element and `since` columns are the original's and
+            // their definitions, whether blocks decode on one thread or four.
             assert_eq!(g2.elem_column(), g.elem_column());
-            assert_eq!(g2.elem_column(), g2.elem_column_recount());
+            assert_eq!(g2.since_column(), g.since_column());
+            assert_eq!((g2.elem_column().to_vec(), g2.since_column().to_vec()), g2.elem_column_recount());
             for raw in 0..g.num_entities() as u64 {
                 let uid = Uid(raw);
                 assert_eq!(g.class_of(uid), g2.class_of(uid));
@@ -844,7 +845,8 @@ mod tests {
             assert!(torn.keep_bytes <= torn_bytes.len() as u64);
             assert!(g2.num_entities() <= g.num_entities());
             assert_eq!(g2.elem_column(), &g.elem_column()[..g2.num_entities()]);
-            assert_eq!(g2.elem_column(), g2.elem_column_recount());
+            assert_eq!(g2.since_column(), &g.since_column()[..g2.num_entities()]);
+            assert_eq!((g2.elem_column().to_vec(), g2.since_column().to_vec()), g2.elem_column_recount());
             for raw in 0..g2.num_entities() as u64 {
                 let uid = Uid(raw);
                 assert_eq!(g.class_of(uid), g2.class_of(uid));

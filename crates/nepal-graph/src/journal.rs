@@ -400,9 +400,11 @@ mod tests {
 
         assert_eq!(g.num_entities(), g2.num_entities());
         assert_eq!(g.num_versions(), g2.num_versions());
-        // The restored element column is the original's and its definition.
+        // The restored element and `since` columns are the original's and
+        // their definitions.
         assert_eq!(g2.elem_column(), g.elem_column());
-        assert_eq!(g2.elem_column(), g2.elem_column_recount());
+        assert_eq!(g2.since_column(), g.since_column());
+        assert_eq!((g2.elem_column().to_vec(), g2.since_column().to_vec()), g2.elem_column_recount());
         for raw in 0..g.num_entities() as u64 {
             let uid = Uid(raw);
             assert_eq!(g.class_of(uid), g2.class_of(uid));
@@ -478,7 +480,8 @@ mod tests {
             assert!(torn.dropped_lines >= 1);
             assert!(g2.num_entities() < g.num_entities(), "the torn entity must be dropped");
             assert_eq!(g2.elem_column(), &g.elem_column()[..g2.num_entities()]);
-            assert_eq!(g2.elem_column(), g2.elem_column_recount());
+            assert_eq!(g2.since_column(), &g.since_column()[..g2.num_entities()]);
+            assert_eq!((g2.elem_column().to_vec(), g2.since_column().to_vec()), g2.elem_column_recount());
             // Everything recovered matches the original exactly.
             for raw in 0..g2.num_entities() as u64 {
                 let uid = Uid(raw);

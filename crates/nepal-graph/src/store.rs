@@ -19,7 +19,7 @@ use std::sync::Arc;
 use nepal_schema::{ClassId, ClassKind, Schema, Ts, Value};
 
 use crate::error::{GraphError, Result};
-use crate::interval::{Interval, IntervalSet};
+use crate::interval::{Interval, IntervalSet, FOREVER};
 use crate::view::TimeFilter;
 
 /// Unique identifier of a node or edge. Uids are dense indices assigned by
@@ -150,21 +150,20 @@ fn encode_history(older: Vec<Value>, newer: &[Value]) -> VersionData {
     }
 }
 
-/// A stored node. Its class is kept in the element column
-/// ([`TemporalGraph::class_of`]), not here.
+/// A stored node. Its uid is its index in the entry table and its class
+/// is kept in the element column ([`TemporalGraph::class_of`]), not here.
 #[derive(Debug, Clone)]
 pub struct NodeEntry {
-    pub uid: Uid,
     /// Versions in chronological order; spans never overlap.
     pub versions: Vec<Version>,
 }
 
 /// A stored edge. Endpoints are immutable for the lifetime of the uid
 /// (a moved connection is a delete + insert, as in real inventory feeds).
-/// Its class is kept in the element column ([`TemporalGraph::class_of`]).
+/// Its uid is its index in the entry table and its class is kept in the
+/// element column ([`TemporalGraph::class_of`]).
 #[derive(Debug, Clone)]
 pub struct EdgeEntry {
-    pub uid: Uid,
     pub src: Uid,
     pub dst: Uid,
     pub versions: Vec<Version>,
@@ -193,29 +192,47 @@ impl Entry {
 
     /// The word this entry's uid has in the element column.
     fn elem_word(&self, class: ClassId) -> ElemWord {
+        let vs = self.versions();
         ElemWord::new(
             class,
             matches!(self, Entry::Node(_)),
-            self.versions().last().is_some_and(|v| v.span.is_current()),
+            vs.last().is_some_and(|v| v.span.is_current()),
+            vs.len() == 1,
         )
+    }
+
+    /// The instant this entry's uid has in the `since` column: since when
+    /// its open/closed state has held. That is the open head's `from` or
+    /// the closed head's `to`; `Ts::MIN` for an empty chain.
+    fn since(&self) -> Ts {
+        match self.versions().last() {
+            Some(v) if v.span.is_current() => v.span.from,
+            Some(v) => v.span.to,
+            None => Ts::MIN,
+        }
     }
 }
 
 /// One uid's word in the element column: its exact class, whether it is a
-/// node, and whether its chain head is open (the element is asserted in the
-/// current snapshot), packed into 32 bits. A `Current` element check reads
-/// this word alone instead of an entry slot plus its chain's heap block.
+/// node, whether its chain head is open (the element is asserted in the
+/// current snapshot) and whether its chain holds exactly one version,
+/// packed into 32 bits. A `Current` element check reads this word alone
+/// instead of an entry slot plus its chain's heap block; with the uid's
+/// `since` instant it settles most `AsOf` and `Range` checks too
+/// ([`TemporalGraph::asserted_at`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ElemWord(u32);
 
 impl ElemWord {
     const NODE: u32 = 1 << 31;
     const OPEN: u32 = 1 << 30;
-    /// Class ids live below the two flag bits.
-    const CLASS: u32 = Self::OPEN - 1;
+    const SINGLE: u32 = 1 << 29;
+    /// Class ids live below the three flag bits.
+    const CLASS: u32 = Self::SINGLE - 1;
 
-    fn new(class: ClassId, is_node: bool, open: bool) -> ElemWord {
-        ElemWord(class.0 | if is_node { Self::NODE } else { 0 } | if open { Self::OPEN } else { 0 })
+    fn new(class: ClassId, is_node: bool, open: bool, single: bool) -> ElemWord {
+        let flag = |set: bool, bit: u32| if set { bit } else { 0 };
+        ElemWord(class.0 | flag(is_node, Self::NODE) | flag(open, Self::OPEN) | flag(single, Self::SINGLE))
     }
 
     /// The exact class.
@@ -231,6 +248,25 @@ impl ElemWord {
     pub fn is_open(self) -> bool {
         self.0 & Self::OPEN != 0
     }
+
+    /// Does the chain hold exactly one version?
+    pub fn is_single(self) -> bool {
+        self.0 & Self::SINGLE != 0
+    }
+}
+
+/// What the element column and the `since` column settle about one element
+/// check under a past time filter ([`TemporalGraph::liveness_at`],
+/// [`TemporalGraph::liveness_over`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Liveness {
+    /// Not asserted at the instant, or anywhere in the window.
+    Dead,
+    /// The open head is the one version that counts: it holds the instant,
+    /// or it is the chain's only version and overlaps the window.
+    Head,
+    /// Only the version chain can tell.
+    Chain,
 }
 
 /// An adjacency record: the connecting edge, the opposite endpoint, and —
@@ -328,11 +364,13 @@ pub(crate) const VERSION_BYTES: u64 = std::mem::size_of::<Version>() as u64;
 /// Inline size of one backward-delta slot (`(field index, value)`).
 const DELTA_SLOT_BYTES: u64 = std::mem::size_of::<(u32, Value)>() as u64;
 /// Per-entity overhead: the `Entry` slot in the entry table, the
-/// adjacency-slot index, the element-column word, and the extent-list uid.
+/// adjacency-slot index, the element-column word, the extent-list uid and
+/// the `since`-column instant.
 const ENTRY_OVERHEAD_BYTES: u64 = (std::mem::size_of::<Entry>()
     + std::mem::size_of::<u32>()
     + std::mem::size_of::<ElemWord>()
-    + std::mem::size_of::<Uid>()) as u64;
+    + std::mem::size_of::<Uid>()
+    + std::mem::size_of::<Ts>()) as u64;
 const ADJ_ENTRY_BYTES: u64 = std::mem::size_of::<AdjEntry>() as u64;
 const ADJ_BUCKET_BYTES: u64 = std::mem::size_of::<AdjBucket>() as u64;
 /// Per-node adjacency base: one out and one in `AdjList` header.
@@ -521,11 +559,15 @@ pub struct HeatTally<'g> {
     /// `[materializations, keyframe_hits, bytes_read]` per exact class,
     /// grown to the highest class seen.
     cells: Vec<[u64; 3]>,
+    /// Element checks under `AsOf` or `Range` that the `since` column could
+    /// not settle, so they searched the version chain. Physical, like the
+    /// heatmap, and never zeroed by [`HeatTally::flush`].
+    pub chain_reads: u64,
 }
 
 impl<'g> HeatTally<'g> {
     pub fn new(graph: &'g TemporalGraph) -> Self {
-        HeatTally { graph, cells: Vec::new() }
+        HeatTally { graph, cells: Vec::new(), chain_reads: 0 }
     }
 
     /// One version read on an entity of `class`; `width` is the record's
@@ -661,9 +703,9 @@ type UniqueIndex = HashMap<(ClassId, usize), HashMap<Value, Uid>>;
 /// (declaring class, field index) → value → former holders.
 type FormerIndex = HashMap<(ClassId, usize), HashMap<Value, Vec<Uid>>>;
 
-/// Starting capacity of the per-uid tables (entries, element column,
-/// adjacency). A first buffer this large comes from the building thread's
-/// own allocator arena. A small one may instead be a chunk that glibc's
+/// Starting capacity of the per-uid tables (entries, element and `since`
+/// columns, adjacency). A first buffer this large comes from the building
+/// thread's own allocator arena. A small one may instead be a chunk that glibc's
 /// per-thread cache recycled from another arena (evaluator pool helpers
 /// allocate pathway buffers that the calling thread frees), and the table
 /// would then grow by `realloc` inside that other arena for its whole
@@ -674,10 +716,14 @@ const UID_TABLE_CAPACITY: usize = 1024;
 pub struct TemporalGraph {
     schema: Arc<Schema>,
     entries: Vec<Entry>,
-    /// The element column: uid → [`ElemWord`] (class, kind, open head).
-    /// The only place a uid's class is stored; written by
-    /// [`TemporalGraph::write_elem`] alone.
+    /// The element column: uid → [`ElemWord`] (class, kind, open head,
+    /// one-version chain). The only place a uid's class is stored; written
+    /// by [`TemporalGraph::write_elem`] alone.
     elems: Vec<ElemWord>,
+    /// The `since` column: uid → the instant since which its open/closed
+    /// state has held (see [`Entry::since`]). Written beside `elems` by
+    /// [`TemporalGraph::write_elem`] alone.
+    since: Vec<Ts>,
     /// uid → adjacency slot (nodes only; `u32::MAX` for edges).
     adj_slot: Vec<u32>,
     out_adj: Vec<AdjList>,
@@ -713,7 +759,7 @@ pub struct TemporalGraph {
 impl TemporalGraph {
     pub fn new(schema: Arc<Schema>) -> TemporalGraph {
         let n = schema.num_classes();
-        assert!(n <= ElemWord::CLASS as usize, "{n} classes do not fit the element column");
+        assert!(n <= ElemWord::CLASS as usize, "{n} classes do not fit the element column's 29 class bits");
         let unique_keys = (0..n as u32)
             .map(|c| {
                 let class = ClassId(c);
@@ -724,6 +770,7 @@ impl TemporalGraph {
             schema,
             entries: Vec::with_capacity(UID_TABLE_CAPACITY),
             elems: Vec::with_capacity(UID_TABLE_CAPACITY),
+            since: Vec::with_capacity(UID_TABLE_CAPACITY),
             adj_slot: Vec::with_capacity(UID_TABLE_CAPACITY),
             out_adj: Vec::with_capacity(UID_TABLE_CAPACITY),
             in_adj: Vec::with_capacity(UID_TABLE_CAPACITY),
@@ -812,17 +859,23 @@ impl TemporalGraph {
         }
     }
 
-    /// The element column's one writer: sets `uid`'s word from `class`, its
-    /// entry's kind and its chain head. Called wherever a uid is created
-    /// (inserts, both restores) or its head moves (updates, closes).
+    /// The one writer of the element and `since` columns: sets `uid`'s
+    /// word from `class`, its entry's kind and its chain, and its `since`
+    /// instant from its chain head. Called wherever a uid is created
+    /// (inserts, both restores) or its chain changes (updates, closes).
     fn write_elem(&mut self, uid: Uid, class: ClassId) {
         let i = uid.0 as usize;
-        let word = self.entries[i].elem_word(class);
+        let entry = &self.entries[i];
+        let (word, since) = (entry.elem_word(class), entry.since());
         match self.elems.get_mut(i) {
-            Some(w) => *w = word,
+            Some(w) => {
+                *w = word;
+                self.since[i] = since;
+            }
             None => {
                 debug_assert_eq!(i, self.elems.len(), "uids are dense");
                 self.elems.push(word);
+                self.since.push(since);
             }
         }
     }
@@ -837,7 +890,7 @@ impl TemporalGraph {
         let uid = Uid(self.entries.len() as u64);
         self.index_unique(class, &fields, uid);
         let heap = ENTRY_OVERHEAD_BYTES + version_heap_bytes(&fields);
-        self.entries.push(Entry::Node(NodeEntry { uid, versions: vec![Version::full(fields, Interval::since(ts))] }));
+        self.entries.push(Entry::Node(NodeEntry { versions: vec![Version::full(fields, Interval::since(ts))] }));
         self.write_elem(uid, class);
         let slot = self.out_adj.len() as u32;
         self.adj_slot.push(slot);
@@ -879,7 +932,6 @@ impl TemporalGraph {
         self.index_unique(class, &fields, uid);
         let heap = ENTRY_OVERHEAD_BYTES + version_heap_bytes(&fields);
         self.entries.push(Entry::Edge(EdgeEntry {
-            uid,
             src,
             dst,
             versions: vec![Version::full(fields, Interval::since(ts))],
@@ -1134,8 +1186,20 @@ impl TemporalGraph {
     }
 
     /// Index into [`TemporalGraph::versions`] of the version asserted at
-    /// `ts`, if any.
+    /// `ts`, if any: the head's when the columns say it holds `ts`, else a
+    /// binary search of the chain.
     pub fn version_index_at(&self, uid: Uid, ts: Ts) -> Option<usize> {
+        let elem = self.elem(uid)?;
+        match self.liveness_at(uid, elem, ts) {
+            Liveness::Dead => None,
+            Liveness::Head => Some(self.versions(uid).len() - 1),
+            Liveness::Chain => self.chain_index_at(uid, ts),
+        }
+    }
+
+    /// [`TemporalGraph::version_index_at`] by binary search of the version
+    /// spans alone.
+    pub fn chain_index_at(&self, uid: Uid, ts: Ts) -> Option<usize> {
         let vs = self.versions(uid);
         // Versions are sorted by span.from; binary search.
         let idx = vs.partition_point(|v| v.span.from <= ts);
@@ -1143,6 +1207,72 @@ impl TemporalGraph {
             return None;
         }
         vs[idx - 1].span.contains(ts).then(|| idx - 1)
+    }
+
+    /// `uid`'s instant in the `since` column: its open head's `from`, its
+    /// closed head's `to`, `Ts::MIN` for an empty chain. `None` for an
+    /// unknown uid.
+    #[inline]
+    pub fn since(&self, uid: Uid) -> Option<Ts> {
+        self.since.get(uid.0 as usize).copied()
+    }
+
+    /// The liveness rule at one instant, from `uid`'s word `elem` and its
+    /// `since` instant: at or after `since` the open bit answers; before
+    /// the `from` of a one-version open chain nothing was asserted; any
+    /// other check needs the chain.
+    #[inline]
+    pub(crate) fn liveness_at(&self, uid: Uid, elem: ElemWord, t: Ts) -> Liveness {
+        let since = self.since[uid.0 as usize];
+        if t >= since {
+            // The open head's span is `[since, FOREVER)`.
+            if elem.is_open() && t < FOREVER {
+                Liveness::Head
+            } else {
+                Liveness::Dead
+            }
+        } else if elem.is_open() && elem.is_single() {
+            Liveness::Dead
+        } else {
+            Liveness::Chain
+        }
+    }
+
+    /// The liveness rule over the closed window `[a, b]`: a closed chain
+    /// ended by `a` has no version in it, and a one-version open chain
+    /// overlaps it exactly when its `since` is at most `b`; any other check
+    /// needs the chain.
+    #[inline]
+    pub(crate) fn liveness_over(&self, uid: Uid, elem: ElemWord, a: Ts, b: Ts) -> Liveness {
+        let since = self.since[uid.0 as usize];
+        if !elem.is_open() {
+            if a >= since {
+                Liveness::Dead
+            } else {
+                Liveness::Chain
+            }
+        } else if elem.is_single() {
+            if since <= b && a < FOREVER {
+                Liveness::Head
+            } else {
+                Liveness::Dead
+            }
+        } else {
+            Liveness::Chain
+        }
+    }
+
+    /// Is `uid` (whose word is `elem`) asserted at `t`? The liveness rule:
+    /// at or after `uid`'s `since` instant the open bit answers; before the
+    /// `from` of a one-version open chain nothing was asserted; any other
+    /// check binary-searches the chain.
+    #[inline]
+    pub fn asserted_at(&self, uid: Uid, elem: ElemWord, t: Ts) -> bool {
+        match self.liveness_at(uid, elem, t) {
+            Liveness::Dead => false,
+            Liveness::Head => true,
+            Liveness::Chain => self.chain_index_at(uid, t).is_some(),
+        }
     }
 
     /// Field values of the still-open version. Borrowed — the chain head
@@ -1410,7 +1540,7 @@ impl TemporalGraph {
         let heap = ENTRY_OVERHEAD_BYTES + stored_heap;
         let n_versions = vs.len() as u64;
         if is_node {
-            self.entries.push(Entry::Node(NodeEntry { uid, versions: vs }));
+            self.entries.push(Entry::Node(NodeEntry { versions: vs }));
             self.write_elem(uid, class);
             let slot = self.out_adj.len() as u32;
             self.adj_slot.push(slot);
@@ -1427,7 +1557,7 @@ impl TemporalGraph {
             // bring in an edge this schema forbids: the evaluator's typed
             // table assumes there is none.
             self.check_edge_allowed(class, self.elems[src.0 as usize].class(), self.elems[dst.0 as usize].class())?;
-            self.entries.push(Entry::Edge(EdgeEntry { uid, src, dst, versions: vs }));
+            self.entries.push(Entry::Edge(EdgeEntry { src, dst, versions: vs }));
             self.write_elem(uid, class);
             self.adj_slot.push(u32::MAX);
             let ss = self.adj_slot[src.0 as usize] as usize;
@@ -1637,11 +1767,18 @@ impl TemporalGraph {
         &self.elems
     }
 
-    /// The element column rebuilt from its definition, ignoring the live
-    /// one: each uid's class from the class extent that lists it, its kind
-    /// from its entry, its open bit from its chain head. Tests pin
-    /// [`TemporalGraph::elem_column`] to this after every mutation path.
-    pub fn elem_column_recount(&self) -> Vec<ElemWord> {
+    /// The `since` column, indexed by uid.
+    pub fn since_column(&self) -> &[Ts] {
+        &self.since
+    }
+
+    /// The element and `since` columns rebuilt from their definitions,
+    /// ignoring the live ones: each uid's class from the class extent that
+    /// lists it, its kind from its entry, its open bit, one-version bit and
+    /// `since` instant from its chain. Tests pin
+    /// [`TemporalGraph::elem_column`] and [`TemporalGraph::since_column`]
+    /// to this after every mutation path.
+    pub fn elem_column_recount(&self) -> (Vec<ElemWord>, Vec<Ts>) {
         let mut class = vec![None; self.entries.len()];
         for (c, extent) in self.extents.iter().enumerate() {
             for u in extent {
@@ -1651,8 +1788,8 @@ impl TemporalGraph {
         self.entries
             .iter()
             .zip(class)
-            .map(|(e, c)| e.elem_word(c.expect("every uid sits in its class extent")))
-            .collect()
+            .map(|(e, c)| (e.elem_word(c.expect("every uid sits in its class extent")), e.since()))
+            .unzip()
     }
 
     /// Brute-force recount: rebuild the entire [`MemoryReport`] by walking
@@ -1892,11 +2029,13 @@ mod tests {
         assert_eq!(vs.len(), 1); // [20, ∞)
     }
 
-    /// The live element column equals the one rebuilt from extents,
-    /// entries and chain heads.
+    /// The live element and `since` columns equal the ones rebuilt from
+    /// extents, entries and chains.
     fn assert_column_matches_recount(g: &TemporalGraph) {
         assert_eq!(g.elem_column().len(), g.num_entities());
-        assert_eq!(g.elem_column(), g.elem_column_recount(), "element column drifted from the chains");
+        let (words, since) = g.elem_column_recount();
+        assert_eq!(g.elem_column(), words, "element column drifted from the chains");
+        assert_eq!(g.since_column(), since, "since column drifted from the chains");
     }
 
     fn assert_report_matches_recount(g: &TemporalGraph) {
@@ -1982,11 +2121,13 @@ mod tests {
 
     #[test]
     fn entry_slots_hold_no_class() {
-        // The class lives in the 4-byte element column only; an edge
-        // entry is its uid, two endpoints and the chain.
-        assert_eq!(std::mem::size_of::<Entry>(), 48);
+        // The class lives in the 4-byte element column only and the uid is
+        // the slot's index; an edge entry is its two endpoints and the
+        // chain. The 8 B the uid field took pay for the `since` column.
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
         assert_eq!(std::mem::size_of::<ElemWord>(), 4);
-        assert_eq!(ENTRY_OVERHEAD_BYTES, 48 + 4 + 4 + 8);
+        assert_eq!(std::mem::size_of::<Ts>(), 8);
+        assert_eq!(ENTRY_OVERHEAD_BYTES, 40 + 4 + 4 + 8 + 8);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::borrow::Cow;
 use nepal_schema::{ClassId, Ts, Value};
 
 use crate::interval::{Interval, IntervalSet};
-use crate::store::{materialize_version, AdjEntry, ElemWord, HeatTally, TemporalGraph, Uid, Version};
+use crate::store::{materialize_version, AdjEntry, ElemWord, HeatTally, Liveness, TemporalGraph, Uid, Version};
 
 /// The temporal scope a query (or one range variable) executes under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,12 +161,13 @@ impl<'g> GraphView<'g> {
     /// Returns `None` if the element does not satisfy the predicate within
     /// the filter; otherwise how/when it matches. An atom without field
     /// predicates has nothing to test: use [`GraphView::asserted`], which
-    /// answers from the version spans alone.
+    /// materializes no version.
     pub fn matching<F>(&self, uid: Uid, pred: F, heat: &mut HeatTally<'g>) -> Option<MatchTime>
     where
         F: Fn(&[Value]) -> bool,
     {
-        let class = self.graph.class_of(uid)?;
+        let elem = self.graph.elem(uid)?;
+        let class = elem.class();
         match self.filter {
             TimeFilter::Current => {
                 // Hot path: the chain head is always stored full.
@@ -175,14 +176,29 @@ impl<'g> GraphView<'g> {
                 pred(v.fields()).then_some(MatchTime::Point)
             }
             TimeFilter::AsOf(t) => {
-                let i = self.graph.version_index_at(uid, t)?;
                 let vs = self.graph.versions(uid);
+                let i = match self.liveness_at(uid, elem, t, heat) {
+                    Liveness::Dead => return None,
+                    Liveness::Head => vs.len() - 1,
+                    Liveness::Chain => self.graph.chain_index_at(uid, t)?,
+                };
                 heat.version_read(class, vs[i].is_delta(), record_width(vs));
                 pred(&materialize_version(vs, i)).then_some(MatchTime::Point)
             }
             TimeFilter::Range(a, b) => {
-                let probe = Interval::new(a, b.saturating_add(1));
                 let vs = self.graph.versions(uid);
+                match self.liveness_over(uid, elem, a, b, heat) {
+                    Liveness::Dead => return None,
+                    Liveness::Head => {
+                        // The chain's one version: a maximal run by itself.
+                        let head = vs.last()?;
+                        heat.version_read(class, false, head.fields().len());
+                        return pred(head.fields())
+                            .then(|| MatchTime::Intervals(IntervalSet::from_interval(head.span)));
+                    }
+                    Liveness::Chain => {}
+                }
+                let probe = Interval::new(a, b.saturating_add(1));
                 let width = record_width(vs);
                 let mut set = IntervalSet::empty();
                 for i in self.graph.overlap_range(uid, &probe) {
@@ -205,20 +221,23 @@ impl<'g> GraphView<'g> {
 
     /// When `uid` is asserted under this view, whatever its field values:
     /// what [`GraphView::matching`] returns for a predicate that is always
-    /// true, answered from the element column at `Current` and from the
-    /// version spans otherwise. No version is
-    /// materialized (`matching` clones the keyframe and replays deltas
-    /// before calling a predicate that ignores them, and under a range
-    /// re-materializes the whole chain to extend the runs), so each span
-    /// consulted tallies as a replay-free read of zero bytes.
+    /// true, answered from the element column at `Current`, from it and the
+    /// `since` column when they settle the check otherwise, and from the
+    /// version spans when they do not. No version is materialized
+    /// (`matching` clones the keyframe and replays deltas before calling a
+    /// predicate that ignores them, and under a range re-materializes the
+    /// whole chain to extend the runs), so each version consulted tallies
+    /// as a replay-free read of zero bytes.
     pub fn asserted(&self, uid: Uid, heat: &mut HeatTally<'g>) -> Option<MatchTime> {
         self.asserted_elem(uid, self.graph.elem(uid)?, heat)
     }
 
     /// [`GraphView::asserted`] for a caller that has already read `uid`'s
     /// element-column word. `Current` is answered from the word alone;
-    /// `AsOf` and `Range` ask about closed versions, which only the chain
-    /// records.
+    /// `AsOf` and `Range` from the word and the uid's `since` instant when
+    /// the store's liveness rule settles them (see
+    /// [`TemporalGraph::asserted_at`]), and from the version spans
+    /// otherwise. Either way the tally is the chain path's.
     pub fn asserted_elem(&self, uid: Uid, elem: ElemWord, heat: &mut HeatTally<'g>) -> Option<MatchTime> {
         let class = elem.class();
         match self.filter {
@@ -230,11 +249,28 @@ impl<'g> GraphView<'g> {
                 Some(MatchTime::Point)
             }
             TimeFilter::AsOf(t) => {
-                self.graph.version_index_at(uid, t)?;
+                let alive = match self.liveness_at(uid, elem, t, heat) {
+                    Liveness::Dead => false,
+                    Liveness::Head => true,
+                    Liveness::Chain => self.graph.chain_index_at(uid, t).is_some(),
+                };
+                if !alive {
+                    return None;
+                }
                 heat.version_read(class, false, 0);
                 Some(MatchTime::Point)
             }
             TimeFilter::Range(a, b) => {
+                match self.liveness_over(uid, elem, a, b, heat) {
+                    Liveness::Dead => return None,
+                    Liveness::Head => {
+                        // One open version: its span is the only component.
+                        heat.version_read(class, false, 0);
+                        let span = Interval::since(self.graph.since(uid)?);
+                        return Some(MatchTime::Intervals(IntervalSet::from_interval(span)));
+                    }
+                    Liveness::Chain => {}
+                }
                 let probe = Interval::new(a, b.saturating_add(1));
                 let in_window = self.graph.overlap_range(uid, &probe);
                 if in_window.is_empty() {
@@ -249,6 +285,22 @@ impl<'g> GraphView<'g> {
                 Some(MatchTime::Intervals(IntervalSet::from_intervals(comps)))
             }
         }
+    }
+
+    /// [`TemporalGraph::liveness_at`], counting a check it leaves to the
+    /// chain on `heat`.
+    fn liveness_at(&self, uid: Uid, elem: ElemWord, t: Ts, heat: &mut HeatTally<'g>) -> Liveness {
+        let l = self.graph.liveness_at(uid, elem, t);
+        heat.chain_reads += (l == Liveness::Chain) as u64;
+        l
+    }
+
+    /// [`TemporalGraph::liveness_over`], counting a check it leaves to the
+    /// chain on `heat`.
+    fn liveness_over(&self, uid: Uid, elem: ElemWord, a: Ts, b: Ts, heat: &mut HeatTally<'g>) -> Liveness {
+        let l = self.graph.liveness_over(uid, elem, a, b);
+        heat.chain_reads += (l == Liveness::Chain) as u64;
+        l
     }
 
     /// Extend satisfying runs to their maximal extent outside the probe
@@ -274,12 +326,17 @@ impl<'g> GraphView<'g> {
     /// Is the element asserted (any version) under this view, ignoring
     /// predicates?
     pub fn alive(&self, uid: Uid) -> bool {
+        let Some(elem) = self.graph.elem(uid) else { return false };
         match self.filter {
-            TimeFilter::Current => self.graph.elem(uid).is_some_and(ElemWord::is_open),
-            TimeFilter::AsOf(t) => self.graph.version_at(uid, t).is_some(),
-            TimeFilter::Range(a, b) => {
-                !self.graph.versions_overlapping(uid, &Interval::new(a, b.saturating_add(1))).is_empty()
-            }
+            TimeFilter::Current => elem.is_open(),
+            TimeFilter::AsOf(t) => self.graph.asserted_at(uid, elem, t),
+            TimeFilter::Range(a, b) => match self.graph.liveness_over(uid, elem, a, b) {
+                Liveness::Dead => false,
+                Liveness::Head => true,
+                Liveness::Chain => {
+                    !self.graph.versions_overlapping(uid, &Interval::new(a, b.saturating_add(1))).is_empty()
+                }
+            },
         }
     }
 
@@ -318,6 +375,7 @@ fn record_width(vs: &[Version]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ClassHeatSnapshot;
     use nepal_schema::dsl::parse_schema;
     use std::sync::Arc;
 
@@ -412,6 +470,25 @@ mod tests {
         assert!(scanned.is_hot());
     }
 
+    /// The access cost of the versions the chain path reads for `uid`:
+    /// the open head at `Current`, the binary search's version at `AsOf`,
+    /// every version overlapping the window at `Range`.
+    fn chain_cost(g: &TemporalGraph, uid: Uid, filter: TimeFilter) -> AccessCost {
+        let vs = g.versions(uid);
+        let read: Vec<usize> = match filter {
+            TimeFilter::Current => (0..vs.len()).filter(|&i| vs[i].span.is_current()).collect(),
+            TimeFilter::AsOf(t) => g.chain_index_at(uid, t).into_iter().collect(),
+            TimeFilter::Range(a, b) => g.overlap_range(uid, &Interval::new(a, b.saturating_add(1))).collect(),
+        };
+        let mut cost = AccessCost::default();
+        for i in read {
+            cost.materializations += vs[i].is_delta() as u64;
+            cost.keyframe_hits += !vs[i].is_delta() as u64;
+            cost.bytes += record_width(vs) as u64 * crate::store::VALUE_SLOT_BYTES;
+        }
+        cost
+    }
+
     #[test]
     fn predicate_less_atoms_never_materialize() {
         use crate::store::KEYFRAME_INTERVAL;
@@ -424,30 +501,54 @@ mod tests {
         }
         let class = g.class_of(u).unwrap();
         let last = 400 + 10 * (depth - 1);
-        for filter in [TimeFilter::AsOf(455), TimeFilter::Range(420, 600), TimeFilter::Range(0, last + 50)] {
-            let v = GraphView::new(&g, filter);
-            let cost = v.access_cost(u);
+        // A one-version element: the columns settle its `AsOf` and `Range`
+        // checks, as they settle the deep chain's checks inside its head.
+        let single = g.insert_node(class, vec![Value::Int(2), Value::Str("x".into())], 420).unwrap();
+        let by_chain =
+            [(u, TimeFilter::AsOf(455)), (u, TimeFilter::Range(420, 600)), (u, TimeFilter::Range(0, last + 50))];
+        let by_column = [
+            (u, TimeFilter::Current),
+            (u, TimeFilter::AsOf(last + 10)),
+            (single, TimeFilter::AsOf(500)),
+            (single, TimeFilter::Range(420, 600)),
+            (single, TimeFilter::Range(0, last + 50)),
+        ];
+        for (uid, filter) in by_chain {
+            let cost = GraphView::new(&g, filter).access_cost(uid);
             assert!(cost.materializations > 0, "{filter:?} reads delta-encoded versions");
+        }
+        let settled = by_chain.iter().map(|c| (c, false)).chain(by_column.iter().map(|c| (c, true)));
+        for (&(uid, filter), settled) in settled {
+            let v = GraphView::new(&g, filter);
+            let cost = v.access_cost(uid);
+            assert_eq!(cost, chain_cost(&g, uid, filter), "{filter:?}: access_cost is the chain path's");
             let before = g.class_heat(class);
             let mut tally = HeatTally::new(&g);
-            let by_predicate = v.matching(u, |_| true, &mut tally);
+            let by_predicate = v.matching(uid, |_| true, &mut tally);
             tally.flush();
             let mid = g.class_heat(class);
-            let by_span = v.asserted(u, &mut tally);
+            let by_span = v.asserted(uid, &mut tally);
             tally.flush();
             let after = g.class_heat(class);
             // Same answer, same logical cost, no physical materialization.
             assert_eq!(by_span, by_predicate, "{filter:?}");
             assert!(by_span.is_some());
-            assert_eq!(v.access_cost(u), cost);
-            assert_eq!(mid.materializations - before.materializations, cost.materializations);
-            assert_eq!(after.materializations, mid.materializations);
+            assert_eq!(v.access_cost(uid), cost);
+            let read = |h: ClassHeatSnapshot, from: ClassHeatSnapshot| {
+                (
+                    h.materializations - from.materializations,
+                    h.keyframe_hits - from.keyframe_hits,
+                    h.bytes_read - from.bytes_read,
+                )
+            };
+            assert_eq!(read(mid, before), (cost.materializations, cost.keyframe_hits, cost.bytes), "{filter:?}");
             assert_eq!(
-                after.keyframe_hits - mid.keyframe_hits,
-                cost.materializations + cost.keyframe_hits,
-                "every span consulted is a replay-free read"
+                read(after, mid),
+                (0, cost.materializations + cost.keyframe_hits, 0),
+                "{filter:?}: every span consulted is a replay-free read"
             );
-            assert_eq!(after.bytes_read, mid.bytes_read);
+            let past = filter != TimeFilter::Current;
+            assert_eq!(tally.chain_reads, if settled { 0 } else { 2 * past as u64 }, "{filter:?}");
         }
         // Deleted, then probed after its end and across it.
         g.delete(u, last + 100).unwrap();

@@ -194,8 +194,9 @@ struct ElemMatcher<'a> {
     /// than a lookup: any label in range mode (interval sets are built from
     /// the version chain) and atoms with field predicates (the predicate
     /// runs over a possibly delta-encoded version). A predicate-less label
-    /// in point mode is an element-column read plus (under `AsOf`) a span
-    /// search, cheaper than hashing its key, and is never cached.
+    /// in point mode is an element-column read plus (under `AsOf`) a
+    /// `since`-column read, and a span search only when those two cannot
+    /// settle it: cheaper than hashing its key, and never cached.
     memo: FxHashMap<(Uid, Label), Option<Times>>,
     /// Version reads made by this seat, flushed to the store's per-class
     /// heatmap once per stage ([`run_stage`]) rather than per element.
@@ -565,7 +566,9 @@ fn search_root(env: &Env, m: &mut ElemMatcher, root: &[Uid], states: &[(u32, Tim
 /// Seeks the unique index when the atom has a unique-equality predicate,
 /// under every time filter.
 pub fn anchor_scan(view: &GraphView, schema: &Schema, atom: &BoundAtom) -> Vec<(Uid, Times)> {
-    anchor_scan_cancel(view, schema, atom, None, None).expect("no cancel token supplied").0
+    anchor_scan_cancel(view, schema, atom, None, None, &mut HeatTally::new(view.graph))
+        .expect("no cancel token supplied")
+        .0
 }
 
 /// [`anchor_scan`] plus the number of stored elements examined (the
@@ -575,13 +578,15 @@ pub fn anchor_scan(view: &GraphView, schema: &Schema, atom: &BoundAtom) -> Vec<(
 /// candidate set. This is the deterministic metering boundary: it always
 /// runs on the calling thread, and the per-uid access costs it charges are
 /// pure functions of store state, so a metered query reports the same
-/// logical rows / bytes / materializations at any thread count.
-fn anchor_scan_cancel(
-    view: &GraphView,
+/// logical rows / bytes / materializations at any thread count. Version
+/// reads are tallied on `heat`.
+fn anchor_scan_cancel<'g>(
+    view: &GraphView<'g>,
     schema: &Schema,
     atom: &BoundAtom,
     cancel: Option<&CancelToken>,
     meter: Option<&ResourceMeter>,
+    heat: &mut HeatTally<'g>,
 ) -> std::result::Result<(Vec<(Uid, Times)>, u64), CancelCause> {
     let range_mode = view.filter.is_range();
     let to_times = |mt: MatchTime| -> Times {
@@ -590,7 +595,6 @@ fn anchor_scan_cancel(
             MatchTime::Intervals(set) => Some(set),
         }
     };
-    let mut heat = HeatTally::new(view.graph);
     // Unique-index seek. Under `AsOf` / `Range` the index yields the
     // current and every former holder of the value; each candidate is
     // re-checked at the view's filter, so the answer never depends on the
@@ -610,7 +614,7 @@ fn anchor_scan_cancel(
         }
         let hits = candidates
             .iter()
-            .filter_map(|&uid| match_fields(view, Some(atom), uid, &mut heat).map(|mt| (uid, to_times(mt))))
+            .filter_map(|&uid| match_fields(view, Some(atom), uid, heat).map(|mt| (uid, to_times(mt))))
             .collect();
         return Ok((hits, candidates.len() as u64));
     }
@@ -637,7 +641,7 @@ fn anchor_scan_cancel(
                 m_mat += cost.materializations;
                 m_kf += cost.keyframe_hits;
             }
-            if let Some(mt) = match_fields(view, Some(atom), uid, &mut heat) {
+            if let Some(mt) = match_fields(view, Some(atom), uid, heat) {
                 out.push((uid, to_times(mt)));
             }
         }
@@ -1212,6 +1216,7 @@ fn run_stage<'a, T: Send>(
     for r in &reports {
         m.temporal_prunes += r.state.temporal_prunes;
         m.typed_prunes += r.state.typed_prunes;
+        m.heat.chain_reads += r.state.heat.chain_reads;
         totals.helper_memo += r.state.memo.len() as u64;
         if m.cancel_cause.is_none() {
             m.cancel_cause = r.state.cancel_cause;
@@ -1341,7 +1346,7 @@ fn run_passes(
                 let sel_span = span.child("Select");
                 sel_span.attr("atom", &atom.display);
                 let (candidates, scanned) =
-                    anchor_scan_cancel(view, &schema, atom, opts.cancel.as_ref(), opts.meter.as_deref())?;
+                    anchor_scan_cancel(view, &schema, atom, opts.cancel.as_ref(), opts.meter.as_deref(), &mut m.heat)?;
                 sel_span.attr("rows_in", scanned);
                 sel_span.attr("rows_out", candidates.len());
                 drop(sel_span);
@@ -1499,6 +1504,7 @@ fn run_passes(
     let memo_entries = m.memo.len() as u64 + pool.helper_memo;
     if let Some(trc) = ctx.trace.as_deref_mut() {
         trc.bump("temporal_prunes", m.temporal_prunes);
+        trc.bump("chain_reads", m.heat.chain_reads);
         trc.bump("typed_prunes", m.typed_prunes);
         trc.bump("match_memo_entries", memo_entries);
         trc.bump("rpe_parallel_chunks", pool.chunks);
@@ -1509,6 +1515,7 @@ fn run_passes(
         span.attr("search", split);
     }
     span.attr("temporal_prunes", m.temporal_prunes);
+    span.attr("chain_reads", m.heat.chain_reads);
     span.attr("typed_prunes", m.typed_prunes);
     span.attr("match_memo_entries", memo_entries);
     span.attr("threads", threads);
@@ -1669,7 +1676,8 @@ mod tests {
         let (mut pool, mut ns) = (PoolTotals::default(), ExtendNs::default());
         let (mut units, mut split) = (Vec::new(), SearchSplit::Inline);
         for &occ in &plan.anchor.atoms {
-            let (cands, _) = anchor_scan_cancel(view, &schema, &plan.atoms[occ as usize], None, None).unwrap();
+            let atom = &plan.atoms[occ as usize];
+            let (cands, _) = anchor_scan_cancel(view, &schema, atom, None, None, &mut m.heat).unwrap();
             let mut seeded = seed_atom(&env, &mut m, occ, &cands, false, &mut ns);
             split = split.merge(search_stage(&env, &mut m, &mut pool, &mut seeded, heartbeat_ns, false, &mut ns));
             for u in seeded.units {

@@ -3,8 +3,8 @@
 //! same-instant rewrites and cascades), the incrementally maintained
 //! [`memory_report`] must agree with the brute-force [`memory_recount`]
 //! walk within 1% — in practice, exactly — and the element column (class,
-//! kind and open-head bit per uid) must equal the one rebuilt from the
-//! extents, entries and chain heads.
+//! kind, open-head and one-version bits per uid) and the `since` column
+//! must equal the ones rebuilt from the extents, entries and chains.
 //!
 //! [`memory_report`]: nepal::graph::TemporalGraph::memory_report
 //! [`memory_recount`]: nepal::graph::TemporalGraph::memory_recount
@@ -94,10 +94,13 @@ enum Op {
     },
 }
 
-/// The live element column equals its definition, and a `Current` view
-/// (which reads the column) agrees with the chain heads on every uid.
+/// The live element and `since` columns equal their definitions, and a
+/// `Current` view (which reads the element column) agrees with the chain
+/// heads on every uid.
 fn assert_column_matches_chains(g: &TemporalGraph) {
-    assert_eq!(g.elem_column(), g.elem_column_recount(), "element column drifted from the chains");
+    let (words, since) = g.elem_column_recount();
+    assert_eq!(g.elem_column(), words, "element column drifted from the chains");
+    assert_eq!(g.since_column(), since, "since column drifted from the chains");
     let now = GraphView::new(g, TimeFilter::Current);
     for raw in 0..g.num_entities() as u64 {
         let u = Uid(raw);
