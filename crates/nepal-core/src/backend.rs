@@ -3,7 +3,7 @@
 //! Nepal is "a shim layer between network applications and one or more
 //! database systems": the engine plans queries once and evaluates each
 //! range variable against whichever backend holds its data — the native
-//! temporal store, the relational substrate (emitting SQL), or a Gremlin
+//! temporal store, the relational substrate (writing SQL), or a Gremlin
 //! server reached over the wire protocol.
 
 use std::collections::HashMap;
@@ -13,7 +13,7 @@ use std::time::Instant;
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal_gremlin::{evaluate_gremlin, GremlinClient, GremlinTime};
 use nepal_obs::{OpStats, SpanHandle};
-use nepal_relational::{db_from_graph, evaluate_relational, RelDb};
+use nepal_relational::{db_from_graph, element_fields, evaluate_relational, RelDb};
 use nepal_rpe::anchor::apply_selectivity;
 use nepal_rpe::{
     BoundAtom, CardinalityEstimator, EvalOptions, ExecCtx, FoldMode, Folded, Pathway, RpePlan, Seeds, Sink,
@@ -24,7 +24,7 @@ use crate::error::{NepalError, Result};
 
 /// A query-evaluation target. The engine evaluates a query's range
 /// variables one at a time, each through `&mut self`, so a backend may keep
-/// per-call state (generated code, wire statistics, lazily built indexes);
+/// per-call state (wire statistics, lazily built indexes);
 /// parallelism lives inside each evaluation. `Send`, so an engine and its
 /// backends can be handed to another thread.
 pub trait Backend: Send {
@@ -73,9 +73,10 @@ pub trait Backend: Send {
     /// Cardinality estimate for anchor costing.
     fn estimate(&self, atom: &BoundAtom) -> f64;
 
-    /// Translator output produced by the last `eval` call (SQL statements
-    /// or Gremlin traversals), if this backend generates code.
-    fn last_generated(&self) -> Vec<String> {
+    /// The code this backend's translator writes for evaluating `plan`
+    /// under `filter` from `seeds` (SQL statements for the relational
+    /// target), if it generates any.
+    fn generated(&self, _plan: &RpePlan, _filter: TimeFilter, _seeds: Seeds) -> Vec<String> {
         Vec::new()
     }
 }
@@ -148,14 +149,13 @@ impl Backend for NativeBackend {
 pub struct RelationalBackend {
     pub db: RelDb,
     schema: Arc<Schema>,
-    last_sql: Vec<String>,
 }
 
 impl RelationalBackend {
     /// Load a temporal graph into a fresh relational database.
     pub fn from_graph(graph: &TemporalGraph) -> Result<Self> {
         let db = db_from_graph(graph).map_err(|e| NepalError::Backend(e.to_string()))?;
-        Ok(RelationalBackend { db, schema: graph.schema().clone(), last_sql: Vec::new() })
+        Ok(RelationalBackend { db, schema: graph.schema().clone() })
     }
 }
 
@@ -196,50 +196,11 @@ impl Backend for RelationalBackend {
         }
         span.attr("rows_scanned", res.rows_scanned);
         span.attr("rows_joined", res.rows_joined);
-        self.last_sql = res.sql;
         Ok(res.pathways)
     }
 
     fn fields(&mut self, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
-        // Probe each class table's id_ index; class tables are named after
-        // the class, so the hit identifies the runtime class.
-        let schema = self.schema.clone();
-        for kind_root in [nepal_schema::NODE, nepal_schema::EDGE] {
-            let is_node = kind_root == nepal_schema::NODE;
-            let offset = nepal_relational::field_offset(is_node);
-            for class in schema.descendants(kind_root) {
-                let name = nepal_relational::table_name(&schema, class);
-                let tables = match filter {
-                    TimeFilter::Current => vec![name.clone()],
-                    _ => vec![name.clone(), nepal_relational::history_name(&name)],
-                };
-                for tname in tables {
-                    let Ok(t) = self.db.table_mut(&tname) else { continue };
-                    let ncols = t.cols.len();
-                    let (rids, rows) = t.probe(0, &Value::Int(uid.0 as i64));
-                    for &rid in rids {
-                        let row = &rows[rid as usize];
-                        let from = match &row[ncols - 2] {
-                            Value::Ts(t) => *t,
-                            _ => continue,
-                        };
-                        let to = match &row[ncols - 1] {
-                            Value::Ts(t) => *t,
-                            _ => continue,
-                        };
-                        let ok = match filter {
-                            TimeFilter::Current => to == nepal_graph::FOREVER,
-                            TimeFilter::AsOf(at) => from <= at && at < to,
-                            TimeFilter::Range(_, b) => from <= b.saturating_add(1),
-                        };
-                        if ok {
-                            return Some((class, row[offset..ncols - 2].to_vec()));
-                        }
-                    }
-                }
-            }
-        }
-        None
+        element_fields(&mut self.db, &self.schema, uid, filter)
     }
 
     fn estimate(&self, atom: &BoundAtom) -> f64 {
@@ -250,8 +211,8 @@ impl Backend for RelationalBackend {
         apply_selectivity(rows, atom)
     }
 
-    fn last_generated(&self) -> Vec<String> {
-        self.last_sql.clone()
+    fn generated(&self, plan: &RpePlan, filter: TimeFilter, seeds: Seeds) -> Vec<String> {
+        nepal_relational::script(&self.schema, plan, filter, seeds)
     }
 }
 

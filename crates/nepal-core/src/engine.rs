@@ -534,7 +534,7 @@ impl Engine {
                 vp.eval_ns = t.elapsed().as_nanos() as u64;
                 vp.pathways = folded.pathways() as u64;
                 vp.count = Some(mode.as_str());
-                vp.generated = backend.last_generated();
+                vp.generated = backend.generated(plan, e.filter, Seeds::Anchor);
             }
             folds.push(folded);
         }
@@ -773,7 +773,7 @@ impl Engine {
                 vp.eval_ns = teval.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0);
                 vp.imported_seeds = seed_nodes.as_ref().map(|(_, uids)| uids.len() as u64);
                 vp.pathways = pathways.len() as u64;
-                vp.generated = backend.last_generated();
+                vp.generated = backend.generated(plan, e.filter, seeds);
             }
             evaluated.insert(e.var.clone());
             evals[i].pathways = pathways;

@@ -72,14 +72,6 @@ impl From<RpeError> for NepalError {
     }
 }
 
-impl NepalError {
-    /// Is this a cooperative-cancellation outcome (deadline or explicit
-    /// cancel) rather than a query/backend defect?
-    pub fn is_cancellation(&self) -> bool {
-        matches!(self, NepalError::DeadlineExceeded | NepalError::Cancelled)
-    }
-}
-
 impl From<SchemaError> for NepalError {
     fn from(e: SchemaError) -> Self {
         NepalError::Schema(e)

@@ -372,11 +372,18 @@ fn cross_backend_federation_join() {
 #[test]
 fn relational_backend_runs_full_queries_and_logs_sql() {
     use nepal_core::{BackendRegistry, RelationalBackend};
+    let ts = |t: &str| nepal_schema::parse_ts(t).unwrap();
+    // vm_free's name changes at Feb 10 and Feb 20, so a Feb 12–15 window
+    // overlaps exactly one of its three versions.
     let fx = churn_fixture();
+    let mut g = Arc::try_unwrap(fx.g).ok().expect("sole owner");
+    g.update(fx.vm_free, &[(2, Value::Str("v1".into()))], ts("2017-02-10 00:00")).unwrap();
+    g.update(fx.vm_free, &[(2, Value::Str("v2".into()))], ts("2017-02-20 00:00")).unwrap();
+    let fx = Fx { g: Arc::new(g), ..fx };
     let backend = RelationalBackend::from_graph(&fx.g).unwrap();
     let mut eng = Engine::new(BackendRegistry::new("pg", Box::new(backend)));
-    let r = eng
-        .query(
+    let (r, profile) = eng
+        .query_profiled(
             "AT '2017-02-09 00:00' : '2017-02-11 00:00' Retrieve P From PATHS P \
              Where P MATCHES VNF()->[Vertical()]{1,6}->Host(id5=23245)",
         )
@@ -384,6 +391,13 @@ fn relational_backend_runs_full_queries_and_logs_sql() {
     assert_eq!(r.rows.len(), 1);
     let times = r.rows[0].times.as_ref().unwrap();
     assert_eq!(times.intervals().len(), 1);
-    let sql = eng.registry.get(Some("pg")).unwrap().last_generated();
-    assert!(sql.iter().any(|s| s.contains("create TEMP table")));
+    assert!(profile.vars[0].generated.iter().any(|s| s.contains("create TEMP table")));
+    // Under a range both backends read an element's fields from its latest
+    // version overlapping the window: `v1`, not the older `vm-free`.
+    let q = "AT '2017-02-12 00:00' : '2017-02-15 00:00' Select source(P).name From PATHS P \
+             Where P MATCHES VM()->HostedOn()->Host()";
+    let names = |r: nepal_core::QueryResult| r.rows.into_iter().map(|row| row.values).collect::<Vec<_>>();
+    let native = names(engine(&fx).query(q).unwrap());
+    assert_eq!(native, vec![vec![Value::Str("v1".into())]]);
+    assert_eq!(names(eng.query(q).unwrap()), native);
 }

@@ -823,12 +823,6 @@ impl TemporalGraph {
         c
     }
 
-    /// The incrementally maintained per-class accounting, indexed by
-    /// exact [`ClassId`]. O(1) access for pull-time gauges.
-    pub fn class_accounting(&self) -> &[ClassAccounting] {
-        &self.acct
-    }
-
     // ------------------------------------------------------------------
     // Mutation API
     // ------------------------------------------------------------------
@@ -1377,11 +1371,6 @@ impl TemporalGraph {
         if let Some(h) = self.class_of(uid).and_then(|c| self.heat.get(c.0 as usize)) {
             h.version_read(is_delta, width);
         }
-    }
-
-    /// Per-class heatmap counters, indexed by exact [`ClassId`].
-    pub fn heat_snapshot(&self) -> Vec<ClassHeatSnapshot> {
-        self.heat.iter().map(|h| h.snapshot()).collect()
     }
 
     /// One class's heatmap counters.

@@ -76,14 +76,6 @@ impl PropertyGraph {
         self.inc.get(&v).map(|x| x.as_slice()).unwrap_or(&[])
     }
 
-    pub fn vertex_count(&self) -> usize {
-        self.vertices.len()
-    }
-
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Prefix-match vertex ids: every vertex whose label equals the prefix
     /// or continues it at a `:` boundary.
     pub fn vertices_with_label_prefix(&self, prefix: &str) -> Vec<u64> {

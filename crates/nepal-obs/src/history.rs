@@ -64,11 +64,6 @@ impl HistoryRing {
         }
     }
 
-    /// One hour of 5-second snapshots — the serving default.
-    pub fn serving_default() -> HistoryRing {
-        HistoryRing::new(Duration::from_secs(5), 720)
-    }
-
     pub fn resolution_ms(&self) -> u64 {
         self.resolution_ms
     }

@@ -181,10 +181,6 @@ impl SloEngine {
         });
     }
 
-    pub fn rule_count(&self) -> usize {
-        self.rules.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
     /// Evaluate all rules against wall-clock time.
     pub fn evaluate(&self) -> Vec<AlertStatus> {
         self.evaluate_at(now_ms())

@@ -1,5 +1,5 @@
-//! The relational database: named tables, `INHERITS` hierarchy, TEMP
-//! tables, and historical views.
+//! The relational database: named tables, `INHERITS` hierarchy, and
+//! historical views.
 //!
 //! Mirrors the paper's Postgres layout (§5.2/§5.3): one table per node and
 //! edge class created with `INHERITS`, so that selecting from `VM` sees all
@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use crate::error::{RelError, Result};
-use crate::table::{ColDef, Table};
+use crate::table::Table;
 
 /// The relational store.
 #[derive(Debug, Default)]
@@ -20,10 +20,6 @@ pub struct RelDb {
     inherits: HashMap<String, String>,
     /// parent table → children (derived from `inherits`).
     children: HashMap<String, Vec<String>>,
-    /// Counter for generated TEMP table names.
-    temp_counter: u32,
-    /// Names of TEMP tables (dropped by [`RelDb::drop_temps`]).
-    temps: Vec<String>,
 }
 
 impl RelDb {
@@ -47,25 +43,6 @@ impl RelDb {
         Ok(())
     }
 
-    /// Create an anonymous TEMP table and return its generated name
-    /// (`tmp_extend_node_1`, … in the paper's examples — the caller provides
-    /// the stem).
-    pub fn create_temp(&mut self, stem: &str, cols: Vec<ColDef>) -> String {
-        self.temp_counter += 1;
-        let name = format!("{stem}_{}", self.temp_counter);
-        self.tables.insert(name.clone(), Table::new(name.clone(), cols));
-        self.temps.push(name.clone());
-        name
-    }
-
-    /// Drop all TEMP tables (end of query).
-    pub fn drop_temps(&mut self) {
-        for t in self.temps.drain(..) {
-            self.tables.remove(&t);
-        }
-        self.temp_counter = 0;
-    }
-
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables.get(name).ok_or_else(|| RelError::UnknownTable(name.to_string()))
     }
@@ -76,10 +53,6 @@ impl RelDb {
 
     pub fn has_table(&self, name: &str) -> bool {
         self.tables.contains_key(name)
-    }
-
-    pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
     }
 
     /// The inheritance subtree of a table: itself plus all transitive
@@ -110,7 +83,7 @@ impl RelDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::ColType;
+    use crate::table::{ColDef, ColType};
     use nepal_schema::Value;
 
     fn cols() -> Vec<ColDef> {
@@ -139,19 +112,6 @@ mod tests {
         db.table_mut("vmware").unwrap().insert(vec![Value::Int(1)]).unwrap();
         db.table_mut("vm").unwrap().insert(vec![Value::Int(2)]).unwrap();
         assert_eq!(db.subtree_rows("vm"), 2);
-    }
-
-    #[test]
-    fn temp_tables_are_dropped() {
-        let mut db = RelDb::new();
-        let t1 = db.create_temp("tmp_extend_node", cols());
-        let t2 = db.create_temp("tmp_extend_node", cols());
-        assert_eq!(t1, "tmp_extend_node_1");
-        assert_eq!(t2, "tmp_extend_node_2");
-        assert!(db.has_table(&t1));
-        db.drop_temps();
-        assert!(!db.has_table(&t1));
-        assert!(!db.has_table(&t2));
     }
 
     #[test]

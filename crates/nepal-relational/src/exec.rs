@@ -1,37 +1,30 @@
 //! Relational evaluation of RPE plans.
 //!
 //! This is the paper's Postgres code-generation strategy (§5.2) executed
-//! against the in-memory substrate: the anchor `Select` materializes a TEMP
-//! table of single-element paths; each NFA transition becomes an `Extend`
-//! — a bulk equi-join between a frontier TEMP table and the class tables —
-//! appending to `uid_list`/`concept_list` arrays with `NOT id = ANY(…)`
-//! cycle predicates; `Union` merges the feeds of one NFA state into its
-//! frontier table; the forward and backward frontiers are finally joined
-//! on the seed.
-//!
-//! The frontier operators also emit their SQL text, so that part of the
-//! query sequence can be inspected as the paper presents it. A statement
-//! is written only where its frontier had rows, and the final half join
-//! appears as a comment: it runs here, in Rust.
+//! against the in-memory substrate: the anchor `Select` materializes the
+//! single-element paths; each automaton transition is an `Extend` — a bulk
+//! equi-join between a frontier and the class tables — appending to
+//! `uid_list` with `NOT id = ANY(…)` cycle predicates; the feeds of one
+//! state merge into its frontier (`Union`); the forward and backward
+//! frontiers are finally joined on the seed. [`crate::script`] writes the
+//! same program as SQL text from the plan alone.
 
 use std::collections::{HashMap, HashSet};
 
 use nepal_graph::{Interval, IntervalSet, TimeFilter, Uid, FOREVER};
 use nepal_obs::SpanHandle;
 use nepal_rpe::{BoundPred, CancelCause, CancelToken, CmpOp, EvalOptions, Label, Pathway, RpePlan, Seeds};
-use nepal_schema::{format_ts, Schema, Ts, Value};
+use nepal_schema::{ClassId, Schema, Ts, Value, EDGE, NODE};
 
 use crate::db::RelDb;
 use crate::error::Result;
 use crate::load::{field_offset, history_name, table_name};
 use crate::table::{ColDef, ColType};
 
-/// Result of a relational evaluation: the pathways plus the SQL script the
-/// translator generated for the target DBMS.
+/// Result of a relational evaluation.
 #[derive(Debug)]
 pub struct RelResult {
     pub pathways: Vec<Pathway>,
-    pub sql: Vec<String>,
     /// Version rows examined by `Select` over class tables: every row of a
     /// scanned table, or only the rows a hash-index probe returned when an
     /// anchor predicate is an `Eq` on a scalar column.
@@ -40,14 +33,10 @@ pub struct RelResult {
     pub rows_joined: u64,
 }
 
-/// A frontier row (one partial path).
+/// A frontier row (one partial path); its seed is `uid_list[0]`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Row {
-    seed_uid: i64,
-    seed_tr: u32,
     uid_list: Vec<i64>,
-    /// `concept_list`: per element, an index into `Evaluator::concepts`.
-    concepts: Vec<u32>,
     curr: i64,
     /// The forced next element (edge endpoint) when the last consumed
     /// element was an edge; `None` when it was a node.
@@ -70,10 +59,6 @@ struct Evaluator<'a> {
     schema: &'a Schema,
     plan: &'a RpePlan,
     filter: TimeFilter,
-    sql: Vec<String>,
-    /// Concept names the rows' `concepts` index into.
-    concepts: Vec<String>,
-    temp_counter: u32,
     rows_scanned: u64,
     rows_joined: u64,
     /// Live span the scans and join passes attach child spans to; inert
@@ -113,96 +98,17 @@ fn rel_checkpoint(cancel: &Option<CancelToken>, ctr: &mut u64, tripped: &mut Opt
 }
 
 impl<'a> Evaluator<'a> {
-    /// Class tables (and history companions, depending on the time filter)
-    /// that can hold elements satisfying `label`.
-    fn tables_for_label(&self, label: Label) -> Vec<(String, bool)> {
+    /// Class tables (and history companions, unless only current versions
+    /// qualify) that can hold elements satisfying `label`.
+    fn tables_for_label(&self, label: Label) -> Vec<String> {
         let mut out = Vec::new();
-        for t in self.db.subtree(&self.label_table(label)) {
-            match self.filter {
-                TimeFilter::Current => out.push((t, true)),
-                _ => {
-                    out.push((history_name(&t), false));
-                    out.push((t, true));
-                }
+        for t in self.db.subtree(&label_table(self.schema, self.plan, label)) {
+            if !matches!(self.filter, TimeFilter::Current) {
+                out.push(history_name(&t));
             }
+            out.push(t);
         }
         out
-    }
-
-    /// Index into `concepts` of a class table's concept (its name without
-    /// the history suffix).
-    fn concept_id(&mut self, tname: &str) -> u32 {
-        let name = tname.trim_end_matches("__history");
-        match self.concepts.iter().position(|c| c == name) {
-            Some(i) => i as u32,
-            None => {
-                self.concepts.push(name.to_string());
-                (self.concepts.len() - 1) as u32
-            }
-        }
-    }
-
-    fn label_is_node(&self, label: Label) -> bool {
-        match label {
-            Label::AnyNode => true,
-            Label::AnyEdge => false,
-            Label::Atom(a) => self.plan.atoms[a as usize].is_node,
-        }
-    }
-
-    /// The root class table of a label's subtree.
-    fn label_table(&self, label: Label) -> String {
-        match label {
-            Label::AnyNode => "node".into(),
-            Label::AnyEdge => "edge".into(),
-            Label::Atom(a) => table_name(self.schema, self.plan.atoms[a as usize].class),
-        }
-    }
-
-    /// Suffix folding a class table's history companion in, unless only
-    /// current versions qualify.
-    fn hist_suffix(&self) -> &'static str {
-        if matches!(self.filter, TimeFilter::Current) {
-            ""
-        } else {
-            "__historical"
-        }
-    }
-
-    /// The temporal predicate on version alias `alias`.
-    fn temporal_sql(&self, alias: &str) -> String {
-        match self.filter {
-            TimeFilter::AsOf(t) => format!(" AND {alias}.sys_period @> '{}'::timestamptz", format_ts(t)),
-            TimeFilter::Current | TimeFilter::Range(_, _) => String::new(),
-        }
-    }
-
-    /// Log the statement filling NFA state `state`'s frontier table with
-    /// `select`: the state's first feed creates the table, later feeds
-    /// append to it (the per-state `Union`).
-    fn log_feed(&mut self, frontier: &mut HashMap<u32, String>, state: u32, stem: &str, select: String) {
-        match frontier.get(&state) {
-            Some(name) => self.sql.push(format!("insert into {name}\n  {select};")),
-            None => {
-                self.temp_counter += 1;
-                let name = format!("tmp_{stem}_{}", self.temp_counter);
-                self.sql.push(format!("create TEMP table {name} as (\n  {select}\n);"));
-                frontier.insert(state, name);
-            }
-        }
-    }
-
-    /// Log the seed table of a `Sources`/`Targets` evaluation: the `uids`
-    /// that satisfy node `label`, as single-element paths entering `state`.
-    fn log_seed(&mut self, frontier: &mut HashMap<u32, String>, state: u32, label: Label, uids: &[Uid]) {
-        let ids: Vec<String> = uids.iter().map(|u| u.0.to_string()).collect();
-        let (table, hist) = (self.label_table(label), self.hist_suffix());
-        let select = format!(
-            "select ARRAY[N.id_] as uid_list, ARRAY[cast('{table}' as text)] as concept_list, N.id_ as curr_uid\n  from {table}{hist} N\n  where N.id_ = ANY(ARRAY[{}]){}",
-            ids.join(", "),
-            self.temporal_sql("N"),
-        );
-        self.log_feed(frontier, state, "seed_node", select);
     }
 
     /// `Select`: scan class tables for elements satisfying an atom, one row
@@ -210,22 +116,16 @@ impl<'a> Evaluator<'a> {
     /// source endpoint so the backward pass can seed with `pending=source`
     /// while the forward pass uses `pending=target`. An `Eq` predicate on a
     /// scalar column probes that column's hash index instead of scanning.
-    fn select_atom(&mut self, atom_idx: u32, seed_tr: u32) -> (Vec<SeedPair>, String) {
-        let plan = self.plan;
-        let atom = &plan.atoms[atom_idx as usize];
+    fn select_atom(&mut self, atom_idx: u32) -> Vec<SeedPair> {
+        let atom = &self.plan.atoms[atom_idx as usize];
         let label = Label::Atom(atom_idx);
         let is_node = atom.is_node;
         let scan_span = self.span.child("Scan");
         scan_span.attr("atom", &atom.display);
         let scanned_before = self.rows_scanned;
         let mut rows = Vec::new();
-        let tables = self.tables_for_label(label);
-        for (tname, _) in &tables {
-            if !self.db.has_table(tname) {
-                continue;
-            }
-            let concept = self.concept_id(tname);
-            let t = self.db.table_mut(tname).unwrap();
+        for tname in self.tables_for_label(label) {
+            let Ok(t) = self.db.table_mut(&tname) else { continue };
             let n = t.cols.len();
             let (hits, all) = match atom.preds.iter().find_map(|p| index_key(p, &t.cols, is_node)) {
                 Some((col, key)) => {
@@ -248,63 +148,38 @@ impl<'a> Evaluator<'a> {
                 let uid = as_i64(&r[0]);
                 let (pending, source) = if is_node { (None, None) } else { (Some(as_i64(&r[2])), Some(as_i64(&r[1]))) };
                 let (t_from, t_to) = if self.filter.is_range() { (Some(from), Some(to)) } else { (None, None) };
-                rows.push((
-                    Row {
-                        seed_uid: uid,
-                        seed_tr,
-                        uid_list: vec![uid],
-                        concepts: vec![concept],
-                        curr: uid,
-                        pending,
-                        t_from,
-                        t_to,
-                    },
-                    source,
-                ));
+                rows.push((Row { uid_list: vec![uid], curr: uid, pending, t_from, t_to }, source));
             }
         }
-        self.temp_counter += 1;
-        let name = format!("tmp_select_{}_{}", if is_node { "node" } else { "edge" }, self.temp_counter);
-        self.sql.push(format!(
-            "create TEMP table {name} as (\n  select ARRAY[N.id_] as uid_list, ARRAY[cast('{}' as text)] as concept_list, N.id_ as curr_uid{}\n  from {}{} N\n  where {}{}\n);",
-            atom.class_name,
-            if is_node { "" } else { ", N.source_id_ as source_uid, N.target_id_ as target_uid" },
-            self.label_table(label),
-            self.hist_suffix(),
-            preds_sql(atom),
-            self.temporal_sql("N"),
-        ));
         scan_span.attr("rows_scanned", self.rows_scanned - scanned_before);
         scan_span.attr("rows_out", rows.len());
-        (rows, name)
+        rows
     }
 
-    /// Extend a node-position frontier by one edge (forwards: join on
-    /// `source_id_`; backwards: on `target_id_`).
-    fn extend_edge(&mut self, rows: &[Row], label: Label, forwards: bool) -> Vec<Row> {
-        if self.label_is_node(label) {
-            return Vec::new();
-        }
+    /// `Extend`: step each row over one element satisfying `label`. A node
+    /// label consumes the row's pending endpoint (probing `id_`); an edge
+    /// label joins the current node on the edge's source going forwards or
+    /// its target going backwards, and leaves the far endpoint pending.
+    fn extend(&mut self, rows: &[Row], label: Label, forwards: bool) -> Vec<Row> {
+        let is_node = label_is_node(self.plan, label);
+        let (near_col, far_col) = if forwards { (1, 2) } else { (2, 1) };
+        let probe_col = if is_node { 0 } else { near_col };
+        let range = self.filter.is_range();
         let mut out = Vec::new();
-        let tables = self.tables_for_label(label);
-        for (tname, _) in &tables {
-            if !self.db.has_table(tname) {
-                continue;
-            }
-            let concept = self.concept_id(tname);
-            // Probe column: source for forward extension, target backward.
-            let t = self.db.table_mut(tname).unwrap();
+        for tname in self.tables_for_label(label) {
+            let Ok(t) = self.db.table_mut(&tname) else { continue };
             let n = t.cols.len();
-            let probe_col = if forwards { 1 } else { 2 };
-            let other_col = if forwards { 2 } else { 1 };
             for row in rows {
                 if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
                     return out;
                 }
-                if row.pending.is_some() {
-                    continue; // must consume the pending node first
-                }
-                let (rids, trows) = t.probe(probe_col, &Value::Int(row.curr));
+                // A node consumes the pending endpoint; an edge needs none.
+                let key = match (is_node, row.pending) {
+                    (true, Some(p)) => p,
+                    (false, None) => row.curr,
+                    _ => continue,
+                };
+                let (rids, trows) = t.probe(probe_col, &Value::Int(key));
                 self.rows_joined += rids.len() as u64;
                 for &rid in rids {
                     let r = &trows[rid as usize];
@@ -312,17 +187,18 @@ impl<'a> Evaluator<'a> {
                     if !version_ok(self.filter, from, to) {
                         continue;
                     }
-                    let eid = as_i64(&r[0]);
-                    let other = as_i64(&r[other_col]);
+                    let uid = as_i64(&r[0]);
+                    let pending = (!is_node).then(|| as_i64(&r[far_col]));
                     // Cycle predicates: NOT H.id_ = ANY(T.uid_list) AND NOT
-                    // H.target_id_ = ANY(T.uid_list).
-                    if row.uid_list.contains(&eid) || row.uid_list.contains(&other) {
+                    // H.target_id_ = ANY(T.uid_list). A node was checked as
+                    // the far endpoint of the edge that made it pending.
+                    if !is_node && (row.uid_list.contains(&uid) || pending.is_some_and(|p| row.uid_list.contains(&p))) {
                         continue;
                     }
-                    if !preds_ok(self.plan, label, r, false) {
+                    if !preds_ok(self.plan, label, r, is_node) {
                         continue;
                     }
-                    let times = if self.filter.is_range() {
+                    let (t_from, t_to) = if range {
                         match row.intersect_span(from, to) {
                             Some(t) => t,
                             None => continue,
@@ -331,12 +207,11 @@ impl<'a> Evaluator<'a> {
                         (None, None)
                     };
                     let mut new = row.clone();
-                    new.uid_list.push(eid);
-                    new.concepts.push(concept);
-                    new.curr = eid;
-                    new.pending = Some(other);
-                    new.t_from = times.0;
-                    new.t_to = times.1;
+                    new.uid_list.push(uid);
+                    new.curr = uid;
+                    new.pending = pending;
+                    new.t_from = t_from;
+                    new.t_to = t_to;
                     out.push(new);
                 }
             }
@@ -344,143 +219,31 @@ impl<'a> Evaluator<'a> {
         out
     }
 
-    /// Extend an edge-position frontier by its pending endpoint node.
-    fn extend_node(&mut self, rows: &[Row], label: Label) -> Vec<Row> {
-        if !self.label_is_node(label) {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        let tables = self.tables_for_label(label);
-        for (tname, _) in &tables {
-            if !self.db.has_table(tname) {
-                continue;
-            }
-            let concept = self.concept_id(tname);
-            let t = self.db.table_mut(tname).unwrap();
-            let n = t.cols.len();
-            for row in rows {
-                if rel_checkpoint(&self.cancel, &mut self.cancel_ctr, &mut self.tripped) {
-                    return out;
-                }
-                let p = match row.pending {
-                    Some(p) => p,
-                    None => continue,
-                };
-                let (rids, trows) = t.probe(0, &Value::Int(p));
-                self.rows_joined += rids.len() as u64;
-                for &rid in rids {
-                    let r = &trows[rid as usize];
-                    let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
-                    if !version_ok(self.filter, from, to) || !preds_ok(self.plan, label, r, true) {
-                        continue;
-                    }
-                    let times = if self.filter.is_range() {
-                        match row.intersect_span(from, to) {
-                            Some(t) => t,
-                            None => continue,
-                        }
-                    } else {
-                        (None, None)
-                    };
-                    let mut new = row.clone();
-                    new.uid_list.push(p);
-                    new.concepts.push(concept);
-                    new.curr = p;
-                    new.pending = None;
-                    new.t_from = times.0;
-                    new.t_to = times.1;
-                    out.push(new);
-                }
-            }
-        }
-        out
-    }
-
-    /// The `Extend` statement reading frontier table `from`: an edge
-    /// label joins on the frontier's current node and carries both
-    /// endpoints; a node label joins on the pending endpoint — the target
-    /// going forwards, the source going backwards.
-    fn extend_sql(&self, label: Label, forwards: bool, from: &str) -> String {
-        let (cols, join) = if self.label_is_node(label) {
-            let pending = if forwards { "target_uid" } else { "source_uid" };
-            (String::new(), format!("H.id_ = T.{pending}"))
-        } else {
-            let (near, far) = if forwards { ("source_id_", "target_id_") } else { ("target_id_", "source_id_") };
-            (
-                ", H.source_id_ as source_uid, H.target_id_ as target_uid".to_string(),
-                format!("H.{near} = T.curr_uid AND NOT H.{far} = ANY(T.uid_list)"),
-            )
-        };
-        let (table, hist) = (self.label_table(label), self.hist_suffix());
-        format!(
-            "select T.uid_list || ARRAY[H.id_] as uid_list,\n         T.concept_list || ARRAY[cast('{table}' as text)] as concept_list,\n         H.id_ as curr_uid{cols}\n  from {table}{hist} H, {from} T\n  where {join} AND NOT H.id_ = ANY(T.uid_list){}",
-            self.temporal_sql("H"),
-        )
-    }
-
-    /// One directional pass: returns accepting rows keyed by (seed, tr).
-    ///
-    /// `frontier` names the SQL table holding each seeded state's rows;
-    /// the pass adds one per state its extensions reach.
-    fn pass(
-        &mut self,
-        seeds_by_state: HashMap<u32, Vec<Row>>,
-        mut frontier: HashMap<u32, String>,
-        forwards: bool,
-    ) -> Vec<Row> {
+    /// One directional pass from the seeded states: returns the accepting
+    /// rows.
+    fn pass(&mut self, mut frontier: HashMap<u32, Vec<Row>>, forwards: bool) -> Vec<Row> {
         let join_span = self.span.child(if forwards { "Join(fwd)" } else { "Join(bwd)" });
         let joined_before = self.rows_joined;
-        // Topological order of the NFA DAG.
-        let order = topo_order(self.plan, forwards);
-        let mut tables: HashMap<u32, Vec<Row>> = seeds_by_state;
-        let mut seen: HashMap<u32, HashSet<Row>> = HashMap::new();
-        for (s, rows) in &tables {
-            seen.entry(*s).or_default().extend(rows.iter().cloned());
-        }
+        let plan = self.plan;
         let mut accepted: Vec<Row> = Vec::new();
-        for &state in &order {
+        for state in topo_order(plan, forwards) {
             if self.tripped.is_some() {
                 break; // cancelled: stop joining, the caller surfaces it
             }
-            // The NFA is a DAG walked in topological order: nothing adds to
-            // this state's frontier once it is reached, so take it.
-            let rows = match tables.remove(&state) {
+            // The automaton is a DAG walked in topological order: nothing
+            // adds to this state's frontier once it is reached, so take it.
+            let mut rows = match frontier.remove(&state) {
                 Some(r) if !r.is_empty() => r,
                 _ => continue,
             };
-            let from = frontier[&state].clone();
-            // Extend along transitions out of (fwd) / into (bwd) the state.
-            let transitions: Vec<(Label, u32)> = if forwards {
-                self.plan.nfa.trans[state as usize].clone()
-            } else {
-                self.plan.nfa.rev[state as usize].clone()
-            };
-            for (label, next) in transitions {
-                let new_rows = {
-                    let edge_rows = self.extend_edge(&rows, label, forwards);
-                    let node_rows = self.extend_node(&rows, label);
-                    if !edge_rows.is_empty() || !node_rows.is_empty() {
-                        let stem = if self.label_is_node(label) { "extend_node" } else { "extend_edge" };
-                        let select = self.extend_sql(label, forwards, &from);
-                        self.log_feed(&mut frontier, next, stem, select);
-                    }
-                    let mut all = edge_rows;
-                    all.extend(node_rows);
-                    all
-                };
-                if new_rows.is_empty() {
-                    continue;
-                }
-                let dedup = seen.entry(next).or_default();
-                let bucket = tables.entry(next).or_default();
-                for r in new_rows {
-                    if dedup.insert(r.clone()) {
-                        bucket.push(r);
-                    }
-                }
+            let mut seen = HashSet::new();
+            rows.retain(|r| seen.insert(r.clone()));
+            let transitions = if forwards { &plan.nfa.trans[state as usize] } else { &plan.nfa.rev[state as usize] };
+            for &(label, next) in transitions {
+                let new_rows = self.extend(&rows, label, forwards);
+                frontier.entry(next).or_default().extend(new_rows);
             }
-            // Collect acceptance at this state.
-            let accepting = if forwards { self.plan.nfa.accepts[state as usize] } else { state == self.plan.nfa.start };
+            let accepting = if forwards { plan.nfa.accepts[state as usize] } else { state == plan.nfa.start };
             if accepting {
                 accepted.extend(rows.into_iter().filter(|r| r.pending.is_none()));
             }
@@ -504,13 +267,24 @@ fn index_key<'p>(p: &'p BoundPred, cols: &[ColDef], is_node: bool) -> Option<(us
     (p.op == CmpOp::Eq && p.sub_path.is_empty() && typed).then_some((col, &p.value))
 }
 
-/// Temporal predicate on a version row.
-fn version_ok(filter: TimeFilter, from: Ts, to: Ts) -> bool {
+/// The one time rule for a version row asserted over `[from, to)`: is it
+/// visible under `filter`? `Current` sees the open version, `AsOf(t)` the
+/// version holding `t`, and `Range(a, b)` every version overlapping
+/// `[a, b]`.
+fn visible(filter: TimeFilter, from: Ts, to: Ts) -> bool {
     match filter {
         TimeFilter::Current => to == FOREVER,
         TimeFilter::AsOf(t) => from <= t && t < to,
-        TimeFilter::Range(_, _) => true, // filtered at finalize
+        TimeFilter::Range(a, b) => from <= b && a < to,
     }
+}
+
+/// Does `Select` or `Extend` keep a version row? Under a range every
+/// version is kept: a pathway's answer is its maximal run of assertion,
+/// which may reach outside the window, and [`finalize_times`] drops the
+/// runs that miss it.
+fn version_ok(filter: TimeFilter, from: Ts, to: Ts) -> bool {
+    filter.is_range() || visible(filter, from, to)
 }
 
 /// Field predicate of a label on a version row.
@@ -541,33 +315,26 @@ fn as_ts(v: &Value) -> Ts {
     }
 }
 
-fn preds_sql(atom: &nepal_rpe::BoundAtom) -> String {
-    if atom.preds.is_empty() {
-        return "true".to_string();
-    }
-    atom.preds
-        .iter()
-        .map(|p| format!("N.{} {} {}", p.field_name, op_sql(p.op), p.value))
-        .collect::<Vec<_>>()
-        .join(" AND ")
-}
-
-fn op_sql(op: nepal_rpe::CmpOp) -> &'static str {
-    use nepal_rpe::CmpOp::*;
-    match op {
-        Eq => "=",
-        Ne => "<>",
-        Lt => "<",
-        Le => "<=",
-        Gt => ">",
-        Ge => ">=",
-        Contains => "@>",
+pub(crate) fn label_is_node(plan: &RpePlan, label: Label) -> bool {
+    match label {
+        Label::AnyNode => true,
+        Label::AnyEdge => false,
+        Label::Atom(a) => plan.atoms[a as usize].is_node,
     }
 }
 
-/// Topological order of the NFA states (the NFA is a DAG; see
+/// The root class table of a label's subtree.
+pub(crate) fn label_table(schema: &Schema, plan: &RpePlan, label: Label) -> String {
+    match label {
+        Label::AnyNode => "node".into(),
+        Label::AnyEdge => "edge".into(),
+        Label::Atom(a) => table_name(schema, plan.atoms[a as usize].class),
+    }
+}
+
+/// Topological order of the automaton's states (it is a DAG; see
 /// `nepal_rpe::nfa`). For the backward pass the order is reversed.
-fn topo_order(plan: &RpePlan, forwards: bool) -> Vec<u32> {
+pub(crate) fn topo_order(plan: &RpePlan, forwards: bool) -> Vec<u32> {
     let n = plan.nfa.n_states;
     let mut indeg = vec![0usize; n];
     for list in &plan.nfa.trans {
@@ -590,6 +357,19 @@ fn topo_order(plan: &RpePlan, forwards: bool) -> Vec<u32> {
         order.reverse();
     }
     order
+}
+
+/// Where imported seeds enter the automaton, as (label, seeded state): a
+/// source is a path's first element, consumed by a start transition going
+/// forwards; a target its last, consumed by a transition into an accepting
+/// state going backwards.
+pub(crate) fn seed_transitions(plan: &RpePlan, forwards: bool) -> Vec<(Label, u32)> {
+    let nfa = &plan.nfa;
+    if forwards {
+        nfa.trans[nfa.start as usize].clone()
+    } else {
+        nfa.transitions.iter().filter(|t| nfa.accepts[t.to as usize]).map(|t| (t.label, t.from)).collect()
+    }
 }
 
 fn finalize_times(filter: TimeFilter, combos: Vec<(Option<Ts>, Option<Ts>)>) -> Option<Option<IntervalSet>> {
@@ -642,9 +422,6 @@ pub fn evaluate_relational(
         schema,
         plan,
         filter,
-        sql: Vec::new(),
-        concepts: Vec::new(),
-        temp_counter: 0,
         rows_scanned: 0,
         rows_joined: 0,
         span,
@@ -653,62 +430,38 @@ pub fn evaluate_relational(
         tripped: None,
     };
     let range = filter.is_range();
-    let init_times = |rows: &mut Vec<Row>| {
-        if !range {
-            for r in rows.iter_mut() {
-                r.t_from = None;
-                r.t_to = None;
-            }
-        }
-    };
 
     type TimeCombo = (Option<Ts>, Option<Ts>);
     let mut merged: HashMap<Vec<i64>, Vec<TimeCombo>> = HashMap::new();
     match seeds {
         Seeds::Anchor => {
             'anchors: for &occ in &plan.anchor.atoms {
-                let seed_trans = plan.nfa.seeds_for(occ);
-                for (tr_idx, tr) in seed_trans.iter().enumerate() {
+                let seed_pairs = ev.select_atom(occ);
+                if seed_pairs.is_empty() {
+                    continue;
+                }
+                for tr in plan.nfa.seeds_for(occ) {
                     if ev.tripped.is_some() {
                         break 'anchors;
                     }
-                    let (seed_pairs, seed_table) = ev.select_atom(occ, tr_idx as u32);
-                    if seed_pairs.is_empty() {
-                        continue;
-                    }
-                    let mut fwd_rows: Vec<Row> = seed_pairs.iter().map(|(r, _)| r.clone()).collect();
+                    let fwd_rows: Vec<Row> = seed_pairs.iter().map(|(r, _)| r.clone()).collect();
                     // Backward seeds consume toward the edge's SOURCE.
-                    let mut bwd_rows: Vec<Row> = seed_pairs
-                        .iter()
-                        .map(|(r, src)| {
-                            let mut b = r.clone();
-                            if b.pending.is_some() {
-                                b.pending = *src;
-                            }
-                            b
-                        })
-                        .collect();
-                    init_times(&mut fwd_rows);
-                    init_times(&mut bwd_rows);
+                    let bwd_rows: Vec<Row> =
+                        seed_pairs.iter().map(|(r, src)| Row { pending: r.pending.and(*src), ..r.clone() }).collect();
                     // Forward from tr.to (seed element already consumed).
-                    let mut fwd_seeds: HashMap<u32, Vec<Row>> = HashMap::new();
-                    fwd_seeds.insert(tr.to, fwd_rows);
-                    let fwd = ev.pass(fwd_seeds, HashMap::from([(tr.to, seed_table.clone())]), true);
+                    let fwd = ev.pass(HashMap::from([(tr.to, fwd_rows)]), true);
                     if fwd.is_empty() {
                         continue;
                     }
                     // Backward from tr.from.
-                    let mut bwd_seeds: HashMap<u32, Vec<Row>> = HashMap::new();
-                    bwd_seeds.insert(tr.from, bwd_rows);
-                    let bwd = ev.pass(bwd_seeds, HashMap::from([(tr.from, seed_table)]), false);
+                    let bwd = ev.pass(HashMap::from([(tr.from, bwd_rows)]), false);
                     // Join forward and backward halves on the seed.
                     let mut bwd_by_seed: HashMap<i64, Vec<&Row>> = HashMap::new();
                     for b in &bwd {
-                        bwd_by_seed.entry(b.seed_uid).or_default().push(b);
+                        bwd_by_seed.entry(b.uid_list[0]).or_default().push(b);
                     }
-                    ev.sql.push(format!("-- Union: join forward/backward frontiers on seed (transition {})", tr_idx));
                     'fwd: for f in &fwd {
-                        let Some(bs) = bwd_by_seed.get(&f.seed_uid) else { continue };
+                        let Some(bs) = bwd_by_seed.get(&f.uid_list[0]) else { continue };
                         for b in bs {
                             // Cycle check across halves (element 0 shared).
                             let tail = &b.uid_list[1..];
@@ -745,89 +498,33 @@ pub fn evaluate_relational(
                 }
             }
         }
-        Seeds::Sources(srcs) => {
-            let mut seed_rows: HashMap<u32, Vec<Row>> = HashMap::new();
-            for &src in srcs {
-                for &(label, to) in &plan.nfa.trans[plan.nfa.start as usize] {
-                    if !ev.label_is_node(label) {
-                        continue;
-                    }
-                    // Verify the node exists/matches under the label.
-                    let probe = Row {
-                        seed_uid: src.0 as i64,
-                        seed_tr: 0,
-                        uid_list: Vec::new(),
-                        concepts: Vec::new(),
-                        curr: 0,
-                        pending: Some(src.0 as i64),
-                        t_from: None,
-                        t_to: None,
-                    };
-                    let rows = ev.extend_node(&[probe], label);
-                    for mut r in rows {
-                        r.uid_list = vec![src.0 as i64];
-                        r.concepts = r.concepts.split_off(r.concepts.len() - 1);
-                        r.curr = src.0 as i64;
-                        r.pending = None;
-                        seed_rows.entry(to).or_default().push(r);
-                    }
+        Seeds::Sources(nodes) | Seeds::Targets(nodes) => {
+            // Forwards from the start state at each source, or backwards
+            // from every accepting state at each target: a seed node is the
+            // pending endpoint of an empty path.
+            let forwards = matches!(seeds, Seeds::Sources(_));
+            let pending: Vec<Row> = nodes
+                .iter()
+                .map(|n| Row { uid_list: Vec::new(), curr: 0, pending: Some(n.0 as i64), t_from: None, t_to: None })
+                .collect();
+            let mut frontier: HashMap<u32, Vec<Row>> = HashMap::new();
+            for (label, state) in seed_transitions(plan, forwards) {
+                let rows = ev.extend(&pending, label, forwards);
+                frontier.entry(state).or_default().extend(rows);
+            }
+            for r in ev.pass(frontier, forwards) {
+                let mut elems = r.uid_list;
+                if !forwards {
+                    elems.reverse();
                 }
-            }
-            let mut frontier = HashMap::new();
-            for &(label, to) in &plan.nfa.trans[plan.nfa.start as usize] {
-                if ev.label_is_node(label) && seed_rows.contains_key(&to) {
-                    ev.log_seed(&mut frontier, to, label, srcs);
-                }
-            }
-            for f in ev.pass(seed_rows, frontier, true) {
-                merged.entry(f.uid_list.clone()).or_default().push((f.t_from, f.t_to));
-            }
-        }
-        Seeds::Targets(tgts) => {
-            let mut seed_rows: HashMap<u32, Vec<Row>> = HashMap::new();
-            for &tgt in tgts {
-                for tr in &plan.nfa.transitions {
-                    if !plan.nfa.accepts[tr.to as usize] || !ev.label_is_node(tr.label) {
-                        continue;
-                    }
-                    let probe = Row {
-                        seed_uid: tgt.0 as i64,
-                        seed_tr: 0,
-                        uid_list: Vec::new(),
-                        concepts: Vec::new(),
-                        curr: 0,
-                        pending: Some(tgt.0 as i64),
-                        t_from: None,
-                        t_to: None,
-                    };
-                    let rows = ev.extend_node(&[probe], tr.label);
-                    for mut r in rows {
-                        r.uid_list = vec![tgt.0 as i64];
-                        r.concepts = r.concepts.split_off(r.concepts.len() - 1);
-                        r.curr = tgt.0 as i64;
-                        r.pending = None;
-                        seed_rows.entry(tr.from).or_default().push(r);
-                    }
-                }
-            }
-            let mut frontier = HashMap::new();
-            for tr in &plan.nfa.transitions {
-                if plan.nfa.accepts[tr.to as usize] && ev.label_is_node(tr.label) && seed_rows.contains_key(&tr.from) {
-                    ev.log_seed(&mut frontier, tr.from, tr.label, tgts);
-                }
-            }
-            for b in ev.pass(seed_rows, frontier, false) {
-                let mut elems = b.uid_list.clone();
-                elems.reverse();
-                merged.entry(elems).or_default().push((b.t_from, b.t_to));
+                merged.entry(elems).or_default().push((r.t_from, r.t_to));
             }
         }
     }
 
     // A tripped checkpoint anywhere above means the frontier (and thus
-    // `merged`) is partial: drop temps and surface the typed error.
+    // `merged`) is partial: surface the typed error.
     if let Some(cause) = ev.tripped {
-        ev.db.drop_temps();
         return Err(cause.into());
     }
 
@@ -841,8 +538,41 @@ pub fn evaluate_relational(
     if let Some(limit) = opts.limit {
         pathways.truncate(limit);
     }
-    let sql = std::mem::take(&mut ev.sql);
-    let (rows_scanned, rows_joined) = (ev.rows_scanned, ev.rows_joined);
-    ev.db.drop_temps();
-    Ok(RelResult { pathways, sql, rows_scanned, rows_joined })
+    Ok(RelResult { pathways, rows_scanned: ev.rows_scanned, rows_joined: ev.rows_joined })
+}
+
+/// The field values and runtime class of element `uid` under `filter`:
+/// its latest version visible there, as the native store's
+/// `GraphView::fields` answers. Class tables are named after the class,
+/// so the table that holds the uid names its class.
+pub fn element_fields(db: &mut RelDb, schema: &Schema, uid: Uid, filter: TimeFilter) -> Option<(ClassId, Vec<Value>)> {
+    let key = Value::Int(uid.0 as i64);
+    for kind_root in [NODE, EDGE] {
+        let offset = field_offset(kind_root == NODE);
+        for class in schema.descendants(kind_root) {
+            let name = table_name(schema, class);
+            let tables = match filter {
+                TimeFilter::Current => vec![name],
+                _ => vec![history_name(&name), name],
+            };
+            // The latest visible version has the greatest `sys_from`.
+            let mut latest: Option<(Ts, Vec<Value>)> = None;
+            for tname in &tables {
+                let Ok(t) = db.table_mut(tname) else { continue };
+                let n = t.cols.len();
+                let (rids, rows) = t.probe(0, &key);
+                for &rid in rids {
+                    let r = &rows[rid as usize];
+                    let (from, to) = (as_ts(&r[n - 2]), as_ts(&r[n - 1]));
+                    if visible(filter, from, to) && latest.as_ref().is_none_or(|(f, _)| from > *f) {
+                        latest = Some((from, r[offset..n - 2].to_vec()));
+                    }
+                }
+            }
+            if let Some((_, fields)) = latest {
+                return Some((class, fields));
+            }
+        }
+    }
+    None
 }

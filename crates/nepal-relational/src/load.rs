@@ -64,8 +64,7 @@ pub fn field_offset(is_node: bool) -> usize {
 /// Returns the DDL statements that an actual Postgres deployment would run.
 pub fn create_schema(db: &mut RelDb, schema: &Schema) -> Result<Vec<String>> {
     let mut ddl = Vec::new();
-    let mut uids = Table::new("uids", vec![ColDef::new("id_", ColType::BigInt)]);
-    uids.cols.reserve(0);
+    let uids = Table::new("uids", vec![ColDef::new("id_", ColType::BigInt)]);
     ddl.push(uids.ddl(None));
     db.create_table(uids, None)?;
     // Classes are registered parents-first in the schema, so iterating in

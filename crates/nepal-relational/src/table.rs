@@ -111,11 +111,6 @@ impl Table {
         (idx.get(key).map_or(&[], Vec::as_slice), rows)
     }
 
-    /// Sequential scan with a row predicate.
-    pub fn scan<'a>(&'a self, pred: impl Fn(&[Value]) -> bool + 'a) -> impl Iterator<Item = &'a Vec<Value>> + 'a {
-        self.rows.iter().filter(move |r| pred(r))
-    }
-
     /// `CREATE TABLE` DDL for this table (Postgres dialect).
     pub fn ddl(&self, inherits: Option<&str>) -> String {
         let cols: Vec<String> = self.cols.iter().map(|c| format!("{} {}", c.name, c.ty)).collect();

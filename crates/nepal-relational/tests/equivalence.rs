@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use nepal_graph::{GraphView, TemporalGraph, TimeFilter, Uid};
 use nepal_obs::SpanHandle;
-use nepal_relational::{db_from_graph, evaluate_relational};
+use nepal_relational::{db_from_graph, evaluate_relational, script};
 use nepal_rpe::{evaluate, parse_rpe, plan_rpe, EvalOptions, GraphEstimator, Pathway, Seeds};
 use nepal_schema::dsl::parse_schema;
 use nepal_schema::{Schema, Value};
@@ -223,33 +223,13 @@ fn emitted_sql_has_paper_shape() {
         &GraphEstimator { graph: &g },
     )
     .unwrap();
-    let mut db = db_from_graph(&g).unwrap();
-    let rel = evaluate_relational(
-        &mut db,
-        g.schema(),
-        &plan,
-        TimeFilter::Current,
-        Seeds::Anchor,
-        &EvalOptions::default(),
-        &SpanHandle::none(),
-    )
-    .unwrap();
-    let sql = rel.sql.join("\n");
+    let sql = script(g.schema(), &plan, TimeFilter::Current, Seeds::Anchor).join("\n");
     assert!(sql.contains("create TEMP table tmp_select_node_1"), "{sql}");
     assert!(sql.contains("ARRAY[N.id_] as uid_list"), "{sql}");
     assert!(sql.contains("= ANY(T.uid_list)"), "{sql}");
     // AsOf adds the temporal_tables-style predicate.
-    let rel2 = evaluate_relational(
-        &mut db,
-        g.schema(),
-        &plan,
-        TimeFilter::AsOf(nepal_schema::parse_ts("2017-02-15 10:00:00").unwrap()),
-        Seeds::Anchor,
-        &EvalOptions::default(),
-        &SpanHandle::none(),
-    )
-    .unwrap();
-    let sql2 = rel2.sql.join("\n");
+    let at = TimeFilter::AsOf(nepal_schema::parse_ts("2017-02-15 10:00:00").unwrap());
+    let sql2 = script(g.schema(), &plan, at, Seeds::Anchor).join("\n");
     assert!(sql2.contains("sys_period @> '2017-02-15 10:00:00'::timestamptz"), "{sql2}");
 }
 
@@ -264,21 +244,47 @@ fn emitted_sql_parses_with_the_sql_engine() {
         &GraphEstimator { graph: &g },
     )
     .unwrap();
-    let mut db = db_from_graph(&g).unwrap();
     for filter in [TimeFilter::Current, TimeFilter::AsOf(500)] {
-        let rel = evaluate_relational(
-            &mut db,
-            g.schema(),
-            &plan,
-            filter,
-            Seeds::Anchor,
-            &EvalOptions::default(),
-            &SpanHandle::none(),
-        )
-        .unwrap();
-        for stmt in &rel.sql {
+        for stmt in &script(g.schema(), &plan, filter, Seeds::Anchor) {
             nepal_relational::parse_sql(stmt).unwrap_or_else(|e| panic!("emitted SQL does not parse: {e}\n{stmt}"));
         }
+    }
+}
+
+/// The longest chain of `Vertical` joins through the script's frontier
+/// tables: a table fed from frontier `T` by a join over `vertical` is one
+/// deeper than `T`.
+fn vertical_depth(sql: &[String]) -> usize {
+    let mut depth: std::collections::HashMap<&str, usize> = std::collections::HashMap::new();
+    for stmt in sql {
+        let target = stmt
+            .strip_prefix("create TEMP table ")
+            .or_else(|| stmt.strip_prefix("insert into "))
+            .and_then(|rest| rest.split_whitespace().next());
+        let Some(target) = target else { continue };
+        let read = stmt.split_once(" H, ").and_then(|(_, rest)| rest.split_whitespace().next());
+        let d = read.map_or(0, |t| depth[t] + stmt.contains("from vertical") as usize);
+        let slot = depth.entry(target).or_default();
+        *slot = (*slot).max(d);
+    }
+    depth.values().copied().max().unwrap_or(0)
+}
+
+#[test]
+fn script_is_written_from_the_plan_alone() {
+    // The same plan over a populated store and over an empty store of the
+    // same schema gives the same script, and it reaches every repetition
+    // the RPE allows, though the random graph's paths stop sooner.
+    let g = random_graph(2, 6);
+    let empty = TemporalGraph::new(schema());
+    let rpe = parse_rpe("VNF()->[Vertical()]{1,6}->Host()").unwrap();
+    for filter in [TimeFilter::Current, TimeFilter::AsOf(150)] {
+        let [full, none] = [&g, &empty].map(|graph| {
+            let plan = plan_rpe(graph.schema(), &rpe, &GraphEstimator { graph }).unwrap();
+            script(graph.schema(), &plan, filter, Seeds::Anchor)
+        });
+        assert_eq!(full, none, "{filter:?}");
+        assert_eq!(vertical_depth(&full), 6, "{filter:?}:\n{}", full.join("\n"));
     }
 }
 
@@ -331,10 +337,11 @@ fn emitted_sql_executes_in_order_on_a_fresh_store() {
             let rel =
                 evaluate_relational(&mut db, g.schema(), &plan, filter, *seeds, &opts, &SpanHandle::none()).unwrap();
             assert!(!rel.pathways.is_empty(), "`{rpe}` under {filter:?} matches nothing");
+            let sql = script(g.schema(), &plan, filter, *seeds);
             let mut fresh = db_from_graph(&g).unwrap();
-            for stmt in &rel.sql {
+            for stmt in &sql {
                 if let Err(e) = nepal_relational::execute_sql(&mut fresh, stmt) {
-                    panic!("`{rpe}` under {filter:?}: {e}\n{stmt}\n--- script ---\n{}", rel.sql.join("\n"));
+                    panic!("`{rpe}` under {filter:?}: {e}\n{stmt}\n--- script ---\n{}", sql.join("\n"));
                 }
                 appends += stmt.starts_with("insert into ") as usize;
             }

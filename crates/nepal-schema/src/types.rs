@@ -36,13 +36,6 @@ pub enum FieldType {
     Data(DataTypeId),
 }
 
-impl FieldType {
-    /// `true` if this is a scalar (non-container, non-composite) type.
-    pub fn is_scalar(&self) -> bool {
-        !matches!(self, FieldType::List(_) | FieldType::Set(_) | FieldType::Map(_, _) | FieldType::Data(_))
-    }
-}
-
 impl fmt::Display for FieldType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

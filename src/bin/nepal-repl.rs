@@ -10,7 +10,8 @@
 //! :help                  this help
 //! :schema                list node/edge classes
 //! :plan <rpe>            show the Select/Extend/Union plan for an RPE
-//! :sql <query>           run on the relational backend and show its SQL
+//! :sql <query>           run on the relational backend and show the SQL
+//!                        script written from each variable's plan
 //! :profile <query>       run with profiling and print the operator trace
 //! :metrics               engine metrics in Prometheus text format
 //! :qlog                  query-log status and worst-estimated fingerprints
@@ -156,6 +157,7 @@ fn main() {
         if line == ":help" {
             println!(
                 ":schema | :stats | :plan <rpe> | :sql <query> | :profile <query> | :metrics | :quit\n\
+                 :sql <query>              run with unrouted PATHS variables USING pg; print the SQL written from each plan\n\
                  :threads [N]              show or set evaluator worker threads (0 = auto from NEPAL_THREADS/cores)\n\
                  :timeout [ms|off]         show or set the per-query deadline (typed error on expiry)\n\
                  :cancel                   trip the session cancel token (Ctrl-C does this mid-query)\n\
@@ -374,9 +376,9 @@ fn main() {
             continue;
         }
         if let Some(q) = line.strip_prefix(":sql ") {
-            match run(&mut engine, q) {
-                Ok(()) => {
-                    for stmt in engine.registry.get(Some("pg")).map(|b| b.last_generated()).unwrap_or_default() {
+            match engine.query_profiled(&using_pg(q)) {
+                Ok((_, profile)) => {
+                    for stmt in profile.vars.iter().flat_map(|v| &v.generated) {
                         println!("{stmt}");
                     }
                 }
@@ -501,15 +503,18 @@ fn run_qlog_command(engine: &mut Engine, arg: &str) {
     }
 }
 
-fn run(engine: &mut Engine, q: &str) -> Result<(), String> {
-    // Force the pg backend for :sql by appending USING pg to each source —
-    // parse, rewrite, execute.
-    let mut parsed = nepal::core::parse_query(q).map_err(|e| e.to_string())?;
-    for s in &mut parsed.sources {
-        s.backend = Some("pg".to_string());
+/// `q` with every `PATHS` variable that names no backend routed `USING pg`,
+/// so `:sql` runs it on the relational backend.
+fn using_pg(q: &str) -> String {
+    let mut words: Vec<String> = q.split(' ').map(str::to_string).collect();
+    for i in 1..words.len() {
+        let var = words[i].find(|c: char| !(c.is_alphanumeric() || c == '_')).unwrap_or(words[i].len());
+        let names_backend = words.get(i + 1).is_some_and(|w| w.eq_ignore_ascii_case("using"));
+        if words[i - 1].eq_ignore_ascii_case("paths") && var > 0 && !names_backend {
+            words[i].insert_str(var, " USING pg");
+        }
     }
-    engine.execute(&parsed).map_err(|e| e.to_string())?;
-    Ok(())
+    words.join(" ")
 }
 
 fn run_profiled(engine: &mut Engine, graph: &Arc<TemporalGraph>, q: &str) -> Result<(), String> {

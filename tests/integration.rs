@@ -69,8 +69,8 @@ fn all_three_backends_agree_through_the_engine() {
 
 #[test]
 fn translator_snapshots() {
-    // The generated SQL has the §5.2 shape: Select into a TEMP table, then
-    // Extends joining per-class tables with uid_list cycle predicates.
+    // The profiled SQL script has the §5.2 shape: Select into a TEMP table,
+    // then Extends joining per-class tables with uid_list cycle predicates.
     let topo = small_topo();
     let graph = Arc::new(topo.graph);
     let rel = RelationalBackend::from_graph(&graph).unwrap();
@@ -79,10 +79,12 @@ fn translator_snapshots() {
         Value::Int(i) => *i,
         _ => unreachable!(),
     };
-    engine
-        .query(&format!("Retrieve P From PATHS P Where P MATCHES VNF(vnf_id={vnf_id})->[Vertical()]{{1,6}}->Host()"))
+    let (_, profile) = engine
+        .query_profiled(&format!(
+            "Retrieve P From PATHS P Where P MATCHES VNF(vnf_id={vnf_id})->[Vertical()]{{1,6}}->Host()"
+        ))
         .unwrap();
-    let sql = engine.registry.get(Some("pg")).unwrap().last_generated().join("\n");
+    let sql = profile.vars[0].generated.join("\n");
     for needle in [
         "create TEMP table tmp_select_node_1",
         "ARRAY[N.id_] as uid_list",
