@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nepal_gremlin::{property_graph_from, shared_graph, GStep, GremlinClient, GremlinServer, ProtoError, ServeConfig};
+use nepal_gremlin::{
+    property_graph_from, shared_graph, GStep, GremlinClient, GremlinServer, ProtoError, ServeConfig, SharedGraph,
+};
 use nepal_obs::Json;
 
 use crate::build_virtualized;
@@ -222,44 +224,53 @@ pub struct AttributionOverhead {
     pub calls_recorded: u64,
 }
 
-/// Measure the cost-attribution overhead on the serving path: one bounded
-/// server with a statement-stats table attached, the at-capacity phase run
-/// twice (meters disabled, then enabled), comparing throughput. The
-/// disabled phase skips the CPU-clock samples and the record call — the
-/// same fast path a server without attribution runs.
+/// Measure the cost-attribution overhead on the serving path: the
+/// at-capacity phase run on a bounded server started without a
+/// statement-stats table (meters off), then on one started with it
+/// (meters on), comparing throughput. The meters-off server skips the
+/// CPU-clock samples and the record call — the path every server without
+/// attribution runs.
 pub fn run_attribution_overhead(cfg: &ServeLoadConfig, seed: u64) -> AttributionOverhead {
     let (snap, _) = build_virtualized(seed);
     let pg = shared_graph(property_graph_from(&snap.graph));
+    let (off, _) = attribution_phase(&pg, cfg, None, "meters-off");
     let stmt = Arc::new(nepal_obs::StmtStats::new(512));
-    let server_cfg = ServeConfig {
-        workers: cfg.workers.max(1),
-        queue_depth: cfg.queue_depth.max(1),
-        deadline: cfg.deadline,
-        stmt: Some(stmt.clone()),
-        ..ServeConfig::default()
-    };
-    let mut server = GremlinServer::start_cfg(pg, "127.0.0.1:0", None, server_cfg).expect("bind attribution server");
-    let addr = server.addr;
-    let clients = cfg.workers.max(1);
-
-    stmt.set_enabled(false);
-    run_phase("warm-up", addr, clients, (cfg.requests_per_client / 4).max(2));
-    let off = run_phase("meters-off", addr, clients, cfg.requests_per_client);
-    let calls_before = stmt.totals().calls;
-    assert_eq!(calls_before, 0, "disabled meters must record nothing");
-    stmt.set_enabled(true);
-    let on = run_phase("meters-on", addr, clients, cfg.requests_per_client);
-    let fingerprints_tracked = stmt.tracked();
-    let calls_recorded = stmt.totals().calls;
-    let report = server.drain(Duration::from_millis(2000));
-    assert!(report.clean, "attribution drain must finish within its budget");
-
+    let (on, calls_recorded) = attribution_phase(&pg, cfg, Some(stmt.clone()), "meters-on");
     let overhead_pct = if off.throughput_rps > 0.0 {
         (off.throughput_rps - on.throughput_rps) / off.throughput_rps * 100.0
     } else {
         0.0
     };
-    AttributionOverhead { off, on, overhead_pct, fingerprints_tracked, calls_recorded }
+    AttributionOverhead { off, on, overhead_pct, fingerprints_tracked: stmt.tracked(), calls_recorded }
+}
+
+/// One attribution phase on its own bounded server: a warm-up, then the
+/// measured at-capacity phase. Returns the phase row and the statement
+/// records the measured phase added.
+fn attribution_phase(
+    pg: &SharedGraph,
+    cfg: &ServeLoadConfig,
+    stmt: Option<Arc<nepal_obs::StmtStats>>,
+    phase: &'static str,
+) -> (ServeLoadRow, u64) {
+    let calls = || stmt.as_ref().map_or(0, |s| s.totals().calls);
+    let server_cfg = ServeConfig {
+        workers: cfg.workers.max(1),
+        queue_depth: cfg.queue_depth.max(1),
+        deadline: cfg.deadline,
+        stmt: stmt.clone(),
+        ..ServeConfig::default()
+    };
+    let mut server =
+        GremlinServer::start_cfg(pg.clone(), "127.0.0.1:0", None, server_cfg).expect("bind attribution server");
+    let clients = cfg.workers.max(1);
+    run_phase("warm-up", server.addr, clients, (cfg.requests_per_client / 4).max(2));
+    let before = calls();
+    let row = run_phase(phase, server.addr, clients, cfg.requests_per_client);
+    let recorded = calls() - before;
+    let report = server.drain(Duration::from_millis(2000));
+    assert!(report.clean, "attribution drain must finish within its budget");
+    (row, recorded)
 }
 
 /// Render the attribution-overhead comparison for the terminal.
@@ -428,7 +439,7 @@ mod tests {
     fn attribution_overhead_records_only_when_enabled() {
         let cfg = ServeLoadConfig { workers: 2, queue_depth: 2, requests_per_client: 6, overload_x: 2, deadline: None };
         let o = run_attribution_overhead(&cfg, 7);
-        // The meters-off phase asserts zero records internally; the on
+        // The meters-off server has no table to record into; the on
         // phase must have captured every admitted request.
         assert_eq!(o.calls_recorded, o.on.ok);
         assert!(o.fingerprints_tracked >= 1, "the shared count() shape tracks one fingerprint");

@@ -26,8 +26,9 @@ use std::time::Instant;
 use nepal_graph::{FxHashMap, Interval, IntervalSet, TimeFilter, Uid};
 use nepal_obs::qlog::Fnv64;
 use nepal_obs::{
-    fingerprint, AnchorCandidate, EstimateFeedback, JoinStep, MetricsRegistry, PlanFeedback, QlogRecord, QueryLog,
-    QueryProfile, ResourceMeter, SloEngine, SloRule, SpanHandle, StmtOutcome, StmtStats, Tracer, VarProfile,
+    fingerprint, AnchorCandidate, Counter, Histogram, JoinStep, MeterSnapshot, MetricsRegistry, PlanFeedback,
+    QlogRecord, QueryLog, QueryProfile, ResourceMeter, SloEngine, SloRule, SpanHandle, StmtOutcome, StmtStats, Tracer,
+    VarProfile,
 };
 use nepal_rpe::{
     plan_rpe_with, resolved_threads, BoundAtom, CancelCause, CancelToken, CardinalityEstimator, EvalOptions, ExecCtx,
@@ -130,18 +131,24 @@ pub struct Engine {
     /// leaves the unprofiled hot path untouched: no clock reads beyond the
     /// existing latency pair, no hashing, no I/O.
     pub qlog: Option<Arc<QueryLog>>,
-    /// Per-fingerprint planner estimate-vs-actual aggregate. Fed by every
-    /// profiled execution (and by every query while the qlog is enabled);
-    /// exports q-error metrics into [`Engine::metrics`].
-    pub feedback: Arc<EstimateFeedback>,
-    /// Per-fingerprint statement statistics (cost attribution). While
-    /// enabled, every [`Engine::query`] runs through the profiled path
-    /// with a [`ResourceMeter`] attached, and each query's wall / CPU /
-    /// row / byte totals are folded into its fingerprint's entry. `None`
-    /// — the default — adds one `Option` check to the hot path.
+    /// Per-fingerprint statement statistics (cost attribution and planner
+    /// accuracy). While enabled, every [`Engine::query`] runs through the
+    /// profiled path with a [`ResourceMeter`] attached, and each query's
+    /// wall / CPU / row / byte totals and anchor q-error are folded into
+    /// its fingerprint's entry. `None` — the default — adds one `Option`
+    /// check to the hot path.
     pub stmt: Option<Arc<StmtStats>>,
     /// Named pathway views (§3.4: "Additional views can be defined").
     views: HashMap<String, Query>,
+    planner: PlannerMetrics,
+}
+
+/// The q-error families every profiled query feeds, registered with the
+/// engine so `/metrics` exports them before the first query.
+struct PlannerMetrics {
+    records: Arc<Counter>,
+    misestimates: Arc<Counter>,
+    qerror: Arc<Histogram>,
 }
 
 /// One query's execution state. The outermost execution creates it;
@@ -208,7 +215,14 @@ const ENGINE_CANCEL_MASK: u64 = 0x3FF; // every 1024 rows
 impl Engine {
     pub fn new(registry: BackendRegistry) -> Engine {
         let metrics = Arc::new(MetricsRegistry::new());
-        let feedback = Arc::new(EstimateFeedback::with_metrics(&metrics));
+        let planner = PlannerMetrics {
+            records: metrics.counter("nepal_qlog_records_total", "Query-log records observed"),
+            misestimates: metrics.counter("nepal_planner_misestimates_total", "Anchor estimates with q-error > 2"),
+            qerror: metrics.histogram(
+                "nepal_planner_qerror_x1000",
+                "Anchor cardinality q-error (max(est/actual, actual/est)) x1000",
+            ),
+        };
         Engine {
             registry,
             eval_options: EvalOptions::default(),
@@ -216,9 +230,9 @@ impl Engine {
             metrics,
             tracer: Tracer::new(),
             qlog: None,
-            feedback,
             stmt: None,
             views: HashMap::new(),
+            planner,
         }
     }
 
@@ -265,8 +279,8 @@ impl Engine {
     /// - `store-memory` — `nepal_store_total_bytes` watermark at most
     ///   `slos.max_store_bytes` (kept current by a `StoreGauges`
     ///   refresher);
-    /// - `planner-qerror` — worst per-fingerprint q-error from
-    ///   [`Engine::feedback`] at most `slos.max_qerror`.
+    /// - `planner-qerror` — windowed p99 of `nepal_planner_qerror_x1000`
+    ///   (fed by every profiled query) at most `slos.max_qerror`.
     ///
     /// Pull-time evaluation only: hand the result to
     /// `Telemetry::set_slo` (and/or call `evaluate()` yourself); nothing
@@ -281,10 +295,12 @@ impl Engine {
             slos.max_error_ratio,
         ));
         engine.add(SloRule::gauge_max("store-memory", "nepal_store_total_bytes", slos.max_store_bytes));
-        let feedback = self.feedback.clone();
-        engine.add(SloRule::probe("planner-qerror", slos.max_qerror, move || {
-            feedback.top(1).first().map(|s| s.max_qerror).unwrap_or(0.0)
-        }));
+        engine.add(SloRule::latency(
+            "planner-qerror",
+            "nepal_planner_qerror_x1000",
+            0.99,
+            (slos.max_qerror * 1000.0) as u64,
+        ));
         engine
     }
 
@@ -375,64 +391,62 @@ impl Engine {
         let mut profile = QueryProfile::default();
         let mut run = self.begin_query(true);
         let (result, total_ns, root) = self.run_query(text, Some(&mut profile), &mut run);
-        let trace_id = root.trace_id();
-        let threads = resolved_threads(self.eval_options.threads) as u64;
         let meter_snap = run.opts.meter.as_ref().map(|m| m.snapshot());
-        let result = match result {
-            Ok(r) => r,
-            Err(e) => {
-                if let Some(stmt) = &self.stmt {
-                    let outcome = match &e {
-                        NepalError::DeadlineExceeded => StmtOutcome::Deadline,
-                        NepalError::Cancelled => StmtOutcome::Cancelled,
-                        _ => StmtOutcome::Error,
-                    };
-                    stmt.record(fingerprint(text), text, outcome, total_ns, 0, meter_snap.as_ref());
-                }
-                if let Some(qlog) = &self.qlog {
-                    let mut rec = QlogRecord::for_error(text, total_ns, &e.to_string(), trace_id, threads);
-                    rec.ts_ms = unix_ms();
-                    rec.parse_ns = profile.parse_ns;
-                    self.feedback.observe(&rec);
-                    qlog.append(&rec);
-                }
-                return Err(e);
-            }
-        };
-        profile.query = text.to_string();
-        profile.total_ns = total_ns;
-        profile.result_rows = result.rows.len() as u64;
-        profile.meter = meter_snap;
-        if let Some(stmt) = &self.stmt {
-            stmt.record(
-                fingerprint(text),
-                text,
-                StmtOutcome::Ok,
-                total_ns,
-                result.rows.len() as u64,
-                meter_snap.as_ref(),
-            );
-        }
-        let rec = QlogRecord {
+        let mut rec = QlogRecord {
             ts_ms: if self.qlog.is_some() { unix_ms() } else { 0 },
             query: text.to_string(),
             fingerprint: fingerprint(text),
-            trace_id,
-            threads,
+            trace_id: root.trace_id(),
+            threads: resolved_threads(self.eval_options.threads) as u64,
             parse_ns: profile.parse_ns,
-            plan_ns: profile.plan_ns,
-            exec_ns: profile.exec_ns,
             total_ns,
-            rows: result.rows.len() as u64,
-            digest: digest_result(&result),
-            error: None,
-            feedback: PlanFeedback::from_profile(&profile),
+            ..QlogRecord::default()
         };
-        self.feedback.observe(&rec);
-        if let Some(qlog) = &self.qlog {
-            qlog.append(&rec);
-        }
+        let outcome = match &result {
+            Ok(r) => {
+                rec.plan_ns = profile.plan_ns;
+                rec.exec_ns = profile.exec_ns;
+                rec.rows = r.rows.len() as u64;
+                rec.digest = digest_result(r);
+                rec.feedback = PlanFeedback::from_profile(&profile);
+                StmtOutcome::Ok
+            }
+            Err(e) => {
+                rec.error = Some(e.to_string());
+                match e {
+                    NepalError::DeadlineExceeded => StmtOutcome::Deadline,
+                    NepalError::Cancelled => StmtOutcome::Cancelled,
+                    _ => StmtOutcome::Error,
+                }
+            }
+        };
+        self.record_profiled(&rec, outcome, meter_snap.as_ref());
+        let result = result?;
+        profile.query = rec.query;
+        profile.total_ns = total_ns;
+        profile.result_rows = rec.rows;
+        profile.meter = meter_snap;
         Ok((result, profile))
+    }
+
+    /// Where every profiled query's one record goes: the q-error metric
+    /// families, the statement table and, while it is on, the durable log.
+    fn record_profiled(&self, rec: &QlogRecord, outcome: StmtOutcome, meter: Option<&MeterSnapshot>) {
+        self.planner.records.inc();
+        for v in rec.feedback.vars.iter().filter(|v| !v.candidates.is_empty()) {
+            let q = v.qerror();
+            self.planner.qerror.observe((q * 1000.0) as u64);
+            if q > 2.0 {
+                self.planner.misestimates.inc();
+            }
+        }
+        if let Some(stmt) = &self.stmt {
+            let worst = rec.feedback.worst_var();
+            stmt.record(rec.fingerprint, &rec.query, outcome, rec.total_ns, rec.rows, meter, worst);
+        }
+        if let Some(qlog) = &self.qlog {
+            qlog.append(rec);
+        }
     }
 
     /// Count cancellation outcomes so the serving layer's shed/cancel rates

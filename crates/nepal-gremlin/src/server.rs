@@ -357,7 +357,7 @@ pub fn serve_connection(graph: &PropertyGraph, mut conn: impl Transport, stats: 
             None => nepal_obs::SpanHandle::none(),
         };
         let measure = want_timing || srv_span.is_active();
-        let metered = ctl.stmt.as_ref().is_some_and(|s| s.is_enabled());
+        let metered = ctl.stmt.is_some();
         let t0 = (measure || metered).then(Instant::now);
         // Worker-thread CPU delta around handling: evaluation runs on this
         // thread, so the pair brackets the request's actual CPU cost.
@@ -420,7 +420,7 @@ fn record_stmt(stmt: &nepal_obs::StmtStats, req: &Json, frames: &[Json], wall_ns
     };
     let meter = nepal_obs::ResourceMeter::new();
     meter.add_cpu_ns(cpu_ns);
-    stmt.record(nepal_obs::fingerprint(&text), &text, outcome, wall_ns, rows, Some(&meter.snapshot()));
+    stmt.record(nepal_obs::fingerprint(&text), &text, outcome, wall_ns, rows, Some(&meter.snapshot()), None);
 }
 
 /// Bounded connection queue: the accept loop pushes, workers pop. `push`

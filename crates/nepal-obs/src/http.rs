@@ -12,12 +12,12 @@
 //! | `/healthz`       | deep readiness: checks + firing alerts + store  |
 //! | `/alerts.json`   | SLO rule states as JSON                         |
 //! | `/dashboard`     | self-contained HTML overview                    |
-//! | `/qlog.json`     | qlog status + per-fingerprint q-error as JSON   |
+//! | `/qlog.json`     | query-log status as JSON                        |
 //! | `/traces`        | stored trace summaries                          |
 //! | `/traces/latest` | newest trace as Chrome trace-event JSON         |
 //! | `/traces/<id>`   | one trace as Chrome trace-event JSON            |
 //! | `/flight`        | flight-recorder wide events (`?secs=`, `?limit=`) |
-//! | `/top.json`      | per-fingerprint cost table (`?n=`, `?sort=`)    |
+//! | `/top.json`      | per-fingerprint cost, q-error (`?n=`, `?sort=`) |
 //! | `/history.json`  | metrics history ring snapshots (`?tail=`)       |
 //! | `/snapshot`      | GET lists bundles; POST writes one on demand    |
 //! | `/drain`         | the final drain report, once recorded           |
@@ -52,7 +52,7 @@ use crate::history::{sparkline, HistoryRing};
 use crate::json::Json;
 use crate::metrics::MetricsRegistry;
 use crate::profile::fmt_ns;
-use crate::qlog::{EstimateFeedback, QueryLog};
+use crate::qlog::QueryLog;
 use crate::slo::{alerts_json, AlertStatus, SloEngine};
 use crate::stmt::{StmtSort, StmtStats};
 use crate::trace::{chrome_trace_json, summaries_json, Tracer};
@@ -91,13 +91,6 @@ pub struct ResourceSummary {
     pub chain_histogram: Vec<(u64, u64)>,
 }
 
-/// The query-log state the endpoint serves: the estimate-vs-actual
-/// aggregator plus, when durable logging is on, the log file handle.
-struct QlogState {
-    feedback: Arc<EstimateFeedback>,
-    log: Option<Arc<QueryLog>>,
-}
-
 /// Where anomaly-triggered diagnostics bundles land, and how much flight
 /// history each carries.
 #[derive(Debug, Clone)]
@@ -125,8 +118,11 @@ pub struct Telemetry {
     /// Expensive pull-gauge walks (exact store footprint): run only on
     /// `/metrics?deep=1`, never on a default scrape.
     deep_refreshers: Mutex<Vec<Refresher>>,
-    qlog: Mutex<Option<QlogState>>,
-    /// Per-fingerprint statement cost table, served on `/top.json`.
+    /// The durable log handle served on `/qlog.json` once attached
+    /// (`Some(None)`: attached with logging off).
+    qlog: Mutex<Option<Option<Arc<QueryLog>>>>,
+    /// Per-fingerprint statement table (cost and planner q-error), served
+    /// on `/top.json`.
     stmt: Mutex<Option<Arc<StmtStats>>>,
     /// Metrics history ring, served on `/history.json`.
     history: Mutex<Option<Arc<HistoryRing>>>,
@@ -214,10 +210,10 @@ impl Telemetry {
         *self.drain.lock().unwrap_or_else(|e| e.into_inner()) = Some(json);
     }
 
-    /// Attach the engine's plan-feedback aggregator (and the durable log
-    /// handle when one is open) so `/qlog.json` can serve them.
-    pub fn set_qlog(&self, feedback: Arc<EstimateFeedback>, log: Option<Arc<QueryLog>>) {
-        *self.qlog.lock().unwrap_or_else(|e| e.into_inner()) = Some(QlogState { feedback, log });
+    /// Attach the engine's durable log handle (`None` while logging is
+    /// off) so `/qlog.json` can serve its status.
+    pub fn set_qlog(&self, log: Option<Arc<QueryLog>>) {
+        *self.qlog.lock().unwrap_or_else(|e| e.into_inner()) = Some(log);
     }
 
     /// Attach the SLO engine: `/alerts.json` serves its rule states and
@@ -801,12 +797,9 @@ impl Telemetry {
                 (200, CT_HTML, self.dashboard())
             }
             "/qlog.json" => match &*self.qlog.lock().unwrap_or_else(|e| e.into_inner()) {
-                Some(q) => {
-                    let mut body = BTreeMap::from([
-                        ("enabled".to_string(), q.log.is_some().into()),
-                        ("fingerprints".to_string(), q.feedback.render_json()),
-                    ]);
-                    if let Some(Json::Obj(status)) = q.log.as_ref().map(|log| log.status_json()) {
+                Some(log) => {
+                    let mut body = BTreeMap::from([("enabled".to_string(), log.is_some().into())]);
+                    if let Some(Json::Obj(status)) = log.as_ref().map(|log| log.status_json()) {
                         body.extend(status);
                     }
                     json(200, Json::Obj(body))
@@ -1114,7 +1107,7 @@ mod tests {
         // Each attached table answers on its JSON route only, and
         // `/slow` is not a route: slow queries live in the trace ring.
         t.set_stmt(Arc::new(StmtStats::new(4)));
-        t.set_qlog(Arc::new(EstimateFeedback::new()), None);
+        t.set_qlog(None);
         t.set_slo(Arc::new(SloEngine::new(t.metrics.clone())));
         for route in ["/top", "/qlog", "/alerts"] {
             assert_eq!(t.handle(route).0, 404, "{route}");
@@ -1223,12 +1216,26 @@ mod tests {
     fn qlog_routes_require_attachment_then_serve_feedback() {
         let t = telemetry();
         assert_eq!(t.handle("/qlog.json").0, 404);
-        let feedback = Arc::new(EstimateFeedback::new());
-        t.set_qlog(feedback.clone(), None);
+        t.set_qlog(None);
         let (code, _, body) = t.handle("/qlog.json");
         assert_eq!(code, 200);
-        assert!(body.contains("\"enabled\":false"), "{body}");
-        assert!(body.contains("\"fingerprints\":[]"), "{body}");
+        assert_eq!(body.trim_end(), "{\"enabled\":false}");
+        // Per-fingerprint q-error is a column of the statement table.
+        let stmt = Arc::new(StmtStats::new(4));
+        let worst = crate::qlog::VarFeedback {
+            anchor: "VM()".into(),
+            est_rows: 5.0,
+            actual_rows: 500,
+            candidates: vec![("VM()".into(), 5.0), ("Host(host_id=?)".into(), 1.0)],
+            ..Default::default()
+        };
+        stmt.record(0xabcd, "Retrieve VM", crate::stmt::StmtOutcome::Ok, 1_000, 7, None, Some(&worst));
+        t.set_stmt(stmt);
+        let (code, _, body) = t.handle("/top.json?sort=qerror");
+        assert_eq!(code, 200);
+        assert!(body.contains("\"sort\":\"qerror\""), "{body}");
+        assert!(body.contains("\"max_qerror\":100"), "{body}");
+        assert!(body.contains("\"hindsight_anchor\":\"Host(host_id=?)\""), "{body}");
     }
 
     #[test]
@@ -1239,7 +1246,7 @@ mod tests {
         let meter = crate::meter::ResourceMeter::new();
         meter.add_rows(7);
         meter.add_bytes(640);
-        stmt.record(0xabcd, "Retrieve VM", crate::stmt::StmtOutcome::Ok, 1_000, 7, Some(&meter.snapshot()));
+        stmt.record(0xabcd, "Retrieve VM", crate::stmt::StmtOutcome::Ok, 1_000, 7, Some(&meter.snapshot()), None);
         t.set_stmt(stmt);
         let (code, ct, body) = t.handle("/top.json?n=5&sort=rows");
         assert_eq!((code, ct), (200, CT_JSON));
@@ -1320,7 +1327,7 @@ mod tests {
                 let stmt = stmt.clone();
                 s.spawn(move || {
                     for i in 0..10 {
-                        stmt.record(w * 100 + i, "Retrieve VM", crate::stmt::StmtOutcome::Ok, 500, 1, None);
+                        stmt.record(w * 100 + i, "Retrieve VM", crate::stmt::StmtOutcome::Ok, 500, 1, None, None);
                         let (head, body) = get(addr, "/top.json");
                         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
                         assert!(body.contains("\"statements\""), "{body}");

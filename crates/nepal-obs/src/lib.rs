@@ -24,19 +24,22 @@
 //!   `chrome://tracing`). Disabled tracing takes no clock reads on the
 //!   hot path.
 //! - [`http`] — a std-only HTTP listener ([`TelemetryServer`]) serving
-//!   `/metrics`, `/metrics.json`, `/healthz`, `/traces`, `/qlog.json`,
-//!   and `/traces/<id>`.
+//!   `/metrics`, `/metrics.json`, `/healthz`, `/traces`, `/top.json`,
+//!   `/qlog.json` (log status), and `/traces/<id>`.
 //! - [`qlog`] — the durable query log: append-only JSONL records
 //!   ([`QlogRecord`]) with bounded rotation ([`QueryLog`]), normalized
-//!   query [`fingerprint`]s, and the per-fingerprint planner
-//!   estimate-vs-actual q-error aggregator ([`EstimateFeedback`]).
+//!   query [`fingerprint`]s, and the planner's per-variable
+//!   estimate-vs-actual feedback ([`PlanFeedback`]).
+//! - [`stmt`] — the per-fingerprint statement table ([`StmtStats`]): one
+//!   bounded LRU row per fingerprint holding its cost and its planner
+//!   q-error together, served at `/top.json`.
 //! - [`flight`] — the black-box flight recorder: per-thread lock-free
 //!   rings of compact wide events ([`WideEvent`]) stitched into one
 //!   chronological stream, plus anomaly-triggered diagnostics snapshot
 //!   bundles (panic hook, firing alert, SIGQUIT, `POST /snapshot`).
 //! - [`slo`] — declarative SLO rules ([`SloRule`]) evaluated by the
 //!   pull-time burn-rate engine ([`SloEngine`]): latency-quantile,
-//!   error-rate, memory-watermark and probe ceilings with
+//!   error-rate and memory-watermark ceilings with
 //!   firing/pending/resolved alert state, exported as
 //!   `nepal_alerts_firing` and served at `/alerts.json`.
 
@@ -61,9 +64,7 @@ pub use json::{parse_json, Json};
 pub use meter::{thread_cpu_ns, MeterSnapshot, ResourceMeter};
 pub use metrics::{quantile_from_counts, Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS};
 pub use profile::{fmt_ns, AnchorCandidate, ExecTrace, JoinStep, OpStats, QueryProfile, SearchSplit, VarProfile};
-pub use qlog::{
-    fingerprint, qerror, EstimateFeedback, FingerprintStats, PlanFeedback, QlogRecord, QueryLog, VarFeedback,
-};
+pub use qlog::{fingerprint, qerror, PlanFeedback, QlogRecord, QueryLog, VarFeedback};
 pub use slo::{alerts_json, alerts_text, AlertState, AlertStatus, SloEngine, SloRule, SloSignal};
 pub use stmt::{StmtEntry, StmtOutcome, StmtSort, StmtStats};
 pub use trace::{chrome_trace_json, SpanHandle, SpanRecord, Trace, TraceSummary, Tracer, TRACK_CLIENT, TRACK_SERVER};

@@ -1,7 +1,7 @@
 //! Durable query log, workload capture, and planner estimate-vs-actual
 //! feedback.
 //!
-//! Three pieces, all std-only:
+//! Two pieces, all std-only:
 //!
 //! - [`QueryLog`] — an append-only JSONL log with bounded rotation. Every
 //!   executed query becomes one [`QlogRecord`] line: text, normalized
@@ -14,27 +14,21 @@
 //! - [`PlanFeedback`] — the estimate-vs-actual surface distilled from a
 //!   [`QueryProfile`]: for each range variable the planner's chosen anchor
 //!   and its estimated cardinality next to the observed anchor-scan output,
-//!   plus the join probe/build/emitted counts.
-//! - [`EstimateFeedback`] — the per-fingerprint aggregator: q-error
-//!   (`max(est/actual, actual/est)`) counts, the chosen anchor, and the
-//!   *best-in-hindsight* anchor (re-rank the candidates with the chosen
-//!   one's estimate replaced by its observed cardinality — would the
-//!   planner still pick it knowing the truth?). Rendered by
-//!   `/qlog.json` and the REPL's `:qlog top N`; q-errors also land in the
-//!   [`MetricsRegistry`] so misestimates show up on `/metrics`.
+//!   plus the join probe/build/emitted counts. [`VarFeedback::qerror`] and
+//!   the *best-in-hindsight* anchor ([`VarFeedback::hindsight_anchor`])
+//!   are what the statement table ([`crate::StmtStats`]) keeps per
+//!   fingerprint.
 //!
 //! The overhead contract matches tracing: a disabled query log costs the
 //! engine nothing — no clock reads, no hashing, no allocation.
 
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::json::{parse_json, Json};
-use crate::metrics::{Counter, Histogram, MetricsRegistry};
 use crate::profile::QueryProfile;
 
 // ---------------------------------------------------------------------
@@ -291,19 +285,6 @@ pub struct QlogRecord {
 }
 
 impl QlogRecord {
-    /// A record for a query that failed before producing a result.
-    pub fn for_error(query: &str, total_ns: u64, error: &str, trace_id: Option<u64>, threads: u64) -> QlogRecord {
-        QlogRecord {
-            query: query.to_string(),
-            fingerprint: fingerprint(query),
-            trace_id,
-            threads,
-            total_ns,
-            error: Some(error.to_string()),
-            ..Default::default()
-        }
-    }
-
     /// Serialize as a single JSON line (no trailing newline).
     pub fn to_json_line(&self) -> String {
         let vars = self
@@ -516,10 +497,11 @@ impl QueryLog {
         self.rotations.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Read every parseable record from a log file (live generation only).
-    /// A torn trailing line — a crash mid-append — is skipped with a
-    /// warning rather than silently dropped like any other unparseable
-    /// line, so replay tooling can tell recovery from corruption.
+    /// Read every record from a log file (live generation only). A torn
+    /// trailing line — a crash mid-append — is skipped with a warning and
+    /// counted; any other unparseable line is corruption and fails the
+    /// read with [`std::io::ErrorKind::InvalidData`] naming the line, so
+    /// replay never passes over a log it read only in part.
     pub fn read_records(path: impl AsRef<Path>) -> std::io::Result<Vec<QlogRecord>> {
         let path = path.as_ref();
         let text = std::fs::read_to_string(path)?;
@@ -544,7 +526,12 @@ impl QueryLog {
                         line.len()
                     );
                 }
-                None => {} // malformed interior line: drop, as before
+                None => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::InvalidData,
+                        format!("query log `{}` line {}: unparseable record", path.display(), i + 1),
+                    ))
+                }
             }
         }
         Ok(out)
@@ -558,219 +545,6 @@ impl QueryLog {
             ("bytes", self.bytes().into()),
             ("rotations", self.rotations().into()),
         ])
-    }
-}
-
-// ---------------------------------------------------------------------
-// Estimate feedback: per-fingerprint q-error aggregation
-// ---------------------------------------------------------------------
-
-/// Aggregated planner accuracy for one query fingerprint. The anchor
-/// fields describe the *worst* variable of the most recent observation.
-#[derive(Debug, Clone)]
-pub struct FingerprintStats {
-    pub fingerprint: u64,
-    /// An example query text carrying this fingerprint.
-    pub example: String,
-    pub count: u64,
-    pub max_qerror: f64,
-    pub sum_qerror: f64,
-    pub last_est: f64,
-    pub last_actual: u64,
-    pub anchor: String,
-    pub hindsight_anchor: String,
-}
-
-impl FingerprintStats {
-    pub fn mean_qerror(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_qerror / self.count as f64
-        }
-    }
-
-    /// Whether hindsight would have picked a different anchor.
-    pub fn mischosen(&self) -> bool {
-        !self.hindsight_anchor.is_empty() && self.hindsight_anchor != self.anchor
-    }
-}
-
-/// Per-fingerprint estimation-accuracy aggregator. Bounded: once `cap`
-/// fingerprints are tracked, a new one only enters by evicting a tracked
-/// fingerprint with a smaller worst-case q-error.
-pub struct EstimateFeedback {
-    cap: usize,
-    entries: Mutex<BTreeMap<u64, FingerprintStats>>,
-    records: Option<Arc<Counter>>,
-    misestimates: Option<Arc<Counter>>,
-    qerror_hist: Option<Arc<Histogram>>,
-}
-
-impl Default for EstimateFeedback {
-    fn default() -> Self {
-        EstimateFeedback::new()
-    }
-}
-
-impl EstimateFeedback {
-    /// A standalone aggregator (no metrics export), tracking 512
-    /// fingerprints.
-    pub fn new() -> EstimateFeedback {
-        EstimateFeedback {
-            cap: 512,
-            entries: Mutex::new(BTreeMap::new()),
-            records: None,
-            misestimates: None,
-            qerror_hist: None,
-        }
-    }
-
-    /// An aggregator that also exports into `metrics`:
-    /// `nepal_qlog_records_total`, `nepal_planner_misestimates_total`
-    /// (q-error > 2), and the `nepal_planner_qerror_x1000` histogram.
-    pub fn with_metrics(metrics: &MetricsRegistry) -> EstimateFeedback {
-        EstimateFeedback {
-            cap: 512,
-            entries: Mutex::new(BTreeMap::new()),
-            records: Some(metrics.counter("nepal_qlog_records_total", "Query-log records observed")),
-            misestimates: Some(
-                metrics.counter("nepal_planner_misestimates_total", "Anchor estimates with q-error > 2"),
-            ),
-            qerror_hist: Some(metrics.histogram(
-                "nepal_planner_qerror_x1000",
-                "Anchor cardinality q-error (max(est/actual, actual/est)) x1000",
-            )),
-        }
-    }
-
-    /// Fold one executed query into the aggregate. Errored records count
-    /// toward the record counter but carry no estimates.
-    pub fn observe(&self, rec: &QlogRecord) {
-        if let Some(c) = &self.records {
-            c.inc();
-        }
-        if rec.error.is_some() {
-            return;
-        }
-        for v in rec.feedback.vars.iter().filter(|v| !v.candidates.is_empty()) {
-            let q = v.qerror();
-            if let Some(h) = &self.qerror_hist {
-                h.observe((q * 1000.0) as u64);
-            }
-            if q > 2.0 {
-                if let Some(c) = &self.misestimates {
-                    c.inc();
-                }
-            }
-        }
-        let Some(worst) = rec.feedback.worst_var() else { return };
-        let q = worst.qerror();
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        if !entries.contains_key(&rec.fingerprint) && entries.len() >= self.cap {
-            // Evict the least-interesting fingerprint, or drop the new one.
-            let min = entries
-                .iter()
-                .min_by(|a, b| a.1.max_qerror.total_cmp(&b.1.max_qerror))
-                .map(|(k, v)| (*k, v.max_qerror));
-            match min {
-                Some((k, mq)) if mq < q => {
-                    entries.remove(&k);
-                }
-                _ => return,
-            }
-        }
-        let e = entries.entry(rec.fingerprint).or_insert_with(|| FingerprintStats {
-            fingerprint: rec.fingerprint,
-            example: rec.query.clone(),
-            count: 0,
-            max_qerror: 0.0,
-            sum_qerror: 0.0,
-            last_est: 0.0,
-            last_actual: 0,
-            anchor: String::new(),
-            hindsight_anchor: String::new(),
-        });
-        e.count += 1;
-        e.sum_qerror += q;
-        e.max_qerror = e.max_qerror.max(q);
-        e.last_est = worst.est_rows;
-        e.last_actual = worst.actual_rows;
-        e.anchor = worst.anchor.clone();
-        e.hindsight_anchor = worst.hindsight_anchor();
-    }
-
-    /// Number of tracked fingerprints.
-    pub fn len(&self) -> usize {
-        self.entries.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `n` worst fingerprints by max q-error, worst first.
-    pub fn top(&self, n: usize) -> Vec<FingerprintStats> {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
-        let mut all: Vec<FingerprintStats> = entries.values().cloned().collect();
-        all.sort_by(|a, b| b.max_qerror.total_cmp(&a.max_qerror));
-        all.truncate(n);
-        all
-    }
-
-    /// Human-readable ranking (the REPL's `:qlog` and `:qlog top`).
-    pub fn render_text(&self, n: usize) -> String {
-        let top = self.top(n);
-        if top.is_empty() {
-            return "no plan feedback recorded yet\n".to_string();
-        }
-        let mut s = String::new();
-        s.push_str(&format!(
-            "{:<18} {:>5} {:>9} {:>9} {:>10} {:>10}  {}\n",
-            "fingerprint", "seen", "max qerr", "mean", "est", "actual", "anchor (chosen -> hindsight)"
-        ));
-        for f in &top {
-            let anchors = if f.mischosen() {
-                format!("{} -> {}", f.anchor, f.hindsight_anchor)
-            } else {
-                format!("{} (robust)", f.anchor)
-            };
-            s.push_str(&format!(
-                "{:016x}  {:>5} {:>9.2} {:>9.2} {:>10.1} {:>10}  {}\n",
-                f.fingerprint,
-                f.count,
-                f.max_qerror,
-                f.mean_qerror(),
-                f.last_est,
-                f.last_actual,
-                anchors
-            ));
-            s.push_str(&format!("    {}\n", f.example));
-        }
-        s
-    }
-
-    /// The `fingerprints` array of `/qlog.json`, worst first.
-    pub fn render_json(&self) -> Json {
-        let items = self
-            .top(usize::MAX)
-            .iter()
-            .map(|f| {
-                Json::obj([
-                    ("fp", Json::hex(f.fingerprint)),
-                    ("example", f.example.as_str().into()),
-                    ("count", f.count.into()),
-                    ("max_qerror", f.max_qerror.into()),
-                    ("mean_qerror", f.mean_qerror().into()),
-                    ("last_est", f.last_est.into()),
-                    ("last_actual", f.last_actual.into()),
-                    ("anchor", f.anchor.as_str().into()),
-                    ("hindsight_anchor", f.hindsight_anchor.as_str().into()),
-                    ("mischosen", f.mischosen().into()),
-                ])
-            })
-            .collect();
-        Json::Arr(items)
     }
 }
 
@@ -864,6 +638,21 @@ mod tests {
     }
 
     #[test]
+    fn read_records_rejects_a_corrupt_interior_line() {
+        let dir = std::env::temp_dir().join(format!("nepal-qlog-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("qlog.jsonl");
+        let line = sample_record().to_json_line();
+        // A terminated garbage line between two intact records is not a
+        // torn tail: the read fails rather than replaying two of three.
+        std::fs::write(&path, format!("{line}\n{{\"ts_ms\":1,\"qu\n{line}\n")).unwrap();
+        let err = QueryLog::read_records(&path).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("line 2"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn record_round_trips_through_json() {
         let rec = sample_record();
         let line = rec.to_json_line();
@@ -871,7 +660,14 @@ mod tests {
         let back = QlogRecord::parse(&line).expect("parses");
         assert_eq!(back, rec);
         // Error records round-trip too.
-        let err = QlogRecord::for_error("Retrieve P From", 99, "syntax error: \"oops\"", None, 1);
+        let err = QlogRecord {
+            query: "Retrieve P From".into(),
+            fingerprint: fingerprint("Retrieve P From"),
+            threads: 1,
+            total_ns: 99,
+            error: Some("syntax error: \"oops\"".into()),
+            ..QlogRecord::default()
+        };
         let back = QlogRecord::parse(&err.to_json_line()).unwrap();
         assert_eq!(back, err);
         assert_eq!(back.error.as_deref(), Some("syntax error: \"oops\""));
@@ -916,41 +712,6 @@ mod tests {
         let records = QueryLog::read_records(&path).unwrap();
         assert!(records.iter().all(|r| r.fingerprint == rec.fingerprint));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn feedback_ranks_worst_fingerprints_first() {
-        let fb = EstimateFeedback::new();
-        let mut good = sample_record();
-        good.query = "Retrieve P From PATHS P Where P MATCHES VM()".into();
-        good.fingerprint = 1;
-        good.feedback.vars[0].est_rows = 66.0; // perfect
-        let mut bad = sample_record();
-        bad.fingerprint = 2;
-        bad.feedback.vars[0].est_rows = 2.0; // 33x off
-        fb.observe(&good);
-        fb.observe(&bad);
-        fb.observe(&bad);
-        assert_eq!(fb.len(), 2);
-        let top = fb.top(10);
-        assert_eq!(top[0].fingerprint, 2);
-        assert_eq!(top[0].count, 2);
-        assert!(top[0].max_qerror > 30.0);
-        assert_eq!(top[1].fingerprint, 1);
-        assert_eq!(top[1].max_qerror, 1.0);
-        assert!(top[0].mischosen(), "hindsight prefers the unique anchor");
-        let text = fb.render_text(1);
-        assert!(text.contains("->"), "{text}");
-        let json = fb.render_json().to_string();
-        assert!(parse_json(&json).is_ok(), "{json}");
-        assert!(json.contains("\"mischosen\":true"), "{json}");
-    }
-
-    #[test]
-    fn errored_records_count_but_carry_no_estimates() {
-        let fb = EstimateFeedback::new();
-        fb.observe(&QlogRecord::for_error("Retrieve P From", 9, "parse error", None, 1));
-        assert!(fb.is_empty());
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   histogram, computed over the **window** of observations since the
 //!   previous evaluation (the delta of the cumulative bucket counts), so
 //!   an overload that ends actually resolves instead of being frozen into
-//!   the cumulative distribution.
+//!   the cumulative distribution. The same signal bounds the planner's
+//!   anchor q-error (`nepal_planner_qerror_x1000`).
 //! - [`SloSignal::ErrorRate`] — the ratio of two counter families over
 //!   the same inter-evaluation window.
 //! - [`SloSignal::GaugeMax`] — an instantaneous watermark on a gauge
 //!   family sum (e.g. `nepal_store_total_bytes`).
-//! - [`SloSignal::Probe`] — an arbitrary measured value (e.g. the worst
-//!   planner q-error from [`crate::EstimateFeedback`]).
 //!
 //! Burn rate is `measured / threshold`: 1.0 means the error budget is
 //! being consumed exactly at the sustainable rate, >1 means the SLO is
@@ -45,8 +44,6 @@ pub enum SloSignal {
     ErrorRate { errors: String, total: String, max_ratio: f64 },
     /// The gauge family sum must stay ≤ `max`.
     GaugeMax { gauge: String, max: i64 },
-    /// `probe()` must stay ≤ `max`.
-    Probe { probe: Box<dyn Fn() -> f64 + Send>, max: f64 },
 }
 
 /// One declarative SLO rule.
@@ -64,9 +61,10 @@ impl SloRule {
         SloRule { name: name.to_string(), signal, for_ms: 0, clear_ms: 0 }
     }
 
-    /// Latency target: `q`-quantile of `histogram` ≤ `max_ns`.
-    pub fn latency(name: &str, histogram: &str, q: f64, max_ns: u64) -> SloRule {
-        SloRule::new(name, SloSignal::LatencyQuantile { histogram: histogram.to_string(), q, max: max_ns })
+    /// Quantile target: `q`-quantile of `histogram` ≤ `max` (nanoseconds
+    /// for a latency histogram).
+    pub fn latency(name: &str, histogram: &str, q: f64, max: u64) -> SloRule {
+        SloRule::new(name, SloSignal::LatencyQuantile { histogram: histogram.to_string(), q, max })
     }
 
     /// Error-rate target: `errors / total` ≤ `max_ratio` per window.
@@ -77,11 +75,6 @@ impl SloRule {
     /// Memory watermark: gauge family sum ≤ `max`.
     pub fn gauge_max(name: &str, gauge: &str, max: i64) -> SloRule {
         SloRule::new(name, SloSignal::GaugeMax { gauge: gauge.to_string(), max })
-    }
-
-    /// Arbitrary measured ceiling.
-    pub fn probe(name: &str, max: f64, probe: impl Fn() -> f64 + Send + 'static) -> SloRule {
-        SloRule::new(name, SloSignal::Probe { probe: Box::new(probe), max })
     }
 
     /// Require the breach to persist `ms` before firing.
@@ -275,7 +268,7 @@ fn measure(metrics: &MetricsRegistry, rs: &mut RuleState) -> (f64, f64, bool, St
                 measured as f64,
                 *max as f64,
                 measured > *max,
-                format!("p{:.0} {}ns over {} obs (target {}ns)", q * 100.0, measured, window, max),
+                format!("p{:.0} {histogram} {measured} over {window} obs (max {max})", q * 100.0),
             )
         }
         SloSignal::ErrorRate { errors, total, max_ratio } => {
@@ -293,10 +286,6 @@ fn measure(metrics: &MetricsRegistry, rs: &mut RuleState) -> (f64, f64, bool, St
         SloSignal::GaugeMax { gauge, max } => {
             let v = metrics.gauge_total(gauge).unwrap_or(0);
             (v as f64, *max as f64, v > *max, format!("{gauge} = {v} (max {max})"))
-        }
-        SloSignal::Probe { probe, max } => {
-            let v = probe();
-            (v, *max, v > *max, format!("probe = {v:.3} (max {max})"))
         }
     }
 }
@@ -342,19 +331,13 @@ pub fn alerts_json(statuses: &[AlertStatus]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn state_machine_walks_ok_pending_firing_resolved() {
         let metrics = Arc::new(MetricsRegistry::new());
-        let level = Arc::new(AtomicU64::new(0));
-        let probe_level = level.clone();
+        let level = metrics.gauge("level", "test level");
         let engine = SloEngine::new(metrics);
-        engine.add(
-            SloRule::probe("probe-ceiling", 10.0, move || probe_level.load(Ordering::Relaxed) as f64)
-                .pending_for(100)
-                .clear_after(50),
-        );
+        engine.add(SloRule::gauge_max("level-ceiling", "level", 10).pending_for(100).clear_after(50));
 
         // Healthy.
         let s = engine.evaluate_at(1_000);
@@ -362,7 +345,7 @@ mod tests {
         assert_eq!(engine.firing_count(), 0);
 
         // Breach begins: pending, not yet firing.
-        level.store(40, Ordering::Relaxed);
+        level.set(40);
         let s = engine.evaluate_at(1_010);
         assert_eq!(s[0].state, AlertState::Pending { since_ms: 1_010 });
         assert!((s[0].burn - 4.0).abs() < 1e-9, "burn {}", s[0].burn);
@@ -373,7 +356,7 @@ mod tests {
         assert_eq!(engine.firing_count(), 1);
 
         // Recovery: resolved, then decays to ok after clear_ms.
-        level.store(0, Ordering::Relaxed);
+        level.set(0);
         let s = engine.evaluate_at(1_300);
         assert_eq!(s[0].state, AlertState::Resolved { since_ms: 1_300 });
         assert_eq!(engine.firing_count(), 0);
@@ -386,13 +369,12 @@ mod tests {
     #[test]
     fn pending_breach_that_recovers_never_fires() {
         let metrics = Arc::new(MetricsRegistry::new());
-        let level = Arc::new(AtomicU64::new(99));
-        let probe_level = level.clone();
+        let level = metrics.gauge("level", "test level");
+        level.set(99);
         let engine = SloEngine::new(metrics);
-        engine
-            .add(SloRule::probe("spike", 10.0, move || probe_level.load(Ordering::Relaxed) as f64).pending_for(1_000));
+        engine.add(SloRule::gauge_max("spike", "level", 10).pending_for(1_000));
         assert_eq!(engine.evaluate_at(0)[0].state, AlertState::Pending { since_ms: 0 });
-        level.store(0, Ordering::Relaxed);
+        level.set(0);
         assert_eq!(engine.evaluate_at(500)[0].state, AlertState::Ok);
     }
 

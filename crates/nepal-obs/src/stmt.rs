@@ -1,11 +1,13 @@
 //! Per-fingerprint statement statistics — the `pg_stat_statements` of the
 //! engine. A bounded table keyed by the query-log fingerprint (normalized
 //! query shape), aggregating calls, cpu/wall time, rows, bytes,
-//! materializations and failure counts, with LRU eviction at a fixed
-//! capacity so a workload of unbounded distinct shapes cannot grow memory.
+//! materializations and failure counts next to the planner's accuracy
+//! (q-error of the anchor estimate, chosen vs best-in-hindsight anchor),
+//! with LRU eviction at a fixed capacity so a workload of unbounded
+//! distinct shapes cannot grow memory.
 //!
 //! The table is fed from the engine's profiled path (one `record` per
-//! finished query, one `record_failure` per error) and read by
+//! query, ok or failed) and the Gremlin wire server, and read by
 //! `/top.json`, the REPL `:top` command, the dashboard panel and the
 //! `nepal_stmt_*` metric families.
 
@@ -15,6 +17,7 @@ use std::sync::Mutex;
 use crate::json::Json;
 use crate::meter::MeterSnapshot;
 use crate::metrics::MetricsRegistry;
+use crate::qlog::VarFeedback;
 
 /// How a failed statement ended, for per-fingerprint failure attribution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +41,12 @@ pub enum StmtSort {
     Bytes,
     Calls,
     Wall,
+    /// Worst anchor q-error; statements without an estimate sort last.
+    Qerror,
 }
 
 impl StmtSort {
-    /// Parse a user-facing sort name (`cpu|rows|bytes|calls|wall`).
+    /// Parse a user-facing sort name (`cpu|rows|bytes|calls|wall|qerror`).
     pub fn parse(s: &str) -> Option<StmtSort> {
         match s {
             "cpu" => Some(StmtSort::Cpu),
@@ -49,6 +54,7 @@ impl StmtSort {
             "bytes" => Some(StmtSort::Bytes),
             "calls" => Some(StmtSort::Calls),
             "wall" => Some(StmtSort::Wall),
+            "qerror" => Some(StmtSort::Qerror),
             _ => None,
         }
     }
@@ -60,12 +66,13 @@ impl StmtSort {
             StmtSort::Bytes => "bytes",
             StmtSort::Calls => "calls",
             StmtSort::Wall => "wall",
+            StmtSort::Qerror => "qerror",
         }
     }
 }
 
 /// Aggregated statistics for one statement fingerprint.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StmtEntry {
     pub fingerprint: u64,
     /// Sample text (normalized shape) of the statement.
@@ -83,6 +90,20 @@ pub struct StmtEntry {
     pub materializations: u64,
     pub keyframe_hits: u64,
     pub join_build_rows: u64,
+    /// Calls that carried an anchor estimate. The planner fields below
+    /// cover those calls only, and stay empty while this is 0 (Gremlin-wire
+    /// statements never plan).
+    pub estimated: u64,
+    /// Worst-variable q-error, max and sum over the estimated calls.
+    pub max_qerror: f64,
+    pub sum_qerror: f64,
+    /// The worst variable of the latest estimated call: its estimate, the
+    /// observed anchor rows, the chosen anchor and the anchor the planner
+    /// would pick knowing the observed count.
+    pub last_est: f64,
+    pub last_actual: u64,
+    pub anchor: String,
+    pub hindsight_anchor: String,
 }
 
 impl StmtEntry {
@@ -93,7 +114,18 @@ impl StmtEntry {
             StmtSort::Bytes => self.bytes_scanned,
             StmtSort::Calls => self.calls,
             StmtSort::Wall => self.wall_ns_total,
+            // The histogram's x1000 resolution; unestimated rows read 0.
+            StmtSort::Qerror => (self.max_qerror * 1000.0) as u64,
         }
+    }
+
+    pub fn mean_qerror(&self) -> Option<f64> {
+        (self.estimated > 0).then(|| self.sum_qerror / self.estimated as f64)
+    }
+
+    /// Whether hindsight would have picked a different anchor.
+    pub fn mischosen(&self) -> bool {
+        !self.hindsight_anchor.is_empty() && self.hindsight_anchor != self.anchor
     }
 }
 
@@ -113,9 +145,6 @@ struct Inner {
 /// operation takes one short mutex section.
 pub struct StmtStats {
     capacity: usize,
-    /// Runtime kill switch: a disabled table drops records at the door, so
-    /// overhead drills can toggle metering without rebuilding the server.
-    enabled: std::sync::atomic::AtomicBool,
     inner: Mutex<Inner>,
 }
 
@@ -127,24 +156,14 @@ impl std::fmt::Debug for StmtStats {
 
 impl StmtStats {
     pub fn new(capacity: usize) -> StmtStats {
-        StmtStats {
-            capacity: capacity.max(1),
-            enabled: std::sync::atomic::AtomicBool::new(true),
-            inner: Mutex::new(Inner { map: HashMap::new(), tick: 0, evicted: 0 }),
-        }
-    }
-
-    /// Toggle recording at runtime; existing entries are kept.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(std::sync::atomic::Ordering::Relaxed)
+        StmtStats { capacity: capacity.max(1), inner: Mutex::new(Inner { map: HashMap::new(), tick: 0, evicted: 0 }) }
     }
 
     /// Record one finished statement. `meter` carries the deterministic
-    /// resource counters when metering was on for this query.
+    /// resource counters when metering was on for this query; `worst` is
+    /// the variable with the largest anchor q-error, when any variable
+    /// carried an estimate.
+    #[allow(clippy::too_many_arguments)]
     pub fn record(
         &self,
         fingerprint: u64,
@@ -153,10 +172,8 @@ impl StmtStats {
         wall_ns: u64,
         rows: u64,
         meter: Option<&MeterSnapshot>,
+        worst: Option<&VarFeedback>,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
         let mut inner = self.inner.lock().unwrap();
         inner.tick += 1;
         let tick = inner.tick;
@@ -200,6 +217,16 @@ impl StmtStats {
             e.materializations += m.materializations;
             e.keyframe_hits += m.keyframe_hits;
             e.join_build_rows += m.join_build_rows;
+        }
+        if let Some(v) = worst {
+            let q = v.qerror();
+            e.estimated += 1;
+            e.sum_qerror += q;
+            e.max_qerror = e.max_qerror.max(q);
+            e.last_est = v.est_rows;
+            e.last_actual = v.actual_rows;
+            e.anchor.clone_from(&v.anchor);
+            e.hindsight_anchor = v.hindsight_anchor();
         }
     }
 
@@ -293,6 +320,24 @@ impl StmtStats {
                 e.errors,
                 truncate_text(&e.text, 120),
             ));
+            if sort == StmtSort::Qerror {
+                out.push_str(&match e.mean_qerror() {
+                    Some(mean) => format!(
+                        "    qerror max {:.2} mean {:.2} over {} call(s), est {:.1} actual {}, anchor {}\n",
+                        e.max_qerror,
+                        mean,
+                        e.estimated,
+                        e.last_est,
+                        e.last_actual,
+                        if e.mischosen() {
+                            format!("{} -> {}", e.anchor, e.hindsight_anchor)
+                        } else {
+                            format!("{} (robust)", e.anchor)
+                        }
+                    ),
+                    None => "    qerror: no estimate\n".to_string(),
+                });
+            }
         }
         out
     }
@@ -319,6 +364,13 @@ impl StmtStats {
                     ("materializations", e.materializations.into()),
                     ("keyframe_hits", e.keyframe_hits.into()),
                     ("join_build_rows", e.join_build_rows.into()),
+                    ("estimated", e.estimated.into()),
+                    ("max_qerror", (e.estimated > 0).then_some(e.max_qerror).into()),
+                    ("mean_qerror", e.mean_qerror().into()),
+                    ("last_est", (e.estimated > 0).then_some(e.last_est).into()),
+                    ("last_actual", (e.estimated > 0).then_some(e.last_actual).into()),
+                    ("anchor", e.anchor.as_str().into()),
+                    ("hindsight_anchor", e.hindsight_anchor.as_str().into()),
                 ])
             })
             .collect();
@@ -341,6 +393,7 @@ fn truncate_text(s: &str, max: usize) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_json;
 
     fn meter(cpu: u64, bytes: u64, mat: u64) -> MeterSnapshot {
         MeterSnapshot { cpu_ns: cpu, bytes_scanned: bytes, materializations: mat, ..MeterSnapshot::default() }
@@ -349,9 +402,9 @@ mod tests {
     #[test]
     fn aggregates_per_fingerprint() {
         let s = StmtStats::new(8);
-        s.record(1, "VM()", StmtOutcome::Ok, 100, 3, Some(&meter(50, 1024, 2)));
-        s.record(1, "VM()", StmtOutcome::Ok, 300, 5, Some(&meter(70, 512, 1)));
-        s.record(2, "Host()", StmtOutcome::Deadline, 900, 0, None);
+        s.record(1, "VM()", StmtOutcome::Ok, 100, 3, Some(&meter(50, 1024, 2)), None);
+        s.record(1, "VM()", StmtOutcome::Ok, 300, 5, Some(&meter(70, 512, 1)), None);
+        s.record(2, "Host()", StmtOutcome::Deadline, 900, 0, None, None);
         let top = s.top(10, StmtSort::Cpu);
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].fingerprint, 1);
@@ -372,10 +425,10 @@ mod tests {
     #[test]
     fn lru_evicts_coldest_fingerprint() {
         let s = StmtStats::new(2);
-        s.record(1, "a", StmtOutcome::Ok, 1, 0, None);
-        s.record(2, "b", StmtOutcome::Ok, 1, 0, None);
-        s.record(1, "a", StmtOutcome::Ok, 1, 0, None); // touch 1 -> 2 is coldest
-        s.record(3, "c", StmtOutcome::Ok, 1, 0, None); // evicts 2
+        s.record(1, "a", StmtOutcome::Ok, 1, 0, None, None);
+        s.record(2, "b", StmtOutcome::Ok, 1, 0, None, None);
+        s.record(1, "a", StmtOutcome::Ok, 1, 0, None, None); // touch 1 -> 2 is coldest
+        s.record(3, "c", StmtOutcome::Ok, 1, 0, None, None); // evicts 2
         assert_eq!(s.tracked(), 2);
         assert_eq!(s.evicted(), 1);
         let fps: Vec<u64> = s.top(10, StmtSort::Calls).iter().map(|e| e.fingerprint).collect();
@@ -385,7 +438,7 @@ mod tests {
     #[test]
     fn renders_text_and_json() {
         let s = StmtStats::new(4);
-        s.record(7, "VM(name=\"a\")", StmtOutcome::Ok, 1000, 2, Some(&meter(10, 64, 1)));
+        s.record(7, "VM(name=\"a\")", StmtOutcome::Ok, 1000, 2, Some(&meter(10, 64, 1)), None);
         let text = s.render_text(5, StmtSort::Calls);
         assert!(text.contains("top 1 statements by calls"), "{text}");
         let json = s.render_json(5, StmtSort::Cpu).to_string();
@@ -396,9 +449,61 @@ mod tests {
 
     #[test]
     fn sort_parse_round_trips() {
-        for s in ["cpu", "rows", "bytes", "calls", "wall"] {
+        for s in ["cpu", "rows", "bytes", "calls", "wall", "qerror"] {
             assert_eq!(StmtSort::parse(s).unwrap().name(), s);
         }
         assert!(StmtSort::parse("nope").is_none());
+    }
+
+    /// The chosen `VNF()` anchor estimated at `est`, observed at `actual`,
+    /// next to a `Host(host_id=3)` candidate estimated at `other`.
+    fn var(est: f64, actual: u64, other: f64) -> VarFeedback {
+        VarFeedback {
+            anchor: "VNF()".into(),
+            est_rows: est,
+            actual_rows: actual,
+            candidates: vec![("VNF()".into(), est), ("Host(host_id=3)".into(), other)],
+            ..VarFeedback::default()
+        }
+    }
+
+    #[test]
+    fn qerror_sort_ranks_worst_fingerprints_first() {
+        let s = StmtStats::new(8);
+        s.record(1, "VM()", StmtOutcome::Ok, 10, 66, None, Some(&var(66.0, 66, 200.0))); // perfect
+        let bad = var(2.0, 66, 1.0); // 33x off
+        s.record(2, "VNF()", StmtOutcome::Ok, 10, 5, None, Some(&bad));
+        s.record(2, "VNF()", StmtOutcome::Ok, 10, 5, None, Some(&bad));
+        s.record(3, "gremlin eval g.V()", StmtOutcome::Ok, 10_000, 9, None, None);
+        let top = s.top(10, StmtSort::Qerror);
+        let fps: Vec<u64> = top.iter().map(|e| e.fingerprint).collect();
+        assert_eq!(fps, [2, 1, 3], "worst first, the unestimated row last");
+        assert_eq!((top[0].calls, top[0].estimated), (2, 2));
+        assert!(top[0].max_qerror > 30.0);
+        assert_eq!(top[0].mean_qerror(), Some(33.0));
+        assert_eq!(top[1].max_qerror, 1.0);
+        assert!(top[0].mischosen(), "hindsight prefers the unique anchor");
+        assert!(!top[1].mischosen(), "a robust choice keeps its anchor");
+        assert_eq!(top[2].mean_qerror(), None);
+        let text = s.render_text(1, StmtSort::Qerror);
+        assert!(text.contains("anchor VNF() -> Host(host_id=3)"), "{text}");
+        let json = s.render_json(10, StmtSort::Qerror).to_string();
+        assert!(parse_json(&json).is_ok(), "{json}");
+        assert!(json.contains("\"hindsight_anchor\":\"Host(host_id=3)\""), "{json}");
+        assert!(json.contains("\"max_qerror\":null"), "the gremlin row's q-error stays empty: {json}");
+    }
+
+    #[test]
+    fn errored_calls_carry_no_estimates() {
+        let s = StmtStats::new(2);
+        s.record(9, "Retrieve P From", StmtOutcome::Error, 9, 0, None, None);
+        let row = &s.top(1, StmtSort::Qerror)[0];
+        assert_eq!((row.calls, row.errors, row.estimated), (1, 1, 0));
+        assert_eq!(row.mean_qerror(), None);
+        // The LRU bound evicts a fingerprint's q-error with its cost.
+        s.record(1, "VNF()", StmtOutcome::Ok, 1, 5, None, Some(&var(2.0, 66, 1.0)));
+        s.record(2, "VM()", StmtOutcome::Ok, 1, 5, None, None);
+        s.record(3, "Host()", StmtOutcome::Ok, 1, 5, None, None);
+        assert!(s.top(10, StmtSort::Qerror).iter().all(|e| e.estimated == 0), "fingerprint 1 left whole");
     }
 }

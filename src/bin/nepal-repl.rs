@@ -14,13 +14,14 @@
 //!                        script written from each variable's plan
 //! :profile <query>       run with profiling and print the operator trace
 //! :metrics               engine metrics in Prometheus text format
-//! :qlog                  query-log status and worst-estimated fingerprints
+//! :qlog                  query-log status
 //! :qlog on [file]        enable the durable query log (default nepal-qlog.jsonl)
 //! :qlog off              disable the durable query log
-//! :qlog top N            N worst q-error fingerprints, chosen vs hindsight anchor
-//! :top [N] [cpu|rows|bytes|calls|wall]   costliest statement fingerprints
+//! :top [N] [cpu|rows|bytes|calls|wall|qerror]   costliest statement fingerprints
 //!                        (`:top wall` ranks the slowest; traced slow
-//!                        queries are kept under `:trace`)
+//!                        queries are kept under `:trace`; `:top N qerror`
+//!                        ranks the worst planner estimates with the chosen
+//!                        and best-in-hindsight anchors)
 //! :trace                 tracing status and buffered traces
 //! :trace on|off          enable/disable hierarchical span tracing
 //! :trace export <file>   write the latest trace as Chrome trace-event JSON
@@ -162,8 +163,8 @@ fn main() {
                  :timeout [ms|off]         show or set the per-query deadline (typed error on expiry)\n\
                  :cancel                   trip the session cancel token (Ctrl-C does this mid-query)\n\
                  :trace | :trace on|off | :trace export <file>   span tracing / Chrome trace-event export\n\
-                 :qlog | :qlog on [file] | :qlog off | :qlog top N   durable query log + planner q-error feedback\n\
-                 :top [N] [cpu|rows|bytes|calls|wall]   costliest statement fingerprints (`:top wall` = slowest)\n\
+                 :qlog | :qlog on [file] | :qlog off   durable query log\n\
+                 :top [N] [cpu|rows|bytes|calls|wall|qerror]   costliest statement fingerprints (`:top wall` = slowest, `:top N qerror` = worst estimates, chosen -> hindsight anchor)\n\
                  :health | :mem            SLO alert states / store memory report\n\
                  :flight | :snapshot       recent wide events / write a diagnostics bundle\n\
                  EXPLAIN ANALYZE <query>   execute and print phase/operator timings\n\
@@ -342,7 +343,7 @@ fn main() {
             if ok {
                 print!("{}", stmt.render_text(n, sort));
             } else {
-                println!("usage: :top [N] [cpu|rows|bytes|calls|wall]");
+                println!("usage: :top [N] [cpu|rows|bytes|calls|wall|qerror]");
             }
             continue;
         }
@@ -466,30 +467,22 @@ fn run_trace_command(engine: &Engine, arg: &str) {
 
 fn run_qlog_command(engine: &mut Engine, arg: &str) {
     match arg {
-        "" => {
-            match &engine.qlog {
-                Some(log) => println!(
-                    "query log: on  file: {}  records: {}  bytes: {}  rotations: {}",
-                    log.path().display(),
-                    log.records(),
-                    log.bytes(),
-                    log.rotations()
-                ),
-                None => println!("query log: off (:qlog on [file] to enable)"),
-            }
-            print!("{}", engine.feedback.render_text(10));
-        }
+        "" => match &engine.qlog {
+            Some(log) => println!(
+                "query log: on  file: {}  records: {}  bytes: {}  rotations: {}",
+                log.path().display(),
+                log.records(),
+                log.bytes(),
+                log.rotations()
+            ),
+            None => println!("query log: off (:qlog on [file] to enable)"),
+        },
         "off" => {
             engine.disable_qlog();
             println!("query log off");
         }
         _ => {
-            if let Some(rest) = arg.strip_prefix("top") {
-                match rest.trim().parse::<usize>() {
-                    Ok(n) if n > 0 => print!("{}", engine.feedback.render_text(n)),
-                    _ => println!("usage: :qlog top N"),
-                }
-            } else if let Some(rest) = arg.strip_prefix("on") {
+            if let Some(rest) = arg.strip_prefix("on") {
                 let file = rest.trim();
                 let file = if file.is_empty() { "nepal-qlog.jsonl" } else { file };
                 match engine.enable_qlog(file, 16 * 1024 * 1024, 4) {
@@ -497,7 +490,7 @@ fn run_qlog_command(engine: &mut Engine, arg: &str) {
                     Err(e) => println!("error: could not open {file}: {e}"),
                 }
             } else {
-                println!("usage: :qlog | :qlog on [file] | :qlog off | :qlog top N");
+                println!("usage: :qlog | :qlog on [file] | :qlog off");
             }
         }
     }

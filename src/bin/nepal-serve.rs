@@ -15,12 +15,12 @@
 //!                     (?deep=1 adds the exact store walk; default scrapes
 //!                     run only cheap O(classes) refreshers)
 //! GET /metrics.json   the same registry as JSON
-//! GET /top.json       per-fingerprint cost attribution (?n=, ?sort=)
+//! GET /top.json       per-fingerprint cost + planner q-error (?n=, ?sort=)
 //! GET /history.json   metrics history ring (?tail=)
 //! GET /healthz        deep readiness: checks + store watermarks + alerts
 //! GET /alerts.json    SLO alert states
 //! GET /dashboard      self-contained HTML operations dashboard
-//! GET /qlog.json      query-log status + per-fingerprint planner q-error
+//! GET /qlog.json      query-log status
 //! GET /traces         buffered trace summaries (slow queries always kept)
 //! GET /traces/<id>    one trace as Chrome trace-event JSON
 //! GET /flight         recent flight-recorder wide events as JSON
@@ -210,7 +210,7 @@ fn main() {
     // Telemetry endpoint: engine metrics + store gauges, health checks
     // and the trace ring.
     let telemetry = Arc::new(Telemetry::new(engine.metrics.clone(), engine.tracer.clone()));
-    telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
+    telemetry.set_qlog(engine.qlog.clone());
     // The shared statement table serves /top.json and the
     // nepal_stmt_* families.
     if let Some(stmt) = &stmt {

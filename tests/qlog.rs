@@ -1,16 +1,18 @@
 //! Durable query log acceptance tests: records written through the full
 //! engine round-trip from JSONL with stable result digests, the
-//! `/qlog.json` telemetry route serves planner feedback once attached,
-//! and the query fingerprint is invariant under literal and whitespace
-//! changes (checked on a corpus and property-tested over generated RPE
-//! shapes).
+//! `/qlog.json` telemetry route serves the log's status once attached
+//! while `/top.json?sort=qerror` ranks planner misestimates, the
+//! `planner-qerror` alert fires on a misestimate and resolves once a
+//! window holds only good estimates, and the query fingerprint is
+//! invariant under literal and whitespace changes (checked on a corpus
+//! and property-tested over generated RPE shapes).
 
 use std::sync::Arc;
 
-use nepal::core::{digest_result, engine_over, Engine};
+use nepal::core::{digest_result, engine_over, Engine, StandardSlos};
 use nepal::graph::TemporalGraph;
 use nepal::obs::qlog::JoinFeedback;
-use nepal::obs::{fingerprint, PlanFeedback, QlogRecord, QueryLog, Telemetry, VarFeedback};
+use nepal::obs::{fingerprint, parse_json, Json, PlanFeedback, QlogRecord, QueryLog, Telemetry, VarFeedback};
 use nepal::schema::dsl::parse_schema;
 use nepal::schema::Value;
 use proptest::prelude::*;
@@ -21,8 +23,10 @@ fn demo_graph() -> Arc<TemporalGraph> {
             r#"
             node VM { vm_id: int unique }
             node Host { host_id: int unique }
+            node Ghost { ghost_id: int unique }
             edge HostedOn { }
             allow HostedOn (VM -> Host)
+            hint Ghost 100000
             "#,
         )
         .unwrap(),
@@ -46,6 +50,9 @@ fn demo_engine() -> Engine {
 const OK_QUERY: &str = "Retrieve P From PATHS P Where P MATCHES VM()->HostedOn()->Host(host_id=7)";
 const AGG_QUERY: &str = "Select count(P) From PATHS P Where P MATCHES VM()->HostedOn()->Host()";
 const BAD_QUERY: &str = "Retrieve P From PATHS P Where P MATCHES Phantom()->HostedOn()->Host()";
+/// An empty class hinted at 100 000 rows: the planner estimates 100 000
+/// anchor rows and observes none.
+const GHOST_QUERY: &str = "Retrieve P From PATHS P Where P MATCHES Ghost()";
 
 /// Queries run with the qlog enabled land in the JSONL file, round-trip
 /// through the parser, and carry digests that a fresh engine over the
@@ -85,8 +92,9 @@ fn qlog_records_roundtrip_with_reproducible_digests() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `/qlog.json` 404s until planner feedback is attached, then serves
-/// per-fingerprint estimate accuracy and log status.
+/// `/qlog.json` 404s until the log is attached, then serves its status;
+/// the planner feedback of the same queries is a column of the statement
+/// table, failed queries included.
 #[test]
 fn telemetry_qlog_routes_serve_feedback_after_queries() {
     let dir = std::env::temp_dir().join(format!("nepal-qlog-http-{}", std::process::id()));
@@ -101,15 +109,88 @@ fn telemetry_qlog_routes_serve_feedback_after_queries() {
     assert_eq!(status, 404, "route 404s before attachment");
 
     engine.enable_qlog(path, 1 << 20, 2).unwrap();
+    telemetry.set_stmt(engine.enable_stmt(8));
     engine.query(OK_QUERY).unwrap();
-    telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
+    telemetry.set_qlog(engine.qlog.clone());
 
     let (status, _, body) = telemetry.handle("/qlog.json");
     assert_eq!(status, 200);
-    assert!(body.contains(&format!("\"example\":\"{OK_QUERY}\"")), "{body}");
     assert!(body.contains("\"enabled\":true"), "{body}");
     assert!(body.contains("\"records\":1"), "{body}");
+    assert!(!body.contains(OK_QUERY), "the log's status only: {body}");
+    let row = top_rows(&telemetry, "qerror").into_iter().next().unwrap();
+    assert_eq!(row.get("query").and_then(Json::as_str), Some(OK_QUERY), "{row}");
+    assert_eq!(row.get("estimated").and_then(Json::as_u64), Some(1), "{row}");
+
+    // A failed query reaches the table and the q-error metrics whether or
+    // not the log is on; its q-error fields stay empty.
+    engine.disable_qlog();
+    assert!(engine.query(BAD_QUERY).is_err());
+    assert_eq!(engine.metrics.counter_total("nepal_qlog_records_total"), Some(2));
+    let bad = top_rows(&telemetry, "qerror").into_iter().find(|r| r.get("errors").and_then(Json::as_u64) == Some(1));
+    let bad = bad.expect("the failed query has a row");
+    assert_eq!(bad.get("max_qerror"), Some(&Json::Null), "{bad}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The rows of `/top.json?sort=<sort>`, in rank order.
+fn top_rows(telemetry: &Telemetry, sort: &str) -> Vec<Json> {
+    let (status, _, body) = telemetry.handle(&format!("/top.json?sort={sort}"));
+    assert_eq!(status, 200, "{body}");
+    let doc = parse_json(&body).unwrap();
+    assert_eq!(doc.get("sort").and_then(Json::as_str), Some(sort), "{body}");
+    doc.get("statements").and_then(Json::as_arr).unwrap().to_vec()
+}
+
+/// `/top.json?sort=qerror` ranks the misestimated fingerprint first and
+/// carries its worst q-error with the chosen and hindsight anchors; the
+/// well-estimated fingerprint follows.
+#[test]
+fn top_by_qerror_ranks_the_misestimated_fingerprint_first() {
+    let mut engine = demo_engine();
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.tracer.clone());
+    telemetry.set_stmt(engine.enable_stmt(8));
+    engine.query(OK_QUERY).unwrap();
+    assert!(engine.query(GHOST_QUERY).unwrap().rows.is_empty());
+    engine.query(OK_QUERY).unwrap();
+
+    let rows = top_rows(&telemetry, "qerror");
+    let num = |r: &Json, k: &str| r.get(k).and_then(Json::as_f64).unwrap_or_else(|| panic!("{k} in {r}"));
+    let text = |r: &Json, k: &str| r.get(k).and_then(Json::as_str).unwrap_or_else(|| panic!("{k} in {r}")).to_string();
+    assert_eq!(text(&rows[0], "query"), GHOST_QUERY);
+    assert_eq!(num(&rows[0], "max_qerror"), 100_000.0);
+    assert_eq!((num(&rows[0], "last_est"), num(&rows[0], "last_actual")), (100_000.0, 0.0));
+    assert_eq!(text(&rows[0], "anchor"), "Ghost()");
+    assert_eq!(text(&rows[0], "hindsight_anchor"), "Ghost()", "the only candidate stays chosen");
+    assert_eq!(text(&rows[1], "query"), OK_QUERY);
+    assert_eq!(num(&rows[1], "calls"), 2.0);
+    assert!(num(&rows[1], "max_qerror") < 2.0, "{}", rows[1]);
+}
+
+/// The `planner-qerror` SLO reads a window of the q-error histogram: one
+/// misestimate fires it and turns `/healthz` to 503; once a window holds
+/// only well-estimated queries it resolves and `/healthz` answers 200.
+#[test]
+fn planner_qerror_alert_fires_then_resolves() {
+    let mut engine = demo_engine();
+    let telemetry = Telemetry::new(engine.metrics.clone(), engine.tracer.clone());
+    telemetry.set_slo(engine.install_standard_slos(&StandardSlos::default()));
+    // `/healthz`'s status code and the `planner-qerror` state it reports.
+    let health = || {
+        let (status, _, body) = telemetry.handle("/healthz");
+        let doc = parse_json(&body).unwrap();
+        let rules = doc.get("alerts").and_then(|a| a.get("rules")).and_then(Json::as_arr).unwrap();
+        let rule = rules.iter().find(|r| r.get("name").and_then(Json::as_str) == Some("planner-qerror")).unwrap();
+        (status, rule.get("state").and_then(Json::as_str).unwrap().to_string())
+    };
+    assert_eq!(health(), (200, "ok".to_string()));
+
+    engine.query_profiled(GHOST_QUERY).unwrap();
+    assert_eq!(health(), (503, "firing".to_string()), "a 100000x misestimate fires the alert");
+    for _ in 0..20 {
+        engine.query_profiled(OK_QUERY).unwrap();
+    }
+    assert_eq!(health(), (200, "resolved".to_string()), "a window of good estimates resolves it");
 }
 
 /// Rotation boundary: a record whose line lands exactly on the size

@@ -497,7 +497,7 @@ fn json_surfaces_survive_hostile_strings() {
     engine.metrics.counter_labeled("nepal_hostile_total", &[("who", HOSTILE)], "hostile label value").inc();
 
     let telemetry = Telemetry::new(engine.metrics.clone(), engine.tracer.clone());
-    telemetry.set_qlog(engine.feedback.clone(), engine.qlog.clone());
+    telemetry.set_qlog(engine.qlog.clone());
     telemetry.set_stmt(stmt);
     let history = Arc::new(HistoryRing::new(std::time::Duration::from_millis(1), 8));
     history.tick_at(1, &engine.metrics);
@@ -522,14 +522,16 @@ fn json_surfaces_survive_hostile_strings() {
         arr.unwrap_or(&[]).iter().any(|item| str_at(item, path) == Some(want))
     };
 
-    // The query text: qlog (file and route), /top.json, traces.
+    // The query text: qlog file, /top.json (cost and q-error sorts),
+    // traces; the log's path on /qlog.json.
     let line = std::fs::read_to_string(dir.join("qlog.jsonl")).unwrap();
     assert_eq!(str_at(&strict_parse("qlog line", line.trim_end()), &["query"]), Some(query.as_str()));
     assert_eq!(QueryLog::read_records(dir.join("qlog.jsonl")).unwrap()[0].query, query);
-    let qlog = get("/qlog.json");
-    assert!(find(qlog.get("fingerprints").and_then(Json::as_arr), &["example"], &query), "{qlog}");
-    let top = get("/top.json");
-    assert!(find(top.get("statements").and_then(Json::as_arr), &["query"], &query), "{top}");
+    assert!(str_at(&get("/qlog.json"), &["path"]).is_some_and(|p| p.ends_with("qlog.jsonl")));
+    for route in ["/top.json", "/top.json?sort=qerror"] {
+        let top = get(route);
+        assert!(find(top.get("statements").and_then(Json::as_arr), &["query"], &query), "{route}: {top}");
+    }
     assert!(find(get("/traces").as_arr(), &["name"], &query));
     let id = engine.tracer.latest_id().unwrap();
     for path in ["/traces/latest".to_string(), format!("/traces/{id}")] {
